@@ -1,0 +1,11 @@
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH_DIR = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH_DIR)
+SRC = os.path.join(ROOT, "src")
+
+for path in (SRC, BENCH_DIR):
+    if path not in sys.path:
+        sys.path.insert(0, path)
