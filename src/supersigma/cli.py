@@ -155,13 +155,18 @@ def _cmd_decompose(args) -> int:
         result = decompose_gravitino(geom, chi0, dchi)
     else:
         raise ValueError(f"unknown fixture kind {kind!r}; expected metric or gravitino")
+    norms = result.residual_norms()
+    tol = config.tolerance("decompose")
+    passed = all(value <= tol for value in norms.values())
     document = json.dumps({
         "kind": kind,
-        "residual_norms": result.residual_norms(),
+        "residual_norms": norms,
+        "tolerance": tol,
+        "passed": passed,
         "null_directions": result.null_directions,
     }, indent=2, sort_keys=True) + "\n"
     _emit(document, args)
-    return 0
+    return 0 if passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,8 +13,17 @@ where D is trace-free and divergence-free, and a gravitino deformation as
 where DD is gamma-trace-free.  On the flat torus with the gravitino
 background chi = 0 the susy metric image vanishes identically and the
 gravitino susy image is the plain directional derivative of q, so both
-decompositions reduce to finite linear algebra, solved here per Fourier
-mode by least squares with a pseudo-inverse (singular-value cutoff 1e-10).
+decompositions reduce to finite linear algebra on each Fourier mode: the
+metric residual D is the transverse-traceless part of York's split.
+
+Every Fourier mode within the cutoff and every Grassmann mask is fitted in
+one batched least-squares solve: the design matrices of all band modes are
+stacked into one tensor A, its pseudo-inverse A+ (singular-value cutoff
+1e-10) is applied to every mask at once, and the residual is rhs - A A+ rhs.
+A+ depends only on the grid shape, the periods, the cutoff, the line
+(metric or gravitino) and, on the gravitino line, the Clifford matrices; it
+is cached under exactly that key, keeping the two most recently used keys
+(the metric and the gravitino line of one grid).
 
 The residual spaces are two-dimensional on each line: the constant
 trace-free symmetric tensors and the constant gamma-trace-free gravitino
@@ -23,8 +32,10 @@ sections.
 
 from __future__ import annotations
 
+import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +60,10 @@ __all__ = [
 ]
 
 SVD_CUTOFF = 1e-10
+
+# Pseudo-inverses of stacked band design matrices, most recently used last.
+_PINV_CACHE: OrderedDict = OrderedDict()
+_PINV_CACHE_SIZE = 2
 
 
 @dataclass
@@ -172,8 +187,13 @@ def lie_derivative_metric(geom: SurfaceGeometry, X: Sequence[GrassmannField]) ->
     return MetricDeformation(t)
 
 
-def _default_cutoff(grid: Grid) -> int:
-    return min(grid.shape) // 4
+def _resolve_cutoff(cutoff, grid: Grid) -> int:
+    """The default cutoff min(shape) // 4, or ``cutoff`` checked to be an integer >= 0."""
+    if cutoff is None:
+        return min(grid.shape) // 4
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral) or cutoff < 0:
+        raise ValueError(f"cutoff must be a non-negative integer, got {cutoff!r}")
+    return int(cutoff)
 
 
 def _mode_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -186,100 +206,104 @@ def _mode_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return k1, k2, m1, m2
 
 
-def _per_mode_solve(stack: np.ndarray, grid: Grid, cutoff: int,
-                    build_columns) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fit of a component stack per Fourier mode.
-
-    ``stack`` has shape (n_components, n1, n2) of real arrays.
-    ``build_columns(kappa1, kappa2)`` returns the complex design matrix
-    (n_components x n_params) for one mode.  Returns (params, residual)
-    as complex mode arrays of shapes (n_params, n1, n2) and
-    (n_components, n1, n2); modes beyond the cutoff go entirely to the
-    residual.
-    """
-    n_comp = stack.shape[0]
-    F = np.fft.fft2(stack, axes=(1, 2))
-    k1, k2, m1, m2 = _mode_wavenumbers(grid)
-    probe = build_columns(k1[0], k2[0])
-    n_par = probe.shape[1]
-    params = np.zeros((n_par,) + grid.shape, dtype=complex)
-    resid = np.array(F, dtype=complex)
-    for i1 in range(grid.shape[0]):
-        if abs(m1[i1]) > cutoff:
-            continue
-        for i2 in range(grid.shape[1]):
-            if abs(m2[i2]) > cutoff:
-                continue
-            A = build_columns(k1[i1], k2[i2])
-            rhs = F[:, i1, i2]
-            sol = np.linalg.pinv(A, rcond=SVD_CUTOFF) @ rhs
-            params[:, i1, i2] = sol
-            resid[:, i1, i2] = rhs - A @ sol
-    return params, resid
-
-
-def _metric_columns(kap1: float, kap2: float) -> np.ndarray:
-    """Design matrix for components (g11, g12, g22).
+def _metric_columns(kap1, kap2) -> np.ndarray:
+    """Design matrices for components (g11, g12, g22), shape kap.shape + (3, 3).
 
     Column 0: conformal direction lambda * identity.
     Columns 1-2: (L_X g)_{ab} = i kappa_a X_b + i kappa_b X_a.
     """
-    return np.array([
-        [1.0, 2j * kap1, 0.0],
-        [0.0, 1j * kap2, 1j * kap1],
-        [1.0, 0.0, 2j * kap2],
-    ], dtype=complex)
+    kap1, kap2 = np.broadcast_arrays(np.asarray(kap1, dtype=float),
+                                     np.asarray(kap2, dtype=float))
+    A = np.zeros(kap1.shape + (3, 3), dtype=complex)
+    A[..., 0, 0] = A[..., 2, 0] = 1.0
+    A[..., 0, 1] = 2j * kap1
+    A[..., 1, 1] = 1j * kap2
+    A[..., 1, 2] = 1j * kap1
+    A[..., 2, 2] = 2j * kap2
+    return A
 
 
-def _gravitino_columns(kap1: float, kap2: float, conv: CliffordConvention) -> np.ndarray:
-    """Design matrix for components (chi_1^1, chi_1^2, chi_2^1, chi_2^2).
+def _gravitino_columns(kap1, kap2, conv: CliffordConvention) -> np.ndarray:
+    """Design matrices for components (chi_1^1, chi_1^2, chi_2^1, chi_2^2),
+    shape kap.shape + (4, 4).
 
     Columns 0-1: super-Weyl direction delta chi_a = gamma^a t.
     Columns 2-3: susy direction delta chi_a = d_a q = i kappa_a q
     (the flat spin connection at chi = 0).
     """
-    g1, g2 = conv.gamma(1), conv.gamma(2)
-    A = np.zeros((4, 4), dtype=complex)
-    A[0:2, 0:2] = g1
-    A[2:4, 0:2] = g2
-    A[0:2, 2:4] = 1j * kap1 * np.eye(2)
-    A[2:4, 2:4] = 1j * kap2 * np.eye(2)
+    kap1, kap2 = np.broadcast_arrays(np.asarray(kap1, dtype=float),
+                                     np.asarray(kap2, dtype=float))
+    eye = np.eye(2)
+    A = np.zeros(kap1.shape + (4, 4), dtype=complex)
+    A[..., 0:2, 0:2] = conv.gamma(1)
+    A[..., 2:4, 0:2] = conv.gamma(2)
+    A[..., 0:2, 2:4] = (1j * kap1)[..., None, None] * eye
+    A[..., 2:4, 2:4] = (1j * kap2)[..., None, None] * eye
     return A
 
 
-def _fields_from_modes(modes: np.ndarray, grid: Grid, n_gen: int,
-                       masks: Sequence[int], mask_index: dict) -> list[GrassmannField]:
-    """Inverse transform per-mask mode arrays back to GrassmannFields.
+def _cached_pinv(key: tuple, A: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the stacked design matrices ``A``, cached under ``key``."""
+    A_pinv = _PINV_CACHE.get(key)
+    if A_pinv is None:
+        A_pinv = np.linalg.pinv(A, rcond=SVD_CUTOFF)
+        A_pinv.flags.writeable = False
+        _PINV_CACHE[key] = A_pinv
+        if len(_PINV_CACHE) > _PINV_CACHE_SIZE:
+            _PINV_CACHE.popitem(last=False)
+    else:
+        _PINV_CACHE.move_to_end(key)
+    return A_pinv
 
-    ``modes`` is indexed [mask_slot, component, i1, i2].
-    Returns one field per component with the given masks.
+
+def _field_from_modes(grid: Grid, n_gen: int, masks: Sequence[int],
+                      mode_grids) -> GrassmannField:
+    """Inverse transform one mode grid per mask back to a GrassmannField."""
+    terms = {}
+    for mask, modes in zip(masks, mode_grids):
+        vals = np.fft.ifft2(modes).real
+        if np.max(np.abs(vals)) > 0.0:
+            terms[mask] = vals
+    return GrassmannField(grid, n_gen, terms)
+
+
+def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
+                build_columns: Callable) -> tuple[list[GrassmannField], list[GrassmannField]]:
+    """Least-squares fit of the component fields on every band mode and mask.
+
+    ``build_columns(kappa1, kappa2)`` returns the complex design matrices
+    stacked over the band modes, shape (n1_band, n2_band, n_components,
+    n_params).  Returns one field per parameter and one residual field per
+    component; modes beyond the cutoff go entirely to the residual.
     """
-    n_comp = modes.shape[1]
-    out = []
-    for c in range(n_comp):
-        terms = {}
-        for mask in masks:
-            vals = np.fft.ifft2(modes[mask_index[mask], c]).real
-            if np.max(np.abs(vals)) > 0.0:
-                terms[mask] = vals
-        out.append(GrassmannField(grid, n_gen, terms))
-    return out
+    grid, n_gen = comps[0].grid, comps[0].n_gen
+    masks = sorted({m for f in comps for m in f.terms}) or [0]
+    zero = np.zeros(grid.shape)
+    # F[mask, component] holds the Fourier modes; the band modes are
+    # overwritten in place by the residual below.
+    F = np.fft.fft2(np.array([[f.terms.get(m, zero) for f in comps] for m in masks]))
+    k1, k2, m1, m2 = _mode_wavenumbers(grid)
+    i1 = np.flatnonzero(np.abs(m1) <= cutoff)
+    i2 = np.flatnonzero(np.abs(m2) <= cutoff)
+    band = (..., i1[:, None], i2)
+    A = build_columns(k1[i1][:, None], k2[i2])
+    A_pinv = _cached_pinv((grid.shape, grid.periods, cutoff) + line_key, A)
 
+    rhs = np.moveaxis(F[band], 1, -1)[..., None]
+    sol = A_pinv @ rhs
+    F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 1)
 
-def _decompose_stacks(fields_by_mask: dict, grid: Grid, cutoff: int,
-                      build_columns) -> tuple[np.ndarray, np.ndarray, list[int], dict]:
-    """Run the per-mode solve for every Grassmann mask present in the input."""
-    masks = sorted(fields_by_mask)
-    mask_index = {m: i for i, m in enumerate(masks)}
-    params_all, resid_all = None, None
-    for m in masks:
-        params, resid = _per_mode_solve(fields_by_mask[m], grid, cutoff, build_columns)
-        if params_all is None:
-            params_all = np.zeros((len(masks),) + params.shape, dtype=complex)
-            resid_all = np.zeros((len(masks),) + resid.shape, dtype=complex)
-        params_all[mask_index[m]] = params
-        resid_all[mask_index[m]] = resid
-    return params_all, resid_all, masks, mask_index
+    buf = np.zeros(grid.shape, dtype=complex)
+
+    def param_modes(j):
+        for k in range(len(masks)):
+            buf[band] = sol[k, ..., j, 0]
+            yield buf
+
+    params = [_field_from_modes(grid, n_gen, masks, param_modes(j))
+              for j in range(A.shape[-1])]
+    resid = [_field_from_modes(grid, n_gen, masks, F[:, c]) for c in range(len(comps))]
+    return params, resid
 
 
 def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDeformation,
@@ -295,24 +319,10 @@ def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDefor
     """
     _require_flat_background(geom, chi)
     grid, n_gen = dg.grid, dg.n_gen
-    if cutoff is None:
-        cutoff = _default_cutoff(grid)
-
-    fields_by_mask: dict[int, np.ndarray] = {}
-    comps = [dg.tensor[0][0], dg.tensor[0][1], dg.tensor[1][1]]
-    all_masks = sorted({m for f in comps for m in f.terms})
-    if not all_masks:
-        all_masks = [0]
-    for m in all_masks:
-        fields_by_mask[m] = np.stack([
-            f.terms.get(m, np.zeros(grid.shape)) for f in comps])
-
-    params, resid, masks, mask_index = _decompose_stacks(
-        fields_by_mask, grid, cutoff, _metric_columns)
-
-    lam = _fields_from_modes(params[:, 0:1], grid, n_gen, masks, mask_index)[0]
-    X = _fields_from_modes(params[:, 1:3], grid, n_gen, masks, mask_index)
-    r = _fields_from_modes(resid, grid, n_gen, masks, mask_index)
+    cutoff = _resolve_cutoff(cutoff, grid)
+    params, r = _band_solve([dg.tensor[0][0], dg.tensor[0][1], dg.tensor[1][1]],
+                            cutoff, ("metric",), _metric_columns)
+    lam, X = params[0], params[1:3]
     D = MetricDeformation([[r[0], r[1]], [r[1], r[2]]])
 
     reassembled = _reassemble_metric(geom, lam, X, D)
@@ -355,27 +365,15 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField, dchi: Gravit
         if not s.is_zero() and s.parity() is not Parity.ODD:
             raise ParityError("gravitino deformation must be odd")
     grid, n_gen = dchi[1].grid, dchi[1].n_gen
-    if cutoff is None:
-        cutoff = _default_cutoff(grid)
+    cutoff = _resolve_cutoff(cutoff, grid)
     conv = geom.clifford_convention
-
-    comps = [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]]
-    all_masks = sorted({m for f in comps for m in f.terms})
-    if not all_masks:
-        all_masks = [0]
-    fields_by_mask = {m: np.stack([f.terms.get(m, np.zeros(grid.shape)) for f in comps])
-                      for m in all_masks}
-
-    params, resid, masks, mask_index = _decompose_stacks(
-        fields_by_mask, grid, cutoff,
+    params, r = _band_solve(
+        [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]],
+        cutoff, ("gravitino", conv.gamma(1).tobytes(), conv.gamma(2).tobytes()),
         lambda kap1, kap2: _gravitino_columns(kap1, kap2, conv))
-
-    t_comps = _fields_from_modes(params[:, 0:2], grid, n_gen, masks, mask_index)
-    q_comps = _fields_from_modes(params[:, 2:4], grid, n_gen, masks, mask_index)
-    r = _fields_from_modes(resid, grid, n_gen, masks, mask_index)
-    t = SpinorField(t_comps)
-    q = SpinorField(q_comps)
-    DD = GravitinoField([SpinorField([r[0], r[1]]), SpinorField([r[2], r[3]])])
+    t = SpinorField(params[0:2])
+    q = SpinorField(params[2:4])
+    DD = GravitinoField([SpinorField(r[0:2]), SpinorField(r[2:4])])
 
     reassembled = _reassemble_gravitino(geom, t, q, DD)
     return DecompositionResult(
@@ -415,39 +413,32 @@ def true_deformation_dimensions(geom: SurfaceGeometry,
     if not geom.is_identity_frame():
         raise UnsupportedRegimeError("dimension count implemented for the flat identity frame")
     grid = geom.grid
-    if cutoff is None:
-        cutoff = _default_cutoff(grid)
+    cutoff = _resolve_cutoff(cutoff, grid)
     conv = geom.clifford_convention
-    g1, g2 = conv.gamma(1), conv.gamma(2)
+    n1, n2 = np.meshgrid(np.arange(cutoff + 1), np.arange(-cutoff, cutoff + 1), indexing="ij")
+    keep = (n1 > 0) | (n2 >= 0)
+    n1, n2 = n1[keep], n2[keep]
+    kap1 = 2.0 * np.pi * n1 / grid.periods[0]
+    kap2 = 2.0 * np.pi * n2 / grid.periods[1]
+    mult = np.where((n1 == 0) & (n2 == 0), 1, 2)
+    eye = np.eye(2)
 
-    def nullity(A: np.ndarray) -> int:
+    def dimension(A: np.ndarray) -> int:
         s = np.linalg.svd(A, compute_uv=False)
-        smax = s[0] if len(s) and s[0] > 0 else 1.0
-        rank = int(np.sum(s > SVD_CUTOFF * smax))
-        return A.shape[1] - rank
+        smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
+        rank = np.sum(s > SVD_CUTOFF * smax[:, None], axis=-1)
+        return int(np.sum(mult * (A.shape[-1] - rank)))
 
-    d_even = 0
-    d_odd = 0
-    for n1 in range(0, cutoff + 1):
-        for n2 in range(-cutoff, cutoff + 1):
-            if n1 == 0 and n2 < 0:
-                continue
-            kap1 = 2.0 * np.pi * n1 / grid.periods[0]
-            kap2 = 2.0 * np.pi * n2 / grid.periods[1]
-            mult = 1 if (n1 == 0 and n2 == 0) else 2
-            # Even line: unknowns (g11, g12, g22); trace + divergence rows.
-            Ae = np.array([
-                [1.0, 0.0, 1.0],
-                [1j * kap1, 1j * kap2, 0.0],
-                [0.0, 1j * kap1, 1j * kap2],
-            ], dtype=complex)
-            d_even += mult * nullity(Ae)
-            # Odd line: unknowns (chi_1^1, chi_1^2, chi_2^1, chi_2^2);
-            # gamma-trace + divergence rows.
-            Ao = np.zeros((4, 4), dtype=complex)
-            Ao[0:2, 0:2] = g1
-            Ao[0:2, 2:4] = g2
-            Ao[2:4, 0:2] = 1j * kap1 * np.eye(2)
-            Ao[2:4, 2:4] = 1j * kap2 * np.eye(2)
-            d_odd += mult * nullity(Ao)
-    return d_even, d_odd
+    # Even line: unknowns (g11, g12, g22); trace + divergence rows.
+    Ae = np.zeros(kap1.shape + (3, 3), dtype=complex)
+    Ae[:, 0, 0] = Ae[:, 0, 2] = 1.0
+    Ae[:, 1, 0] = Ae[:, 2, 1] = 1j * kap1
+    Ae[:, 1, 1] = Ae[:, 2, 2] = 1j * kap2
+    # Odd line: unknowns (chi_1^1, chi_1^2, chi_2^1, chi_2^2);
+    # gamma-trace + divergence rows.
+    Ao = np.zeros(kap1.shape + (4, 4), dtype=complex)
+    Ao[:, 0:2, 0:2] = conv.gamma(1)
+    Ao[:, 0:2, 2:4] = conv.gamma(2)
+    Ao[:, 2:4, 0:2] = (1j * kap1)[:, None, None] * eye
+    Ao[:, 2:4, 2:4] = (1j * kap2)[:, None, None] * eye
+    return dimension(Ae), dimension(Ao)

@@ -114,6 +114,29 @@ def test_decompose_subcommand(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["residual_norms"]["reassembly"] < 1e-8
     assert doc["residual_norms"]["trace"] < 1e-8
+    assert doc["tolerance"] == SuiteConfig().tolerance("decompose")
+    assert doc["passed"] is True
+
+
+def test_decompose_exit_one_when_residual_exceeds_tolerance(capsys, tmp_path):
+    # cos(7 x) in g11 alone lies above the default cutoff 16 // 4 = 4, so it
+    # goes entirely to the residual D, which is then not trace-free.
+    n = 16
+    x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    X, _ = np.meshgrid(x, x, indexing="ij")
+    zero = np.zeros((n, n)).tolist()
+    fixture = {
+        "kind": "metric",
+        "shape": [n, n],
+        "tensor": {"11": np.cos(7 * X).tolist(), "12": zero, "22": zero},
+    }
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    code, out = run_cli(capsys, "decompose", "--fixture", str(path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["residual_norms"]["trace"] > doc["tolerance"]
 
 
 def test_json_output_file(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from supersigma import deformations
+from supersigma.config import SuiteConfig
 from supersigma.deformations import (
     DecompositionResult,
     GravitinoDeformation,
@@ -12,8 +14,16 @@ from supersigma.deformations import (
 )
 from supersigma.grassmann import ParityError
 from supersigma.gridfield import GrassmannField, Grid
+from supersigma.report import SuiteReport, render_report
 from supersigma.sigma2d import UnsupportedRegimeError
-from supersigma.spin_surface import CLIFFORD, GravitinoField, SpinorField, SurfaceGeometry
+from supersigma.spin_surface import (
+    CLIFFORD,
+    CliffordConvention,
+    GravitinoField,
+    SpinorField,
+    SurfaceGeometry,
+)
+from supersigma.suites import run_suite
 
 from conftest import N_GEN, even_field, gravitino, odd_field, odd_spinor
 
@@ -171,3 +181,242 @@ def test_gravitino_deformation_must_be_odd(rng, grid):
         GravitinoField([
             SpinorField([even_field(rng, grid) for _ in range(2)])
             for _ in range(2)])
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-mode pinv loop that the batched solve replaced.
+# ---------------------------------------------------------------------------
+
+def reference_metric_columns(kap1, kap2):
+    return np.array([
+        [1.0, 2j * kap1, 0.0],
+        [0.0, 1j * kap2, 1j * kap1],
+        [1.0, 0.0, 2j * kap2],
+    ], dtype=complex)
+
+
+def reference_gravitino_columns(kap1, kap2, conv):
+    A = np.zeros((4, 4), dtype=complex)
+    A[0:2, 0:2] = conv.gamma(1)
+    A[2:4, 0:2] = conv.gamma(2)
+    A[0:2, 2:4] = 1j * kap1 * np.eye(2)
+    A[2:4, 2:4] = 1j * kap2 * np.eye(2)
+    return A
+
+
+def reference_solve(comps, cutoff, build_columns):
+    """One pinv per (mode, mask); returns (parameter fields, residual fields)."""
+    grid, n_gen = comps[0].grid, comps[0].n_gen
+    masks = sorted({m for f in comps for m in f.terms}) or [0]
+    n1, n2 = grid.shape
+    m1 = np.fft.fftfreq(n1, d=1.0 / n1)
+    m2 = np.fft.fftfreq(n2, d=1.0 / n2)
+    k1 = 2.0 * np.pi * m1 / grid.periods[0]
+    k2 = 2.0 * np.pi * m2 / grid.periods[1]
+    n_par = build_columns(k1[0], k2[0]).shape[1]
+    params, resid = {}, {}
+    for m in masks:
+        F = np.fft.fft2(np.stack([f.terms.get(m, np.zeros(grid.shape)) for f in comps]),
+                        axes=(1, 2))
+        params[m] = np.zeros((n_par,) + grid.shape, dtype=complex)
+        resid[m] = np.array(F, dtype=complex)
+        for i1 in range(n1):
+            if abs(m1[i1]) > cutoff:
+                continue
+            for i2 in range(n2):
+                if abs(m2[i2]) > cutoff:
+                    continue
+                A = build_columns(k1[i1], k2[i2])
+                rhs = F[:, i1, i2]
+                sol = np.linalg.pinv(A, rcond=1e-10) @ rhs
+                params[m][:, i1, i2] = sol
+                resid[m][:, i1, i2] = rhs - A @ sol
+
+    def to_field(modes, j):
+        terms = {}
+        for m in masks:
+            vals = np.fft.ifft2(modes[m][j]).real
+            if np.max(np.abs(vals)) > 0.0:
+                terms[m] = vals
+        return GrassmannField(grid, n_gen, terms)
+
+    return ([to_field(params, j) for j in range(n_par)],
+            [to_field(resid, c) for c in range(len(comps))])
+
+
+def reference_dimensions(geom, cutoff):
+    grid, conv = geom.grid, geom.clifford_convention
+
+    def nullity(A):
+        s = np.linalg.svd(A, compute_uv=False)
+        smax = s[0] if len(s) and s[0] > 0 else 1.0
+        return A.shape[1] - int(np.sum(s > 1e-10 * smax))
+
+    d_even = d_odd = 0
+    for n1 in range(0, cutoff + 1):
+        for n2 in range(-cutoff, cutoff + 1):
+            if n1 == 0 and n2 < 0:
+                continue
+            kap1 = 2.0 * np.pi * n1 / grid.periods[0]
+            kap2 = 2.0 * np.pi * n2 / grid.periods[1]
+            mult = 1 if (n1 == 0 and n2 == 0) else 2
+            Ae = np.array([[1.0, 0.0, 1.0],
+                           [1j * kap1, 1j * kap2, 0.0],
+                           [0.0, 1j * kap1, 1j * kap2]], dtype=complex)
+            Ao = np.zeros((4, 4), dtype=complex)
+            Ao[0:2, 0:2] = conv.gamma(1)
+            Ao[0:2, 2:4] = conv.gamma(2)
+            Ao[2:4, 0:2] = 1j * kap1 * np.eye(2)
+            Ao[2:4, 2:4] = 1j * kap2 * np.eye(2)
+            d_even += mult * nullity(Ae)
+            d_odd += mult * nullity(Ao)
+    return d_even, d_odd
+
+
+FLIPPED = CliffordConvention(gamma1=-CLIFFORD.gamma1)
+
+ORACLE_GRIDS = [
+    Grid((12, 10), (2.0 * np.pi, 2.0 * np.pi)),
+    Grid((15, 9), (3.0, 5.5)),
+    Grid((16, 16), (7.5, 7.5)),
+]
+
+
+def oracle_cutoffs(grid):
+    # 0, 2, the default, and one at or above n/2 that keeps every Nyquist mode.
+    return [0, 2, None, max(grid.shape) // 2]
+
+
+ORACLE_CASES = [pytest.param(g, c, id=f"{g.shape[0]}x{g.shape[1]}-cutoff-{c}")
+                for g in ORACLE_GRIDS for c in oracle_cutoffs(g)]
+
+
+def resolved(cutoff, grid):
+    return min(grid.shape) // 4 if cutoff is None else cutoff
+
+
+@pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
+def test_metric_matches_per_mode_reference(rng, grid_, cutoff):
+    geom_ = SurfaceGeometry.flat(grid_, N_GEN)
+    g11 = band_field(rng, grid_, (0, 0b11), cutoff=7)
+    g12 = band_field(rng, grid_, (0, 0b1100), cutoff=7)
+    g22 = band_field(rng, grid_, (0, 0b110000), cutoff=7)
+    dg = MetricDeformation([[g11, g12], [g12, g22]])
+    r = decompose_metric(geom_, GravitinoField.zero(grid_, N_GEN), dg, cutoff=cutoff)
+    params, res = reference_solve([g11, g12, g22], resolved(cutoff, grid_),
+                                  reference_metric_columns)
+    assert r.weyl.max_abs_diff(params[0]) == 0.0
+    assert max(r.vector[a].max_abs_diff(params[1 + a]) for a in range(2)) == 0.0
+    D = MetricDeformation([[res[0], res[1]], [res[1], res[2]]])
+    assert r.residual_metric.max_abs_diff(D) == 0.0
+
+
+@pytest.mark.parametrize("conv", [CLIFFORD, FLIPPED], ids=["gamma1", "minus-gamma1"])
+@pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
+def test_gravitino_matches_per_mode_reference(rng, grid_, cutoff, conv):
+    conv.validate()
+    geom_ = SurfaceGeometry(grid_, N_GEN, clifford_convention=conv)
+    dchi = GravitinoField([odd_spinor(rng, grid_, [1, 3], cutoff=7),
+                           odd_spinor(rng, grid_, [2, 4], cutoff=7)])
+    dchi = GravitinoField([dchi[1] + odd_spinor(rng, grid_, [5, 6], cutoff=7), dchi[2]])
+    chi0_ = GravitinoField.zero(grid_, N_GEN)
+    # Warm the cache with the default convention on the same grid and cutoff:
+    # a key without the Clifford matrices would then hand back its A+.
+    decompose_gravitino(SurfaceGeometry.flat(grid_, N_GEN), chi0_, dchi, cutoff=cutoff)
+    r = decompose_gravitino(geom_, chi0_, dchi, cutoff=cutoff)
+    comps = [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]]
+    params, res = reference_solve(comps, resolved(cutoff, grid_),
+                                  lambda k1, k2: reference_gravitino_columns(k1, k2, conv))
+    assert r.super_weyl.max_abs_diff(SpinorField(params[0:2])) == 0.0
+    assert r.susy_parameter.max_abs_diff(SpinorField(params[2:4])) == 0.0
+    DD = GravitinoField([SpinorField(res[0:2]), SpinorField(res[2:4])])
+    assert r.residual_gravitino.max_abs_diff(DD) == 0.0
+
+
+@pytest.mark.parametrize("conv", [CLIFFORD, FLIPPED], ids=["gamma1", "minus-gamma1"])
+@pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
+def test_true_dimensions_match_reference(grid_, cutoff, conv):
+    geom_ = SurfaceGeometry(grid_, N_GEN, clifford_convention=conv)
+    assert true_deformation_dimensions(geom_, cutoff) == \
+        reference_dimensions(geom_, resolved(cutoff, grid_))
+
+
+# ---------------------------------------------------------------------------
+# Cutoff validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [-1, 1.5, 2.0, "3", True])
+def test_invalid_cutoff_rejected(geom, chi0, grid, bad):
+    one = GrassmannField.from_array(grid, N_GEN, np.ones(grid.shape))
+    zero = GrassmannField.zero(grid, N_GEN)
+    dg = MetricDeformation([[one, zero], [zero, one]])
+    with pytest.raises(ValueError, match="cutoff"):
+        decompose_metric(geom, chi0, dg, cutoff=bad)
+    with pytest.raises(ValueError, match="cutoff"):
+        decompose_gravitino(geom, chi0, chi0, cutoff=bad)
+    with pytest.raises(ValueError, match="cutoff"):
+        true_deformation_dimensions(geom, cutoff=bad)
+
+
+def test_zero_cutoff_fits_only_the_constant_mode(rng, geom, chi0, grid):
+    three = GrassmannField.from_array(grid, N_GEN, np.full(grid.shape, 3.0))
+    wave = band_field(rng, grid, cutoff=6)
+    zero = GrassmannField.zero(grid, N_GEN)
+    dg = MetricDeformation([[three + wave, zero], [zero, three]])
+    r = decompose_metric(geom, chi0, dg, cutoff=np.int64(0))
+    assert r.reassembly_residual < 1e-12
+    assert abs(np.mean(r.weyl.terms[0]) - 3.0 - 0.5 * np.mean(wave.terms[0])) < 1e-12
+    assert true_deformation_dimensions(geom, cutoff=0) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Pseudo-inverse cache
+# ---------------------------------------------------------------------------
+
+def test_decompose_suite_cold_and_warm_render_identically():
+    config = SuiteConfig(seed=3)
+    config.fixture_counts["decompose"] = 4
+
+    def render():
+        checks = run_suite(config, "decompose")
+        return render_report(SuiteReport(seed=config.seed, config_hash=config.config_hash(),
+                                         conventions=config.conventions.to_dict(),
+                                         checks=checks))
+
+    deformations._PINV_CACHE.clear()
+    cold = render()
+    assert deformations._PINV_CACHE
+    assert render() == cold
+
+
+def test_repeated_key_makes_no_pinv_call(rng, monkeypatch, geom, chi0, grid):
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    deformations._PINV_CACHE.clear()
+    dchi = GravitinoField([odd_spinor(rng, grid, [1, 3]), odd_spinor(rng, grid, [2, 4])])
+    dg = MetricDeformation([[band_field(rng, grid), GrassmannField.zero(grid, N_GEN)],
+                            [GrassmannField.zero(grid, N_GEN), band_field(rng, grid)]])
+    decompose_metric(geom, chi0, dg)
+    decompose_gravitino(geom, chi0, dchi)
+    assert len(calls) == 2
+    calls.clear()
+    decompose_metric(geom, chi0, dg)
+    decompose_gravitino(geom, chi0, dchi)
+    assert calls == []
+
+
+def test_cache_holds_at_most_two_entries(rng):
+    deformations._PINV_CACHE.clear()
+    for n in (8, 10, 12, 14, 16):
+        g = Grid((n, n), (2.0 * np.pi, 2.0 * np.pi))
+        zero = GrassmannField.zero(g, N_GEN)
+        dg = MetricDeformation([[band_field(rng, g, cutoff=1), zero],
+                                [zero, band_field(rng, g, cutoff=1)]])
+        decompose_metric(SurfaceGeometry.flat(g, N_GEN), GravitinoField.zero(g, N_GEN), dg)
+        assert len(deformations._PINV_CACHE) <= 2
