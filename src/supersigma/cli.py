@@ -7,7 +7,10 @@
 
 The default configuration may be pointed at with the SUPERSIGMA_CONFIG
 environment variable; --config overrides it.  All subcommands print a JSON
-document and exit with status 0 exactly when every check passed.
+document and exit with status 0 exactly when every check passed.  Bad input
+(an invalid config or fixture, a failed calibration, a diverging flow)
+prints {"error": {"type": ..., "message": ...}} and exits with status 1;
+command-line usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from .config import CONFIG_ENV_VAR, SuiteConfig
 from .deformations import decompose_gravitino, decompose_metric, MetricDeformation
 from .gridfield import GrassmannField, Grid
 from .report import CheckReport, SuiteReport, render_report
-from .sigma2d import harmonic_flow
+from .sigma2d import CalibrationError, FlowDivergenceError, harmonic_flow
 from .spin_surface import GravitinoField, SpinorField, SurfaceGeometry
-from .suites import SUITE_NAMES, calibrate, run_suite
+from .suites import SUITE_NAMES, calibrate, flow_initial_data, run_suite, suite_rng
 
 __all__ = ["main", "build_parser"]
 
@@ -100,20 +103,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_flow(args) -> int:
     config = _load_config(args)
-    rng = np.random.default_rng([config.seed, SUITE_NAMES.index("flow")])
-    grid = Grid(config.grid_shape, config.periods)
-    geom = SurfaceGeometry.flat(grid, config.n_gen)
-    winding = np.eye(2)
-    coords = grid.coordinates()
-    phi0 = []
-    for _ in range(2):
-        p = np.zeros(grid.shape)
-        for _ in range(4):
-            kx = int(rng.integers(2, 5)) * (1 if rng.integers(0, 2) else -1)
-            ky = int(rng.integers(2, 5))
-            p += 0.2 * rng.normal() * np.cos(kx * coords[0] + ky * coords[1]
-                                             + rng.uniform(0, 2 * np.pi))
-        phi0.append(p)
+    geom, phi0, winding = flow_initial_data(config, suite_rng(config, "flow"))
     result = harmonic_flow(geom, phi0, steps=args.steps, dt=args.dt, winding=winding)
     document = json.dumps({
         "converged": result.converged,
@@ -169,6 +159,11 @@ def _cmd_decompose(args) -> int:
     return 0 if passed else 1
 
 
+# Failures caused by the input (config, fixture, flow parameters) rather than
+# by the library; main reports them as a JSON error document with status 1.
+_INPUT_ERRORS = (CalibrationError, FlowDivergenceError, ValueError, OSError)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -177,7 +172,12 @@ def main(argv: list[str] | None = None) -> int:
         "flow": _cmd_flow,
         "decompose": _cmd_decompose,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _INPUT_ERRORS as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        sys.stdout.write(json.dumps({"error": error}, indent=2, sort_keys=True) + "\n")
+        return 1
 
 
 if __name__ == "__main__":

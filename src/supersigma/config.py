@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .sigma2d import ActionCoefficients
 
@@ -51,6 +51,13 @@ DEFAULT_FIXTURE_COUNTS = {
 CALIBRATED_COEFFICIENTS = replace(ActionCoefficients(), c5=-0.5)
 
 
+def _require_known(kind: str, given: dict, defaults: dict) -> None:
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {kind} families {unknown}; known families are "
+                         f"{sorted(defaults)}")
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 42
@@ -70,6 +77,8 @@ class SuiteConfig:
         self.grid_shape = tuple(self.grid_shape)
         self.reduction_grid_shape = tuple(self.reduction_grid_shape)
         self.periods = tuple(self.periods)
+        _require_known("tolerance", self.tolerances, DEFAULT_TOLERANCES)
+        _require_known("fixture-count", self.fixture_counts, DEFAULT_FIXTURE_COUNTS)
         for name, tol in self.tolerances.items():
             if tol < 0.0:
                 raise ValueError(f"tolerance {name!r} must be nonnegative")
@@ -105,6 +114,10 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SuiteConfig":
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; known keys are {known}")
         return cls(**d)
 
     def to_json(self) -> str:

@@ -20,7 +20,7 @@ Superspace conventions (fixed here, verified by the reduction identity):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "action_component",
     "superspace_derivative",
     "action_superfield_flat",
-    "d_laplace_flat",
     "superfield_from_components",
     "components_from_superfield",
     "susy_fields",
@@ -200,6 +199,10 @@ class ActionCoefficients:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ActionCoefficients":
+        known = [f.name for f in dataclass_fields(cls)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise ValueError(f"unknown convention keys {unknown}; known keys are {known}")
         return cls(**d)
 
 
@@ -242,13 +245,18 @@ def dirac(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
     return out
 
 
-def action_density(geom: SurfaceGeometry, chi: GravitinoField,
-                   fields: ComponentFields, target: Target = Target(),
-                   coeffs: ActionCoefficients = ActionCoefficients()) -> GrassmannField:
-    """Pointwise action density including the volume factor."""
+def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
+                     fields: ComponentFields, target: Target,
+                     coeffs: ActionCoefficients, add) -> None:
+    """Call ``add(i, x)`` for every summand x of action term i (1..6).
+
+    Terms 1 and 3 are always visited; terms 2, 4, 5 and 6 only when their
+    coefficient is nonzero (and their fields are present), so the Dirac
+    operator is skipped when c2 = 0.  The coefficients themselves are not
+    applied: the caller decides how to fold the summands.
+    """
     conv = geom.clifford_convention
     grid, n_gen, d = fields.grid, fields.n_gen, fields.dim
-    density = GrassmannField.zero(grid, n_gen)
 
     # Frame-directional derivatives of phi: fphi[a][t].
     fphi = [[None] * d for _ in range(2)]
@@ -261,19 +269,19 @@ def action_density(geom: SurfaceGeometry, chi: GravitinoField,
     # Term 1: Dirichlet energy density |dphi|^2.
     for a in (1, 2):
         for t in range(d):
-            density = density + fphi[a - 1][t] * fphi[a - 1][t] * coeffs.c1
+            add(1, fphi[a - 1][t] * fphi[a - 1][t])
 
     # Term 2: <psi, Dslash psi>.
     has_psi = any(not s.is_zero() for s in fields.psi)
     if has_psi and coeffs.c2:
         dpsi = dirac(geom, chi, fields, target)
         for t in range(d):
-            density = density + pairing(fields.psi[t], dpsi[t], conv) * coeffs.c2
+            add(2, pairing(fields.psi[t], dpsi[t], conv))
 
     # Term 3: <F, F>.
     for t in range(d):
         if not fields.F[t].is_zero():
-            density = density + fields.F[t] * fields.F[t] * coeffs.c3
+            add(3, fields.F[t] * fields.F[t])
 
     # Term 4: gravitino-matter coupling <gamma^a gamma^b chi_a (f_b phi), psi>.
     if has_psi and not chi.is_zero() and coeffs.c4:
@@ -282,7 +290,7 @@ def action_density(geom: SurfaceGeometry, chi: GravitinoField,
                 gg = conv.gamma(a) @ conv.gamma(b)
                 rotated = chi[a].matrix_apply(gg)
                 for t in range(d):
-                    density = density + fphi[b - 1][t] * pairing(rotated, fields.psi[t], conv) * coeffs.c4
+                    add(4, fphi[b - 1][t] * pairing(rotated, fields.psi[t], conv))
 
     # Term 5: <chi_a, gamma^b gamma^a chi_b> <psi, psi>.
     if has_psi and not chi.is_zero() and coeffs.c5:
@@ -294,7 +302,7 @@ def action_density(geom: SurfaceGeometry, chi: GravitinoField,
         psi_sq = GrassmannField.zero(grid, n_gen)
         for t in range(d):
             psi_sq = psi_sq + pairing(fields.psi[t], fields.psi[t], conv)
-        density = density + chi_coupling * psi_sq * coeffs.c5
+        add(5, chi_coupling * psi_sq)
 
     # Term 6: target curvature, eps^{ab} eps^{cd} <R(psi_a, psi_c) psi_d, psi_b>.
     if has_psi and target.kind == "sphere" and coeffs.c6:
@@ -314,9 +322,46 @@ def action_density(geom: SurfaceGeometry, chi: GravitinoField,
                 #   = K (<psi_ga, psi_de><psi_al, psi_be> - <psi_al, psi_de><psi_ga, psi_be>)
                 curv = curv + (dot(ga, de) * dot(al, be)
                                - dot(al, de) * dot(ga, be)) * (e1 * e2 * K)
-        density = density + curv * coeffs.c6
+        add(6, curv)
 
+
+def _coefficient_vector(coeffs: ActionCoefficients) -> tuple[float, ...]:
+    """(c1, ..., c6), indexed by term number minus one."""
+    return (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6)
+
+
+def action_density(geom: SurfaceGeometry, chi: GravitinoField,
+                   fields: ComponentFields, target: Target = Target(),
+                   coeffs: ActionCoefficients = ActionCoefficients()) -> GrassmannField:
+    """Pointwise action density including the volume factor."""
+    c = _coefficient_vector(coeffs)
+    density = GrassmannField.zero(fields.grid, fields.n_gen)
+
+    def add(i: int, x: GrassmannField) -> None:
+        nonlocal density
+        density = density + x * c[i - 1]
+
+    _action_summands(geom, chi, fields, target, coeffs, add)
     return density * geom.volume_factor()
+
+
+def _action_terms(geom: SurfaceGeometry, chi: GravitinoField,
+                  fields: ComponentFields, target: Target = Target(),
+                  coeffs: ActionCoefficients = ActionCoefficients()) -> list:
+    """The integrals Int T_i dvol of the six action terms, unweighted.
+
+    Entry i - 1 is None when term i is absent (gated off as in
+    ``action_density``), so sum_i c_i I_i is the action for every choice of
+    coefficients that keeps the same terms nonzero.
+    """
+    terms: list = [None] * 6
+
+    def add(i: int, x: GrassmannField) -> None:
+        terms[i - 1] = x if terms[i - 1] is None else terms[i - 1] + x
+
+    _action_summands(geom, chi, fields, target, coeffs, add)
+    vol = geom.volume_factor()
+    return [None if t is None else (t * vol).integral() for t in terms]
 
 
 def action_component(geom: SurfaceGeometry, chi: GravitinoField,
@@ -392,12 +437,6 @@ def action_superfield_flat(Phis: Sequence[SuperFunction],
     return berezin_integrate(integrand, BerezinDomain(grid, 2))
 
 
-def d_laplace_flat(Phi: SuperFunction, conv: CliffordConvention = CLIFFORD) -> SuperFunction:
-    """eps^{ab} D_a D_b Phi; its restriction defines the auxiliary field."""
-    D1 = superspace_derivative(Phi, 1, conv)
-    D2 = superspace_derivative(Phi, 2, conv)
-    return superspace_derivative(D2, 1, conv) - superspace_derivative(D1, 2, conv)
-
 # ---------------------------------------------------------------------------
 # Supersymmetry
 # ---------------------------------------------------------------------------
@@ -465,6 +504,15 @@ def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
     return GravitinoField(out)
 
 
+def _susy_varied_geometry(geom: SurfaceGeometry, chi: GravitinoField,
+                          q: SpinorField) -> tuple[SurfaceGeometry, GravitinoField]:
+    """(varied geometry, chi + delta chi) under the supersymmetry with parameter q."""
+    dframe, _ = susy_metric_gravitino(geom, chi, q)
+    dchi = susy_gravitino_variation(geom, chi, q)
+    new_frame = [[geom.frame[a][k] + dframe[a][k] for k in range(2)] for a in range(2)]
+    return geom.with_frame(new_frame), chi + dchi
+
+
 def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
                              fields: ComponentFields, q: SpinorField,
                              target: Target = Target(),
@@ -476,38 +524,68 @@ def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
     monomial q the difference is exactly the first variation.
     """
     a0 = action_component(geom, chi, fields, target, coeffs)
-    dframe, _ = susy_metric_gravitino(geom, chi, q)
-    dchi = susy_gravitino_variation(geom, chi, q)
-    new_frame = [[geom.frame[a][k] + dframe[a][k] for k in range(2)] for a in range(2)]
-    varied_geom = geom.with_frame(new_frame)
+    varied_geom, varied_chi = _susy_varied_geometry(geom, chi, q)
     varied = fields + susy_fields(fields, chi, q, geom, target, coeffs)
-    a1 = action_component(varied_geom, chi + dchi, varied, target, coeffs)
+    a1 = action_component(varied_geom, varied_chi, varied, target, coeffs)
     return a1.max_abs_diff(a0)
+
+
+_SIGNS = (1.0, -1.0)
+
+
+def _combine(c: Sequence[float], terms: Sequence) -> GrassmannNumber:
+    """sum_i c_i I_i over the terms that are present."""
+    total = None
+    for ci, integral in zip(c, terms):
+        if integral is not None:
+            total = integral * ci if total is None else total + integral * ci
+    return total
+
+
+def _calibration_scores(battery: Sequence[tuple], base: ActionCoefficients) -> list[tuple]:
+    """Worst invariance residual over the battery for all 16 sign candidates.
+
+    Rows are (score, s1, s2, sign c4, sign c5, candidate) in the order
+    s1, s2, sign c4, sign c5 with +1 first.  For fixed (s1, s2) the action
+    is linear in c1..c6, so each fixture needs the per-term integrals of
+    the original configuration once and of the varied one once per
+    (s1, s2); every candidate is then scored as a linear combination.
+    """
+    cands = {(s1, s2, sig4, sig5): replace(base, s1=s1, s2=s2, c4=sig4 * abs(base.c4),
+                                           c5=sig5 * abs(base.c5))
+             for s1 in _SIGNS for s2 in _SIGNS for sig4 in _SIGNS for sig5 in _SIGNS}
+    worst = dict.fromkeys(cands, 0.0)
+    for geom, chi, fields, q in battery:
+        terms0 = _action_terms(geom, chi, fields, coeffs=base)
+        varied_geom, varied_chi = _susy_varied_geometry(geom, chi, q)
+        for s1 in _SIGNS:
+            for s2 in _SIGNS:
+                delta = susy_fields(fields, chi, q, geom, coeffs=replace(base, s1=s1, s2=s2))
+                terms1 = _action_terms(varied_geom, varied_chi, fields + delta, coeffs=base)
+                for sig4 in _SIGNS:
+                    for sig5 in _SIGNS:
+                        key = (s1, s2, sig4, sig5)
+                        c = _coefficient_vector(cands[key])
+                        score = _combine(c, terms1).max_abs_diff(_combine(c, terms0))
+                        worst[key] = max(worst[key], score)
+    return [(worst[key], *key, cand) for key, cand in cands.items()]
 
 
 def calibrate_conventions(battery: Sequence[tuple], tolerance: float = 1e-6,
                           base: ActionCoefficients = ActionCoefficients()) -> ActionCoefficients:
-    """Brute-force sign search over (s1, s2, sign c4, sign c5).
+    """Sign search over (s1, s2, sign c4, sign c5) for supersymmetry invariance.
 
-    ``battery`` is a sequence of fixtures (geom, chi, fields, q); magnitudes
-    of the coefficients stay at their defaults.  Raises CalibrationError when
-    the battery is degenerate (cannot distinguish any assignment) or when no
-    assignment meets the tolerance.
+    ``battery`` is a sequence of fixtures (geom, chi, fields, q); the
+    magnitudes of the coefficients stay those of ``base``.  Each of the 16
+    candidates is scored by its worst invariance residual over the battery,
+    computed from per-term action integrals (see ``_calibration_scores``);
+    the scores agree with ``susy_invariance_residual`` to rounding.  Raises
+    CalibrationError when the battery is degenerate (cannot distinguish any
+    assignment) or when no assignment meets the tolerance.
     """
     if not battery:
         raise CalibrationError("underdetermined: empty calibration battery")
-    results = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            for sig4 in (1.0, -1.0):
-                for sig5 in (1.0, -1.0):
-                    cand = replace(base, s1=s1, s2=s2,
-                                   c4=sig4 * abs(base.c4), c5=sig5 * abs(base.c5))
-                    worst = 0.0
-                    for geom, chi, fields, q in battery:
-                        worst = max(worst, susy_invariance_residual(
-                            geom, chi, fields, q, coeffs=cand))
-                    results.append((worst, s1, s2, sig4, sig5, cand))
+    results = _calibration_scores(battery, base)
     best = min(r[0] for r in results)
     if all(abs(r[0] - best) < 1e-14 for r in results):
         raise CalibrationError("underdetermined: battery does not distinguish sign assignments")

@@ -58,7 +58,8 @@ from .toy_model import (
     toy_susy_geometric,
 )
 
-__all__ = ["SUITE_NAMES", "run_suite", "calibrate", "build_calibration_battery"]
+__all__ = ["SUITE_NAMES", "run_suite", "calibrate", "build_calibration_battery",
+           "flow_initial_data", "suite_rng"]
 
 SUITE_NAMES = ["grassmann", "berezin", "toy", "reduction", "susy2d",
                "currents", "flow", "decompose"]
@@ -434,11 +435,11 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     ]
 
 
-def _suite_flow(config: SuiteConfig, rng) -> list[CheckReport]:
-    n_gen = config.n_gen
+def flow_initial_data(config: SuiteConfig, rng: np.random.Generator) -> tuple:
+    """(geom, phi0, winding): a unit-winding torus map plus four random modes
+    per target coordinate, the starting point of the harmonic flow."""
     grid = Grid(config.grid_shape, config.periods)
-    geom = SurfaceGeometry.flat(grid, n_gen)
-    winding = np.eye(2)
+    geom = SurfaceGeometry.flat(grid, config.n_gen)
     coords = grid.coordinates()
     phi0 = []
     for _ in range(2):
@@ -449,6 +450,12 @@ def _suite_flow(config: SuiteConfig, rng) -> list[CheckReport]:
             p += 0.2 * rng.normal() * np.cos(kx * coords[0] + ky * coords[1]
                                              + rng.uniform(0, 2 * np.pi))
         phi0.append(p)
+    return geom, phi0, np.eye(2)
+
+
+def _suite_flow(config: SuiteConfig, rng) -> list[CheckReport]:
+    geom, phi0, winding = flow_initial_data(config, rng)
+    grid = geom.grid
     result = harmonic_flow(geom, phi0, steps=config.flow_steps, dt=config.flow_dt,
                            winding=winding)
     linear_energy = harmonic_flow(geom, [np.zeros(grid.shape)] * 2, steps=0,
@@ -519,7 +526,8 @@ _SUITES = {
 }
 
 
-def _suite_rng(config: SuiteConfig, name: str) -> np.random.Generator:
+def suite_rng(config: SuiteConfig, name: str) -> np.random.Generator:
+    """The generator a suite draws its fixtures from: (seed, suite index)."""
     return np.random.default_rng([config.seed, SUITE_NAMES.index(name)])
 
 
@@ -528,17 +536,17 @@ def run_suite(config: SuiteConfig, suite: str) -> list[CheckReport]:
     if suite == "all":
         out = []
         for name in SUITE_NAMES:
-            out.extend(_SUITES[name](config, _suite_rng(config, name)))
+            out.extend(_SUITES[name](config, suite_rng(config, name)))
         return out
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{SUITE_NAMES + ['all']}")
-    return _SUITES[suite](config, _suite_rng(config, suite))
+    return _SUITES[suite](config, suite_rng(config, suite))
 
 
 def calibrate(config: SuiteConfig) -> tuple[SuiteConfig, ActionCoefficients]:
     """Run the sign calibration and return (updated config, coefficients)."""
-    rng = _suite_rng(config, "susy2d")
+    rng = suite_rng(config, "susy2d")
     battery = build_calibration_battery(config, rng)
     cal = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))
     updated = SuiteConfig.from_dict({**config.to_dict(), "conventions": cal.to_dict()})

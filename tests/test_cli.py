@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import supersigma.suites as suites
 from supersigma.cli import main
 from supersigma.config import CONFIG_ENV_VAR, SuiteConfig
 from supersigma.report import CheckReport, SuiteReport, parse_report, render_report
@@ -163,3 +164,94 @@ def test_runtime_not_serialized():
     rep = CheckReport("a", 0.0, 1.0)
     rep.runtime_ms = 123.4
     assert "runtime" not in json.dumps(rep.to_dict())
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return str(path)
+
+
+def assert_json_error(out, error_type, fragment):
+    error = json.loads(out)["error"]
+    assert error["type"] == error_type
+    assert fragment in error["message"]
+
+
+@pytest.mark.parametrize("command", [["verify", "susy2d"], ["calibrate"]])
+def test_calibration_error_is_json_error(capsys, tmp_path, command):
+    path = write_config(tmp_path, '{"tolerances": {"calibration": 0.0}}')
+    before = open(path).read()
+    code, out = run_cli(capsys, *command, "--config", path)
+    assert code == 1
+    assert_json_error(out, "CalibrationError", "no sign assignment")
+    assert open(path).read() == before
+
+
+def test_unknown_config_key_is_json_error(capsys, tmp_path):
+    path = write_config(tmp_path, '{"sede": 1}')
+    code, out = run_cli(capsys, "verify", "berezin", "--config", path)
+    assert code == 1
+    assert_json_error(out, "ValueError", "sede")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "berezin"], ["calibrate"], ["flow", "--steps", "1", "--dt", "0.001"],
+    ["decompose", "--fixture", "unused.json"]])
+def test_non_json_config_is_json_error_in_every_subcommand(capsys, tmp_path, command):
+    path = write_config(tmp_path, "tolerances: none")
+    code, out = run_cli(capsys, *command, "--config", path)
+    assert code == 1
+    assert_json_error(out, "JSONDecodeError", "Expecting value")
+
+
+def test_usage_error_keeps_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--steps", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["tolerances", "fixture_counts"])
+def test_config_rejects_unknown_family(key):
+    with pytest.raises(ValueError, match=r"susy2dd.*'susy2d'"):
+        SuiteConfig.from_dict({key: {"susy2dd": 1.0}})
+    with pytest.raises(ValueError, match="susy2dd"):
+        SuiteConfig(**{key: {"susy2dd": 1.0}})
+
+
+def test_config_rejects_unknown_key_with_value_error():
+    with pytest.raises(ValueError, match=r"\['sede'\].*'seed'"):
+        SuiteConfig.from_dict({"sede": 1})
+    with pytest.raises(ValueError, match="c7"):
+        SuiteConfig.from_dict({"conventions": {"c7": 1.0}})
+
+
+def test_flow_cli_starts_from_the_suite_initial_data(capsys, tmp_path, monkeypatch):
+    config = SuiteConfig(seed=5, flow_steps=3)
+    path = tmp_path / "cfg.json"
+    config.save(str(path))
+    _, out = run_cli(capsys, "flow", "--steps", "3", "--dt", "0.001",
+                     "--config", str(path))
+    initial = []
+    flow = suites.harmonic_flow
+
+    def recording(*args, **kwargs):
+        result = flow(*args, **kwargs)
+        initial.append(result.energies[0])
+        return result
+
+    monkeypatch.setattr(suites, "harmonic_flow", recording)
+    run_suite(config, "flow")
+    assert json.loads(out)["initial_energy"] == initial[0]
+
+
+def test_diverging_flow_is_json_error(capsys):
+    code, out = run_cli(capsys, "flow", "--steps", "2000", "--dt", "0.05")
+    assert code == 1
+    assert_json_error(out, "FlowDivergenceError", "reduce dt")
+
+
+def test_missing_fixture_is_json_error(capsys, tmp_path):
+    code, out = run_cli(capsys, "decompose", "--fixture", str(tmp_path / "none.json"))
+    assert code == 1
+    assert_json_error(out, "FileNotFoundError", "none.json")

@@ -3,6 +3,8 @@ import pytest
 from dataclasses import replace
 
 import supersigma.sigma2d as s2
+from supersigma.config import SuiteConfig
+from supersigma.grassmann import GrassmannNumber
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.sigma2d import (
     ActionCoefficients,
@@ -33,6 +35,7 @@ from supersigma.spin_surface import (
     SpinorField,
     SurfaceGeometry,
 )
+from supersigma.suites import build_calibration_battery
 
 from conftest import (N_GEN, constant_odd_spinor, even_field, gravitino,
                       odd_field, odd_spinor, trig_array)
@@ -135,6 +138,146 @@ def battery(rng, grid, n=3):
 def test_calibration_finds_signs(rng, grid):
     cal = calibrate_conventions(battery(rng, grid))
     assert (cal.s1, cal.s2, cal.c4, cal.c5) == (1.0, 1.0, 2.0, -0.5)
+
+
+# Reference oracle: the full invariance residual of every sign candidate on
+# every fixture, and the selection rule applied to those scores.
+
+def brute_force_scores(fixtures, base):
+    rows = []
+    for sign1 in (1.0, -1.0):
+        for sign2 in (1.0, -1.0):
+            for sig4 in (1.0, -1.0):
+                for sig5 in (1.0, -1.0):
+                    cand = replace(base, s1=sign1, s2=sign2,
+                                   c4=sig4 * abs(base.c4), c5=sig5 * abs(base.c5))
+                    worst = 0.0
+                    for geom, chi, fields, q in fixtures:
+                        worst = max(worst, susy_invariance_residual(
+                            geom, chi, fields, q, coeffs=cand))
+                    rows.append((worst, sign1, sign2, sig4, sig5, cand))
+    return rows
+
+
+def brute_force_calibration(rows, tolerance=1e-6):
+    best = min(r[0] for r in rows)
+    if all(abs(r[0] - best) < 1e-14 for r in rows):
+        raise CalibrationError("underdetermined")
+    passing = [r for r in rows if r[0] < tolerance]
+    if not passing:
+        raise CalibrationError("no sign assignment")
+    passing.sort(key=lambda r: (-r[1], -r[2], -r[3], -r[4]))
+    return passing[0][5]
+
+
+def matter_dim2(rng, grid, with_F=False):
+    return ComponentFields(
+        phi=[even_field(rng, grid, scale=0.7) for _ in range(2)],
+        psi=[odd_spinor(rng, grid, [1, 2], scale=0.6) for _ in range(2)],
+        F=[even_field(rng, grid, scale=0.5) if with_F
+           else GrassmannField.zero(grid, N_GEN) for _ in range(2)],
+    )
+
+
+def two_generator_q(rng, grid):
+    return SpinorField([
+        GrassmannField(grid, N_GEN, {1 << 4: np.full(grid.shape, float(rng.normal())),
+                                     1 << 5: np.full(grid.shape, float(rng.normal()))})
+        for _ in range(2)])
+
+
+def oracle_case(name, rng, grid):
+    """(battery, base) for each battery the linear scoring is checked on."""
+    base = ActionCoefficients()
+    if name == "test-battery":
+        return battery(rng, grid), base
+    if name == "suite-battery":
+        return build_calibration_battery(SuiteConfig(), rng), base
+    if name == "target-dim-2":
+        geom = SurfaceGeometry.flat(grid, N_GEN)
+        return [(geom, gravitino(rng, grid), matter_dim2(rng, grid),
+                 constant_odd_spinor(rng, grid, 5)),
+                (geom, GravitinoField.zero(grid, N_GEN), matter_dim2(rng, grid),
+                 constant_odd_spinor(rng, grid, 5))], base
+    if name == "odd-magnitudes":
+        return battery(rng, grid), replace(base, c1=0.7, c4=3.0, c5=0.3)
+    if name == "scaled-magnitudes":
+        # The whole action times 0.7: still invariant, so calibration passes.
+        return battery(rng, grid), replace(base, c1=0.7, c2=0.7, c3=-0.175,
+                                           c4=1.4, c5=0.35)
+    if name == "q-generators-5-6":
+        return [(geom, chi, fields, two_generator_q(rng, grid))
+                for geom, chi, fields, _ in battery(rng, grid)], base
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", ["test-battery", "suite-battery", "target-dim-2",
+                                  "odd-magnitudes", "scaled-magnitudes",
+                                  "q-generators-5-6"])
+def test_linear_calibration_matches_brute_force(rng, grid, name):
+    fixtures, base = oracle_case(name, rng, grid)
+    expected = brute_force_scores(fixtures, base)
+    rows = s2._calibration_scores(fixtures, base)
+    assert [r[1:] for r in rows] == [r[1:] for r in expected]
+    for got, want in zip(rows, expected):
+        assert abs(got[0] - want[0]) <= 1e-12 * max(1.0, want[0])
+    try:
+        want_cal = brute_force_calibration(expected)
+    except CalibrationError:
+        with pytest.raises(CalibrationError):
+            calibrate_conventions(fixtures, base=base)
+    else:
+        assert calibrate_conventions(fixtures, base=base) == want_cal
+
+
+def action_terms_cases(rng, grid):
+    """Fixtures with chi != 0, F != 0, target dimension 2, and a sphere target."""
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    sphere = ComponentFields(
+        phi=[even_field(rng, grid, scale=0.7, soul_mask=0b11) for _ in range(3)],
+        psi=[odd_spinor(rng, grid, [1, 2], scale=0.6) for _ in range(3)],
+        F=[even_field(rng, grid, scale=0.5) for _ in range(3)],
+    )
+    return [
+        (geom, gravitino(rng, grid), matter(rng, grid, with_F=True), Target()),
+        (geom, gravitino(rng, grid), matter_dim2(rng, grid, with_F=True), Target()),
+        (geom, gravitino(rng, grid), sphere, Target(kind="sphere", dim=3, curvature=1.3)),
+    ]
+
+
+def test_action_terms_recombine_to_action(rng, grid):
+    # Distinct magnitudes, so a term filed under the wrong index shows.
+    coeffs = ActionCoefficients(c1=1.3, c2=0.7, c3=-0.45, c4=2.2, c5=-0.35, c6=0.9)
+    c = (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6)
+    for geom, chi, fields, target in action_terms_cases(rng, grid):
+        terms = s2._action_terms(geom, chi, fields, target, coeffs)
+        present = [i + 1 for i, t in enumerate(terms) if t is not None]
+        assert present == ([1, 2, 3, 4, 5, 6] if target.kind == "sphere"
+                           else [1, 2, 3, 4, 5])
+        total = GrassmannNumber(N_GEN)
+        for ci, integral in zip(c, terms):
+            if integral is not None:
+                total = total + integral * ci
+        expected = action_component(geom, chi, fields, target, coeffs)
+        assert total.max_abs_diff(expected) < 1e-12
+
+
+def test_calibration_runs_no_full_residual(rng, grid, monkeypatch):
+    calls = {"susy_invariance_residual": 0, "action_density": 0}
+
+    def counting(name):
+        original = getattr(s2, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(s2, name, counting(name))
+    cal = calibrate_conventions(battery(rng, grid))
+    assert (cal.s1, cal.s2, cal.c4, cal.c5) == (1.0, 1.0, 2.0, -0.5)
+    assert calls == {"susy_invariance_residual": 0, "action_density": 0}
 
 
 def test_calibration_rejects_empty_battery():
