@@ -7,7 +7,6 @@ from .grassmann import (
     Parity,
     ParityError,
     generator,
-    gmul,
     monomial_sign,
     unit,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "apply_Q",
     "berezin_integrate",
     "generator",
-    "gmul",
     "monomial_sign",
     "spectral_derivative",
     "trig_interpolate",

@@ -11,68 +11,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grassmann import GrassmannNumber
-from .gridfield import GrassmannField, Grid
-from .superdomain import Embedding, SuperFunction
+from .gridfield import Grid
+from .superdomain import SuperFunction
 
-__all__ = ["BerezinDomain", "berezin_integrate", "quadrature"]
+__all__ = ["BerezinDomain", "berezin_integrate"]
 
 
 @dataclass
 class BerezinDomain:
-    """Torus [0,P_1) x ... x [0,P_m) with n odd directions and an embedding.
+    """Torus [0,P_1) x ... x [0,P_m) with n odd directions.
 
-    The default embedding has xi = 0, which is the adapted-coordinate
-    assumption under which the odd integral is the plain top coefficient.
+    Integration is in coordinates adapted to the zero embedding (xi = 0),
+    where the odd integral is the plain top coefficient.  Independence of
+    the embedding is checked by pulling the integrand back through the
+    coordinate change eta = xi + eta~ (``toy_model.toy_embedding_residual``).
     """
 
     grid: Grid
     n_odd: int
-    embedding: Embedding | None = None
 
     def top_mask(self) -> int:
         return (1 << self.n_odd) - 1
-
-
-def quadrature(g: GrassmannField, dom: BerezinDomain | None = None) -> GrassmannNumber:
-    """Integrate a field over the even torus (periodic trapezoid rule)."""
-    if dom is not None and g.grid != dom.grid:
-        raise ValueError("field grid does not match the integration domain")
-    return g.integral()
 
 
 def berezin_integrate(f: SuperFunction, dom: BerezinDomain) -> GrassmannNumber:
     """Integral over the superdomain: quadrature of the top odd coefficient."""
     if f.grid != dom.grid or f.n_odd != dom.n_odd:
         raise ValueError("superfunction does not live on the integration domain")
-    if dom.embedding is not None and any(not x.is_zero() for x in dom.embedding.xi):
-        # Non-adapted embedding: substitute eta^alpha -> eta~^alpha + xi_alpha
-        # and integrate in the adapted coordinates.  Expanding the shift
-        # multilinearly, only the term keeping all n eta~ factors contributes
-        # a top coefficient, so the result is unchanged; the remaining terms
-        # are integrated for their (vanishing) top parts explicitly to keep
-        # the computation honest about the embedding.
-        shifted = _shift_odd_coordinates(f, dom.embedding)
-        return shifted.coefficient(dom.top_mask()).integral()
     return f.coefficient(dom.top_mask()).integral()
-
-
-def _shift_odd_coordinates(f: SuperFunction, i: Embedding) -> SuperFunction:
-    """Substitute eta^alpha -> eta^alpha + xi_alpha in the expansion."""
-    out = SuperFunction(f.grid, f.n_odd, f.n_gen, {})
-    for gamma, coeff in f.coeffs.items():
-        term = SuperFunction(f.grid, f.n_odd, f.n_gen, {0: coeff})
-        # Multiply the shifted coordinates from the right inward so the final
-        # ordering matches eta^{a1} eta^{a2} ... coeff with a1 < a2 < ...
-        for alpha in reversed(range(f.n_odd)):
-            if gamma >> alpha & 1:
-                shifted = term.mul_odd_coordinate(alpha + 1)
-                xi = i.xi[alpha]
-                # Left multiplication by the odd xi: commuting it past the
-                # eta^g monomial of each slot costs (-1)^{|g|}.
-                shifted = shifted + SuperFunction(
-                    f.grid, f.n_odd, f.n_gen,
-                    {g: xi * c * (-1.0 if g.bit_count() & 1 else 1.0)
-                     for g, c in term.coeffs.items()})
-                term = shifted
-        out = out + term
-    return out

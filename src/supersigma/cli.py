@@ -119,29 +119,38 @@ def _field_from_values(grid: Grid, n_gen: int, values, mask: int) -> GrassmannFi
     return GrassmannField(grid, n_gen, {mask: np.asarray(values, dtype=float)})
 
 
+def _fixture_entry(fixture, *path):
+    """fixture[path[0]][path[1]]...; ValueError naming the first missing key."""
+    value = fixture
+    for depth, key in enumerate(path):
+        if not isinstance(value, dict) or key not in value:
+            where = "".join(f"[{k!r}]" for k in path[:depth + 1])
+            raise ValueError(f"decompose fixture has no key {where}")
+        value = value[key]
+    return value
+
+
 def _cmd_decompose(args) -> int:
     config = _load_config(args)
     with open(args.fixture) as fh:
         fixture = json.load(fh)
-    grid = Grid(tuple(fixture["shape"]), tuple(fixture.get("periods", config.periods)))
+    shape = _fixture_entry(fixture, "shape")
+    grid = Grid(tuple(shape), tuple(fixture.get("periods", config.periods)))
     n_gen = config.n_gen
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
-    kind = fixture["kind"]
+    kind = _fixture_entry(fixture, "kind")
     if kind == "metric":
-        t = fixture["tensor"]
-        g11 = _field_from_values(grid, n_gen, t["11"], 0)
-        g12 = _field_from_values(grid, n_gen, t["12"], 0)
-        g22 = _field_from_values(grid, n_gen, t["22"], 0)
+        g11, g12, g22 = [_field_from_values(grid, n_gen, _fixture_entry(fixture, "tensor", ij), 0)
+                         for ij in ("11", "12", "22")]
         result = decompose_metric(geom, chi0, MetricDeformation([[g11, g12], [g12, g22]]))
     elif kind == "gravitino":
         # Numeric fixture components are placed on the first odd generator.
-        comps = fixture["components"]
         mask = 0b1
         dchi = GravitinoField([
-            SpinorField([_field_from_values(grid, n_gen, comps[f"chi{a}"][s], mask)
-                         for s in range(2)])
-            for a in (1, 2)])
+            SpinorField([_field_from_values(grid, n_gen, comps[s], mask) for s in range(2)])
+            for comps in [_fixture_entry(fixture, "components", "chi1"),
+                          _fixture_entry(fixture, "components", "chi2")]])
         result = decompose_gravitino(geom, chi0, dchi)
     else:
         raise ValueError(f"unknown fixture kind {kind!r}; expected metric or gravitino")

@@ -58,6 +58,15 @@ def _require_known(kind: str, given: dict, defaults: dict) -> None:
                          f"{sorted(defaults)}")
 
 
+# JSON numbers, as the config hash serializes them; bool is not a number here.
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 42
@@ -80,8 +89,15 @@ class SuiteConfig:
         _require_known("tolerance", self.tolerances, DEFAULT_TOLERANCES)
         _require_known("fixture-count", self.fixture_counts, DEFAULT_FIXTURE_COUNTS)
         for name, tol in self.tolerances.items():
+            if not _is_real(tol):
+                raise ValueError(f"tolerance {name!r} must be a number, got {tol!r}")
             if tol < 0.0:
                 raise ValueError(f"tolerance {name!r} must be nonnegative")
+        integers = {"seed": self.seed, "n_gen": self.n_gen}
+        integers.update({f"fixture count {name!r}": n for name, n in self.fixture_counts.items()})
+        for what, value in integers.items():
+            if not _is_integer(value):
+                raise ValueError(f"{what} must be an integer, got {value!r}")
         if self.n_gen < 1:
             raise ValueError("n_gen must be positive")
         if isinstance(self.conventions, dict):

@@ -39,8 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grassmann import Parity, ParityError
-from .gridfield import GrassmannField, Grid, spectral_derivative
+from .grassmann import require_even, require_odd
+from .gridfield import GrassmannField, Grid
 from .sigma2d import UnsupportedRegimeError
 from .spin_surface import (
     CliffordConvention,
@@ -51,7 +51,6 @@ from .spin_surface import (
 
 __all__ = [
     "MetricDeformation",
-    "GravitinoDeformation",
     "DecompositionResult",
     "lie_derivative_metric",
     "decompose_metric",
@@ -78,8 +77,7 @@ class MetricDeformation:
             raise ValueError("metric deformation must be symmetric")
         for row in t:
             for entry in row:
-                if not entry.is_zero() and entry.parity() is not Parity.EVEN:
-                    raise ParityError("metric deformation entries must be even")
+                require_even(entry, "metric deformation entries")
         self.tensor = t
 
     @property
@@ -107,33 +105,6 @@ class MetricDeformation:
         """(div delta g)_a = d_b (delta g)_{ab} on the flat torus."""
         return [self.tensor[a][0].derivative(0) + self.tensor[a][1].derivative(1)
                 for a in range(2)]
-
-
-@dataclass
-class GravitinoDeformation:
-    """Gravitino-shaped odd section delta chi."""
-
-    chi: GravitinoField
-
-    def __post_init__(self):
-        if not self.chi.is_zero() and self.chi[1].parity() not in (Parity.ODD,) \
-                and not self.chi[1].is_zero():
-            raise ParityError("gravitino deformation must be odd")
-        for a in (1, 2):
-            s = self.chi[a]
-            if not s.is_zero() and s.parity() is not Parity.ODD:
-                raise ParityError("gravitino deformation must be odd")
-
-    @property
-    def grid(self) -> Grid:
-        return self.chi[1].grid
-
-    @property
-    def n_gen(self) -> int:
-        return self.chi[1].n_gen
-
-    def max_abs(self) -> float:
-        return self.chi.max_abs()
 
 
 @dataclass
@@ -181,8 +152,7 @@ def lie_derivative_metric(geom: SurfaceGeometry, X: Sequence[GrassmannField]) ->
     if not geom.is_identity_frame():
         raise UnsupportedRegimeError("Lie derivative implemented for the flat identity frame")
     for comp in X:
-        if not comp.is_zero() and comp.parity() is not Parity.EVEN:
-            raise ParityError("vector field components must be even")
+        require_even(comp, "vector field components")
     t = [[X[b].derivative(a) + X[a].derivative(b) for b in range(2)] for a in range(2)]
     return MetricDeformation(t)
 
@@ -361,9 +331,7 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField, dchi: Gravit
     """
     _require_flat_background(geom, chi)
     for a in (1, 2):
-        s = dchi[a]
-        if not s.is_zero() and s.parity() is not Parity.ODD:
-            raise ParityError("gravitino deformation must be odd")
+        require_odd(dchi[a], "gravitino deformation")
     grid, n_gen = dchi[1].grid, dchi[1].n_gen
     cutoff = _resolve_cutoff(cutoff, grid)
     conv = geom.clifford_convention

@@ -18,6 +18,8 @@ __all__ = [
     "DimensionMismatchError",
     "ParityError",
     "monomial_sign",
+    "require_even",
+    "require_odd",
     "generator",
     "unit",
 ]
@@ -35,6 +37,22 @@ class Parity(enum.Enum):
     EVEN = 0
     ODD = 1
     MIXED = "mixed"
+
+
+def require_even(x, what: str) -> None:
+    """Raise ParityError("<what> must be even") unless ``x`` is even.
+
+    ``x`` is anything with ``is_zero()`` and ``parity()`` (Grassmann numbers,
+    Grassmann fields, spinors); zero counts as both even and odd.
+    """
+    if not x.is_zero() and x.parity() is not Parity.EVEN:
+        raise ParityError(f"{what} must be even")
+
+
+def require_odd(x, what: str) -> None:
+    """Raise ParityError("<what> must be odd") unless ``x`` is odd or zero."""
+    if not x.is_zero() and x.parity() is not Parity.ODD:
+        raise ParityError(f"{what} must be odd")
 
 
 def monomial_sign(a: int, b: int) -> int:
@@ -80,20 +98,6 @@ class GrassmannNumber:
         self.coeffs = clean
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, n_gen: int, terms: Iterable[tuple[Iterable[int], float]]) -> "GrassmannNumber":
-        """Build from (index tuple, coefficient) pairs with 1-based indices."""
-        coeffs: dict[int, float] = {}
-        for idx, c in terms:
-            mask = 0
-            for i in idx:
-                bit = 1 << (i - 1)
-                if mask & bit:
-                    raise ValueError(f"repeated generator index {i}")
-                mask |= bit
-            coeffs[mask] = coeffs.get(mask, 0.0) + c
-        return cls(n_gen, coeffs)
 
     @classmethod
     def scalar(cls, n_gen: int, value: float) -> "GrassmannNumber":
@@ -218,14 +222,6 @@ class GrassmannNumber:
     def __hash__(self):
         return hash((self.n_gen, frozenset(self.coeffs.items())))
 
-    def to_dict(self) -> dict:
-        """Serialize as {"terms": [{"idx": [...], "c": float}, ...]}."""
-        terms = []
-        for m in sorted(self.coeffs):
-            idx = [i + 1 for i in range(self.n_gen) if m >> i & 1]
-            terms.append({"idx": idx, "c": self.coeffs[m]})
-        return {"terms": terms}
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -234,11 +230,6 @@ class GrassmannNumber:
             mono = "".join(f"e{i + 1}" for i in range(self.n_gen) if m >> i & 1)
             parts.append(f"{self.coeffs[m]:+g}{('*' + mono) if mono else ''}")
         return " ".join(parts)
-
-
-def gmul(a: GrassmannNumber, b: GrassmannNumber) -> GrassmannNumber:
-    """Graded product; alias for ``a * b``."""
-    return a * b
 
 
 def unit(n_gen: int) -> GrassmannNumber:

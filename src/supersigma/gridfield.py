@@ -45,10 +45,6 @@ class Grid:
     def volume(self) -> float:
         return math.prod(self.periods)
 
-    @property
-    def cell_volume(self) -> float:
-        return self.volume / math.prod(self.shape)
-
     def axis_points(self, axis: int) -> np.ndarray:
         n, p = self.shape[axis], self.periods[axis]
         return np.arange(n) * (p / n)
@@ -135,10 +131,6 @@ class GrassmannField:
     @classmethod
     def constant(cls, grid: Grid, value: GrassmannNumber) -> "GrassmannField":
         return cls(grid, value.n_gen, {m: np.full(grid.shape, c) for m, c in value.coeffs.items()})
-
-    @classmethod
-    def monomial(cls, grid: Grid, n_gen: int, mask: int, values: np.ndarray) -> "GrassmannField":
-        return cls(grid, n_gen, {mask: np.asarray(values, dtype=float)})
 
     # -- structure ---------------------------------------------------------
 
@@ -254,7 +246,7 @@ class GrassmannField:
             {m: trig_interpolate(a, self.grid, points) for m, a in self.terms.items()},
         )
 
-    def nilpotent_power(self, p: float, order: int | None = None) -> "GrassmannField":
+    def nilpotent_power(self, p: float) -> "GrassmannField":
         """f**p via the finite binomial series around the body.
 
         Requires a nowhere-zero body; exact because the soul is nilpotent.
@@ -264,11 +256,10 @@ class GrassmannField:
         if np.any(b == 0.0):
             raise ValueError("nilpotent_power requires a nowhere-zero body")
         s = self.soul() * (1.0 / b)
-        n_terms = order if order is not None else self.n_gen
         out = GrassmannField.from_array(self.grid, self.n_gen, np.power(b, p))
         power = GrassmannField.from_array(self.grid, self.n_gen, np.ones(self.grid.shape))
         coeff = 1.0
-        for k in range(1, n_terms + 1):
+        for k in range(1, self.n_gen + 1):
             coeff *= (p - (k - 1)) / k
             power = power * s
             if power.is_zero():
@@ -286,27 +277,6 @@ class GrassmannField:
 
     def value_at(self, index: tuple[int, ...]) -> GrassmannNumber:
         return GrassmannNumber(self.n_gen, {m: float(a[index]) for m, a in self.terms.items()})
-
-    def to_number(self) -> GrassmannNumber:
-        """Constant field to number; raises if any term is non-constant."""
-        coeffs = {}
-        for m, a in self.terms.items():
-            v = float(a.flat[0])
-            if not np.allclose(a, v, rtol=0.0, atol=1e-14 * max(1.0, abs(v))):
-                raise ValueError("field is not constant")
-            coeffs[m] = v
-        return GrassmannNumber(self.n_gen, coeffs)
-
-    def to_dict(self) -> dict:
-        return {
-            "shape": list(self.grid.shape),
-            "periods": list(self.grid.periods),
-            "terms": [
-                {"idx": [i + 1 for i in range(self.n_gen) if m >> i & 1],
-                 "values": self.terms[m].ravel().tolist()}
-                for m in sorted(self.terms)
-            ],
-        }
 
     def __repr__(self):
         return f"GrassmannField(shape={self.grid.shape}, monomials={sorted(self.terms)})"

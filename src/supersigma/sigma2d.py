@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .berezin import BerezinDomain, berezin_integrate
-from .grassmann import GrassmannNumber, Parity, ParityError
-from .gridfield import GrassmannField, Grid
+from .grassmann import GrassmannNumber, require_even, require_odd
+from .gridfield import GrassmannField, Grid, spectral_derivative
 from .spin_surface import (
     CLIFFORD,
     CliffordConvention,
@@ -37,8 +37,6 @@ from .spin_surface import (
     clifford,
     gravitino_connection_coefficient,
     pairing,
-    spin_connection_derivative,
-    susy_metric_gravitino,
 )
 from .superdomain import SuperFunction
 
@@ -116,14 +114,11 @@ class ComponentFields:
         if len(self.psi) != d or len(self.F) != d:
             raise ValueError("phi, psi, F must have the same target dimension")
         for p in self.phi:
-            if p.parity() is Parity.MIXED or (not p.is_zero() and p.parity() is Parity.ODD):
-                raise ParityError("phi must be even")
+            require_even(p, "phi")
         for s in self.psi:
-            if not s.is_zero() and s.parity() is not Parity.ODD:
-                raise ParityError("psi must be odd")
+            require_odd(s, "psi")
         for f in self.F:
-            if f.parity() is Parity.MIXED or (not f.is_zero() and f.parity() is Parity.ODD):
-                raise ParityError("F must be even")
+            require_even(f, "F")
         if self.winding is None:
             self.winding = np.zeros((d, 2))
         else:
@@ -245,6 +240,23 @@ def dirac(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
     return out
 
 
+def _frame_derivatives(geom: SurfaceGeometry,
+                       fields: ComponentFields) -> list[list[GrassmannField]]:
+    """f_a phi^t = frame[a][k] d_k phi^t of the full (winding-corrected) map,
+    indexed [a - 1][t]."""
+    return [[geom.frame[a][0] * fields.phi_derivative(t, 0)
+             + geom.frame[a][1] * fields.phi_derivative(t, 1)
+             for t in range(fields.dim)] for a in range(2)]
+
+
+def _psi_square(fields: ComponentFields, conv: CliffordConvention) -> GrassmannField:
+    """sum_t <psi^t, psi^t>."""
+    out = GrassmannField.zero(fields.grid, fields.n_gen)
+    for t in range(fields.dim):
+        out = out + pairing(fields.psi[t], fields.psi[t], conv)
+    return out
+
+
 def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
                      fields: ComponentFields, target: Target,
                      coeffs: ActionCoefficients, add) -> None:
@@ -258,13 +270,7 @@ def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
     conv = geom.clifford_convention
     grid, n_gen, d = fields.grid, fields.n_gen, fields.dim
 
-    # Frame-directional derivatives of phi: fphi[a][t].
-    fphi = [[None] * d for _ in range(2)]
-    for a in (1, 2):
-        for t in range(d):
-            acc = geom.frame[a - 1][0] * fields.phi_derivative(t, 0) \
-                + geom.frame[a - 1][1] * fields.phi_derivative(t, 1)
-            fphi[a - 1][t] = acc
+    fphi = _frame_derivatives(geom, fields)
 
     # Term 1: Dirichlet energy density |dphi|^2.
     for a in (1, 2):
@@ -299,10 +305,7 @@ def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
             for b in (1, 2):
                 gg = conv.gamma(b) @ conv.gamma(a)
                 chi_coupling = chi_coupling + pairing(chi[a], chi[b].matrix_apply(gg), conv)
-        psi_sq = GrassmannField.zero(grid, n_gen)
-        for t in range(d):
-            psi_sq = psi_sq + pairing(fields.psi[t], fields.psi[t], conv)
-        add(5, chi_coupling * psi_sq)
+        add(5, chi_coupling * _psi_square(fields, conv))
 
     # Term 6: target curvature, eps^{ab} eps^{cd} <R(psi_a, psi_c) psi_d, psi_b>.
     if has_psi and target.kind == "sphere" and coeffs.c6:
@@ -458,24 +461,21 @@ def susy_fields(fields: ComponentFields, chi: GravitinoField, q: SpinorField,
         raise UnsupportedRegimeError("matter SUSY variations require a flat target")
     if any(not f.is_zero() for f in fields.F):
         raise UnsupportedRegimeError("matter SUSY variations require F = 0")
-    if not q.is_zero() and q.parity() is not Parity.ODD:
-        raise ParityError("supersymmetry parameter q must be odd")
+    require_odd(q, "supersymmetry parameter q")
     conv = geom.clifford_convention
     grid, n_gen, d = fields.grid, fields.n_gen, fields.dim
     dphi = [pairing(q, fields.psi[t], conv) * coeffs.s1 for t in range(d)]
+    fphi = _frame_derivatives(geom, fields)
     dpsi: list[SpinorField] = []
     for t in range(d):
         acc = SpinorField.zero(grid, n_gen)
         for a in (1, 2):
-            fphi = geom.frame[a - 1][0] * fields.phi_derivative(t, 0) \
-                 + geom.frame[a - 1][1] * fields.phi_derivative(t, 1)
-            scalar = fphi + pairing(fields.psi[t], chi[a], conv)
+            scalar = fphi[a - 1][t] + pairing(fields.psi[t], chi[a], conv)
             acc = acc + scalar * clifford(a, q, conv)
         dpsi.append(acc * coeffs.s2)
     return ComponentFields(
         phi=dphi, psi=dpsi,
         F=[GrassmannField.zero(grid, n_gen) for _ in range(d)],
-        winding=np.zeros((d, 2)),
     )
 
 
@@ -490,8 +490,7 @@ def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
     completion required for invariance of the action (their form is unique
     up to two-dimensional Fierz rearrangements).
     """
-    if not q.is_zero() and q.parity() is not Parity.ODD:
-        raise ParityError("supersymmetry parameter q must be odd")
+    require_odd(q, "supersymmetry parameter q")
     conv = geom.clifford_convention
     gt = chi.gamma_trace(conv)
     out = []
@@ -506,10 +505,19 @@ def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
 
 def _susy_varied_geometry(geom: SurfaceGeometry, chi: GravitinoField,
                           q: SpinorField) -> tuple[SurfaceGeometry, GravitinoField]:
-    """(varied geometry, chi + delta chi) under the supersymmetry with parameter q."""
-    dframe, _ = susy_metric_gravitino(geom, chi, q)
+    """(varied geometry, chi + delta chi) under the supersymmetry with parameter q.
+
+    The frame moves by delta f_a = -2 <gamma^b q, chi_a> f_b (even: two odd
+    factors) and the gravitino by ``susy_gravitino_variation``.
+    """
     dchi = susy_gravitino_variation(geom, chi, q)
-    new_frame = [[geom.frame[a][k] + dframe[a][k] for k in range(2)] for a in range(2)]
+    conv = geom.clifford_convention
+    new_frame = []
+    for a in (1, 2):
+        c = [pairing(clifford(b, q, conv), chi[a], conv) * (-2.0) for b in (1, 2)]
+        new_frame.append([geom.frame[a - 1][k]
+                          + (c[0] * geom.frame[0][k] + c[1] * geom.frame[1][k])
+                          for k in range(2)])
     return geom.with_frame(new_frame), chi + dchi
 
 
@@ -648,19 +656,15 @@ def super_current(geom: SurfaceGeometry, chi: GravitinoField,
     pairing.
     """
     conv = geom.clifford_convention
-    grid, n_gen, d = fields.grid, fields.n_gen, fields.dim
-    psi_sq = GrassmannField.zero(grid, n_gen)
-    for t in range(d):
-        psi_sq = psi_sq + pairing(fields.psi[t], fields.psi[t], conv)
+    psi_sq = _psi_square(fields, conv)
+    fphi = _frame_derivatives(geom, fields)
     out = []
     for a in (1, 2):
-        acc = SpinorField.zero(grid, n_gen)
+        acc = SpinorField.zero(fields.grid, fields.n_gen)
         for b in (1, 2):
             gg = conv.gamma(b) @ conv.gamma(a)
-            for t in range(d):
-                fphi = geom.frame[b - 1][0] * fields.phi_derivative(t, 0) \
-                     + geom.frame[b - 1][1] * fields.phi_derivative(t, 1)
-                acc = acc + fphi * fields.psi[t].matrix_apply(gg) * coeffs.c4
+            for t in range(fields.dim):
+                acc = acc + fphi[b - 1][t] * fields.psi[t].matrix_apply(gg) * coeffs.c4
             if not chi.is_zero():
                 acc = acc + psi_sq * chi[b].matrix_apply(gg) * (2.0 * coeffs.c5)
         out.append(acc)
@@ -685,13 +689,17 @@ class FlowDivergenceError(RuntimeError):
 
 
 def _dirichlet_energy(grid: Grid, phi: list[np.ndarray], winding: np.ndarray) -> float:
-    from .gridfield import spectral_derivative
     total = 0.0
     for t, p in enumerate(phi):
         for k in range(2):
             dp = spectral_derivative(p, grid, k) + winding[t, k]
             total += float(np.mean(dp * dp))
     return total * grid.volume
+
+
+def _laplacian(p: np.ndarray, grid: Grid) -> np.ndarray:
+    return (spectral_derivative(spectral_derivative(p, grid, 0), grid, 0)
+            + spectral_derivative(spectral_derivative(p, grid, 1), grid, 1))
 
 
 def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
@@ -705,7 +713,6 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
     reprojected pointwise after every step.  Raises FlowDivergenceError if
     the energy increases for 10 consecutive steps.
     """
-    from .gridfield import spectral_derivative
     grid = geom.grid
     d = len(phi0)
     if winding is None:
@@ -721,13 +728,8 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
     converged = False
     step = 0
     for step in range(1, steps + 1):
-        grad_sq = 0.0
-        lap = []
-        for p in phi:
-            l = (spectral_derivative(spectral_derivative(p, grid, 0), grid, 0)
-                 + spectral_derivative(spectral_derivative(p, grid, 1), grid, 1))
-            lap.append(l)
-            grad_sq = max(grad_sq, float(np.max(np.abs(l))))
+        lap = [_laplacian(p, grid) for p in phi]
+        grad_sq = max((float(np.max(np.abs(l))) for l in lap), default=0.0)
         if grad_sq < grad_tol:
             converged = True
             step -= 1
@@ -745,16 +747,9 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
         else:
             increases = 0
         energies.append(energy)
-        if grad_sq < grad_tol:
-            converged = True
-            break
     else:
         # Step budget exhausted; check the final gradient.
-        lap_max = 0.0
-        for p in phi:
-            l = (spectral_derivative(spectral_derivative(p, grid, 0), grid, 0)
-                 + spectral_derivative(spectral_derivative(p, grid, 1), grid, 1))
-            lap_max = max(lap_max, float(np.max(np.abs(l))))
+        lap_max = max((float(np.max(np.abs(_laplacian(p, grid)))) for p in phi), default=0.0)
         converged = lap_max < grad_tol
     return FlowResult(phi=phi, winding=winding, energies=energies,
                       steps_taken=step, converged=converged)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannNumber, Parity, ParityError
+from .grassmann import Parity, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "clifford",
     "pairing",
     "super_weyl",
-    "spin_connection_derivative",
-    "susy_metric_gravitino",
     "weyl",
 ]
 
@@ -171,8 +169,7 @@ class GravitinoField:
         if len(chi) != 2:
             raise ValueError("gravitino has one spinor per frame direction")
         for c in chi:
-            if not c.is_zero() and c.parity() is not Parity.ODD:
-                raise ParityError("gravitino components must be odd")
+            require_odd(c, "gravitino components")
         self.chi = chi
 
     @classmethod
@@ -222,8 +219,7 @@ class SurfaceGeometry:
         self.frame = [[frame[a][k] for k in range(2)] for a in range(2)]
         for row in self.frame:
             for entry in row:
-                if entry.parity() is Parity.MIXED or (not entry.is_zero() and entry.parity() is Parity.ODD):
-                    raise ParityError("frame entries must be even")
+                require_even(entry, "frame entries")
         det_body = (self.frame[0][0].body() * self.frame[1][1].body()
                     - self.frame[0][1].body() * self.frame[1][0].body())
         if np.any(det_body <= 0.0):
@@ -278,8 +274,7 @@ class SurfaceGeometry:
 def super_weyl(chi: GravitinoField, t: SpinorField,
                conv: CliffordConvention = CLIFFORD) -> GravitinoField:
     """chi_a -> chi_a + gamma^a t."""
-    if not t.is_zero() and t.parity() is not Parity.ODD:
-        raise ParityError("super Weyl parameter t must be odd")
+    require_odd(t, "super Weyl parameter t")
     return GravitinoField([chi[a] + clifford(a, t, conv) for a in (1, 2)])
 
 
@@ -289,46 +284,9 @@ def gravitino_connection_coefficient(chi: GravitinoField, a: int,
     return pairing(chi.gamma_trace(conv), chi[a], conv)
 
 
-def spin_connection_derivative(geom: SurfaceGeometry, chi: GravitinoField,
-                               s: SpinorField, a: int) -> SpinorField:
-    """nabla^S_{f_a} s = f_a s + <gamma^b chi_b, chi_a> gamma5 s (flat frame LC)."""
-    conv = geom.clifford_convention
-    out = geom.directional_derivative_spinor(a, s)
-    coeff = gravitino_connection_coefficient(chi, a, conv)
-    if not coeff.is_zero():
-        out = out + coeff * s.matrix_apply(conv.gamma5)
-    return out
-
-
-def susy_metric_gravitino(geom: SurfaceGeometry, chi: GravitinoField,
-                          q: SpinorField) -> tuple[list[list[GrassmannField]], GravitinoField]:
-    """Geometry sector of the supersymmetry transformation.
-
-        delta f_a = -2 <gamma^b q, chi_a> f_b,
-        delta chi_a = nabla^S_{f_a} q.
-
-    Returns (delta frame, delta chi); delta frame is even (two odd factors),
-    delta chi is odd.
-    """
-    if not q.is_zero() and q.parity() is not Parity.ODD:
-        raise ParityError("supersymmetry parameter q must be odd")
-    conv = geom.clifford_convention
-    dframe: list[list[GrassmannField]] = []
-    for a in (1, 2):
-        coeffs = [pairing(clifford(b, q, conv), chi[a], conv) * (-2.0) for b in (1, 2)]
-        row = []
-        for k in range(2):
-            entry = coeffs[0] * geom.frame[0][k] + coeffs[1] * geom.frame[1][k]
-            row.append(entry)
-        dframe.append(row)
-    dchi = GravitinoField([spin_connection_derivative(geom, chi, q, a) for a in (1, 2)])
-    return dframe, dchi
-
-
 def weyl(geom: SurfaceGeometry, lam: GrassmannField) -> SurfaceGeometry:
     """Conformal rescaling g -> lam g, realized as frame scaling by lam^{-1/2}."""
-    if lam.parity() is Parity.MIXED or (not lam.is_zero() and lam.parity() is Parity.ODD):
-        raise ParityError("conformal factor must be even")
+    require_even(lam, "conformal factor")
     if np.any(lam.body() <= 0.0):
         raise ValueError("conformal factor must have positive body")
     scale = lam.nilpotent_power(-0.5)

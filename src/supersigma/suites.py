@@ -9,16 +9,16 @@ for a given (seed, config) pair whether suites run alone or under "all".
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .berezin import BerezinDomain, berezin_integrate
 from .config import SuiteConfig
 from .deformations import (
-    GravitinoDeformation,
     MetricDeformation,
     decompose_gravitino,
     decompose_metric,
-    lie_derivative_metric,
     true_deformation_dimensions,
 )
 from .grassmann import GrassmannNumber, generator, unit
@@ -343,16 +343,6 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
     ]
 
 
-def _harmonic_fields(grid, n_gen, winding) -> ComponentFields:
-    d = winding.shape[0]
-    return ComponentFields(
-        phi=[GrassmannField.zero(grid, n_gen) for _ in range(d)],
-        psi=[SpinorField.zero(grid, n_gen) for _ in range(d)],
-        F=[GrassmannField.zero(grid, n_gen) for _ in range(d)],
-        winding=winding,
-    )
-
-
 def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     n_gen = config.n_gen
     grid = Grid(config.grid_shape, config.periods)
@@ -386,7 +376,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     # Harmonic map (pure winding): T is trace-free, divergence-free, and
     # T_zz is antiholomorphic-derivative-free.
     winding = np.array([[1.0, 0.0], [0.5, 1.0]])
-    fields = _harmonic_fields(grid, n_gen, winding)
+    fields = replace(ComponentFields.zero(grid, n_gen, 2), winding=winding)
     T = energy_momentum(geom, chi0, fields, coeffs=coeffs)
     trace = (T[0][0] + T[1][1]).max_abs()
     div = max((T[a][0].derivative(0) + T[a][1].derivative(1)).max_abs()
@@ -410,12 +400,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     psi = [SpinorField([GrassmannField(grid, n_gen,
                                        {1 << (g - 1): np.full(grid.shape, float(rng.normal()))})
                         for g in PSI_GENS]) for _ in range(d)]
-    crit = ComponentFields(
-        phi=[GrassmannField.zero(grid, n_gen) for _ in range(d)],
-        psi=psi,
-        F=[GrassmannField.zero(grid, n_gen) for _ in range(d)],
-        winding=winding,
-    )
+    crit = replace(ComponentFields.zero(grid, n_gen, d), psi=psi, winding=winding)
     J = super_current(geom, chi0, crit, coeffs=coeffs)
     gamma_trace = J.gamma_trace(CLIFFORD).max_abs()
     jre, jim = current_spin32(J, CLIFFORD)

@@ -22,13 +22,13 @@ Convention notes (recorded once, used everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannNumber, Parity, ParityError, monomial_sign
-from .gridfield import GrassmannField, Grid, spectral_derivative, trig_interpolate
+from .grassmann import GrassmannNumber, Parity, monomial_sign, require_odd
+from .gridfield import GrassmannField, Grid, spectral_derivative
 
 __all__ = [
     "SuperFunction",
@@ -238,16 +238,14 @@ def apply_Q(f: SuperFunction, q: GrassmannNumber) -> SuperFunction:
     """Q f = q (d_eta f + eta d_x f) on R^{1|1} for an odd parameter q."""
     if f.m != 1 or f.n_odd != 1:
         raise ValueError("apply_Q is defined on R^{1|1}")
-    if q.parity() is not Parity.ODD:
-        raise ParityError("supersymmetry parameter q must be odd")
+    require_odd(q, "supersymmetry parameter q")
     inner = f.partial_odd(1) + f.partial_even(1).mul_odd_coordinate(1) * Q_SIGN
     return inner.scale_left(q)
 
 
 def susy_vector_field(grid: Grid, n_gen: int, q: GrassmannNumber) -> SuperVectorField:
     """Q as a SuperVectorField on R^{1|1}; agrees with apply_Q."""
-    if q.parity() is not Parity.ODD:
-        raise ParityError("supersymmetry parameter q must be odd")
+    require_odd(q, "supersymmetry parameter q")
     q_field = SuperFunction.from_even(grid, 1, n_gen, GrassmannField.constant(grid, q))
     # Q = q d_eta + Q_SIGN * (q eta) d_x.  mul_odd_coordinate builds eta*q,
     # and q eta = -eta q for the odd constant q.
@@ -263,8 +261,7 @@ class Embedding:
 
     def __post_init__(self):
         for x in self.xi:
-            if x.parity() not in (Parity.ODD, Parity.EVEN) or (not x.is_zero() and x.parity() is not Parity.ODD):
-                raise ParityError("embedding components xi_alpha must be odd")
+            require_odd(x, "embedding components xi_alpha")
 
 
 def restrict(f: SuperFunction, i: Embedding) -> GrassmannField:
@@ -296,7 +293,6 @@ class CoordinateChange:
     g1: GrassmannField | None = None
     gamma0: GrassmannField | None = None
     gamma1: GrassmannField | None = None
-    grid: Grid | None = None
 
     def validate(self, grid: Grid) -> None:
         x = grid.axis_points(0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .berezin import BerezinDomain, berezin_integrate
-from .grassmann import GrassmannNumber, Parity, ParityError
+from .grassmann import GrassmannNumber, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 from .superdomain import (
     CoordinateChange,
@@ -51,10 +51,8 @@ class ToyFields:
     psi: GrassmannField
 
     def __post_init__(self):
-        if self.phi.parity() not in (Parity.EVEN,):
-            raise ParityError("phi must be even")
-        if not self.psi.is_zero() and self.psi.parity() is not Parity.ODD:
-            raise ParityError("psi must be odd")
+        require_even(self.phi, "phi")
+        require_odd(self.psi, "psi")
         if self.phi.grid != self.psi.grid or self.phi.n_gen != self.psi.n_gen:
             raise ValueError("phi and psi must share grid and algebra")
 
@@ -87,18 +85,21 @@ def toy_action_component(f: ToyFields) -> GrassmannNumber:
     return density.integral() * 0.5
 
 
+def _superfield_integrand(Phi: SuperFunction) -> SuperFunction:
+    """-1/2 d_x(Phi) D(Phi), the integrand of the superfield action."""
+    return Phi.partial_even(1) * apply_D(Phi) * (-0.5)
+
+
 def toy_action_superfield(Phi: SuperFunction) -> GrassmannNumber:
     """A = -1/2 Int d_x(Phi) D(Phi) [dx deta]; equals the component action."""
     if Phi.m != 1 or Phi.n_odd != 1:
         raise ValueError("toy superfield action is defined on R^{1|1}")
-    integrand = Phi.partial_even(1) * apply_D(Phi) * (-0.5)
-    return berezin_integrate(integrand, BerezinDomain(Phi.grid, 1))
+    return berezin_integrate(_superfield_integrand(Phi), BerezinDomain(Phi.grid, 1))
 
 
 def toy_susy(f: ToyFields, q: GrassmannNumber) -> ToyFields:
     """Supersymmetry variation (delta phi, delta psi) = (q psi, -q phi')."""
-    if q.parity() is not Parity.ODD:
-        raise ParityError("supersymmetry parameter q must be odd")
+    require_odd(q, "supersymmetry parameter q")
     dphi = q * f.psi
     dpsi = -(q * f.phi.derivative(0))
     return ToyFields(dphi, dpsi)
@@ -132,10 +133,8 @@ def toy_embedding_residual(f: ToyFields, xi: GrassmannField) -> float:
     change eta = xi + eta~ (unit Berezinian) and integrated there.  The
     result must equal the adapted xi = 0 integral.
     """
-    if not xi.is_zero() and xi.parity() is not Parity.ODD:
-        raise ParityError("embedding component xi must be odd")
-    Phi = superfield_from_fields(f)
-    integrand = Phi.partial_even(1) * apply_D(Phi) * (-0.5)
+    require_odd(xi, "embedding component xi")
+    integrand = _superfield_integrand(superfield_from_fields(f))
     a0 = berezin_integrate(integrand, BerezinDomain(f.grid, 1))
     change = CoordinateChange(g0=f.grid.axis_points(0), g1=None, gamma0=xi, gamma1=None)
     moved = pullback_coordinate_change(integrand, change)

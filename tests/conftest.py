@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from supersigma.gridfield import GrassmannField, Grid
+from supersigma.gridfield import GrassmannField
 from supersigma.spin_surface import GravitinoField, SpinorField
+from supersigma.suites import _even_field, _odd_field, _odd_spinor
+from supersigma.suites import _trig_array as trig_array  # noqa: F401 (re-exported to tests)
 
 N_GEN = 6
 
@@ -12,32 +14,16 @@ def rng():
     return np.random.default_rng(20260824)
 
 
-def trig_array(rng, grid, cutoff=3, n_modes=3, scale=1.0):
-    coords = grid.coordinates()
-    a = np.zeros(grid.shape)
-    for _ in range(n_modes):
-        arg = rng.uniform(0.0, 2.0 * np.pi)
-        for i in range(grid.ndim):
-            k = int(rng.integers(-cutoff, cutoff + 1))
-            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * coords[i]
-        a = a + rng.normal() * scale * np.cos(arg)
-    return a
-
-
 def even_field(rng, grid, scale=1.0, soul_mask=None, cutoff=3, n_gen=N_GEN):
-    terms = {0: trig_array(rng, grid, cutoff=cutoff, scale=scale)}
-    if soul_mask is not None:
-        terms[soul_mask] = trig_array(rng, grid, cutoff=cutoff, scale=scale)
-    return GrassmannField(grid, n_gen, terms)
+    return _even_field(rng, grid, n_gen, scale=scale, soul_mask=soul_mask, cutoff=cutoff)
 
 
 def odd_field(rng, grid, gens, scale=1.0, cutoff=3, n_gen=N_GEN):
-    return GrassmannField(grid, n_gen, {
-        1 << (g - 1): trig_array(rng, grid, cutoff=cutoff, scale=scale) for g in gens})
+    return _odd_field(rng, grid, n_gen, gens, scale=scale, cutoff=cutoff)
 
 
 def odd_spinor(rng, grid, gens, scale=1.0, cutoff=3, n_gen=N_GEN):
-    return SpinorField([odd_field(rng, grid, [g], scale, cutoff, n_gen) for g in gens])
+    return _odd_spinor(rng, grid, n_gen, gens, scale=scale, cutoff=cutoff)
 
 
 def constant_odd_spinor(rng, grid, gen, n_gen=N_GEN):

@@ -3,7 +3,7 @@ import pytest
 
 from supersigma.berezin import BerezinDomain, berezin_integrate
 from supersigma.gridfield import GrassmannField, Grid
-from supersigma.superdomain import Embedding, SuperFunction
+from supersigma.superdomain import SuperFunction
 
 from conftest import N_GEN, even_field, odd_field
 
@@ -54,15 +54,3 @@ def test_quadrature_spectrally_exact(grid):
     value = berezin_integrate(sf, BerezinDomain(grid, 1))
     assert abs(value.body() - np.pi) < 1e-12
 
-
-def test_embedding_invariance(rng, grid):
-    """The integral does not depend on the embedding used to split off the
-    odd directions: integrating in coordinates adapted to i#eta = xi gives
-    the same answer as the zero embedding."""
-    f0 = even_field(rng, grid, soul_mask=0b11)
-    f1 = even_field(rng, grid) + odd_field(rng, grid, [2])
-    sf = SuperFunction(grid, 1, N_GEN, {0: f0, 1: f1})
-    adapted = berezin_integrate(sf, BerezinDomain(grid, 1))
-    xi = odd_field(rng, grid, [6])
-    moved = berezin_integrate(sf, BerezinDomain(grid, 1, Embedding(xi=[xi])))
-    assert adapted.max_abs_diff(moved) < 1e-12

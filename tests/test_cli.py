@@ -255,3 +255,50 @@ def test_missing_fixture_is_json_error(capsys, tmp_path):
     code, out = run_cli(capsys, "decompose", "--fixture", str(tmp_path / "none.json"))
     assert code == 1
     assert_json_error(out, "FileNotFoundError", "none.json")
+
+
+@pytest.mark.parametrize("fixture, missing", [
+    ({"shape": [8, 8]}, "['kind']"),
+    ({"kind": "metric"}, "['shape']"),
+    ({"kind": "metric", "shape": [8, 8]}, "['tensor']"),
+    ({"kind": "metric", "shape": [8, 8], "tensor": {"11": 0.0, "22": 0.0}},
+     "['tensor']['12']"),
+    ({"kind": "gravitino", "shape": [8, 8]}, "['components']"),
+    ({"kind": "gravitino", "shape": [8, 8], "components": {"chi1": [0.0, 0.0]}},
+     "['components']['chi2']"),
+    ([8, 8], "['shape']"),
+], ids=["kind", "shape", "tensor", "tensor-12", "components", "components-chi2",
+        "not-an-object"])
+def test_decompose_fixture_missing_key_is_json_error(capsys, tmp_path, fixture, missing):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    code, out = run_cli(capsys, "decompose", "--fixture", str(path))
+    assert code == 1
+    assert_json_error(out, "ValueError", f"no key {missing}")
+
+
+@pytest.mark.parametrize("config, fragment", [
+    ({"tolerances": {"calibration": "x"}}, "tolerance 'calibration' must be a number"),
+    ({"tolerances": {"toy": True}}, "tolerance 'toy' must be a number"),
+    ({"tolerances": {"toy": None}}, "tolerance 'toy' must be a number"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": "42"}, "seed must be an integer"),
+    ({"n_gen": 6.0}, "n_gen must be an integer"),
+    ({"fixture_counts": {"toy": 2.5}}, "fixture count 'toy' must be an integer"),
+    ({"fixture_counts": {"toy": False}}, "fixture count 'toy' must be an integer"),
+], ids=["tolerance-str", "tolerance-bool", "tolerance-null", "seed-float", "seed-str",
+        "n_gen-float", "fixture-count-float", "fixture-count-bool"])
+def test_config_value_of_wrong_type_is_json_error(capsys, tmp_path, config, fragment):
+    path = write_config(tmp_path, json.dumps(config))
+    code, out = run_cli(capsys, "verify", "berezin", "--config", path)
+    assert code == 1
+    assert_json_error(out, "ValueError", fragment)
+    with pytest.raises(ValueError, match=fragment):
+        SuiteConfig.from_dict(config)
+
+
+def test_valid_config_values_are_not_coerced():
+    # An integer tolerance stays an integer, so the config hash is unchanged.
+    config = SuiteConfig.from_dict({"seed": 3, "tolerances": {"toy": 1},
+                                    "fixture_counts": {"toy": 7}})
+    assert json.dumps(config.to_dict()["tolerances"]) == '{"toy": 1}'

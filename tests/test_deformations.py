@@ -5,7 +5,6 @@ from supersigma import deformations
 from supersigma.config import SuiteConfig
 from supersigma.deformations import (
     DecompositionResult,
-    GravitinoDeformation,
     MetricDeformation,
     decompose_gravitino,
     decompose_metric,

@@ -6,11 +6,15 @@ from supersigma.grassmann import (
     DimensionMismatchError,
     GrassmannNumber,
     Parity,
+    ParityError,
     generator,
-    gmul,
     monomial_sign,
+    require_even,
+    require_odd,
     unit,
 )
+from supersigma.gridfield import GrassmannField, Grid
+from supersigma.spin_surface import SpinorField
 
 N = 6
 
@@ -130,12 +134,32 @@ def test_top_coefficient_extraction():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
-        gmul(unit(3), unit(4))
+        unit(3) * unit(4)
 
 
-def test_gmul_matches_operator(rng):
-    a = GrassmannNumber(N, {int(m): float(rng.normal())
-                            for m in rng.integers(0, 1 << N, 6)})
-    b = GrassmannNumber(N, {int(m): float(rng.normal())
-                            for m in rng.integers(0, 1 << N, 6)})
-    assert gmul(a, b).max_abs_diff(a * b) == 0.0
+def test_parity_rule_zero_passes_both_mixed_fails_both():
+    grid = Grid((8,), (2.0 * np.pi,))
+    x = grid.axis_points(0)
+    mixed_number = unit(N) + generator(N, 1)
+    mixed_field = GrassmannField(grid, N, {0: np.sin(x), 0b1: np.cos(x)})
+    zero_field = GrassmannField.zero(grid, N)
+    cases = [
+        (GrassmannNumber(N), mixed_number),
+        (zero_field, mixed_field),
+        (SpinorField.zero(grid, N), SpinorField([mixed_field, zero_field])),
+    ]
+    for zero, mixed in cases:
+        require_even(zero, "zero")
+        require_odd(zero, "zero")
+        with pytest.raises(ParityError, match="^x must be even$"):
+            require_even(mixed, "x")
+        with pytest.raises(ParityError, match="^x must be odd$"):
+            require_odd(mixed, "x")
+    # A spinor with one even and one odd component is mixed as a whole.
+    split = SpinorField([GrassmannField(grid, N, {0: np.sin(x)}),
+                         GrassmannField(grid, N, {0b1: np.cos(x)})])
+    for check in (require_even, require_odd):
+        with pytest.raises(ParityError):
+            check(split, "spinor")
+    require_even(generator(N, 1) * generator(N, 2), "even")
+    require_odd(generator(N, 3), "odd")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import supersigma.sigma2d as s2
 from supersigma.config import SuiteConfig
-from supersigma.grassmann import GrassmannNumber
+from supersigma.grassmann import GrassmannNumber, Parity
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.sigma2d import (
     ActionCoefficients,
@@ -26,7 +26,6 @@ from supersigma.sigma2d import (
     susy_fields,
     susy_gravitino_variation,
     susy_invariance_residual,
-    susy_metric_gravitino,
     t_zz,
 )
 from supersigma.spin_surface import (
@@ -423,6 +422,31 @@ def test_gravitino_variation_is_odd(rng, grid):
     chi = gravitino(rng, grid)
     q = constant_odd_spinor(rng, grid, 5)
     dchi = susy_gravitino_variation(geom, chi, q)
-    from supersigma.grassmann import Parity
     for a in (1, 2):
         assert dchi[a].is_zero() or dchi[a].parity() is Parity.ODD
+
+
+def test_susy_geometry_variation_parities(rng, grid):
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    chi = gravitino(rng, grid)
+    q = constant_odd_spinor(rng, grid, 5)
+    varied_geom, varied_chi = s2._susy_varied_geometry(geom, chi, q)
+    dframe = [varied_geom.frame[a][k] - geom.frame[a][k] for a in range(2) for k in range(2)]
+    assert any(not e.is_zero() for e in dframe)
+    for entry in dframe:
+        assert entry.is_zero() or entry.parity() is Parity.EVEN
+    dchi = varied_chi - chi
+    for a in (1, 2):
+        assert dchi[a].is_zero() or dchi[a].parity() is Parity.ODD
+
+
+def test_susy_geometry_variation_vanishes_at_chi_zero(rng, grid):
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    chi0 = GravitinoField.zero(grid, N_GEN)
+    q = constant_odd_spinor(rng, grid, 5)
+    varied_geom, varied_chi = s2._susy_varied_geometry(geom, chi0, q)
+    assert max(varied_geom.frame[a][k].max_abs_diff(geom.frame[a][k])
+               for a in range(2) for k in range(2)) == 0.0
+    # Constant q has vanishing flat derivative, and every other term of
+    # delta chi is linear in chi.
+    assert varied_chi.max_abs() == 0.0

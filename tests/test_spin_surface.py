@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from supersigma.grassmann import Parity, ParityError
+from supersigma.grassmann import ParityError
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.spin_surface import (
     CLIFFORD,
     CliffordConvention,
-    GravitinoField,
     SpinorField,
     SurfaceGeometry,
     clifford,
     pairing,
     super_weyl,
-    susy_metric_gravitino,
     weyl,
 )
 
-from conftest import (N_GEN, constant_odd_spinor, even_field, gravitino,
+from conftest import (N_GEN, even_field, gravitino,
                       odd_field, odd_spinor, trig_array)
 
 
@@ -79,28 +77,6 @@ def test_gamma_trace(rng, grid):
     gt = chi.gamma_trace(CLIFFORD)
     expected = clifford(1, chi[1], CLIFFORD) + clifford(2, chi[2], CLIFFORD)
     assert gt.max_abs_diff(expected) == 0.0
-
-
-def test_susy_metric_gravitino_parities(rng, grid):
-    geom = SurfaceGeometry.flat(grid, N_GEN)
-    chi = gravitino(rng, grid)
-    q = constant_odd_spinor(rng, grid, 5)
-    dframe, dchi = susy_metric_gravitino(geom, chi, q)
-    for row in dframe:
-        for entry in row:
-            assert entry.is_zero() or entry.parity() is Parity.EVEN
-    for a in (1, 2):
-        assert dchi[a].is_zero() or dchi[a].parity() is Parity.ODD
-
-
-def test_susy_metric_vanishes_at_chi_zero(rng, grid):
-    geom = SurfaceGeometry.flat(grid, N_GEN)
-    chi0 = GravitinoField.zero(grid, N_GEN)
-    q = constant_odd_spinor(rng, grid, 5)
-    dframe, dchi = susy_metric_gravitino(geom, chi0, q)
-    assert max(e.max_abs() for row in dframe for e in row) == 0.0
-    # Constant q has vanishing flat spin-connection derivative.
-    assert dchi.max_abs() == 0.0
 
 
 def test_weyl_scales_frame(grid):

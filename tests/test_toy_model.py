@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from supersigma.grassmann import ParityError, generator, unit
+from supersigma.grassmann import GrassmannNumber, ParityError, generator, unit
 from supersigma.gridfield import GrassmannField, Grid
+from supersigma.superdomain import apply_Q, susy_vector_field
 from supersigma.toy_model import (
     ToyFields,
     fields_from_superfield,
@@ -80,6 +81,17 @@ def test_susy_requires_odd_parameter(rng, grid):
     f = toy_fixture(rng, grid)
     with pytest.raises(ParityError):
         toy_susy(f, unit(N_GEN))
+
+
+def test_zero_parameter_gives_zero_variation(rng, grid):
+    # Zero counts as odd, so every supersymmetry entry point accepts q = 0.
+    f = toy_fixture(rng, grid)
+    zero = GrassmannNumber(N_GEN)
+    d = toy_susy(f, zero)
+    assert d.phi.is_zero() and d.psi.is_zero()
+    Phi = superfield_from_fields(f)
+    assert apply_Q(Phi, zero).max_abs() == 0.0
+    assert susy_vector_field(grid, N_GEN, zero).apply(Phi).max_abs() == 0.0
 
 
 def test_fields_parity_checked(rng, grid):
