@@ -12,7 +12,7 @@ from .grassmann import (
 )
 from .gridfield import GrassmannField, Grid, spectral_derivative, trig_interpolate
 from .superdomain import SuperFunction, apply_D, apply_Q
-from .berezin import BerezinDomain, berezin_integrate
+from .berezin import berezin_integrate
 from .spin_surface import (
     CLIFFORD,
     CliffordConvention,
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionCoefficients",
-    "BerezinDomain",
     "CLIFFORD",
     "CalibrationError",
     "CheckReport",

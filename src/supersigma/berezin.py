@@ -8,34 +8,18 @@ below the Nyquist limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .grassmann import GrassmannNumber
-from .gridfield import Grid
 from .superdomain import SuperFunction
 
-__all__ = ["BerezinDomain", "berezin_integrate"]
+__all__ = ["berezin_integrate"]
 
 
-@dataclass
-class BerezinDomain:
-    """Torus [0,P_1) x ... x [0,P_m) with n odd directions.
+def berezin_integrate(f: SuperFunction) -> GrassmannNumber:
+    """Integral of ``f`` over its torus and all of its odd directions.
 
     Integration is in coordinates adapted to the zero embedding (xi = 0),
     where the odd integral is the plain top coefficient.  Independence of
     the embedding is checked by pulling the integrand back through the
     coordinate change eta = xi + eta~ (``toy_model.toy_embedding_residual``).
     """
-
-    grid: Grid
-    n_odd: int
-
-    def top_mask(self) -> int:
-        return (1 << self.n_odd) - 1
-
-
-def berezin_integrate(f: SuperFunction, dom: BerezinDomain) -> GrassmannNumber:
-    """Integral over the superdomain: quadrature of the top odd coefficient."""
-    if f.grid != dom.grid or f.n_odd != dom.n_odd:
-        raise ValueError("superfunction does not live on the integration domain")
-    return f.coefficient(dom.top_mask()).integral()
+    return f.coefficient((1 << f.n_odd) - 1).integral()

@@ -147,10 +147,14 @@ def _cmd_decompose(args) -> int:
     elif kind == "gravitino":
         # Numeric fixture components are placed on the first odd generator.
         mask = 0b1
-        dchi = GravitinoField([
-            SpinorField([_field_from_values(grid, n_gen, comps[s], mask) for s in range(2)])
-            for comps in [_fixture_entry(fixture, "components", "chi1"),
-                          _fixture_entry(fixture, "components", "chi2")]])
+        spinors = []
+        for key in ("chi1", "chi2"):
+            comps = _fixture_entry(fixture, "components", key)
+            if not isinstance(comps, list) or len(comps) != 2:
+                raise ValueError(f"decompose fixture entry ['components'][{key!r}] must be "
+                                 f"a list of two spinor components, got {comps!r}")
+            spinors.append(SpinorField([_field_from_values(grid, n_gen, c, mask) for c in comps]))
+        dchi = GravitinoField(spinors)
         result = decompose_gravitino(geom, chi0, dchi)
     else:
         raise ValueError(f"unknown fixture kind {kind!r}; expected metric or gravitino")

@@ -83,25 +83,41 @@ class SuiteConfig:
     flow_dt: float = 1e-3
 
     def __post_init__(self):
+        for name in ("grid_shape", "reduction_grid_shape", "periods"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         self.grid_shape = tuple(self.grid_shape)
         self.reduction_grid_shape = tuple(self.reduction_grid_shape)
         self.periods = tuple(self.periods)
+        for name in ("tolerances", "fixture_counts"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
         _require_known("tolerance", self.tolerances, DEFAULT_TOLERANCES)
         _require_known("fixture-count", self.fixture_counts, DEFAULT_FIXTURE_COUNTS)
+        if isinstance(self.conventions, dict):
+            self.conventions = ActionCoefficients.from_dict(self.conventions)
+        if not isinstance(self.conventions, ActionCoefficients):
+            raise ValueError(f"conventions must be an object, got {self.conventions!r}")
+        reals = {f"tolerance {name!r}": tol for name, tol in self.tolerances.items()}
+        reals["flow_dt"] = self.flow_dt
+        reals.update({f"periods[{i}]": p for i, p in enumerate(self.periods)})
+        reals.update({f"convention {k!r}": v for k, v in self.conventions.to_dict().items()})
+        for what, value in reals.items():
+            if not _is_real(value):
+                raise ValueError(f"{what} must be a number, got {value!r}")
         for name, tol in self.tolerances.items():
-            if not _is_real(tol):
-                raise ValueError(f"tolerance {name!r} must be a number, got {tol!r}")
             if tol < 0.0:
                 raise ValueError(f"tolerance {name!r} must be nonnegative")
-        integers = {"seed": self.seed, "n_gen": self.n_gen}
+        integers = {"seed": self.seed, "n_gen": self.n_gen, "toy_points": self.toy_points,
+                    "flow_steps": self.flow_steps}
         integers.update({f"fixture count {name!r}": n for name, n in self.fixture_counts.items()})
+        for name in ("grid_shape", "reduction_grid_shape"):
+            integers.update({f"{name}[{i}]": n for i, n in enumerate(getattr(self, name))})
         for what, value in integers.items():
             if not _is_integer(value):
                 raise ValueError(f"{what} must be an integer, got {value!r}")
         if self.n_gen < 1:
             raise ValueError("n_gen must be positive")
-        if isinstance(self.conventions, dict):
-            self.conventions = ActionCoefficients.from_dict(self.conventions)
 
     def tolerance(self, family: str) -> float:
         merged = dict(DEFAULT_TOLERANCES)

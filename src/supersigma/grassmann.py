@@ -5,6 +5,11 @@ as bitmasks: bit i set means generator i+1 is present (generators are
 1-based in the public API, matching the usual eta^1, eta^2, ... notation).
 All sign bookkeeping is structural and exact; floating point enters only
 through the real coefficients.
+
+``GradedElement`` holds the algebra shared by Grassmann numbers, Grassmann
+fields (:mod:`supersigma.gridfield`) and superfunctions
+(:mod:`supersigma.superdomain`): one sum, one graded product and one Koszul
+sign rule over a map from monomial bitmasks to coefficients.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "Parity",
+    "GradedElement",
     "GrassmannNumber",
     "DimensionMismatchError",
     "ParityError",
@@ -75,55 +81,164 @@ def monomial_sign(a: int, b: int) -> int:
     return -1 if inv & 1 else 1
 
 
-class GrassmannNumber:
-    """Element of the real Grassmann algebra on ``n_gen`` generators.
+class GradedElement:
+    """One graded algebra: the sum, the product and the sign rule.
 
-    Immutable value type: never mutate ``coeffs`` after construction.
+    ``terms`` maps a monomial bitmask to its coefficient: a real number
+    (``GrassmannNumber``), a sample array (``GrassmannField``) or a
+    Grassmann-valued field (``SuperFunction``).  Subclasses supply only what
+    depends on the coefficient type: ``_new`` (a new element with the same
+    ambient space, dropping zero terms), ``_coerce`` (an operand converted to
+    the subclass and checked against this element's domain, or None) and
+    ``max_abs``.  Elements are immutable values: never mutate ``terms``.
     """
 
-    __slots__ = ("n_gen", "coeffs")
+    __slots__ = ("terms",)
 
-    def __init__(self, n_gen: int, coeffs: Mapping[int, float] | None = None):
+    # Operands that scale every coefficient and commute with everything.
+    _scalars: tuple = (int, float)
+    # True when the coefficients are themselves graded (SuperFunction): an odd
+    # coefficient then anticommutes with odd monomials and adds to the parity.
+    _graded_coefficients = False
+
+    # -- structure ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def parity(self) -> Parity:
+        """EVEN, ODD or MIXED; a term's degree is its mask's plus its coefficient's."""
+        seen = set()
+        for m, c in self.terms.items():
+            degree = m.bit_count()
+            if self._graded_coefficients:
+                p = c.parity()
+                if p is Parity.MIXED:
+                    return Parity.MIXED
+                degree += p.value
+            seen.add(degree & 1)
+        if len(seen) > 1:
+            return Parity.MIXED
+        return Parity.ODD if 1 in seen else Parity.EVEN
+
+    def soul(self):
+        """Nilpotent remainder: the element minus its body."""
+        out = dict(self.terms)
+        if 0 in out:
+            if self._graded_coefficients:
+                out[0] = out[0].soul()
+            else:
+                del out[0]
+        return self._new(out)
+
+    def scale_by_parity(self, even: float, odd: float):
+        """Scale the even part by ``even`` and the odd part by ``odd``."""
+        out = {}
+        for m, c in self.terms.items():
+            e, o = (odd, even) if m.bit_count() & 1 else (even, odd)
+            out[m] = c.scale_by_parity(e, o) if self._graded_coefficients else c * e
+        return self._new(out)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in o.terms.items():
+            out[m] = out[m] + c if m in out else c
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        """Graded product; ``other`` multiplies from the right."""
+        if isinstance(other, self._scalars):
+            return self._new({m: c * other for m, c in self.terms.items()})
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        koszul = self._graded_coefficients
+        out = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in o.terms.items():
+                s = monomial_sign(ma, mb)
+                if s:
+                    # Koszul sign: the odd part of the left coefficient
+                    # changes sign as it passes an odd right monomial.
+                    left = ca.scale_by_parity(1.0, -1.0) if koszul and mb.bit_count() & 1 else ca
+                    prod = left * cb if s > 0 else -(left * cb)
+                    m = ma | mb
+                    out[m] = out[m] + prod if m in out else prod
+        return self._new(out)
+
+    def __rmul__(self, other):
+        # Real scalars commute; any other coercible operand multiplies from the left.
+        if isinstance(other, self._scalars):
+            return self * other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self
+
+    def max_abs_diff(self, other) -> float:
+        return (self - other).max_abs()
+
+
+class GrassmannNumber(GradedElement):
+    """Element of the real Grassmann algebra on ``n_gen`` generators."""
+
+    __slots__ = ("n_gen",)
+
+    def __init__(self, n_gen: int, terms: Mapping[int, float] | None = None):
         if not 0 <= n_gen <= 63:
             raise ValueError("generator count must be between 0 and 63")
         self.n_gen = n_gen
         clean: dict[int, float] = {}
-        if coeffs:
+        if terms:
             limit = 1 << n_gen
-            for mask, c in coeffs.items():
+            for mask, c in terms.items():
                 if not 0 <= mask < limit:
                     raise ValueError(f"monomial mask {mask} out of range for n_gen={n_gen}")
                 if c != 0.0:
                     clean[mask] = float(c)
-        self.coeffs = clean
-
-    # -- constructors ------------------------------------------------------
+        self.terms = clean
 
     @classmethod
     def scalar(cls, n_gen: int, value: float) -> "GrassmannNumber":
         return cls(n_gen, {0: value})
 
+    def _new(self, terms) -> "GrassmannNumber":
+        return GrassmannNumber(self.n_gen, terms)
+
+    def _coerce(self, other) -> "GrassmannNumber | None":
+        if isinstance(other, (int, float)):
+            return GrassmannNumber.scalar(self.n_gen, other)
+        if not isinstance(other, GrassmannNumber):
+            return None
+        if self.n_gen != other.n_gen:
+            raise DimensionMismatchError(
+                f"mixed generator counts: {self.n_gen} vs {other.n_gen}")
+        return other
+
     # -- structure ---------------------------------------------------------
 
     def body(self) -> float:
         """Real part: coefficient of the empty monomial."""
-        return self.coeffs.get(0, 0.0)
-
-    def soul(self) -> "GrassmannNumber":
-        """Nilpotent remainder: the element minus its body."""
-        return GrassmannNumber(self.n_gen, {m: c for m, c in self.coeffs.items() if m})
-
-    def parity(self) -> Parity:
-        has_even = any(m.bit_count() % 2 == 0 for m in self.coeffs)
-        has_odd = any(m.bit_count() % 2 == 1 for m in self.coeffs)
-        if has_even and has_odd:
-            return Parity.MIXED
-        if has_odd:
-            return Parity.ODD
-        return Parity.EVEN
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.terms.get(0, 0.0)
 
     def top_coefficient(self, indices: Iterable[int]) -> "GrassmannNumber":
         """Coefficient of the ordered product of the given generators.
@@ -140,7 +255,7 @@ class GrassmannNumber:
                 raise ValueError(f"generator index {i} exceeds n_gen={self.n_gen}")
             mask |= bit
         out: dict[int, float] = {}
-        for m, c in self.coeffs.items():
+        for m, c in self.terms.items():
             if m & mask == mask:
                 rest = m ^ mask
                 # Reorder eta^rest eta^mask from the increasing-order monomial.
@@ -148,87 +263,18 @@ class GrassmannNumber:
                 out[rest] = out.get(rest, 0.0) + sign * c
         return GrassmannNumber(self.n_gen, out)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "GrassmannNumber") -> None:
-        if self.n_gen != other.n_gen:
-            raise DimensionMismatchError(
-                f"mixed generator counts: {self.n_gen} vs {other.n_gen}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = GrassmannNumber.scalar(self.n_gen, other)
-        if not isinstance(other, GrassmannNumber):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0.0) + c
-        return GrassmannNumber(self.n_gen, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GrassmannNumber(self.n_gen, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, GrassmannNumber) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return GrassmannNumber(self.n_gen, {m: c * other for m, c in self.coeffs.items()})
-        if not isinstance(other, GrassmannNumber):
-            return NotImplemented
-        self._check(other)
-        out: dict[int, float] = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                s = monomial_sign(ma, mb)
-                if s:
-                    m = ma | mb
-                    out[m] = out.get(m, 0.0) + s * ca * cb
-        return GrassmannNumber(self.n_gen, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
-
-    def scale_by_parity(self, even: float, odd: float) -> "GrassmannNumber":
-        """Scale even-degree terms by ``even`` and odd-degree terms by ``odd``."""
-        return GrassmannNumber(
-            self.n_gen,
-            {m: c * (odd if m.bit_count() & 1 else even) for m, c in self.coeffs.items()},
-        )
-
-    # -- comparison / io ---------------------------------------------------
+    # -- inspection --------------------------------------------------------
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def max_abs_diff(self, other: "GrassmannNumber") -> float:
-        return (self - other).max_abs()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, float)):
-            other = GrassmannNumber.scalar(self.n_gen, other)
-        if not isinstance(other, GrassmannNumber):
-            return NotImplemented
-        return self.n_gen == other.n_gen and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n_gen, frozenset(self.coeffs.items())))
+        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.coeffs):
+        for m in sorted(self.terms):
             mono = "".join(f"e{i + 1}" for i in range(self.n_gen) if m >> i & 1)
-            parts.append(f"{self.coeffs[m]:+g}{('*' + mono) if mono else ''}")
+            parts.append(f"{self.terms[m]:+g}{('*' + mono) if mono else ''}")
         return " ".join(parts)
 
 

@@ -14,12 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grassmann import (
-    DimensionMismatchError,
-    GrassmannNumber,
-    Parity,
-    monomial_sign,
-)
+from .grassmann import DimensionMismatchError, GradedElement, GrassmannNumber
 
 __all__ = ["Grid", "GrassmannField", "spectral_derivative", "trig_interpolate"]
 
@@ -100,10 +95,12 @@ def trig_interpolate(values: np.ndarray, grid: Grid, points: np.ndarray, axis: i
     return np.real(out) if np.isrealobj(values) else out
 
 
-class GrassmannField:
+class GrassmannField(GradedElement):
     """Field on a periodic grid with values in a real Grassmann algebra."""
 
-    __slots__ = ("grid", "n_gen", "terms")
+    __slots__ = ("grid", "n_gen")
+
+    _scalars = (int, float, np.ndarray)
 
     def __init__(self, grid: Grid, n_gen: int, terms: Mapping[int, np.ndarray] | None = None):
         self.grid = grid
@@ -130,101 +127,27 @@ class GrassmannField:
 
     @classmethod
     def constant(cls, grid: Grid, value: GrassmannNumber) -> "GrassmannField":
-        return cls(grid, value.n_gen, {m: np.full(grid.shape, c) for m, c in value.coeffs.items()})
+        return cls(grid, value.n_gen, {m: np.full(grid.shape, c) for m, c in value.terms.items()})
 
-    # -- structure ---------------------------------------------------------
+    def _new(self, terms) -> "GrassmannField":
+        return GrassmannField(self.grid, self.n_gen, terms)
 
-    def body(self) -> np.ndarray:
-        return self.terms.get(0, np.zeros(self.grid.shape)).copy()
-
-    def soul(self) -> "GrassmannField":
-        return GrassmannField(self.grid, self.n_gen, {m: a for m, a in self.terms.items() if m})
-
-    def parity(self) -> Parity:
-        has_even = any(m.bit_count() % 2 == 0 for m in self.terms)
-        has_odd = any(m.bit_count() % 2 == 1 for m in self.terms)
-        if has_even and has_odd:
-            return Parity.MIXED
-        return Parity.ODD if has_odd else Parity.EVEN
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "GrassmannField") -> None:
+    def _coerce(self, other) -> "GrassmannField | None":
+        if isinstance(other, GrassmannNumber):
+            other = GrassmannField.constant(self.grid, other)
+        elif isinstance(other, (int, float, np.ndarray)):
+            other = GrassmannField.from_array(self.grid, self.n_gen, np.asarray(other, dtype=float) * np.ones(self.grid.shape))
+        elif not isinstance(other, GrassmannField):
+            return None
         if self.n_gen != other.n_gen:
             raise DimensionMismatchError(
                 f"mixed generator counts: {self.n_gen} vs {other.n_gen}")
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
+        return other
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "GrassmannField | None":
-        if isinstance(other, GrassmannField):
-            return other
-        if isinstance(other, GrassmannNumber):
-            return GrassmannField.constant(self.grid, other)
-        if isinstance(other, (int, float, np.ndarray)):
-            return GrassmannField.from_array(self.grid, self.n_gen, np.asarray(other, dtype=float) * np.ones(self.grid.shape))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        out = {m: a.copy() for m, a in self.terms.items()}
-        for m, a in o.terms.items():
-            out[m] = out[m] + a if m in out else a
-        return GrassmannField(self.grid, self.n_gen, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GrassmannField(self.grid, self.n_gen, {m: -a for m, a in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """Graded product; ``other`` multiplies from the right."""
-        if isinstance(other, (int, float)):
-            return GrassmannField(self.grid, self.n_gen, {m: a * other for m, a in self.terms.items()})
-        if isinstance(other, np.ndarray):
-            return GrassmannField(self.grid, self.n_gen, {m: a * other for m, a in self.terms.items()})
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        out: dict[int, np.ndarray] = {}
-        for ma, aa in self.terms.items():
-            for mb, ab in o.terms.items():
-                s = monomial_sign(ma, mb)
-                if s:
-                    m = ma | mb
-                    prod = aa * ab if s > 0 else -(aa * ab)
-                    out[m] = out[m] + prod if m in out else prod
-        return GrassmannField(self.grid, self.n_gen, out)
-
-    def __rmul__(self, other):
-        # Real scalars and arrays commute; GrassmannNumbers multiply from the left.
-        if isinstance(other, (int, float, np.ndarray)):
-            return self * other
-        if isinstance(other, GrassmannNumber):
-            return GrassmannField.constant(self.grid, other) * self
-        return NotImplemented
-
-    def scale_by_parity(self, even: float, odd: float) -> "GrassmannField":
-        return GrassmannField(
-            self.grid, self.n_gen,
-            {m: a * (odd if m.bit_count() & 1 else even) for m, a in self.terms.items()},
-        )
+    def body(self) -> np.ndarray:
+        return self.terms.get(0, np.zeros(self.grid.shape)).copy()
 
     # -- calculus ----------------------------------------------------------
 
@@ -271,9 +194,6 @@ class GrassmannField:
 
     def max_abs(self) -> float:
         return max((float(np.max(np.abs(a))) for a in self.terms.values()), default=0.0)
-
-    def max_abs_diff(self, other: "GrassmannField") -> float:
-        return (self - other).max_abs()
 
     def value_at(self, index: tuple[int, ...]) -> GrassmannNumber:
         return GrassmannNumber(self.n_gen, {m: float(a[index]) for m, a in self.terms.items()})

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .berezin import BerezinDomain, berezin_integrate
+from .berezin import berezin_integrate
 from .grassmann import GrassmannNumber, require_even, require_odd
 from .gridfield import GrassmannField, Grid, spectral_derivative
 from .spin_surface import (
@@ -437,7 +437,7 @@ def action_superfield_flat(Phis: Sequence[SuperFunction],
         D2 = superspace_derivative(Phi, 2, conv)
         integrand = integrand + D1 * D2 - D2 * D1
     integrand = integrand * coeffs.superfield_normalization
-    return berezin_integrate(integrand, BerezinDomain(grid, 2))
+    return berezin_integrate(integrand)
 
 
 # ---------------------------------------------------------------------------

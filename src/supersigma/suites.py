@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .berezin import BerezinDomain, berezin_integrate
+from .berezin import berezin_integrate
 from .config import SuiteConfig
 from .deformations import (
     MetricDeformation,
@@ -207,7 +207,7 @@ def _suite_berezin(config: SuiteConfig, rng) -> list[CheckReport]:
         f1 = _even_field(rng, grid, n_gen, soul_mask=0b110) \
             + _odd_field(rng, grid, n_gen, [2])
         sf = SuperFunction(grid, 1, n_gen, {0: f0, 1: f1})
-        lhs = berezin_integrate(sf, BerezinDomain(grid, 1))
+        lhs = berezin_integrate(sf)
         worst = max(worst, lhs.max_abs_diff(f1.integral()))
     return [CheckReport("berezin-top-coefficient-reduction", worst, tol)]
 

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannNumber, Parity, monomial_sign, require_odd
+from .grassmann import GradedElement, GrassmannNumber, monomial_sign, require_odd
 from .gridfield import GrassmannField, Grid, spectral_derivative
 
 __all__ = [
@@ -48,110 +48,64 @@ D_SIGN = -1.0
 Q_SIGN = +1.0
 
 
-class SuperFunction:
-    """Function on R^{m|n} x B with grid-sampled coefficient fields."""
+class SuperFunction(GradedElement):
+    """Function on R^{m|n} x B with grid-sampled coefficient fields.
 
-    __slots__ = ("grid", "n_odd", "n_gen", "coeffs")
+    ``terms`` maps an odd multi-index to its Grassmann-valued coefficient
+    field; the product's Koszul sign comes from ``GradedElement``.
+    """
+
+    __slots__ = ("grid", "n_odd", "n_gen")
+
+    _scalars = (int, float, np.ndarray)
+    _graded_coefficients = True
 
     def __init__(self, grid: Grid, n_odd: int, n_gen: int,
-                 coeffs: Mapping[int, GrassmannField] | None = None):
+                 terms: Mapping[int, GrassmannField] | None = None):
         self.grid = grid
         self.n_odd = n_odd
         self.n_gen = n_gen
         clean: dict[int, GrassmannField] = {}
-        if coeffs:
+        if terms:
             limit = 1 << n_odd
-            for gamma, f in coeffs.items():
+            for gamma, f in terms.items():
                 if not 0 <= gamma < limit:
                     raise ValueError(f"odd multi-index {gamma} out of range")
                 if not f.is_zero():
                     clean[gamma] = f
-        self.coeffs = clean
+        self.terms = clean
 
     @property
     def m(self) -> int:
         return self.grid.ndim
 
     def coefficient(self, gamma: int) -> GrassmannField:
-        return self.coeffs.get(gamma, GrassmannField.zero(self.grid, self.n_gen))
+        return self.terms.get(gamma, GrassmannField.zero(self.grid, self.n_gen))
 
     @classmethod
     def from_even(cls, grid: Grid, n_odd: int, n_gen: int, values) -> "SuperFunction":
         f = values if isinstance(values, GrassmannField) else GrassmannField.from_array(grid, n_gen, values)
         return cls(grid, n_odd, n_gen, {0: f})
 
-    # -- linear structure ----------------------------------------------------
+    def _new(self, terms) -> "SuperFunction":
+        return SuperFunction(self.grid, self.n_odd, self.n_gen, terms)
 
-    def _check(self, other: "SuperFunction") -> None:
+    def _coerce(self, other) -> "SuperFunction | None":
+        # Numbers, arrays and fields are superfunctions without odd coordinates.
+        if not isinstance(other, SuperFunction):
+            f = self.coefficient(0)._coerce(other)
+            if f is None:
+                return None
+            other = SuperFunction.from_even(self.grid, self.n_odd, self.n_gen, f)
         if (self.grid, self.n_odd, self.n_gen) != (other.grid, other.n_odd, other.n_gen):
             raise ValueError("superfunctions live on different superdomains")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, GrassmannNumber, GrassmannField)):
-            other = SuperFunction.from_even(self.grid, self.n_odd, self.n_gen,
-                                            self.coefficient(0)._coerce(other))
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for g, f in other.coeffs.items():
-            out[g] = out[g] + f if g in out else f
-        return SuperFunction(self.grid, self.n_odd, self.n_gen, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SuperFunction(self.grid, self.n_odd, self.n_gen,
-                             {g: -f for g, f in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Graded product of superfunctions (or right scaling)."""
-        if isinstance(other, (int, float, np.ndarray)):
-            return SuperFunction(self.grid, self.n_odd, self.n_gen,
-                                 {g: f * other for g, f in self.coeffs.items()})
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        self._check(other)
-        out: dict[int, GrassmannField] = {}
-        for g1, f1 in self.coeffs.items():
-            for g2, f2 in other.coeffs.items():
-                s = monomial_sign(g1, g2)
-                if not s:
-                    continue
-                # Move f1 past eta^{g2}: odd terms of f1 pick up (-1)^{|g2|}.
-                f1s = f1.scale_by_parity(1.0, -1.0) if g2.bit_count() & 1 else f1
-                term = f1s * f2 * float(s)
-                g = g1 | g2
-                out[g] = out[g] + term if g in out else term
-        return SuperFunction(self.grid, self.n_odd, self.n_gen, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, np.ndarray)):
-            return self * other
-        if isinstance(other, GrassmannNumber):
-            return self.scale_left(other)
-        return NotImplemented
-
-    def scale_left(self, g: GrassmannNumber) -> "SuperFunction":
-        """Multiply by a Grassmann constant from the LEFT of the expansion."""
-        even = GrassmannNumber(g.n_gen, {m: c for m, c in g.coeffs.items() if m.bit_count() % 2 == 0})
-        odd = GrassmannNumber(g.n_gen, {m: c for m, c in g.coeffs.items() if m.bit_count() % 2 == 1})
-        out: dict[int, GrassmannField] = {}
-        for gamma, f in self.coeffs.items():
-            factor = even + odd * (-1.0 if gamma.bit_count() & 1 else 1.0)
-            term = GrassmannField.constant(self.grid, factor) * f
-            if not term.is_zero():
-                out[gamma] = term
-        return SuperFunction(self.grid, self.n_odd, self.n_gen, out)
+        return other
 
     def mul_odd_coordinate(self, alpha: int) -> "SuperFunction":
         """Left multiplication by the odd coordinate eta^alpha (1-based)."""
         bit = 1 << (alpha - 1)
         out: dict[int, GrassmannField] = {}
-        for gamma, f in self.coeffs.items():
+        for gamma, f in self.terms.items():
             s = monomial_sign(bit, gamma)
             if s:
                 out[bit | gamma] = f * float(s)
@@ -164,7 +118,7 @@ class SuperFunction:
         if not 1 <= a <= self.m:
             raise ValueError(f"even axis {a} out of range 1..{self.m}")
         return SuperFunction(self.grid, self.n_odd, self.n_gen,
-                             {g: f.derivative(a - 1) for g, f in self.coeffs.items()})
+                             {g: f.derivative(a - 1) for g, f in self.terms.items()})
 
     def partial_odd(self, alpha: int) -> "SuperFunction":
         """Left derivative with respect to eta^alpha (1-based)."""
@@ -172,7 +126,7 @@ class SuperFunction:
             raise ValueError(f"odd coordinate {alpha} out of range 1..{self.n_odd}")
         bit = 1 << (alpha - 1)
         out: dict[int, GrassmannField] = {}
-        for gamma, f in self.coeffs.items():
+        for gamma, f in self.terms.items():
             if gamma & bit:
                 below = (gamma & (bit - 1)).bit_count()
                 sign = -1.0 if below & 1 else 1.0
@@ -181,28 +135,12 @@ class SuperFunction:
 
     # -- inspection --------------------------------------------------------------
 
-    def parity(self) -> Parity:
-        parities = set()
-        for gamma, f in self.coeffs.items():
-            p = f.parity()
-            if p is Parity.MIXED:
-                return Parity.MIXED
-            parities.add((gamma.bit_count() + p.value) % 2)
-        if len(parities) > 1:
-            return Parity.MIXED
-        if not parities:
-            return Parity.EVEN
-        return Parity.ODD if parities.pop() else Parity.EVEN
-
     def max_abs(self) -> float:
-        return max((f.max_abs() for f in self.coeffs.values()), default=0.0)
-
-    def max_abs_diff(self, other: "SuperFunction") -> float:
-        return (self - other).max_abs()
+        return max((f.max_abs() for f in self.terms.values()), default=0.0)
 
     def __repr__(self):
         return (f"SuperFunction(m={self.m}, n={self.n_odd}, "
-                f"slots={sorted(self.coeffs)})")
+                f"slots={sorted(self.terms)})")
 
 
 @dataclass
@@ -240,7 +178,7 @@ def apply_Q(f: SuperFunction, q: GrassmannNumber) -> SuperFunction:
         raise ValueError("apply_Q is defined on R^{1|1}")
     require_odd(q, "supersymmetry parameter q")
     inner = f.partial_odd(1) + f.partial_even(1).mul_odd_coordinate(1) * Q_SIGN
-    return inner.scale_left(q)
+    return q * inner
 
 
 def susy_vector_field(grid: Grid, n_gen: int, q: GrassmannNumber) -> SuperVectorField:
@@ -269,7 +207,7 @@ def restrict(f: SuperFunction, i: Embedding) -> GrassmannField:
     if len(i.xi) != f.n_odd:
         raise ValueError("embedding has wrong number of odd components")
     out = GrassmannField.zero(f.grid, f.n_gen)
-    for gamma, coeff in f.coeffs.items():
+    for gamma, coeff in f.terms.items():
         term = coeff
         # Multiply xi factors from the right inward so the final order is
         # xi_{a1} xi_{a2} ... coeff with a1 < a2 < ...

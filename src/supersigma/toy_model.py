@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .berezin import BerezinDomain, berezin_integrate
+from .berezin import berezin_integrate
 from .grassmann import GrassmannNumber, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 from .superdomain import (
@@ -94,7 +94,7 @@ def toy_action_superfield(Phi: SuperFunction) -> GrassmannNumber:
     """A = -1/2 Int d_x(Phi) D(Phi) [dx deta]; equals the component action."""
     if Phi.m != 1 or Phi.n_odd != 1:
         raise ValueError("toy superfield action is defined on R^{1|1}")
-    return berezin_integrate(_superfield_integrand(Phi), BerezinDomain(Phi.grid, 1))
+    return berezin_integrate(_superfield_integrand(Phi))
 
 
 def toy_susy(f: ToyFields, q: GrassmannNumber) -> ToyFields:
@@ -135,8 +135,8 @@ def toy_embedding_residual(f: ToyFields, xi: GrassmannField) -> float:
     """
     require_odd(xi, "embedding component xi")
     integrand = _superfield_integrand(superfield_from_fields(f))
-    a0 = berezin_integrate(integrand, BerezinDomain(f.grid, 1))
+    a0 = berezin_integrate(integrand)
     change = CoordinateChange(g0=f.grid.axis_points(0), g1=None, gamma0=xi, gamma1=None)
     moved = pullback_coordinate_change(integrand, change)
-    a1 = berezin_integrate(moved, BerezinDomain(f.grid, 1))
+    a1 = berezin_integrate(moved)
     return a0.max_abs_diff(a1)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from supersigma.gridfield import GrassmannField
 from supersigma.spin_surface import GravitinoField, SpinorField
 from supersigma.suites import _even_field, _odd_field, _odd_spinor
 from supersigma.suites import _trig_array as trig_array  # noqa: F401 (re-exported to tests)
+from supersigma.superdomain import SuperFunction
 
 N_GEN = 6
 
@@ -36,3 +38,32 @@ def constant_odd_spinor(rng, grid, gen, n_gen=N_GEN):
 def gravitino(rng, grid, gens=(3, 4), scale=0.5, n_gen=N_GEN):
     return GravitinoField([odd_spinor(rng, grid, gens, scale, n_gen=n_gen)
                            for _ in range(2)])
+
+
+# Hypothesis strategies with small-integer coefficients: every sum and product
+# of a few such elements is an exact float, so algebraic laws hold to 0.0.
+
+def small_int_arrays(shape):
+    size = int(np.prod(shape))
+    return st.lists(st.integers(-3, 3), min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=float).reshape(shape))
+
+
+def grassmann_fields(grid, n_gen, max_terms=3):
+    return st.dictionaries(st.integers(0, (1 << n_gen) - 1), small_int_arrays(grid.shape),
+                           max_size=max_terms).map(lambda d: GrassmannField(grid, n_gen, d))
+
+
+def superfunctions(grid, n_odd, n_gen, max_terms=3):
+    return st.dictionaries(st.integers(0, (1 << n_odd) - 1),
+                           grassmann_fields(grid, n_gen, max_terms),
+                           max_size=1 << n_odd).map(
+        lambda d: SuperFunction(grid, n_odd, n_gen, d))
+
+
+def homogeneous_part(f: SuperFunction, parity: int) -> SuperFunction:
+    """The terms eta^gamma e^m of total degree |gamma| + |m| = parity (mod 2)."""
+    return SuperFunction(f.grid, f.n_odd, f.n_gen, {
+        gamma: GrassmannField(f.grid, f.n_gen, {
+            m: a for m, a in c.terms.items() if (gamma.bit_count() + m.bit_count()) % 2 == parity})
+        for gamma, c in f.terms.items()})

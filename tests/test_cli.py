@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,19 @@ def test_decompose_fixture_missing_key_is_json_error(capsys, tmp_path, fixture, 
     assert_json_error(out, "ValueError", f"no key {missing}")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("chi1", [0.0]), ("chi2", [0.0, 0.0, 0.0]), ("chi2", 0.0), ("chi1", {"0": 0.0, "1": 0.0}),
+], ids=["chi1-short", "chi2-long", "chi2-number", "chi1-object"])
+def test_decompose_fixture_spinor_not_two_entries_is_json_error(capsys, tmp_path, key, value):
+    components = {"chi1": [0.0, 0.0], "chi2": [0.0, 0.0], key: value}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({"kind": "gravitino", "shape": [8, 8], "components": components}))
+    code, out = run_cli(capsys, "decompose", "--fixture", str(path))
+    assert code == 1
+    assert_json_error(out, "ValueError",
+                      f"['components']['{key}'] must be a list of two spinor components")
+
+
 @pytest.mark.parametrize("config, fragment", [
     ({"tolerances": {"calibration": "x"}}, "tolerance 'calibration' must be a number"),
     ({"tolerances": {"toy": True}}, "tolerance 'toy' must be a number"),
@@ -286,14 +300,28 @@ def test_decompose_fixture_missing_key_is_json_error(capsys, tmp_path, fixture, 
     ({"n_gen": 6.0}, "n_gen must be an integer"),
     ({"fixture_counts": {"toy": 2.5}}, "fixture count 'toy' must be an integer"),
     ({"fixture_counts": {"toy": False}}, "fixture count 'toy' must be an integer"),
+    ({"flow_steps": "x"}, "flow_steps must be an integer"),
+    ({"flow_dt": "0.1"}, "flow_dt must be a number"),
+    ({"toy_points": 64.5}, "toy_points must be an integer"),
+    ({"grid_shape": [16, 16.0]}, "grid_shape[1] must be an integer"),
+    ({"reduction_grid_shape": [True, 64]}, "reduction_grid_shape[0] must be an integer"),
+    ({"grid_shape": 16}, "grid_shape must be a list"),
+    ({"periods": [6.0, "6.0"]}, "periods[1] must be a number"),
+    ({"conventions": {"c1": "1"}}, "convention 'c1' must be a number"),
+    ({"conventions": {"s2": False}}, "convention 's2' must be a number"),
+    ({"conventions": 1.0}, "conventions must be an object"),
+    ({"tolerances": [1e-8]}, "tolerances must be an object"),
 ], ids=["tolerance-str", "tolerance-bool", "tolerance-null", "seed-float", "seed-str",
-        "n_gen-float", "fixture-count-float", "fixture-count-bool"])
+        "n_gen-float", "fixture-count-float", "fixture-count-bool", "flow_steps-str",
+        "flow_dt-str", "toy_points-float", "grid_shape-float", "reduction_grid_shape-bool",
+        "grid_shape-int", "periods-str", "convention-str", "convention-bool",
+        "conventions-float", "tolerances-list"])
 def test_config_value_of_wrong_type_is_json_error(capsys, tmp_path, config, fragment):
     path = write_config(tmp_path, json.dumps(config))
     code, out = run_cli(capsys, "verify", "berezin", "--config", path)
     assert code == 1
     assert_json_error(out, "ValueError", fragment)
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
         SuiteConfig.from_dict(config)
 
 
@@ -302,3 +330,15 @@ def test_valid_config_values_are_not_coerced():
     config = SuiteConfig.from_dict({"seed": 3, "tolerances": {"toy": 1},
                                     "fixture_counts": {"toy": 7}})
     assert json.dumps(config.to_dict()["tolerances"]) == '{"toy": 1}'
+    # Likewise integer periods, flow_dt and convention values.
+    given = {"periods": [6, 6], "flow_dt": 1, "conventions": {"c1": 1}}
+    stored = SuiteConfig.from_dict(given).to_dict()
+    assert json.dumps([stored["periods"], stored["flow_dt"], stored["conventions"]["c1"]]) \
+        == "[[6, 6], 1, 1]"
+
+
+def test_config_type_error_under_verify_reduction_is_json_error(capsys, tmp_path):
+    path = write_config(tmp_path, json.dumps({"conventions": {"c1": "1"}}))
+    code, out = run_cli(capsys, "verify", "reduction", "--config", path)
+    assert code == 1
+    assert_json_error(out, "ValueError", "convention 'c1' must be a number")

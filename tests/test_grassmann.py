@@ -15,6 +15,7 @@ from supersigma.grassmann import (
 )
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.spin_surface import SpinorField
+from supersigma.superdomain import SuperFunction
 
 N = 6
 
@@ -63,9 +64,9 @@ def test_distributivity_exact(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(_elements(), st.integers(0, 1), st.integers(0, 1))
 def test_graded_commutativity(a, pa, pb):
-    ha = GrassmannNumber(N, {m: c for m, c in a.coeffs.items()
+    ha = GrassmannNumber(N, {m: c for m, c in a.terms.items()
                              if bin(m).count("1") % 2 == pa})
-    hb = GrassmannNumber(N, {m: -c for m, c in a.coeffs.items()
+    hb = GrassmannNumber(N, {m: -c for m, c in a.terms.items()
                              if bin(m).count("1") % 2 == pb})
     sign = -1.0 if (pa and pb) else 1.0
     assert (ha * hb).max_abs_diff((hb * ha) * sign) == 0.0
@@ -163,3 +164,42 @@ def test_parity_rule_zero_passes_both_mixed_fails_both():
             check(split, "spinor")
     require_even(generator(N, 1) * generator(N, 2), "even")
     require_odd(generator(N, 3), "odd")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elements(), st.integers(0, 3))
+def test_parity_agrees_across_the_three_classes(a, slot):
+    # One element seen as a number, a constant field and a superfunction in
+    # slot eta^slot: the odd coordinates add |slot| to every degree.
+    grid = Grid((3,), (3.0,))
+    field = GrassmannField.constant(grid, a)
+    sf = SuperFunction(grid, 2, N, {slot: field})
+    p = a.parity()
+    assert field.parity() is p
+    assert SuperFunction.from_even(grid, 2, N, field).parity() is p
+    flipped = {Parity.EVEN: Parity.ODD, Parity.ODD: Parity.EVEN, Parity.MIXED: Parity.MIXED}
+    expected = flipped[p] if slot.bit_count() % 2 and not a.is_zero() else p
+    assert sf.parity() is expected
+    # scale_by_parity(1, -1) is the parity involution on every class.
+    if p is not Parity.MIXED:
+        sign = -1.0 if p is Parity.ODD else 1.0
+        assert a.scale_by_parity(1.0, -1.0).max_abs_diff(a * sign) == 0.0
+        assert field.scale_by_parity(1.0, -1.0).max_abs_diff(field * sign) == 0.0
+    if expected is not Parity.MIXED:
+        sign = -1.0 if expected is Parity.ODD else 1.0
+        assert sf.scale_by_parity(1.0, -1.0).max_abs_diff(sf * sign) == 0.0
+
+
+def test_superfunction_parity_reads_its_coefficients():
+    grid = Grid((3,), (3.0,))
+    even = GrassmannField.constant(grid, unit(N))
+    odd = GrassmannField.constant(grid, generator(N, 1))
+    # eta^1 times an odd coefficient is even; beside an even body it stays even.
+    assert SuperFunction(grid, 1, N, {0: even, 1: odd}).parity() is Parity.EVEN
+    assert SuperFunction(grid, 1, N, {0: odd, 1: even}).parity() is Parity.ODD
+    assert SuperFunction(grid, 1, N, {0: even, 1: even}).parity() is Parity.MIXED
+    assert SuperFunction(grid, 1, N, {1: even + odd}).parity() is Parity.MIXED
+    assert SuperFunction(grid, 1, N).parity() is Parity.EVEN
+    # The soul keeps the nilpotent part of the body slot and every odd slot.
+    soul = SuperFunction(grid, 1, N, {0: even + odd, 1: even}).soul()
+    assert soul.max_abs_diff(SuperFunction(grid, 1, N, {0: odd, 1: even})) == 0.0

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from supersigma.grassmann import GrassmannNumber, Parity, generator, unit
 from supersigma.gridfield import GrassmannField, Grid, spectral_derivative, trig_interpolate
 
-from conftest import N_GEN, even_field, odd_field, trig_array
+from conftest import N_GEN, even_field, grassmann_fields, odd_field, trig_array
 
 
 @pytest.fixture
@@ -112,3 +113,21 @@ def test_graded_commutativity_of_fields(rng, grid):
     assert (a * b + b * a).max_abs() < 1e-14
     e = even_field(rng, grid)
     assert (e * a - a * e).max_abs() < 1e-14
+
+
+LAW_GRID = Grid((2, 3), (2.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grassmann_fields(LAW_GRID, 4), grassmann_fields(LAW_GRID, 4),
+       grassmann_fields(LAW_GRID, 4))
+def test_field_product_associative_exact(a, b, c):
+    assert ((a * b) * c).max_abs_diff(a * (b * c)) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(grassmann_fields(LAW_GRID, 4), grassmann_fields(LAW_GRID, 4),
+       grassmann_fields(LAW_GRID, 4))
+def test_field_product_distributive_exact(a, b, c):
+    assert (a * (b + c)).max_abs_diff(a * b + a * c) == 0.0
+    assert ((b + c) * a).max_abs_diff(b * a + c * a) == 0.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supersigma.grassmann import ParityError, generator
+from supersigma.grassmann import GrassmannNumber, ParityError, generator
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.superdomain import (
     CoordinateChange,
@@ -14,7 +15,7 @@ from supersigma.superdomain import (
     susy_vector_field,
 )
 
-from conftest import N_GEN, even_field, odd_field
+from conftest import N_GEN, even_field, homogeneous_part, odd_field, superfunctions
 
 
 @pytest.fixture
@@ -57,7 +58,7 @@ def test_q_algebra_with_parameters_attached(rng, grid):
     assert apply_Q(apply_Q(f, q1), q1).max_abs() < 1e-12
     # The translation content of the algebra survives in the commutator.
     comm = apply_Q(apply_Q(f, q1), q2) - apply_Q(apply_Q(f, q2), q1)
-    expected = f.partial_even(1).scale_left(q2 * q1) * -2.0
+    expected = (q2 * q1) * f.partial_even(1) * -2.0
     assert comm.max_abs_diff(expected) < 1e-12
 
 
@@ -142,3 +143,59 @@ def test_orientation_reversal_rejected(grid):
     f = SuperFunction.from_even(grid, 1, N_GEN, np.sin(x))
     with pytest.raises(ValueError):
         pullback_coordinate_change(f, bad)
+
+
+# Property-based laws.  Grids of 4 points with period 4.0 and small-integer
+# coefficients keep every product and odd derivative exact.
+LAW_GRID = Grid((4,), (4.0,))
+LAW_GEN = 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(superfunctions(LAW_GRID, 2, LAW_GEN), superfunctions(LAW_GRID, 2, LAW_GEN),
+       superfunctions(LAW_GRID, 2, LAW_GEN))
+def test_product_associative_exact(f, g, h):
+    assert ((f * g) * h).max_abs_diff(f * (g * h)) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(superfunctions(LAW_GRID, 2, LAW_GEN), superfunctions(LAW_GRID, 2, LAW_GEN),
+       superfunctions(LAW_GRID, 2, LAW_GEN))
+def test_product_distributive_exact(f, g, h):
+    assert (f * (g + h)).max_abs_diff(f * g + f * h) == 0.0
+    assert ((g + h) * f).max_abs_diff(g * f + h * f) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(superfunctions(LAW_GRID, 2, LAW_GEN), superfunctions(LAW_GRID, 2, LAW_GEN),
+       st.integers(0, 1), st.integers(1, 2))
+def test_partial_odd_graded_leibniz_exact(f, g, parity, alpha):
+    # d_alpha(f g) = (d_alpha f) g + (-1)^|f| f d_alpha g for homogeneous f.
+    f = homogeneous_part(f, parity)
+    lhs = (f * g).partial_odd(alpha)
+    rhs = f.partial_odd(alpha) * g + f * g.partial_odd(alpha) * (-1.0) ** parity
+    assert lhs.max_abs_diff(rhs) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(superfunctions(Grid((8,), (4.0,)), 1, 4))
+def test_d_squared_is_minus_dx_exact(f):
+    assert apply_D(apply_D(f)).max_abs_diff(f.partial_even(1) * -1.0) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(superfunctions(Grid((8,), (4.0,)), 1, 4),
+       st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+def test_d_commutes_with_parameter_attached_q(f, qc):
+    # Spectral derivatives of the same data in a different order: rounding only.
+    q = GrassmannNumber(4, {0b0100: qc[0], 0b1000: qc[1]})
+    assert apply_D(apply_Q(f, q)).max_abs_diff(apply_Q(apply_D(f), q)) < 1e-12
+
+
+def test_left_multiplication_by_a_number_passes_odd_coordinates(rng, grid):
+    # q (eta f1) = -eta (q f1) for odd q: the Koszul sign of the shared product.
+    f1 = even_field(rng, grid)
+    f = SuperFunction(grid, 1, N_GEN, {1: f1})
+    q = generator(N_GEN, 5) * 1.5
+    expected = SuperFunction(grid, 1, N_GEN, {1: -(q * f1)})
+    assert (q * f).max_abs_diff(expected) == 0.0
