@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -118,6 +119,15 @@ class SuiteConfig:
                 raise ValueError(f"{what} must be an integer, got {value!r}")
         if self.n_gen < 1:
             raise ValueError("n_gen must be positive")
+        positive = {"toy_points": self.toy_points}
+        for name in ("grid_shape", "reduction_grid_shape"):
+            positive.update({f"{name}[{i}]": n for i, n in enumerate(getattr(self, name))})
+        for what, value in positive.items():
+            if value < 1:
+                raise ValueError(f"{what} must be at least 1, got {value!r}")
+        for i, p in enumerate(self.periods):
+            if not (math.isfinite(p) and p > 0.0):
+                raise ValueError(f"periods[{i}] must be finite and positive, got {p!r}")
 
     def tolerance(self, family: str) -> float:
         merged = dict(DEFAULT_TOLERANCES)

@@ -95,6 +95,10 @@ class GradedElement:
 
     __slots__ = ("terms",)
 
+    # NumPy hands ``array * element`` (array on the left) to ``__rmul__``
+    # instead of building an object array of elements.
+    __array_ufunc__ = None
+
     # Operands that scale every coefficient and commute with everything.
     _scalars: tuple = (int, float)
     # True when the coefficients are themselves graded (SuperFunction): an odd

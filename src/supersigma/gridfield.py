@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .grassmann import DimensionMismatchError, GradedElement, GrassmannNumber
 
-__all__ = ["Grid", "GrassmannField", "spectral_derivative", "trig_interpolate"]
+__all__ = ["Grid", "GrassmannField", "derivative_wavenumbers", "spectral_derivative",
+           "trig_interpolate"]
 
 
 @dataclass(frozen=True)
@@ -54,20 +56,46 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(n, d=p / n)
 
 
+def derivative_wavenumbers(grid: Grid, axis: int) -> np.ndarray:
+    """Angular wavenumbers along ``axis`` (``fftfreq`` order) as spectral
+    derivatives use them: the Nyquist mode of an even-length axis is zeroed,
+    so odd derivatives of real samples stay real."""
+    k = grid.wavenumbers(axis)
+    n = grid.shape[axis]
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    return k
+
+
+@lru_cache(maxsize=64)
+def _derivative_multiplier(grid: Grid, axis: int) -> np.ndarray:
+    """Read-only ``1j * k`` along ``axis``, shared by every derivative on ``grid``."""
+    ik = 1j * derivative_wavenumbers(grid, axis)
+    ik.flags.writeable = False
+    return ik
+
+
+# Most samples one derivative transform takes at once.  Measured with one
+# thread, a stack of this many takes 0.2x (32 masks at 16^2) to 0.9x (2 masks
+# at 64^2) the time of one transform per mask; four masks at 64^2 take 1.6x,
+# and stacks of 1e5 samples or more 2-3x, once the spectrum leaves the cache.
+_STACK_SAMPLES = 8192
+
+
+def _fourier_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Complex derivative along grid ``axis`` of the trailing grid axes of
+    ``values``; leading axes (a stack of sample arrays) share one transform."""
+    ik = _derivative_multiplier(grid, axis).reshape((-1,) + (1,) * (grid.ndim - axis - 1))
+    fhat = np.fft.fft(values, axis=axis - grid.ndim)
+    return np.fft.ifft(ik * fhat, axis=axis - grid.ndim)
+
+
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Fourier-space derivative along ``axis``; exact on trig polynomials.
 
     The Nyquist mode is zeroed (odd derivative of an even-length grid).
     """
-    k = grid.wavenumbers(axis)
-    n = grid.shape[axis]
-    if n % 2 == 0:
-        k = k.copy()
-        k[n // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = n
-    fhat = np.fft.fft(values, axis=axis)
-    out = np.fft.ifft(1j * k.reshape(shape) * fhat, axis=axis)
+    out = _fourier_derivative(values, grid, axis)
     return np.real(out) if np.isrealobj(values) else out
 
 
@@ -111,7 +139,7 @@ class GrassmannField(GradedElement):
                 a = np.asarray(arr, dtype=float)
                 if a.shape != grid.shape:
                     a = np.broadcast_to(a, grid.shape).copy()
-                if np.any(a):
+                if a.any():
                     clean[mask] = a
         self.terms = clean
 
@@ -152,10 +180,20 @@ class GrassmannField(GradedElement):
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, axis: int) -> "GrassmannField":
-        return GrassmannField(
-            self.grid, self.n_gen,
-            {m: spectral_derivative(a, self.grid, axis) for m, a in self.terms.items()},
-        )
+        """Spectral derivative of every term.
+
+        Terms share one transform in stacks of up to ``_STACK_SAMPLES``
+        samples; each term gets the same bits as from ``spectral_derivative``.
+        """
+        arrays = list(self.terms.values())
+        per_stack = max(1, _STACK_SAMPLES // math.prod(self.grid.shape))
+        out = []
+        for i in range(0, len(arrays), per_stack):
+            chunk = arrays[i:i + per_stack]
+            # A lone array goes in as a view: no copy of a large grid.
+            stacked = np.stack(chunk) if len(chunk) > 1 else chunk[0][None]
+            out.extend(_fourier_derivative(stacked, self.grid, axis).real)
+        return self._new(dict(zip(self.terms, out)))
 
     def integral(self) -> GrassmannNumber:
         """Periodic trapezoid rule (= mean times torus volume), per monomial."""

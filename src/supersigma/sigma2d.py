@@ -27,7 +27,7 @@ import numpy as np
 
 from .berezin import berezin_integrate
 from .grassmann import GrassmannNumber, require_even, require_odd
-from .gridfield import GrassmannField, Grid, spectral_derivative
+from .gridfield import GrassmannField, Grid, derivative_wavenumbers, spectral_derivative
 from .spin_surface import (
     CLIFFORD,
     CliffordConvention,
@@ -702,6 +702,73 @@ def _laplacian(p: np.ndarray, grid: Grid) -> np.ndarray:
             + spectral_derivative(spectral_derivative(p, grid, 1), grid, 1))
 
 
+class _FourierFlow:
+    """Flat-target flow state: the ``rfft2`` of the stacked map.
+
+    A step scales every mode by 1 - 2 dt |k|^2, with k the Nyquist-zeroed
+    wavenumbers of ``spectral_derivative``; the Dirichlet energy follows by
+    Parseval, since the winding part is orthogonal to every periodic mode.
+    """
+
+    def __init__(self, grid: Grid, phi: list[np.ndarray], dt: float, winding: np.ndarray):
+        n0, n1 = grid.shape
+        k0 = derivative_wavenumbers(grid, 0)
+        k1 = derivative_wavenumbers(grid, 1)[: n1 // 2 + 1]
+        ksq = k0[:, None] ** 2 + k1 ** 2
+        # Half-spectrum columns other than 0 and (even n1) n1/2 stand for a
+        # conjugate pair.
+        pairs = np.full(k1.shape, 2.0)
+        pairs[0] = 1.0
+        if n1 % 2 == 0:
+            pairs[-1] = 1.0
+        self.shape = grid.shape
+        self.volume = grid.volume
+        self.minus_ksq = -ksq
+        self.growth = 1.0 - 2.0 * dt * ksq
+        self.energy_weight = pairs * ksq / float(n0 * n1) ** 2
+        self.winding_energy = float(np.sum(winding * winding))
+        self.hat = np.fft.rfft2(np.stack(phi))
+
+    def gradient_max(self) -> float:
+        return float(np.max(np.abs(np.fft.irfft2(self.minus_ksq * self.hat, s=self.shape))))
+
+    def advance(self) -> None:
+        self.hat = self.hat * self.growth
+
+    def energy(self) -> float:
+        power = self.hat.real ** 2 + self.hat.imag ** 2
+        return (self.winding_energy + float(np.sum(self.energy_weight * power))) * self.volume
+
+    def phi(self) -> list[np.ndarray]:
+        return list(np.fft.irfft2(self.hat, s=self.shape))
+
+
+class _SphereFlow:
+    """Sphere-target flow state: the map in real space, reprojected onto the
+    sphere after every step."""
+
+    def __init__(self, grid: Grid, phi: list[np.ndarray], dt: float, target: Target):
+        self.grid = grid
+        self.dt = dt
+        self.target = target
+        self.values = phi
+        self.lap: list[np.ndarray] = []
+
+    def gradient_max(self) -> float:
+        self.lap = [_laplacian(p, self.grid) for p in self.values]
+        return max((float(np.max(np.abs(l))) for l in self.lap), default=0.0)
+
+    def advance(self) -> None:
+        self.values = [p + 2.0 * self.dt * l for p, l in zip(self.values, self.lap)]
+        _reproject(self.values, self.target)
+
+    def energy(self) -> float:
+        return _dirichlet_energy(self.grid, self.values, np.zeros((len(self.values), 2)))
+
+    def phi(self) -> list[np.ndarray]:
+        return self.values
+
+
 def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
                   steps: int, dt: float,
                   winding: np.ndarray | None = None,
@@ -709,9 +776,12 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
                   grad_tol: float = 1e-10) -> FlowResult:
     """Explicit gradient descent on the Dirichlet energy.
 
-    phi <- phi + 2 dt Laplace(phi) per component; sphere targets are
-    reprojected pointwise after every step.  Raises FlowDivergenceError if
-    the energy increases for 10 consecutive steps.
+    phi <- phi + 2 dt Laplace(phi) per component, until the Laplacian is
+    below ``grad_tol`` everywhere.  Flat targets step in Fourier space;
+    sphere targets step in real space and are reprojected pointwise after
+    every step.  The first and last entries of ``energies`` are evaluated in
+    real space.  Raises FlowDivergenceError if the energy increases for 10
+    consecutive steps.
     """
     grid = geom.grid
     d = len(phi0)
@@ -723,22 +793,20 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
         if np.any(winding):
             raise UnsupportedRegimeError("sphere targets admit no winding")
         _reproject(phi, target)
-    energies = [_dirichlet_energy(grid, phi, winding)]
+        flow = _SphereFlow(grid, phi, dt, target)
+    else:
+        flow = _FourierFlow(grid, phi, dt, winding)
+    energies = [flow.energy()]
     increases = 0
     converged = False
     step = 0
     for step in range(1, steps + 1):
-        lap = [_laplacian(p, grid) for p in phi]
-        grad_sq = max((float(np.max(np.abs(l))) for l in lap), default=0.0)
-        if grad_sq < grad_tol:
+        if flow.gradient_max() < grad_tol:
             converged = True
             step -= 1
             break
-        for t in range(d):
-            phi[t] = phi[t] + 2.0 * dt * lap[t]
-        if target.kind == "sphere":
-            _reproject(phi, target)
-        energy = _dirichlet_energy(grid, phi, winding)
+        flow.advance()
+        energy = flow.energy()
         if energy > energies[-1]:
             increases += 1
             if increases >= 10:
@@ -749,8 +817,11 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
         energies.append(energy)
     else:
         # Step budget exhausted; check the final gradient.
-        lap_max = max((float(np.max(np.abs(_laplacian(p, grid)))) for p in phi), default=0.0)
-        converged = lap_max < grad_tol
+        converged = flow.gradient_max() < grad_tol
+    energies[0] = _dirichlet_energy(grid, phi, winding)
+    if step:
+        phi = flow.phi()
+        energies[-1] = _dirichlet_energy(grid, phi, winding)
     return FlowResult(phi=phi, winding=winding, energies=energies,
                       steps_taken=step, converged=converged)
 

@@ -325,6 +325,28 @@ def test_config_value_of_wrong_type_is_json_error(capsys, tmp_path, config, frag
         SuiteConfig.from_dict(config)
 
 
+@pytest.mark.parametrize("config, fragment", [
+    ({"toy_points": 0}, "toy_points must be at least 1, got 0"),
+    ({"toy_points": -1}, "toy_points must be at least 1, got -1"),
+    ({"grid_shape": [0, 16]}, "grid_shape[0] must be at least 1, got 0"),
+    ({"grid_shape": [16, -3]}, "grid_shape[1] must be at least 1, got -3"),
+    ({"reduction_grid_shape": [64, 0]}, "reduction_grid_shape[1] must be at least 1, got 0"),
+    ({"periods": [0.0, 6.0]}, "periods[0] must be finite and positive, got 0.0"),
+    ({"periods": [6.0, -1.0]}, "periods[1] must be finite and positive, got -1.0"),
+    ({"periods": [float("nan"), 6.0]}, "periods[0] must be finite and positive, got nan"),
+    ({"periods": [6.0, float("inf")]}, "periods[1] must be finite and positive, got inf"),
+], ids=["toy_points-zero", "toy_points-negative", "grid_shape-zero", "grid_shape-negative",
+        "reduction_grid_shape-zero", "periods-zero", "periods-negative", "periods-nan",
+        "periods-inf"])
+def test_config_value_out_of_range_is_json_error(capsys, tmp_path, config, fragment):
+    path = write_config(tmp_path, json.dumps(config))
+    code, out = run_cli(capsys, "verify", "all", "--config", path)
+    assert code == 1
+    assert_json_error(out, "ValueError", fragment)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        SuiteConfig.from_dict(config)
+
+
 def test_valid_config_values_are_not_coerced():
     # An integer tolerance stays an integer, so the config hash is unchanged.
     config = SuiteConfig.from_dict({"seed": 3, "tolerances": {"toy": 1},

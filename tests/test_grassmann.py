@@ -203,3 +203,21 @@ def test_superfunction_parity_reads_its_coefficients():
     # The soul keeps the nilpotent part of the body slot and every odd slot.
     soul = SuperFunction(grid, 1, N, {0: even + odd, 1: even}).soul()
     assert soul.max_abs_diff(SuperFunction(grid, 1, N, {0: odd, 1: even})) == 0.0
+
+
+def test_numpy_operand_on_the_left_reaches_rmul():
+    grid = Grid((5,), (5.0,))
+    x = grid.axis_points(0)
+    number = unit(N) * 1.5 + generator(N, 1) * generator(N, 2)
+    field = GrassmannField(grid, N, {0: np.sin(x), 0b101: np.cos(x)})
+    sf = SuperFunction(grid, 2, N, {0: field, 0b11: field * 2.0})
+    for element in (number, field, sf):
+        left = np.float64(2.0) * element
+        assert type(left) is type(element)
+        assert left.max_abs_diff(element * 2.0) == 0.0
+    # A sample array scales every coefficient pointwise, from either side.
+    for weights in (np.ones(grid.shape), 1.0 + x):
+        for element in (field, sf):
+            left = weights * element
+            assert type(left) is type(element)
+            assert left.max_abs_diff(element * weights) == 0.0

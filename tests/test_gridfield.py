@@ -131,3 +131,36 @@ def test_field_product_associative_exact(a, b, c):
 def test_field_product_distributive_exact(a, b, c):
     assert (a * (b + c)).max_abs_diff(a * b + a * c) == 0.0
     assert ((b + c) * a).max_abs_diff(b * a + c * a) == 0.0
+
+
+def _reference_spectral_derivative(values, grid, axis):
+    """The per-call kernel: fresh wavenumbers and one fft/ifft pair per array."""
+    k = grid.wavenumbers(axis)
+    n = grid.shape[axis]
+    if n % 2 == 0:
+        k = k.copy()
+        k[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = n
+    fhat = np.fft.fft(values, axis=axis)
+    return np.real(np.fft.ifft(1j * k.reshape(shape) * fhat, axis=axis))
+
+
+@pytest.mark.parametrize("shape", [(12,), (13,), (8, 6), (9, 7), (16, 15), (40, 50)])
+@pytest.mark.parametrize("masks", [(), (0b1,), (0, 0b11, 0b101, 0b111000)])
+def test_batched_derivative_matches_per_mask_kernel_exactly(rng, shape, masks):
+    # At 40x50 the five masks need two stacks.
+    grid = Grid(shape, tuple(rng.uniform(1.0, 8.0, len(shape))))
+    terms = {m: rng.normal(size=shape) for m in masks}
+    if masks:
+        terms[0b10] = np.full(shape, 0.5)  # a constant: its derivative is zero or round-off
+    f = GrassmannField(grid, N_GEN, terms)
+    for axis in range(grid.ndim):
+        expected = GrassmannField(grid, N_GEN, {
+            m: _reference_spectral_derivative(a, grid, axis) for m, a in f.terms.items()})
+        d = f.derivative(axis)
+        assert sorted(d.terms) == sorted(expected.terms)
+        assert d.max_abs_diff(expected) == 0.0
+        for a in f.terms.values():
+            assert np.max(np.abs(spectral_derivative(a, grid, axis)
+                                 - _reference_spectral_derivative(a, grid, axis))) == 0.0

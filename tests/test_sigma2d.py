@@ -5,7 +5,7 @@ from dataclasses import replace
 import supersigma.sigma2d as s2
 from supersigma.config import SuiteConfig
 from supersigma.grassmann import GrassmannNumber, Parity
-from supersigma.gridfield import GrassmannField, Grid
+from supersigma.gridfield import GrassmannField, Grid, spectral_derivative
 from supersigma.sigma2d import (
     ActionCoefficients,
     CalibrationError,
@@ -34,7 +34,7 @@ from supersigma.spin_surface import (
     SpinorField,
     SurfaceGeometry,
 )
-from supersigma.suites import build_calibration_battery
+from supersigma.suites import build_calibration_battery, flow_initial_data, suite_rng
 
 from conftest import (N_GEN, constant_odd_spinor, even_field, gravitino,
                       odd_field, odd_spinor, trig_array)
@@ -405,6 +405,98 @@ def test_harmonic_flow_divergence_detected(grid):
     phi0 = [0.3 * np.cos(7 * X + 5 * Y), np.zeros(grid.shape)]
     with pytest.raises(FlowDivergenceError):
         harmonic_flow(geom, phi0, steps=2000, dt=0.05, winding=np.eye(2))
+
+
+def _reference_flow(grid, phi0, steps, dt, winding, grad_tol=1e-10):
+    """The real-space flat flow: two spectral derivatives per Laplacian and a
+    real-space Dirichlet energy every step.  Returns (phi, energies, steps
+    taken, converged)."""
+    def laplacian(p):
+        return sum(spectral_derivative(spectral_derivative(p, grid, k), grid, k) for k in (0, 1))
+
+    def energy(phi):
+        total = 0.0
+        for t, p in enumerate(phi):
+            for k in range(2):
+                dp = spectral_derivative(p, grid, k) + winding[t, k]
+                total += float(np.mean(dp * dp))
+        return total * grid.volume
+
+    phi = [np.asarray(p, dtype=float).copy() for p in phi0]
+    energies = [energy(phi)]
+    increases = 0
+    step = 0
+    for step in range(1, steps + 1):
+        lap = [laplacian(p) for p in phi]
+        if max(float(np.max(np.abs(l))) for l in lap) < grad_tol:
+            return phi, energies, step - 1, True
+        phi = [p + 2.0 * dt * l for p, l in zip(phi, lap)]
+        energies.append(energy(phi))
+        increases = increases + 1 if energies[-1] > energies[-2] else 0
+        if increases >= 10:
+            raise FlowDivergenceError("energy increased for 10 consecutive steps")
+    converged = max(float(np.max(np.abs(laplacian(p)))) for p in phi) < grad_tol
+    return phi, energies, step, converged
+
+
+def _flow_case(name):
+    if name == "suite-seed-7":
+        return flow_initial_data(SuiteConfig(seed=7), suite_rng(SuiteConfig(seed=7), "flow"))
+    grid = Grid((15, 13) if name == "odd-grid" else (16, 12), (2.0 * np.pi, np.pi))
+    X, Y = grid.coordinates()
+    # Small white noise puts content in every mode, the Nyquist modes included.
+    noise = np.random.default_rng(3).normal(scale=1e-3, size=(2,) + grid.shape)
+    phi0 = [0.3 * np.cos(2 * X + 2 * Y) + 0.1 * np.sin(X - 4 * Y) + noise[0],
+            0.2 * np.sin(2 * Y) * np.cos(X) + noise[1]]
+    return SurfaceGeometry.flat(grid, N_GEN), phi0, np.array([[1.0, 0.5], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("case, steps, dt", [
+    ("suite-seed-7", 5000, 1e-3), ("odd-grid", 5000, 4e-3), ("even-grid", 5000, 4e-3),
+    ("suite-seed-7", 50, 1e-3), ("odd-grid", 40, 4e-3),
+], ids=["suite-seed-7", "odd-grid", "even-grid", "budget-out", "odd-grid-budget-out"])
+def test_fourier_flow_matches_real_space_flow(case, steps, dt):
+    geom, phi0, winding = _flow_case(case)
+    phi, energies, taken, converged = _reference_flow(geom.grid, phi0, steps, dt, winding)
+    result = harmonic_flow(geom, phi0, steps=steps, dt=dt, winding=winding)
+    assert result.steps_taken == taken
+    assert result.converged is converged
+    assert converged is (steps == 5000)
+    assert len(result.energies) == len(energies)
+    # Parseval energies in between agree with the real-space ones to round-off.
+    assert np.max(np.abs(np.subtract(result.energies, energies))) <= 1e-13 * energies[0]
+    assert result.energies[0] == energies[0]
+    if converged:
+        assert result.energies[-1] == energies[-1]
+    else:
+        assert abs(result.energies[-1] - energies[-1]) <= 1e-13 * energies[-1]
+    assert max(float(np.max(np.abs(p - q))) for p, q in zip(result.phi, phi)) < 1e-12
+
+
+def test_fourier_flow_divergence_matches_real_space_flow(grid):
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    X, Y = grid.coordinates()
+    phi0 = [0.3 * np.cos(7 * X + 5 * Y), np.zeros(grid.shape)]
+    with pytest.raises(FlowDivergenceError):
+        _reference_flow(grid, phi0, 2000, 0.05, np.eye(2))
+    with pytest.raises(FlowDivergenceError):
+        harmonic_flow(geom, phi0, steps=2000, dt=0.05, winding=np.eye(2))
+
+
+def test_flat_flow_steps_without_real_space_kernels(monkeypatch, grid):
+    calls = {"_laplacian": 0, "_dirichlet_energy": 0}
+    for name in calls:
+        original = getattr(s2, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(s2, name, counted)
+    geom, phi0, winding = _flow_case("suite-seed-7")
+    result = harmonic_flow(geom, phi0, steps=5000, dt=1e-3, winding=winding)
+    assert result.steps_taken > 900
+    # Only the first and the last reported energies are evaluated in real space.
+    assert calls == {"_laplacian": 0, "_dirichlet_energy": 2}
 
 
 def test_sphere_flow_reprojects(grid):
