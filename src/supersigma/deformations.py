@@ -153,8 +153,8 @@ def lie_derivative_metric(geom: SurfaceGeometry, X: Sequence[GrassmannField]) ->
         raise UnsupportedRegimeError("Lie derivative implemented for the flat identity frame")
     for comp in X:
         require_even(comp, "vector field components")
-    t = [[X[b].derivative(a) + X[a].derivative(b) for b in range(2)] for a in range(2)]
-    return MetricDeformation(t)
+    dX = [[X[b].derivative(a) for b in range(2)] for a in range(2)]
+    return MetricDeformation([[dX[a][b] + dX[b][a] for b in range(2)] for a in range(2)])
 
 
 def _resolve_cutoff(cutoff, grid: Grid) -> int:
@@ -229,12 +229,8 @@ def _cached_pinv(key: tuple, A: np.ndarray) -> np.ndarray:
 def _field_from_modes(grid: Grid, n_gen: int, masks: Sequence[int],
                       mode_grids) -> GrassmannField:
     """Inverse transform one mode grid per mask back to a GrassmannField."""
-    terms = {}
-    for mask, modes in zip(masks, mode_grids):
-        vals = np.fft.ifft2(modes).real
-        if np.max(np.abs(vals)) > 0.0:
-            terms[mask] = vals
-    return GrassmannField(grid, n_gen, terms)
+    return GrassmannField(grid, n_gen, {mask: np.fft.ifft2(modes).real
+                                        for mask, modes in zip(masks, mode_grids)})
 
 
 def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,

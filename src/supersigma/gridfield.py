@@ -99,27 +99,42 @@ def spectral_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray
     return np.real(out) if np.isrealobj(values) else out
 
 
+def _interpolation_phase(grid: Grid, points: np.ndarray) -> np.ndarray:
+    """The matrix exp(i x k) of the trigonometric interpolant at ``points``
+    (1-d grids); an even-length grid gets one column each for +-k_nyq."""
+    if grid.ndim != 1:
+        raise NotImplementedError("trig interpolation implemented for 1-d grids only")
+    n = grid.shape[0]
+    k = grid.wavenumbers(0)
+    if n % 2 == 0:
+        # fftfreq assigns -k_nyq to index n//2; split that mode into +-k_nyq
+        # halves so the interpolant stays real for real samples.
+        k_nyq = np.pi * n / grid.periods[0]
+        k = np.concatenate([k, [k_nyq]])
+        k[n // 2] = -k_nyq
+    return np.exp(1j * np.multiply.outer(points, k))
+
+
+def _interpolation_coefficients(values: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of 1-d samples, ordered as the columns of
+    ``_interpolation_phase``."""
+    n = values.shape[0]
+    fhat = np.fft.fft(values) / n
+    if n % 2 == 0:
+        fhat = np.concatenate([fhat, [0.5 * fhat[n // 2]]])
+        fhat[n // 2] *= 0.5
+    return fhat
+
+
 def trig_interpolate(values: np.ndarray, grid: Grid, points: np.ndarray, axis: int = 0) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a 1-d periodic sample set.
 
     Only supports 1-d grids (used by the 1|1 coordinate-change pullback).
     ``points`` may be any array of evaluation abscissae.
     """
-    if grid.ndim != 1 or axis != 0:
+    if axis != 0:
         raise NotImplementedError("trig interpolation implemented for 1-d grids only")
-    n = grid.shape[0]
-    fhat = np.fft.fft(values) / n
-    k = grid.wavenumbers(0).copy()
-    if n % 2 == 0:
-        # fftfreq assigns -k_nyq to index n//2; split that mode into +-k_nyq
-        # halves so the interpolant stays real for real samples.
-        k_nyq = np.pi * n / grid.periods[0]
-        fhat = np.concatenate([fhat, [0.5 * fhat[n // 2]]])
-        fhat[n // 2] *= 0.5
-        k = np.concatenate([k, [k_nyq]])
-        k[n // 2] = -k_nyq
-    phase = np.exp(1j * np.multiply.outer(points, k))
-    out = phase @ fhat
+    out = _interpolation_phase(grid, points) @ _interpolation_coefficients(values)
     return np.real(out) if np.isrealobj(values) else out
 
 
@@ -201,11 +216,13 @@ class GrassmannField(GradedElement):
         return GrassmannNumber(self.n_gen, {m: float(a.mean()) * vol for m, a in self.terms.items()})
 
     def compose_body(self, points: np.ndarray) -> "GrassmannField":
-        """Evaluate the trig interpolant of every term at new abscissae (1-d)."""
-        return GrassmannField(
-            self.grid, self.n_gen,
-            {m: trig_interpolate(a, self.grid, points) for m, a in self.terms.items()},
-        )
+        """Evaluate the trig interpolant of every term at new abscissae (1-d);
+        the terms share one phase matrix."""
+        if not self.terms:
+            return self
+        phase = _interpolation_phase(self.grid, points)
+        return self._new({m: np.real(phase @ _interpolation_coefficients(a))
+                          for m, a in self.terms.items()})
 
     def nilpotent_power(self, p: float) -> "GrassmannField":
         """f**p via the finite binomial series around the body.

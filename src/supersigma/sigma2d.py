@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +103,10 @@ class ComponentFields:
     phi[t] holds the periodic part of the t-th target coordinate; the full
     map is phi[t] + sum_k winding[t, k] x^k, so torus-to-torus maps of
     nonzero degree are representable while all stored fields stay periodic.
+
+    An instance is a value: the gradients of phi are computed on first use
+    and kept, so never mutate its fields (build a new instance with
+    ``dataclasses.replace`` or ``+`` instead).
     """
 
     phi: list[GrassmannField]
@@ -146,13 +151,22 @@ class ComponentFields:
             F=[GrassmannField.zero(grid, n_gen) for _ in range(dim)],
         )
 
+    @cached_property
+    def _phi_gradients(self) -> list[tuple[GrassmannField, GrassmannField]]:
+        """(d_0, d_1) of every full (winding-corrected) coordinate."""
+        out = []
+        for t, p in enumerate(self.phi):
+            grad = []
+            for k in range(2):
+                d = p.derivative(k)
+                w = float(self.winding[t, k])
+                grad.append(d + w if w else d)
+            out.append(tuple(grad))
+        return out
+
     def phi_derivative(self, t: int, k: int) -> GrassmannField:
         """d_k of the full (winding-corrected) t-th coordinate."""
-        out = self.phi[t].derivative(k)
-        w = float(self.winding[t, k])
-        if w:
-            out = out + w
-        return out
+        return self._phi_gradients[t][k]
 
     def __add__(self, other: "ComponentFields") -> "ComponentFields":
         return ComponentFields(
@@ -205,36 +219,34 @@ class ActionCoefficients:
 # Dirac operator and action
 # ---------------------------------------------------------------------------
 
-def _target_connection_derivative(geom: SurfaceGeometry, fields: ComponentFields,
-                                  target: Target, a: int, t: int,
-                                  psi: list[SpinorField]) -> SpinorField:
-    """Component t of nabla^{phi*TN}_{f_a} psi (ambient projection for spheres)."""
-    out = geom.directional_derivative_spinor(a, psi[t])
-    if target.kind == "sphere":
-        # Tangential projection: subtract K <phi, d psi> phi pointwise.
-        K = target.curvature
-        radial = None
-        for s in range(fields.dim):
-            term = fields.phi[s] * geom.directional_derivative_spinor(a, psi[s])
-            radial = term if radial is None else radial + term
-        out = out - (K * fields.phi[t]) * radial
-    return out
-
-
 def dirac(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
           target: Target = Target()) -> list[SpinorField]:
     """Dslash psi = gamma^a nabla^S_{f_a} psi with the gravitino-corrected
-    spin connection and the pulled-back target connection."""
+    spin connection and the pulled-back target connection.
+
+    Each psi^t is differentiated once per axis.
+    """
     conv = geom.clifford_convention
+    coeffs = [gravitino_connection_coefficient(chi, a, conv) for a in (1, 2)]
+    # nabla[t][a - 1] = f_a psi^t, then the target connection.
+    nabla = [list(geom.frame_derivatives_spinor(s)) for s in fields.psi]
+    if target.kind == "sphere":
+        # Tangential projection: subtract K <phi, f_a psi> phi^t pointwise.
+        for a in range(2):
+            radial = None
+            for s in range(fields.dim):
+                term = fields.phi[s] * nabla[s][a]
+                radial = term if radial is None else radial + term
+            for t in range(fields.dim):
+                nabla[t][a] = nabla[t][a] - (target.curvature * fields.phi[t]) * radial
     out: list[SpinorField] = []
     for t in range(fields.dim):
         acc = None
         for a in (1, 2):
-            nabla = _target_connection_derivative(geom, fields, target, a, t, fields.psi)
-            coeff = gravitino_connection_coefficient(chi, a, conv)
-            if not coeff.is_zero():
-                nabla = nabla + coeff * fields.psi[t].matrix_apply(conv.gamma5)
-            term = clifford(a, nabla, conv)
+            n = nabla[t][a - 1]
+            if not coeffs[a - 1].is_zero():
+                n = n + coeffs[a - 1] * fields.psi[t].matrix_apply(conv.gamma5)
+            term = clifford(a, n, conv)
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
@@ -243,10 +255,9 @@ def dirac(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
 def _frame_derivatives(geom: SurfaceGeometry,
                        fields: ComponentFields) -> list[list[GrassmannField]]:
     """f_a phi^t = frame[a][k] d_k phi^t of the full (winding-corrected) map,
-    indexed [a - 1][t]."""
-    return [[geom.frame[a][0] * fields.phi_derivative(t, 0)
-             + geom.frame[a][1] * fields.phi_derivative(t, 1)
-             for t in range(fields.dim)] for a in range(2)]
+    indexed [a - 1][t]; the gradients of phi are the ones cached on ``fields``."""
+    per_t = [geom.along_frame(fields._phi_gradients[t]) for t in range(fields.dim)]
+    return [[f[a] for f in per_t] for a in range(2)]
 
 
 def _psi_square(fields: ComponentFields, conv: CliffordConvention) -> GrassmannField:
@@ -383,20 +394,29 @@ def _ghat(conv: CliffordConvention, a: int) -> np.ndarray:
     return conv.gamma2 if a == 1 else -conv.gamma1
 
 
+def _superspace_derivatives(Phi: SuperFunction,
+                            conv: CliffordConvention) -> tuple[SuperFunction, SuperFunction]:
+    """(D_1 Phi, D_2 Phi) from one even gradient (d_1 Phi, d_2 Phi)."""
+    if Phi.m != 2 or Phi.n_odd != 2:
+        raise ValueError("superspace derivative is defined on R^{2|2}")
+    grad = (Phi.partial_even(1), Phi.partial_even(2))
+    out = []
+    for alpha in (1, 2):
+        D = Phi.partial_odd(alpha)
+        for a in (1, 2):
+            gh = _ghat(conv, a)
+            for beta in (1, 2):
+                coeff = float(gh[alpha - 1, beta - 1])
+                if coeff:
+                    D = D + grad[a - 1].mul_odd_coordinate(beta) * coeff
+        out.append(D)
+    return tuple(out)
+
+
 def superspace_derivative(Phi: SuperFunction, alpha: int,
                           conv: CliffordConvention = CLIFFORD) -> SuperFunction:
     """D_alpha Phi = d_{eta^alpha} Phi + (ghat^a)_{alpha beta} eta^beta d_a Phi."""
-    if Phi.m != 2 or Phi.n_odd != 2:
-        raise ValueError("superspace derivative is defined on R^{2|2}")
-    out = Phi.partial_odd(alpha)
-    for a in (1, 2):
-        da = Phi.partial_even(a)
-        gh = _ghat(conv, a)
-        for beta in (1, 2):
-            coeff = float(gh[alpha - 1, beta - 1])
-            if coeff:
-                out = out + da.mul_odd_coordinate(beta) * coeff
-    return out
+    return _superspace_derivatives(Phi, conv)[alpha - 1]
 
 
 def superfield_from_components(fields: ComponentFields) -> list[SuperFunction]:
@@ -432,9 +452,9 @@ def action_superfield_flat(Phis: Sequence[SuperFunction],
     """A(Phi) = norm * Int eps^{ab} <D_a Phi, D_b Phi> [d^2x d^2eta]."""
     grid, n_gen = Phis[0].grid, Phis[0].n_gen
     integrand = SuperFunction(grid, 2, n_gen, {})
-    for t, Phi in enumerate(Phis):
-        D1 = superspace_derivative(Phi, 1, conv)
-        D2 = superspace_derivative(Phi, 2, conv)
+    for Phi in Phis:
+        # The even gradient of Phi is freed before the product.
+        D1, D2 = _superspace_derivatives(Phi, conv)
         integrand = integrand + D1 * D2 - D2 * D1
     integrand = integrand * coeffs.superfield_normalization
     return berezin_integrate(integrand)
@@ -493,9 +513,10 @@ def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
     require_odd(q, "supersymmetry parameter q")
     conv = geom.clifford_convention
     gt = chi.gamma_trace(conv)
+    fq = geom.frame_derivatives_spinor(q)
     out = []
     for a in (1, 2):
-        dchi_a = geom.directional_derivative_spinor(a, q)
+        dchi_a = fq[a - 1]
         for b in (1, 2):
             dchi_a = dchi_a - pairing(clifford(b, q, conv), chi[a], conv) * chi[b]
         dchi_a = dchi_a - pairing(q, chi[a], conv) * gt

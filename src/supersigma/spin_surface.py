@@ -248,13 +248,18 @@ class SurfaceGeometry:
         """dvol_g = volume_factor * dx^1 dx^2 (= 1/det f for orthonormal f)."""
         return self.frame_determinant().nilpotent_power(-1.0)
 
-    def directional_derivative(self, a: int, g: GrassmannField) -> GrassmannField:
-        """f_a g = frame[a][k] d_k g, a in {1, 2}."""
-        return (self.frame[a - 1][0] * g.derivative(0)
-                + self.frame[a - 1][1] * g.derivative(1))
+    def along_frame(self, grad: Sequence[GrassmannField]) -> tuple[GrassmannField, GrassmannField]:
+        """(f_1 g, f_2 g) with f_a g = frame[a][k] d_k g, from grad = (d_0 g, d_1 g)."""
+        return tuple(row[0] * grad[0] + row[1] * grad[1] for row in self.frame)
 
-    def directional_derivative_spinor(self, a: int, s: SpinorField) -> SpinorField:
-        return SpinorField([self.directional_derivative(a, c) for c in s.comps])
+    def frame_derivatives(self, g: GrassmannField) -> tuple[GrassmannField, GrassmannField]:
+        """(f_1 g, f_2 g), differentiating g once along each axis."""
+        return self.along_frame((g.derivative(0), g.derivative(1)))
+
+    def frame_derivatives_spinor(self, s: SpinorField) -> tuple[SpinorField, SpinorField]:
+        """(f_1 s, f_2 s) componentwise, differentiating each component once per axis."""
+        (c1, c2), (d1, d2) = (self.frame_derivatives(c) for c in s.comps)
+        return SpinorField([c1, d1]), SpinorField([c2, d2])
 
     def with_frame(self, frame) -> "SurfaceGeometry":
         return SurfaceGeometry(self.grid, self.n_gen, frame, self.clifford_convention)

@@ -109,6 +109,20 @@ def test_metric_reassembly_on_random_input(rng, geom, chi0, grid):
     assert r.divergence_residual < 1e-8
 
 
+def test_nan_sample_reaches_every_metric_residual(geom, chi0, grid):
+    # All-zero modes are dropped by GrassmannField itself; a NaN sample must
+    # not be dropped with them and read as a zero residual.
+    g11 = np.cos(grid.coordinates()[0])
+    g11[3, 4] = np.nan
+    entry = GrassmannField(grid, N_GEN, {0: g11})
+    zero = GrassmannField.zero(grid, N_GEN)
+    r = decompose_metric(geom, chi0, MetricDeformation([[entry, zero], [zero, entry]]))
+    assert np.isnan(r.reassembly_residual)
+    assert np.isnan(r.trace_residual)
+    assert np.isnan(r.divergence_residual)
+    assert np.isnan(r.weyl.max_abs())
+
+
 def test_super_weyl_input_recovered(rng, geom, chi0, grid):
     t = SpinorField([band_field(rng, grid, (0b1,)), band_field(rng, grid, (0b10,))])
     dchi = GravitinoField([t.matrix_apply(CLIFFORD.gamma(1)),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from supersigma import gridfield
 from supersigma.grassmann import GrassmannNumber, Parity, generator, unit
 from supersigma.gridfield import GrassmannField, Grid, spectral_derivative, trig_interpolate
 
@@ -105,6 +106,44 @@ def test_compose_body(rng, grid):
     shifted = f.compose_body((x + 1.0) % grid.periods[0])
     assert np.max(np.abs(shifted.terms[0] - np.sin(x + 1.0))) < 1e-12
     assert np.max(np.abs(shifted.terms[0b1] - np.cos(x + 1.0))) < 1e-12
+
+
+def _reference_trig_interpolate(values, grid, points):
+    """The per-call interpolant: fresh wavenumbers and phase matrix per array."""
+    n = grid.shape[0]
+    fhat = np.fft.fft(values) / n
+    k = grid.wavenumbers(0).copy()
+    if n % 2 == 0:
+        k_nyq = np.pi * n / grid.periods[0]
+        fhat = np.concatenate([fhat, [0.5 * fhat[n // 2]]])
+        fhat[n // 2] *= 0.5
+        k = np.concatenate([k, [k_nyq]])
+        k[n // 2] = -k_nyq
+    return np.real(np.exp(1j * np.multiply.outer(points, k)) @ fhat)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_compose_body_shares_one_phase_matrix(rng, monkeypatch, n):
+    grid = Grid((n,), (3.0,))
+    x = grid.axis_points(0)
+    points = x + 0.3 * np.sin(x)
+    f = GrassmannField(grid, N_GEN, {m: rng.normal(size=n) for m in (0, 0b11, 0b101, 0b111000)})
+    calls = []
+    original = gridfield._interpolation_phase
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gridfield, "_interpolation_phase", counted)
+    out = f.compose_body(points)
+    assert len(calls) == 1
+    assert sorted(out.terms) == sorted(f.terms)
+    for m, a in f.terms.items():
+        assert np.array_equal(out.terms[m], _reference_trig_interpolate(a, grid, points))
+        assert np.array_equal(trig_interpolate(a, grid, points),
+                              _reference_trig_interpolate(a, grid, points))
+    assert GrassmannField.zero(grid, N_GEN).compose_body(points).is_zero()
 
 
 def test_graded_commutativity_of_fields(rng, grid):

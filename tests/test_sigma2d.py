@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import supersigma.sigma2d as s2
 from supersigma.config import SuiteConfig
+from supersigma.deformations import lie_derivative_metric
 from supersigma.grassmann import GrassmannNumber, Parity
 from supersigma.gridfield import GrassmannField, Grid, spectral_derivative
 from supersigma.sigma2d import (
@@ -542,3 +543,73 @@ def test_susy_geometry_variation_vanishes_at_chi_zero(rng, grid):
     # Constant q has vanishing flat derivative, and every other term of
     # delta chi is linear in chi.
     assert varied_chi.max_abs() == 0.0
+
+
+@pytest.fixture
+def derivative_log(monkeypatch):
+    """Every (field, axis) pair ``GrassmannField.derivative`` is called with.
+
+    The log holds the fields themselves, so no id is reused while it lives.
+    """
+    log = []
+    original = GrassmannField.derivative
+
+    def recording(self, axis):
+        log.append((self, axis))
+        return original(self, axis)
+
+    monkeypatch.setattr(GrassmannField, "derivative", recording)
+    return log
+
+
+def assert_no_repeat(log):
+    pairs = [(id(f), axis) for f, axis in log]
+    assert log and len(set(pairs)) == len(pairs)
+
+
+def test_action_differentiates_each_field_once(rng, grid, derivative_log):
+    for geom, chi, fields, target in action_terms_cases(rng, grid):
+        assert not chi.is_zero() and not fields.psi[0].is_zero()
+        derivative_log.clear()
+        action_component(geom, chi, fields, target, CAL)
+        assert_no_repeat(derivative_log)
+
+
+def test_superfield_action_differentiates_each_field_once(rng, grid, derivative_log):
+    action_superfield_flat(superfield_from_components(matter_dim2(rng, grid, with_F=True)), CAL)
+    assert_no_repeat(derivative_log)
+
+
+def test_susy_residual_differentiates_each_field_once(rng, grid, derivative_log):
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    q = two_generator_q(rng, grid)
+    susy_invariance_residual(geom, gravitino(rng, grid), matter_dim2(rng, grid), q, coeffs=CAL)
+    assert_no_repeat(derivative_log)
+
+
+def test_calibration_differentiates_each_field_once(rng, grid, derivative_log):
+    calibrate_conventions(battery(rng, grid))
+    assert_no_repeat(derivative_log)
+
+
+def test_lie_derivative_differentiates_each_field_once(rng, grid, derivative_log):
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    X = [even_field(rng, grid), even_field(rng, grid)]
+    lie_derivative_metric(geom, X)
+    assert_no_repeat(derivative_log)
+    assert len(derivative_log) == 4
+
+
+def test_new_fields_get_fresh_phi_gradients(rng, grid):
+    fields = matter_dim2(rng, grid)
+    other = matter_dim2(rng, grid)
+    before = [fields.phi_derivative(t, k) for t in range(2) for k in range(2)]
+    for new in (replace(fields, phi=other.phi), fields + other,
+                replace(fields, winding=np.ones((2, 2)))):
+        for t in range(2):
+            for k in range(2):
+                expected = new.phi[t].derivative(k) + float(new.winding[t, k])
+                assert new.phi_derivative(t, k).max_abs_diff(expected) == 0.0
+    # The original keeps its own gradients.
+    after = [fields.phi_derivative(t, k) for t in range(2) for k in range(2)]
+    assert all(a is b for a, b in zip(after, before))
