@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grassmann import require_even, require_odd
+from .grassmann import max_or_nan, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 from .sigma2d import UnsupportedRegimeError
 from .spin_surface import (
@@ -93,7 +93,7 @@ class MetricDeformation:
             [[self.tensor[a][b] - other.tensor[a][b] for b in range(2)] for a in range(2)])
 
     def max_abs(self) -> float:
-        return max(self.tensor[a][b].max_abs() for a in range(2) for b in range(2))
+        return max_or_nan(self.tensor[a][b].max_abs() for a in range(2) for b in range(2))
 
     def max_abs_diff(self, other: "MetricDeformation") -> float:
         return (self - other).max_abs()
@@ -298,7 +298,7 @@ def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDefor
         residual_metric=D,
         reassembly_residual=reassembled.max_abs_diff(dg),
         trace_residual=D.trace().max_abs(),
-        divergence_residual=max(f.max_abs() for f in D.divergence()),
+        divergence_residual=max_or_nan(f.max_abs() for f in D.divergence()),
         null_directions=["constant vector fields (Killing)",
                          "susy metric image vanishes at chi = 0"],
     )

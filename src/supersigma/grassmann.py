@@ -23,6 +23,7 @@ __all__ = [
     "GrassmannNumber",
     "DimensionMismatchError",
     "ParityError",
+    "max_or_nan",
     "monomial_sign",
     "require_even",
     "require_odd",
@@ -61,6 +62,42 @@ def require_odd(x, what: str) -> None:
         raise ParityError(f"{what} must be odd")
 
 
+def max_or_nan(values: Iterable[float]) -> float:
+    """The largest of ``values`` (0.0 when there are none), or NaN if any is NaN.
+
+    Python's ``max`` drops a NaN that does not come first (``max(0.0, nan)``
+    is 0.0), which would turn a NaN residual into a passing check.  Without
+    a NaN this returns what ``max`` returns: the first of the largest values.
+    """
+    out = None
+    for v in values:
+        if v != v:
+            return v
+        if out is None or v > out:
+            out = v
+    return 0.0 if out is None else out
+
+
+def _flip_mask(a: int) -> int:
+    """Bit j set when ``a`` has an odd number of generators above index j.
+
+    A generator j of a right factor passes exactly those generators of ``a``
+    on its way into increasing order, so e_a * e_b picks up the sign
+    (-1)**popcount(_flip_mask(a) & b): the bitmap reordering sign of Dorst,
+    Fontijne & Mann, *Geometric Algebra for Computer Science* (2007), ch. 19.
+    The suffix parity takes one shift and six doubling XORs, enough for 63
+    generators.
+    """
+    x = a >> 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    x ^= x >> 16
+    x ^= x >> 32
+    return x
+
+
 def monomial_sign(a: int, b: int) -> int:
     """Koszul sign of e_a * e_b for basis monomials given as bitmasks.
 
@@ -70,15 +107,7 @@ def monomial_sign(a: int, b: int) -> int:
     """
     if a & b:
         return 0
-    # For each generator in a, count generators in b with smaller index:
-    # those are exactly the inversions created by the concatenation.
-    inv = 0
-    rest = a
-    while rest:
-        low = rest & -rest
-        inv += (b & (low - 1)).bit_count()
-        rest ^= low
-    return -1 if inv & 1 else 1
+    return -1 if (_flip_mask(a) & b).bit_count() & 1 else 1
 
 
 class GradedElement:
@@ -178,15 +207,18 @@ class GradedElement:
         koszul = self._graded_coefficients
         out = {}
         for ma, ca in self.terms.items():
+            # The sign rule of ``monomial_sign``, with the flip mask of the
+            # left monomial taken once for every right term.
+            flip = _flip_mask(ma)
             for mb, cb in o.terms.items():
-                s = monomial_sign(ma, mb)
-                if s:
-                    # Koszul sign: the odd part of the left coefficient
-                    # changes sign as it passes an odd right monomial.
-                    left = ca.scale_by_parity(1.0, -1.0) if koszul and mb.bit_count() & 1 else ca
-                    prod = left * cb if s > 0 else -(left * cb)
-                    m = ma | mb
-                    out[m] = out[m] + prod if m in out else prod
+                if ma & mb:
+                    continue
+                # Koszul sign: the odd part of the left coefficient
+                # changes sign as it passes an odd right monomial.
+                left = ca.scale_by_parity(1.0, -1.0) if koszul and mb.bit_count() & 1 else ca
+                prod = -(left * cb) if (flip & mb).bit_count() & 1 else left * cb
+                m = ma | mb
+                out[m] = out[m] + prod if m in out else prod
         return self._new(out)
 
     def __rmul__(self, other):
@@ -270,7 +302,7 @@ class GrassmannNumber(GradedElement):
     # -- inspection --------------------------------------------------------
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return max_or_nan(abs(c) for c in self.terms.values())
 
     def __repr__(self):
         if not self.terms:

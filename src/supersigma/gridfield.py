@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grassmann import DimensionMismatchError, GradedElement, GrassmannNumber
+from .grassmann import DimensionMismatchError, GradedElement, GrassmannNumber, max_or_nan
 
 __all__ = ["Grid", "GrassmannField", "derivative_wavenumbers", "spectral_derivative",
            "trig_interpolate"]
@@ -32,6 +32,8 @@ class Grid:
         if len(self.shape) != len(self.periods):
             raise ValueError("shape and periods must have equal length")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        if any(n < 1 for n in self.shape):
+            raise ValueError(f"grid sizes must be at least 1, got {self.shape}")
         object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
 
     @property
@@ -154,7 +156,9 @@ class GrassmannField(GradedElement):
                 a = np.asarray(arr, dtype=float)
                 if a.shape != grid.shape:
                     a = np.broadcast_to(a, grid.shape).copy()
-                if a.any():
+                # A nonzero or NaN first sample keeps the term without a
+                # scan; only a +-0.0 first sample scans the whole array.
+                if a.item(0) or a.any():
                     clean[mask] = a
         self.terms = clean
 
@@ -220,7 +224,10 @@ class GrassmannField(GradedElement):
         the terms share one phase matrix."""
         if not self.terms:
             return self
-        phase = _interpolation_phase(self.grid, points)
+        return self._compose_phase(_interpolation_phase(self.grid, points))
+
+    def _compose_phase(self, phase: np.ndarray) -> "GrassmannField":
+        """``compose_body`` at the points of ``phase = _interpolation_phase(grid, points)``."""
         return self._new({m: np.real(phase @ _interpolation_coefficients(a))
                           for m, a in self.terms.items()})
 
@@ -248,7 +255,7 @@ class GrassmannField(GradedElement):
     # -- inspection --------------------------------------------------------
 
     def max_abs(self) -> float:
-        return max((float(np.max(np.abs(a))) for a in self.terms.values()), default=0.0)
+        return max_or_nan(float(np.max(np.abs(a))) for a in self.terms.values())
 
     def value_at(self, index: tuple[int, ...]) -> GrassmannNumber:
         return GrassmannNumber(self.n_gen, {m: float(a[index]) for m, a in self.terms.items()})

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .berezin import berezin_integrate
-from .grassmann import GrassmannNumber, require_even, require_odd
+from .grassmann import GrassmannNumber, max_or_nan, require_even, require_odd
 from .gridfield import GrassmannField, Grid, derivative_wavenumbers, spectral_derivative
 from .spin_surface import (
     CLIFFORD,
@@ -596,7 +596,7 @@ def _calibration_scores(battery: Sequence[tuple], base: ActionCoefficients) -> l
                         key = (s1, s2, sig4, sig5)
                         c = _coefficient_vector(cands[key])
                         score = _combine(c, terms1).max_abs_diff(_combine(c, terms0))
-                        worst[key] = max(worst[key], score)
+                        worst[key] = max_or_nan((worst[key], score))
     return [(worst[key], *key, cand) for key, cand in cands.items()]
 
 
@@ -777,7 +777,7 @@ class _SphereFlow:
 
     def gradient_max(self) -> float:
         self.lap = [_laplacian(p, self.grid) for p in self.values]
-        return max((float(np.max(np.abs(l))) for l in self.lap), default=0.0)
+        return max_or_nan(float(np.max(np.abs(l))) for l in self.lap)
 
     def advance(self) -> None:
         self.values = [p + 2.0 * self.dt * l for p, l in zip(self.values, self.lap)]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import Parity, require_even, require_odd
+from .grassmann import Parity, max_or_nan, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 
 __all__ = [
@@ -136,7 +136,7 @@ class SpinorField:
         return SpinorField([c.derivative(axis) for c in self.comps])
 
     def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.comps)
+        return max_or_nan(c.max_abs() for c in self.comps)
 
     def max_abs_diff(self, other: "SpinorField") -> float:
         return (self - other).max_abs()
@@ -193,7 +193,7 @@ class GravitinoField:
         return clifford(1, self[1], conv) + clifford(2, self[2], conv)
 
     def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.chi)
+        return max_or_nan(c.max_abs() for c in self.chi)
 
     def max_abs_diff(self, other: "GravitinoField") -> float:
         return (self - other).max_abs()

@@ -21,7 +21,7 @@ from .deformations import (
     decompose_metric,
     true_deformation_dimensions,
 )
-from .grassmann import GrassmannNumber, generator, unit
+from .grassmann import GrassmannNumber, generator, max_or_nan, unit
 from .gridfield import GrassmannField, Grid
 from .report import CheckReport
 from .sigma2d import (
@@ -78,13 +78,16 @@ SPARE_GEN = 6
 
 def _trig_array(rng: np.random.Generator, grid: Grid, cutoff: int = 3,
                 n_modes: int = 3, scale: float = 1.0) -> np.ndarray:
-    coords = grid.coordinates()
+    # Axis i's points as a vector along axis i: the phase broadcasts to the
+    # grid with the same sums, in the same order, as on full meshgrid arrays.
+    axes = [grid.axis_points(i).reshape([-1 if j == i else 1 for j in range(grid.ndim)])
+            for i in range(grid.ndim)]
     a = np.zeros(grid.shape)
     for _ in range(n_modes):
         arg = rng.uniform(0.0, 2.0 * np.pi)
         for i in range(grid.ndim):
             k = int(rng.integers(-cutoff, cutoff + 1))
-            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * coords[i]
+            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * axes[i]
         a = a + rng.normal() * scale * np.cos(arg)
     return a
 
@@ -169,25 +172,25 @@ def _suite_grassmann(config: SuiteConfig, rng) -> list[CheckReport]:
     assoc = 0.0
     for i in range(count):
         a, b, c = elems[i], elems[(i + 1) % count], elems[(i + 2) % count]
-        assoc = max(assoc, ((a * b) * c).max_abs_diff(a * (b * c)))
+        assoc = max_or_nan((assoc, ((a * b) * c).max_abs_diff(a * (b * c))))
 
     comm = 0.0
     for _ in range(count):
         pa, pb = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         a, b = random_homogeneous(pa), random_homogeneous(pb)
         sign = -1.0 if (pa and pb) else 1.0
-        comm = max(comm, (a * b).max_abs_diff((b * a) * sign))
+        comm = max_or_nan((comm, (a * b).max_abs_diff((b * a) * sign)))
 
     nilp = 0.0
     for _ in range(count):
         lin = GrassmannNumber(n_gen, {1 << i: float(rng.normal()) for i in range(n_gen)})
-        nilp = max(nilp, (lin * lin).max_abs())
+        nilp = max_or_nan((nilp, (lin * lin).max_abs()))
     for _ in range(10):
         s = random_element().soul()
         power = unit(n_gen)
         for _ in range(n_gen + 1):
             power = power * s
-        nilp = max(nilp, power.max_abs())
+        nilp = max_or_nan((nilp, power.max_abs()))
 
     return [
         CheckReport("grassmann-associativity", assoc, tol),
@@ -208,7 +211,7 @@ def _suite_berezin(config: SuiteConfig, rng) -> list[CheckReport]:
             + _odd_field(rng, grid, n_gen, [2])
         sf = SuperFunction(grid, 1, n_gen, {0: f0, 1: f1})
         lhs = berezin_integrate(sf)
-        worst = max(worst, lhs.max_abs_diff(f1.integral()))
+        worst = max_or_nan((worst, lhs.max_abs_diff(f1.integral())))
     return [CheckReport("berezin-top-coefficient-reduction", worst, tol)]
 
 
@@ -229,16 +232,16 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
         f = _toy_fixture(rng, grid, n_gen)
         a_comp = toy_action_component(f)
         a_super = toy_action_superfield(superfield_from_fields(f))
-        equiv = max(equiv, a_comp.max_abs_diff(a_super))
+        equiv = max_or_nan((equiv, a_comp.max_abs_diff(a_super)))
 
         q = generator(n_gen, Q_GEN) * float(rng.normal())
-        susy = max(susy, toy_invariance_residual(f, q))
+        susy = max_or_nan((susy, toy_invariance_residual(f, q)))
         d1, d2 = toy_susy(f, q), toy_susy_geometric(f, q)
-        geom_agree = max(geom_agree,
-                         max(d1.phi.max_abs_diff(d2.phi), d1.psi.max_abs_diff(d2.psi)))
+        geom_agree = max_or_nan((geom_agree, d1.phi.max_abs_diff(d2.phi),
+                                 d1.psi.max_abs_diff(d2.psi)))
 
         xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
-        embed = max(embed, toy_embedding_residual(f, xi))
+        embed = max_or_nan((embed, toy_embedding_residual(f, xi)))
 
     # Closed-form fixture: phi = sin x, psi = cos(x) theta1 + sin(x) theta2
     # on the circle of circumference 2 pi has action pi/2 + pi theta1 theta2.
@@ -249,8 +252,8 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
     )
     expected = unit(n_gen) * (np.pi / 2.0) \
         + generator(n_gen, 1) * generator(n_gen, 2) * np.pi
-    closed = max(toy_action_component(f).max_abs_diff(expected),
-                 toy_action_superfield(superfield_from_fields(f)).max_abs_diff(expected))
+    closed = max_or_nan((toy_action_component(f).max_abs_diff(expected),
+                         toy_action_superfield(superfield_from_fields(f)).max_abs_diff(expected)))
 
     return [
         CheckReport("toy-superfield-component-equivalence", equiv, tol),
@@ -278,7 +281,7 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
         )
         a_super = action_superfield_flat(superfield_from_components(fields), coeffs)
         a_comp = action_component(geom, chi0, fields, coeffs=coeffs)
-        worst = max(worst, a_super.max_abs_diff(a_comp))
+        worst = max_or_nan((worst, a_super.max_abs_diff(a_comp)))
 
     # Classical limit: phi = sin x1, psi = chi = F = 0 on the square torus
     # of side 2 pi has Dirichlet action c1 * 2 pi^2.
@@ -302,7 +305,7 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
         scaled = weyl(geom, lam)
         a0 = action_component(geom, chi0, classical_fields, coeffs=coeffs)
         a1 = action_component(scaled, chi0, classical_fields, coeffs=coeffs)
-        conformal = max(conformal, a0.max_abs_diff(a1))
+        conformal = max_or_nan((conformal, a0.max_abs_diff(a1)))
 
     return [
         CheckReport("reduction-superfield-component", worst, tol),
@@ -321,19 +324,19 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
     battery = build_calibration_battery(config, rng)
 
     cal = calibrate_conventions(battery, tolerance=cal_tol)
-    cal_residual = max(susy_invariance_residual(geom, chi, fields, q, coeffs=cal)
-                       for geom, chi, fields, q in battery)
-    cal_match = max(abs(getattr(cal, k) - getattr(config.conventions, k))
-                    for k in ("s1", "s2", "c4", "c5"))
+    cal_residual = max_or_nan(susy_invariance_residual(geom, chi, fields, q, coeffs=cal)
+                              for geom, chi, fields, q in battery)
+    cal_match = max_or_nan(abs(getattr(cal, k) - getattr(config.conventions, k))
+                           for k in ("s1", "s2", "c4", "c5"))
 
     chi0_resid = chi_resid = 0.0
     for _ in range(config.fixtures("susy2d")):
         geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=False)
-        chi0_resid = max(chi0_resid, susy_invariance_residual(
-            geom, chi, fields, q, coeffs=config.conventions))
+        chi0_resid = max_or_nan((chi0_resid, susy_invariance_residual(
+            geom, chi, fields, q, coeffs=config.conventions)))
         geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=True)
-        chi_resid = max(chi_resid, susy_invariance_residual(
-            geom, chi, fields, q, coeffs=config.conventions))
+        chi_resid = max_or_nan((chi_resid, susy_invariance_residual(
+            geom, chi, fields, q, coeffs=config.conventions)))
 
     return [
         CheckReport("susy2d-calibration-residual", cal_residual, cal_tol),
@@ -370,8 +373,8 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
                 exact = dphi[a] * dphi[b] * coeffs.c1
                 if a == b:
                     exact = exact - norm_sq * (0.5 * coeffs.c1)
-                err = max(err, T[a][b].max_abs_diff(exact))
-        closed_rel = max(closed_rel, err / scale)
+                err = max_or_nan((err, T[a][b].max_abs_diff(exact)))
+        closed_rel = max_or_nan((closed_rel, err / scale))
 
     # Harmonic map (pure winding): T is trace-free, divergence-free, and
     # T_zz is antiholomorphic-derivative-free.
@@ -379,11 +382,11 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     fields = replace(ComponentFields.zero(grid, n_gen, 2), winding=winding)
     T = energy_momentum(geom, chi0, fields, coeffs=coeffs)
     trace = (T[0][0] + T[1][1]).max_abs()
-    div = max((T[a][0].derivative(0) + T[a][1].derivative(1)).max_abs()
-              for a in range(2))
+    div = max_or_nan((T[a][0].derivative(0) + T[a][1].derivative(1)).max_abs()
+                     for a in range(2))
     re, im = t_zz(T)
     dre, dim_ = d_zbar(re, im)
-    holo = max(dre.max_abs(), dim_.max_abs())
+    holo = max_or_nan((dre.max_abs(), dim_.max_abs()))
 
     # Super current: J = 0 when psi = 0 (gravitino present).
     chi = GravitinoField([_odd_spinor(rng, grid, n_gen, CHI_GENS, scale=0.5)
@@ -405,7 +408,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     gamma_trace = J.gamma_trace(CLIFFORD).max_abs()
     jre, jim = current_spin32(J, CLIFFORD)
     djre, djim = d_zbar(jre, jim)
-    j_holo = max(djre.max_abs(), djim.max_abs())
+    j_holo = max_or_nan((djre.max_abs(), djim.max_abs()))
 
     em_tol = config.tolerance("energy_momentum_relative")
     return [
@@ -471,15 +474,15 @@ def _suite_decompose(config: SuiteConfig, rng) -> list[CheckReport]:
         g22 = _even_field(rng, grid, n_gen, soul_mask=0b1100, cutoff=6)
         dg = MetricDeformation([[g11, g12], [g12, g22]])
         r = decompose_metric(geom, chi0, dg)
-        m_reasm = max(m_reasm, r.reassembly_residual)
-        m_trace = max(m_trace, r.trace_residual)
-        m_div = max(m_div, r.divergence_residual)
+        m_reasm = max_or_nan((m_reasm, r.reassembly_residual))
+        m_trace = max_or_nan((m_trace, r.trace_residual))
+        m_div = max_or_nan((m_div, r.divergence_residual))
 
         dchi = GravitinoField([_odd_spinor(rng, grid, n_gen, PSI_GENS, cutoff=6),
                                _odd_spinor(rng, grid, n_gen, CHI_GENS, cutoff=6)])
         rg = decompose_gravitino(geom, chi0, dchi)
-        g_reasm = max(g_reasm, rg.reassembly_residual)
-        g_trace = max(g_trace, rg.gamma_trace_residual)
+        g_reasm = max_or_nan((g_reasm, rg.reassembly_residual))
+        g_trace = max_or_nan((g_trace, rg.gamma_trace_residual))
 
     dims32 = true_deformation_dimensions(geom)
     geom64 = SurfaceGeometry.flat(Grid((64, 64), config.periods), n_gen)

@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grassmann import GradedElement, GrassmannNumber, monomial_sign, require_odd
-from .gridfield import GrassmannField, Grid, spectral_derivative
+from .grassmann import GradedElement, GrassmannNumber, max_or_nan, monomial_sign, require_odd
+from .gridfield import GrassmannField, Grid, _interpolation_phase, spectral_derivative
 
 __all__ = [
     "SuperFunction",
@@ -136,7 +136,7 @@ class SuperFunction(GradedElement):
     # -- inspection --------------------------------------------------------------
 
     def max_abs(self) -> float:
-        return max((f.max_abs() for f in self.terms.values()), default=0.0)
+        return max_or_nan(f.max_abs() for f in self.terms.values())
 
     def __repr__(self):
         return (f"SuperFunction(m={self.m}, n={self.n_odd}, "
@@ -165,20 +165,29 @@ class SuperVectorField:
         return out
 
 
-def apply_D(f: SuperFunction) -> SuperFunction:
-    """D f = d_eta f - eta d_x f on R^{1|1} (sign convention: module docstring)."""
+def _apply_D(f: SuperFunction, dfdx: SuperFunction) -> SuperFunction:
+    """``apply_D`` for a caller that already holds d_x f = f.partial_even(1)."""
     if f.m != 1 or f.n_odd != 1:
         raise ValueError("apply_D is defined on R^{1|1}")
-    return f.partial_odd(1) + f.partial_even(1).mul_odd_coordinate(1) * D_SIGN
+    return f.partial_odd(1) + dfdx.mul_odd_coordinate(1) * D_SIGN
+
+
+def _apply_Q(f: SuperFunction, dfdx: SuperFunction, q: GrassmannNumber) -> SuperFunction:
+    """``apply_Q`` for a caller that already holds d_x f = f.partial_even(1)."""
+    if f.m != 1 or f.n_odd != 1:
+        raise ValueError("apply_Q is defined on R^{1|1}")
+    require_odd(q, "supersymmetry parameter q")
+    return q * (f.partial_odd(1) + dfdx.mul_odd_coordinate(1) * Q_SIGN)
+
+
+def apply_D(f: SuperFunction) -> SuperFunction:
+    """D f = d_eta f - eta d_x f on R^{1|1} (sign convention: module docstring)."""
+    return _apply_D(f, f.partial_even(1))
 
 
 def apply_Q(f: SuperFunction, q: GrassmannNumber) -> SuperFunction:
     """Q f = q (d_eta f + eta d_x f) on R^{1|1} for an odd parameter q."""
-    if f.m != 1 or f.n_odd != 1:
-        raise ValueError("apply_Q is defined on R^{1|1}")
-    require_odd(q, "supersymmetry parameter q")
-    inner = f.partial_odd(1) + f.partial_even(1).mul_odd_coordinate(1) * Q_SIGN
-    return q * inner
+    return _apply_Q(f, f.partial_even(1), q)
 
 
 def susy_vector_field(grid: Grid, n_gen: int, q: GrassmannNumber) -> SuperVectorField:
@@ -280,17 +289,19 @@ def pullback_coordinate_change(f: SuperFunction, change: CoordinateChange) -> Su
     g0 = np.asarray(change.g0, dtype=float)
 
     f0, f1 = f.coefficient(0), f.coefficient(1)
-    f0_at = f0.compose_body(g0)
-    f1_at = f1.compose_body(g0)
+    # Every coefficient is evaluated at the same points: one phase matrix.
+    phase = _interpolation_phase(grid, g0)
+    f0_at = f0._compose_phase(phase)
+    f1_at = f1._compose_phase(phase)
 
     slot0 = f0_at
     slot1 = GrassmannField.zero(grid, n_gen)
     if change.gamma0 is not None and not change.gamma0.is_zero():
         slot0 = slot0 + change.gamma0 * f1_at
     if change.g1 is not None and not change.g1.is_zero():
-        slot1 = slot1 + change.g1 * f0.derivative(0).compose_body(g0)
+        slot1 = slot1 + change.g1 * f0.derivative(0)._compose_phase(phase)
         if change.gamma0 is not None and not change.gamma0.is_zero():
-            slot1 = slot1 - change.gamma0 * change.g1 * f1.derivative(0).compose_body(g0)
+            slot1 = slot1 - change.gamma0 * change.g1 * f1.derivative(0)._compose_phase(phase)
     gamma1 = change.gamma1
     if gamma1 is None:
         gamma1 = GrassmannField.from_array(grid, n_gen, np.ones(grid.shape))

@@ -24,7 +24,8 @@ from .superdomain import (
     CoordinateChange,
     Embedding,
     SuperFunction,
-    apply_D,
+    _apply_D,
+    _apply_Q,
     apply_Q,
     pullback_coordinate_change,
     restrict,
@@ -77,17 +78,22 @@ def fields_from_superfield(Phi: SuperFunction) -> ToyFields:
     return ToyFields(Phi.coefficient(0), Phi.coefficient(1))
 
 
-def toy_action_component(f: ToyFields) -> GrassmannNumber:
-    """A = 1/2 Int phi'^2 + psi psi' dx over the circle."""
-    dphi = f.phi.derivative(0)
+def _toy_action(f: ToyFields, dphi: GrassmannField) -> GrassmannNumber:
+    """``toy_action_component`` given phi' = f.phi.derivative(0)."""
     dpsi = f.psi.derivative(0)
     density = dphi * dphi + f.psi * dpsi
     return density.integral() * 0.5
 
 
+def toy_action_component(f: ToyFields) -> GrassmannNumber:
+    """A = 1/2 Int phi'^2 + psi psi' dx over the circle."""
+    return _toy_action(f, f.phi.derivative(0))
+
+
 def _superfield_integrand(Phi: SuperFunction) -> SuperFunction:
     """-1/2 d_x(Phi) D(Phi), the integrand of the superfield action."""
-    return Phi.partial_even(1) * apply_D(Phi) * (-0.5)
+    dPhi = Phi.partial_even(1)
+    return dPhi * _apply_D(Phi, dPhi) * (-0.5)
 
 
 def toy_action_superfield(Phi: SuperFunction) -> GrassmannNumber:
@@ -97,20 +103,24 @@ def toy_action_superfield(Phi: SuperFunction) -> GrassmannNumber:
     return berezin_integrate(_superfield_integrand(Phi))
 
 
+def _toy_susy(f: ToyFields, q: GrassmannNumber, dphi: GrassmannField) -> ToyFields:
+    """``toy_susy`` given phi' = f.phi.derivative(0)."""
+    require_odd(q, "supersymmetry parameter q")
+    return ToyFields(q * f.psi, -(q * dphi))
+
+
 def toy_susy(f: ToyFields, q: GrassmannNumber) -> ToyFields:
     """Supersymmetry variation (delta phi, delta psi) = (q psi, -q phi')."""
-    require_odd(q, "supersymmetry parameter q")
-    dphi = q * f.psi
-    dpsi = -(q * f.phi.derivative(0))
-    return ToyFields(dphi, dpsi)
+    return _toy_susy(f, q, f.phi.derivative(0))
 
 
 def toy_susy_geometric(f: ToyFields, q: GrassmannNumber) -> ToyFields:
     """The same variation read off geometrically: (i#QPhi, i#QDPhi) at xi=0."""
     Phi = superfield_from_fields(f)
+    dPhi = Phi.partial_even(1)
     zero_embed = Embedding(xi=[GrassmannField.zero(f.grid, f.n_gen)])
-    dphi = restrict(apply_Q(Phi, q), zero_embed)
-    dpsi = restrict(apply_Q(apply_D(Phi), q), zero_embed)
+    dphi = restrict(_apply_Q(Phi, dPhi, q), zero_embed)
+    dpsi = restrict(apply_Q(_apply_D(Phi, dPhi), q), zero_embed)
     return ToyFields(dphi, dpsi)
 
 
@@ -121,8 +131,9 @@ def toy_invariance_residual(f: ToyFields, q: GrassmannNumber) -> float:
     q the difference is exactly the first variation (q^2 = 0 structurally);
     no finite-difference step is involved.
     """
-    delta = toy_susy(f, q)
-    return toy_action_component(f + delta).max_abs_diff(toy_action_component(f))
+    dphi = f.phi.derivative(0)
+    delta = _toy_susy(f, q, dphi)
+    return toy_action_component(f + delta).max_abs_diff(_toy_action(f, dphi))
 
 
 def toy_embedding_residual(f: ToyFields, xi: GrassmannField) -> float:

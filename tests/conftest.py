@@ -16,6 +16,23 @@ def rng():
     return np.random.default_rng(20260824)
 
 
+@pytest.fixture
+def derivative_log(monkeypatch):
+    """Every (field, axis) pair ``GrassmannField.derivative`` is called with.
+
+    The log holds the fields themselves, so no id is reused while it lives.
+    """
+    log = []
+    original = GrassmannField.derivative
+
+    def recording(self, axis):
+        log.append((self, axis))
+        return original(self, axis)
+
+    monkeypatch.setattr(GrassmannField, "derivative", recording)
+    return log
+
+
 def even_field(rng, grid, scale=1.0, soul_mask=None, cutoff=3, n_gen=N_GEN):
     return _even_field(rng, grid, n_gen, scale=scale, soul_mask=soul_mask, cutoff=cutoff)
 

@@ -433,3 +433,46 @@ def test_cache_holds_at_most_two_entries(rng):
                                 [zero, band_field(rng, g, cutoff=1)]])
         decompose_metric(SurfaceGeometry.flat(g, N_GEN), GravitinoField.zero(g, N_GEN), dg)
         assert len(deformations._PINV_CACHE) <= 2
+
+
+# ---------------------------------------------------------------------------
+# NaN reaches the residuals
+# ---------------------------------------------------------------------------
+
+def with_nan_in_soul(f):
+    """``f`` with one NaN sample in its mask 0b11."""
+    soul = f.terms[0b11].copy()
+    soul[3, 5] = np.nan
+    return GrassmannField(f.grid, f.n_gen, {**f.terms, 0b11: soul})
+
+
+def test_nan_in_a_soul_mask_gives_nan_metric_residuals(rng, geom, chi0, grid):
+    g11 = with_nan_in_soul(band_field(rng, grid, masks=(0, 0b11)))
+    g12, g22 = band_field(rng, grid), band_field(rng, grid, masks=(0, 0b1100))
+    dg = MetricDeformation([[g11, g12], [g12, g22]])
+    assert np.isnan(dg.max_abs())
+    r = decompose_metric(geom, chi0, dg)
+    for name in ("reassembly", "trace", "divergence"):
+        assert np.isnan(r.residual_norms()[name]), name
+
+
+def test_nan_fixture_fails_the_decompose_checks(monkeypatch):
+    from supersigma import suites
+    config = SuiteConfig(seed=3)
+    config.fixture_counts["decompose"] = 2
+    soul_masks = []
+    original = suites._even_field
+
+    def second_g11_with_nan(rng, grid, n_gen, soul_mask=None, **kwargs):
+        # Fields come as g11, g12, g22 per fixture: the fourth is the second g11.
+        soul_masks.append(soul_mask)
+        f = original(rng, grid, n_gen, soul_mask=soul_mask, **kwargs)
+        return with_nan_in_soul(f) if len(soul_masks) == 4 else f
+
+    monkeypatch.setattr(suites, "_even_field", second_g11_with_nan)
+    checks = {c.name: c for c in run_suite(config, "decompose")}
+    assert soul_masks[3] == 0b11
+    for name in ("decompose-metric-reassembly", "decompose-metric-trace-free",
+                 "decompose-metric-divergence-free"):
+        assert np.isnan(checks[name].residual) and not checks[name].passed, name
+    assert checks["decompose-gravitino-reassembly"].passed

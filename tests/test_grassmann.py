@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from supersigma.grassmann import (
     Parity,
     ParityError,
     generator,
+    max_or_nan,
     monomial_sign,
     require_even,
     require_odd,
@@ -20,13 +23,13 @@ from supersigma.superdomain import SuperFunction
 N = 6
 
 
-def _sign_by_inversions(a_mask: int, b_mask: int) -> int:
+def _sign_by_inversions(a_mask: int, b_mask: int, n: int = N) -> int:
     """Independent oracle: sort the concatenated generator index list by
     adjacent transpositions and count the swaps."""
     if a_mask & b_mask:
         return 0
-    indices = [i for i in range(N) if a_mask >> i & 1] \
-        + [i for i in range(N) if b_mask >> i & 1]
+    indices = [i for i in range(n) if a_mask >> i & 1] \
+        + [i for i in range(n) if b_mask >> i & 1]
     swaps = 0
     arr = list(indices)
     for i in range(len(arr)):
@@ -41,6 +44,53 @@ def test_monomial_sign_matches_inversion_oracle():
     for a in range(1 << N):
         for b in range(1 << N):
             assert monomial_sign(a, b) == _sign_by_inversions(a, b)
+
+
+def test_monomial_sign_matches_inversion_oracle_up_to_63_generators():
+    # Six generators never reach the later doubling steps of the flip mask;
+    # pairs spread over 63 generators need every one of them.
+    rng = np.random.default_rng(63)
+    full = (1 << 63) - 1
+    for i in range(10_000):
+        n = 63 if i % 2 else int(rng.integers(1, 64))
+        union = int(rng.integers(0, 1 << n, dtype=np.uint64))
+        split = int(rng.integers(0, 1 << 63, dtype=np.uint64))
+        a, b = union & split, union & ~split & full
+        if i % 10 == 0:
+            b |= 1 << int(rng.integers(0, n))  # mostly overlapping: sign 0
+        assert monomial_sign(a, b) == _sign_by_inversions(a, b, 63), (a, b)
+    # Generator 63 passes the 62 generators below it.
+    assert monomial_sign(1 << 62, (1 << 62) - 1) == 1
+    assert monomial_sign(1 << 62, 1) == -1
+
+
+def test_product_signs_across_63_generators():
+    n = 63
+    for i, j in [(1, 63), (2, 40), (17, 50), (33, 34), (1, 2)]:
+        gi, gj = generator(n, i), generator(n, j)
+        assert (gj * gi).max_abs_diff(-(gi * gj)) == 0.0
+        assert (gi * gj).terms == {(1 << (i - 1)) | (1 << (j - 1)): 1.0}
+    # e1 e2 ... e63 built left to right stays in increasing order; built right
+    # to left, the same monomial picks up the sign of reversing 63 indices.
+    forward = unit(n)
+    backward = unit(n)
+    for i in range(1, n + 1):
+        forward = forward * generator(n, i)
+        backward = generator(n, i) * backward
+    top = (1 << n) - 1
+    assert forward.terms == {top: 1.0}
+    assert backward.terms == {top: (-1.0) ** (n * (n - 1) // 2)}
+
+
+def test_max_or_nan_lets_nan_through():
+    assert max_or_nan([]) == 0.0
+    assert max_or_nan([0.5, 2.0, 1.0]) == 2.0
+    assert max([0.0, math.nan]) == 0.0  # what the builtin does
+    for values in ([0.0, math.nan], [math.nan, 1.0], [1.0, math.nan, 3.0]):
+        assert math.isnan(max_or_nan(values))
+    number = GrassmannNumber(N, {0: 1.0, 0b11: math.nan})
+    assert math.isnan(number.max_abs())
+    assert math.isnan(number.max_abs_diff(unit(N)))
 
 
 def _elements(max_masks=5):

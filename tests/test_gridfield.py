@@ -203,3 +203,114 @@ def test_batched_derivative_matches_per_mask_kernel_exactly(rng, shape, masks):
         for a in f.terms.values():
             assert np.max(np.abs(spectral_derivative(a, grid, axis)
                                  - _reference_spectral_derivative(a, grid, axis))) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(0,), (4, 0), (-1, 3)])
+def test_grid_rejects_sizes_below_one(shape):
+    with pytest.raises(ValueError, match="at least 1"):
+        Grid(shape, (1.0,) * len(shape))
+
+
+def _samples(shape, fill=0.0, **at):
+    """An array of ``fill`` with the given samples set: first=..., last=..."""
+    a = np.full(shape, fill)
+    if "first" in at:
+        a.flat[0] = at["first"]
+    if "last" in at:
+        a.flat[-1] = at["last"]
+    return a
+
+
+ZERO_TEST_CASES = {
+    # name: (samples, kept)
+    "all-zero": (lambda s: _samples(s), False),
+    "minus-zero-only": (lambda s: _samples(s, -0.0), False),
+    "minus-zero-then-plus-zero": (lambda s: _samples(s, 0.0, first=-0.0), False),
+    "nan-first": (lambda s: _samples(s, first=np.nan), True),
+    "nan-last": (lambda s: _samples(s, last=np.nan), True),
+    "nonzero-last-only": (lambda s: _samples(s, last=1e-300), True),
+    "nonzero-first-only": (lambda s: _samples(s, first=-2.0), True),
+}
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 3)])
+def test_construction_drops_exactly_the_zero_terms(shape):
+    grid = Grid(shape, (1.0,) * len(shape))
+    names = list(ZERO_TEST_CASES)
+    terms = {1 << i: ZERO_TEST_CASES[name][0](shape) for i, name in enumerate(names)}
+    f = GrassmannField(grid, N_GEN + 2, terms)
+    kept = [1 << i for i, name in enumerate(names) if ZERO_TEST_CASES[name][1]]
+    # The old rule was a full scan: a term stays when np.any() finds a sample.
+    assert kept == [m for m, a in terms.items() if np.any(a)]
+    assert list(f.terms) == kept  # and in the order given
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 3)])
+def test_sums_products_and_derivatives_drop_exactly_the_zero_terms(shape):
+    grid = Grid(shape, (1.0,) * len(shape))
+    ones = np.ones(shape)
+    alternating = np.indices(shape).sum(axis=0) % 2 == 0
+    n_gen = N_GEN
+
+    def field(a):
+        return GrassmannField(grid, n_gen, {0b1: a})
+
+    def unit_field(a):
+        return GrassmannField(grid, n_gen, {0: a})
+
+    # Sums: x + y cancels to +0.0 except where y differs from -x.
+    x = 1.0 + np.arange(ones.size).reshape(shape)
+    sums = {
+        "all-zero": (field(x) + field(-x), False),
+        "nan-first": (field(x) + field(-_samples(shape, first=np.nan) - x), True),
+        "nan-last": (field(x) + field(_samples(shape, last=np.nan) - x), True),
+        "nonzero-last-only": (field(x) + field(_samples(shape, last=0.5) - x), True),
+    }
+    # Products: every sample has one zero factor, so +0.0 or -0.0 by sign.
+    p, q = np.where(alternating, 1.0, 0.0), np.where(alternating, 0.0, 1.0)
+    assert np.all(np.signbit(p * -q))
+    products = {
+        "all-zero": (unit_field(p) * field(q), False),
+        "minus-zero-only": (unit_field(p) * field(-q), False),
+        "nan-first": (unit_field(_samples(shape, 1.0, first=np.nan)) * field(q), True),
+        "nan-last": (unit_field(p) * field(_samples(shape, 0.0, last=np.nan)), True),
+        "nonzero-last-only": (unit_field(ones) * field(_samples(shape, last=3.0)), True),
+    }
+    # Derivatives: a constant's is zero; a NaN spreads over every sample.
+    derivatives = {
+        "constant": (field(ones * 0.25).derivative(0), False),
+        "nan-first": (field(_samples(shape, 1.0, first=np.nan)).derivative(0), True),
+        "nan-last": (field(_samples(shape, 1.0, last=np.nan)).derivative(len(shape) - 1), True),
+    }
+    for table in (sums, products, derivatives):
+        for name, (result, kept) in table.items():
+            assert (0b1 in result.terms) is kept, name
+            if kept:
+                assert np.any(result.terms[0b1]), name
+
+
+def _meshgrid_trig_array(rng, grid, cutoff=3, n_modes=3, scale=1.0):
+    """The fixture sum on full meshgrid coordinate arrays."""
+    coords = grid.coordinates()
+    a = np.zeros(grid.shape)
+    for _ in range(n_modes):
+        arg = rng.uniform(0.0, 2.0 * np.pi)
+        for i in range(grid.ndim):
+            k = int(rng.integers(-cutoff, cutoff + 1))
+            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * coords[i]
+        a = a + rng.normal() * scale * np.cos(arg)
+    return a
+
+
+@pytest.mark.parametrize("shape, periods", [
+    ((64,), (2.0 * np.pi,)), ((7,), (3.0,)),
+    ((16, 16), (2.0 * np.pi, 4.0 * np.pi)), ((15, 9), (3.0, 5.5)), ((1, 5), (1.0, 2.0)),
+])
+def test_trig_array_matches_meshgrid_sum_bitwise(shape, periods):
+    grid = Grid(shape, periods)
+    for seed in range(5):
+        for kwargs in ({}, {"cutoff": 6, "n_modes": 4, "scale": 0.3}):
+            a = trig_array(np.random.default_rng(seed), grid, **kwargs)
+            b = _meshgrid_trig_array(np.random.default_rng(seed), grid, **kwargs)
+            assert a.shape == grid.shape
+            assert np.array_equal(a, b)

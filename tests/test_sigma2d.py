@@ -294,6 +294,20 @@ def test_calibration_reports_degenerate_battery(rng, grid):
         calibrate_conventions([(geom, chi0, zero_fields, q)])
 
 
+def test_calibration_fails_on_a_nan_fixture(rng, grid):
+    # A NaN sample in the second fixture's phi makes every candidate's worst
+    # residual NaN, so no sign assignment passes.
+    fixtures = battery(rng, grid)
+    geom, chi, fields, q = fixtures[1]
+    body = fields.phi[0].terms[0].copy()
+    body[3, 4] = np.nan
+    phi = GrassmannField(grid, N_GEN, {**fields.phi[0].terms, 0: body})
+    fixtures[1] = (geom, chi, replace(fields, phi=[phi]), q)
+    assert all(np.isnan(r[0]) for r in s2._calibration_scores(fixtures, ActionCoefficients()))
+    with pytest.raises(CalibrationError, match="best = nan"):
+        calibrate_conventions(fixtures)
+
+
 def test_energy_momentum_closed_form(rng, grid):
     geom = SurfaceGeometry.flat(grid, N_GEN)
     chi0 = GravitinoField.zero(grid, N_GEN)
@@ -543,23 +557,6 @@ def test_susy_geometry_variation_vanishes_at_chi_zero(rng, grid):
     # Constant q has vanishing flat derivative, and every other term of
     # delta chi is linear in chi.
     assert varied_chi.max_abs() == 0.0
-
-
-@pytest.fixture
-def derivative_log(monkeypatch):
-    """Every (field, axis) pair ``GrassmannField.derivative`` is called with.
-
-    The log holds the fields themselves, so no id is reused while it lives.
-    """
-    log = []
-    original = GrassmannField.derivative
-
-    def recording(self, axis):
-        log.append((self, axis))
-        return original(self, axis)
-
-    monkeypatch.setattr(GrassmannField, "derivative", recording)
-    return log
 
 
 def assert_no_repeat(log):

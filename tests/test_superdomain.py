@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supersigma import gridfield, superdomain
 from supersigma.grassmann import GrassmannNumber, ParityError, generator
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.superdomain import (
@@ -199,3 +200,59 @@ def test_left_multiplication_by_a_number_passes_odd_coordinates(rng, grid):
     q = generator(N_GEN, 5) * 1.5
     expected = SuperFunction(grid, 1, N_GEN, {1: -(q * f1)})
     assert (q * f).max_abs_diff(expected) == 0.0
+
+
+def _pullback_per_call(f, change):
+    """The pullback with one ``compose_body`` (one phase matrix) per field."""
+    grid, n_gen = f.grid, f.n_gen
+    g0 = np.asarray(change.g0, dtype=float)
+    f0, f1 = f.coefficient(0), f.coefficient(1)
+    f0_at, f1_at = f0.compose_body(g0), f1.compose_body(g0)
+    slot0 = f0_at
+    slot1 = GrassmannField.zero(grid, n_gen)
+    if change.gamma0 is not None:
+        slot0 = slot0 + change.gamma0 * f1_at
+    if change.g1 is not None:
+        slot1 = slot1 + change.g1 * f0.derivative(0).compose_body(g0)
+        if change.gamma0 is not None:
+            slot1 = slot1 - change.gamma0 * change.g1 * f1.derivative(0).compose_body(g0)
+    gamma1 = change.gamma1
+    if gamma1 is None:
+        gamma1 = GrassmannField.from_array(grid, n_gen, np.ones(grid.shape))
+    slot1 = slot1 + gamma1 * f1_at
+    return SuperFunction(grid, 1, n_gen, {0: slot0, 1: slot1})
+
+
+@pytest.mark.parametrize("n", [15, 64])
+def test_pullback_builds_one_phase_matrix(rng, monkeypatch, n):
+    grid = Grid((n,), (2.0 * np.pi,))
+    x = grid.axis_points(0)
+    f = random_superfunction(rng, grid)
+    changes = [
+        CoordinateChange(g0=x + 0.3 * np.sin(x)),
+        CoordinateChange(g0=x + 0.5, gamma0=odd_field(rng, grid, [6], scale=0.6)),
+        CoordinateChange(g0=x + 0.2 * np.cos(x), g1=odd_field(rng, grid, [5], scale=0.4),
+                         gamma0=odd_field(rng, grid, [6], scale=0.6),
+                         gamma1=GrassmannField(grid, N_GEN, {
+                             0: np.ones(grid.shape), 0b11: 0.4 * np.cos(x)})),
+    ]
+    calls = []
+    original = gridfield._interpolation_phase
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for change in changes:
+        expected = _pullback_per_call(f, change)
+        for module in (gridfield, superdomain):
+            monkeypatch.setattr(module, "_interpolation_phase", counted)
+        calls.clear()
+        moved = pullback_coordinate_change(f, change)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert sorted(moved.terms) == sorted(expected.terms)
+        for gamma, slot in moved.terms.items():
+            assert list(slot.terms) == list(expected.terms[gamma].terms)
+            for m, a in slot.terms.items():
+                assert np.array_equal(a, expected.terms[gamma].terms[m])

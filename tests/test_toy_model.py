@@ -99,3 +99,25 @@ def test_fields_parity_checked(rng, grid):
         ToyFields(odd_field(rng, grid, [1]), odd_field(rng, grid, [2]))
     with pytest.raises(ParityError):
         ToyFields(even_field(rng, grid), even_field(rng, grid))
+
+
+def test_each_toy_call_differentiates_each_field_once(rng, grid, derivative_log):
+    f = toy_fixture(rng, grid)
+    q = generator(N_GEN, 5) * 0.7
+    xi = odd_field(rng, grid, [6], scale=0.8)
+    # (call, derivatives taken): phi and psi once each; the geometric
+    # variation also takes D Phi's two slots, the invariance residual the
+    # varied phi and psi.
+    calls = [
+        (lambda: toy_action_component(f), 2),
+        (lambda: toy_action_superfield(superfield_from_fields(f)), 2),
+        (lambda: toy_susy(f, q), 1),
+        (lambda: toy_susy_geometric(f, q), 4),
+        (lambda: toy_invariance_residual(f, q), 4),
+        (lambda: toy_embedding_residual(f, xi), 2),
+    ]
+    for call, expected in calls:
+        derivative_log.clear()
+        call()
+        pairs = [(id(field), axis) for field, axis in derivative_log]
+        assert len(set(pairs)) == len(pairs) == expected
