@@ -115,8 +115,17 @@ def _cmd_flow(args) -> int:
     return 0 if result.converged else 1
 
 
-def _field_from_values(grid: Grid, n_gen: int, values, mask: int) -> GrassmannField:
-    return GrassmannField(grid, n_gen, {mask: np.asarray(values, dtype=float)})
+def _field_from_values(grid: Grid, n_gen: int, values, mask: int, where: str) -> GrassmannField:
+    """The samples of fixture entry ``where`` on ``mask``; ValueError unless
+    they form a numeric array of exactly the fixture's shape."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"decompose fixture entry {where} is not a numeric array: {exc}") from None
+    if a.shape != grid.shape:
+        raise ValueError(f"decompose fixture entry {where} has shape {list(a.shape)}, "
+                         f"but the fixture's shape is {list(grid.shape)}")
+    return GrassmannField(grid, n_gen, {mask: a})
 
 
 def _fixture_entry(fixture, *path):
@@ -140,21 +149,25 @@ def _cmd_decompose(args) -> int:
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
     kind = _fixture_entry(fixture, "kind")
+    # Every entry is looked up before any is read as samples, so a missing
+    # key is reported before a bad shape.
     if kind == "metric":
-        g11, g12, g22 = [_field_from_values(grid, n_gen, _fixture_entry(fixture, "tensor", ij), 0)
-                         for ij in ("11", "12", "22")]
+        entries = {ij: _fixture_entry(fixture, "tensor", ij) for ij in ("11", "12", "22")}
+        g11, g12, g22 = [_field_from_values(grid, n_gen, values, 0, f"['tensor'][{ij!r}]")
+                         for ij, values in entries.items()]
         result = decompose_metric(geom, chi0, MetricDeformation([[g11, g12], [g12, g22]]))
     elif kind == "gravitino":
-        # Numeric fixture components are placed on the first odd generator.
-        mask = 0b1
-        spinors = []
-        for key in ("chi1", "chi2"):
-            comps = _fixture_entry(fixture, "components", key)
+        entries = {key: _fixture_entry(fixture, "components", key) for key in ("chi1", "chi2")}
+        for key, comps in entries.items():
             if not isinstance(comps, list) or len(comps) != 2:
                 raise ValueError(f"decompose fixture entry ['components'][{key!r}] must be "
                                  f"a list of two spinor components, got {comps!r}")
-            spinors.append(SpinorField([_field_from_values(grid, n_gen, c, mask) for c in comps]))
-        dchi = GravitinoField(spinors)
+        # Numeric fixture components are placed on the first odd generator.
+        mask = 0b1
+        dchi = GravitinoField([
+            SpinorField([_field_from_values(grid, n_gen, c, mask, f"['components'][{key!r}][{i}]")
+                         for i, c in enumerate(comps)])
+            for key, comps in entries.items()])
         result = decompose_gravitino(geom, chi0, dchi)
     else:
         raise ValueError(f"unknown fixture kind {kind!r}; expected metric or gravitino")

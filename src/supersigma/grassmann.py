@@ -10,6 +10,10 @@ through the real coefficients.
 fields (:mod:`supersigma.gridfield`) and superfunctions
 (:mod:`supersigma.superdomain`): one sum, one graded product and one Koszul
 sign rule over a map from monomial bitmasks to coefficients.
+
+A coefficient may also be a 1-d array with one value per fixture (the
+integral of a field stacked over fixtures): every operation then acts on
+each fixture's value alone, and ``max_abs`` reduces over the fixtures too.
 """
 
 from __future__ import annotations
@@ -178,6 +182,11 @@ class GradedElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # A sum with zero is the other operand: no new element, no copies.
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         out = dict(self.terms)
         for m, c in o.terms.items():
             out[m] = out[m] + c if m in out else c
@@ -200,6 +209,12 @@ class GradedElement:
     def __mul__(self, other):
         """Graded product; ``other`` multiplies from the right."""
         if isinstance(other, self._scalars):
+            # x * 1.0 and x * -1.0 are x and -x bit for bit.
+            if type(other) in (int, float):
+                if other == 1:
+                    return self
+                if other == -1:
+                    return -self
             return self._new({m: c * other for m, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:
@@ -235,7 +250,11 @@ class GradedElement:
 
 
 class GrassmannNumber(GradedElement):
-    """Element of the real Grassmann algebra on ``n_gen`` generators."""
+    """Element of the real Grassmann algebra on ``n_gen`` generators.
+
+    A coefficient is a float, or a 1-d array of per-fixture values; a term
+    is dropped when it is zero (every value ±0.0) and kept when it is NaN.
+    """
 
     __slots__ = ("n_gen",)
 
@@ -249,7 +268,12 @@ class GrassmannNumber(GradedElement):
             for mask, c in terms.items():
                 if not 0 <= mask < limit:
                     raise ValueError(f"monomial mask {mask} out of range for n_gen={n_gen}")
-                if c != 0.0:
+                if type(c) is not float and getattr(c, "ndim", 0):
+                    if c.ndim != 1:
+                        raise ValueError(f"per-fixture coefficients must be 1-d, got shape {c.shape}")
+                    if c.any():
+                        clean[mask] = c.astype(float, copy=False)
+                elif c != 0.0:
                     clean[mask] = float(c)
         self.terms = clean
 
@@ -302,9 +326,14 @@ class GrassmannNumber(GradedElement):
     # -- inspection --------------------------------------------------------
 
     def max_abs(self) -> float:
-        return max_or_nan(abs(c) for c in self.terms.values())
+        """Largest |coefficient|, over every fixture of an array coefficient."""
+        return max_or_nan(abs(c) if type(c) is float else float(abs(c).max())
+                          for c in self.terms.values())
 
     def __repr__(self):
+        if any(type(c) is not float for c in self.terms.values()):
+            raise ValueError("a Grassmann number with per-fixture coefficients has no repr; "
+                             "index its coefficients instead")
         if not self.terms:
             return "0"
         parts = []

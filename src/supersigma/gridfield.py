@@ -4,6 +4,12 @@ A ``GrassmannField`` stores one real sample array per Grassmann basis
 monomial (bitmask key, as in :mod:`supersigma.grassmann`).  Even-direction
 derivatives are spectral, so all differential identities hold to machine
 precision for band-limited data.
+
+A field may also hold a batch of fixtures: its sample arrays then have the
+shape ``(B, *grid.shape)``, one slice per fixture, and every operation acts
+on each slice as it would on that fixture's own field.  Integrals are
+per-fixture Grassmann numbers and ``max_abs`` takes the maximum over all
+fixtures.
 """
 
 from __future__ import annotations
@@ -141,7 +147,13 @@ def trig_interpolate(values: np.ndarray, grid: Grid, points: np.ndarray, axis: i
 
 
 class GrassmannField(GradedElement):
-    """Field on a periodic grid with values in a real Grassmann algebra."""
+    """Field on a periodic grid with values in a real Grassmann algebra.
+
+    Each term is an array of ``grid.shape``, or of ``(B, *grid.shape)`` for a
+    field stacked over B fixtures; when some terms are stacked, the others
+    are broadcast to the same shape.  Any other array is broadcast to
+    ``grid.shape``.
+    """
 
     __slots__ = ("grid", "n_gen")
 
@@ -152,14 +164,25 @@ class GrassmannField(GradedElement):
         self.n_gen = n_gen
         clean: dict[int, np.ndarray] = {}
         if terms:
+            stacked = None
             for mask, arr in terms.items():
                 a = np.asarray(arr, dtype=float)
                 if a.shape != grid.shape:
-                    a = np.broadcast_to(a, grid.shape).copy()
+                    if a.shape[1:] != grid.shape:
+                        a = np.broadcast_to(a, grid.shape).copy()
+                    elif stacked is None:
+                        stacked = a.shape
+                    elif a.shape != stacked:
+                        raise ValueError(f"terms stack different fixture counts: "
+                                         f"{stacked[0]} and {a.shape[0]}")
                 # A nonzero or NaN first sample keeps the term without a
                 # scan; only a +-0.0 first sample scans the whole array.
                 if a.item(0) or a.any():
                     clean[mask] = a
+            if stacked is not None:
+                for mask, a in clean.items():
+                    if a.shape != stacked:
+                        clean[mask] = np.broadcast_to(a, stacked).copy()
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -174,7 +197,10 @@ class GrassmannField(GradedElement):
 
     @classmethod
     def constant(cls, grid: Grid, value: GrassmannNumber) -> "GrassmannField":
-        return cls(grid, value.n_gen, {m: np.full(grid.shape, c) for m, c in value.terms.items()})
+        """The field equal to ``value`` everywhere (per fixture for array coefficients)."""
+        return cls(grid, value.n_gen, {
+            m: np.full(grid.shape, c) if type(c) is float else np.multiply.outer(c, np.ones(grid.shape))
+            for m, c in value.terms.items()})
 
     def _new(self, terms) -> "GrassmannField":
         return GrassmannField(self.grid, self.n_gen, terms)
@@ -205,7 +231,9 @@ class GrassmannField(GradedElement):
         samples; each term gets the same bits as from ``spectral_derivative``.
         """
         arrays = list(self.terms.values())
-        per_stack = max(1, _STACK_SAMPLES // math.prod(self.grid.shape))
+        if not arrays:
+            return self
+        per_stack = max(1, _STACK_SAMPLES // arrays[0].size)
         out = []
         for i in range(0, len(arrays), per_stack):
             chunk = arrays[i:i + per_stack]
@@ -215,9 +243,23 @@ class GrassmannField(GradedElement):
         return self._new(dict(zip(self.terms, out)))
 
     def integral(self) -> GrassmannNumber:
-        """Periodic trapezoid rule (= mean times torus volume), per monomial."""
+        """Periodic trapezoid rule (= mean times torus volume), per monomial.
+
+        A stacked field integrates each fixture alone: its coefficients are
+        arrays of one integral per fixture.
+        """
         vol = self.grid.volume
-        return GrassmannNumber(self.n_gen, {m: float(a.mean()) * vol for m, a in self.terms.items()})
+        grid_axes = tuple(range(1, self.grid.ndim + 1))
+        return GrassmannNumber(self.n_gen, {
+            m: (float(a.mean()) if a.ndim == self.grid.ndim else a.mean(axis=grid_axes)) * vol
+            for m, a in self.terms.items()})
+
+    def _require_unstacked(self, what: str) -> None:
+        """ValueError when the terms carry a fixture axis that ``what`` would misread."""
+        a = next(iter(self.terms.values()), None)
+        if a is not None and a.ndim != self.grid.ndim:
+            raise ValueError(f"{what} is not defined on a field stacked over "
+                             f"{a.shape[0]} fixtures")
 
     def compose_body(self, points: np.ndarray) -> "GrassmannField":
         """Evaluate the trig interpolant of every term at new abscissae (1-d);
@@ -228,6 +270,7 @@ class GrassmannField(GradedElement):
 
     def _compose_phase(self, phase: np.ndarray) -> "GrassmannField":
         """``compose_body`` at the points of ``phase = _interpolation_phase(grid, points)``."""
+        self._require_unstacked("compose_body")
         return self._new({m: np.real(phase @ _interpolation_coefficients(a))
                           for m, a in self.terms.items()})
 
@@ -255,9 +298,11 @@ class GrassmannField(GradedElement):
     # -- inspection --------------------------------------------------------
 
     def max_abs(self) -> float:
+        """Largest |sample| over every term (and every fixture of a stacked field)."""
         return max_or_nan(float(np.max(np.abs(a))) for a in self.terms.values())
 
     def value_at(self, index: tuple[int, ...]) -> GrassmannNumber:
+        self._require_unstacked("value_at")
         return GrassmannNumber(self.n_gen, {m: float(a[index]) for m, a in self.terms.items()})
 
     def __repr__(self):

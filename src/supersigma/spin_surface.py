@@ -126,11 +126,20 @@ class SpinorField:
         return SpinorField([other * c for c in self.comps])
 
     def matrix_apply(self, m: np.ndarray) -> "SpinorField":
-        """Pointwise action of a real 2x2 matrix on the spinor index."""
-        return SpinorField([
-            self.comps[0] * float(m[0, 0]) + self.comps[1] * float(m[0, 1]),
-            self.comps[0] * float(m[1, 0]) + self.comps[1] * float(m[1, 1]),
-        ])
+        """Pointwise action of a real 2x2 matrix on the spinor index.
+
+        Zero entries are skipped: their products would be dropped as zero
+        terms, except that a NaN or infinite sample times 0.0 is NaN.
+        """
+        rows = []
+        for i in range(2):
+            row = GrassmannField.zero(self.grid, self.n_gen)
+            for j in range(2):
+                c = float(m[i, j])
+                if c:
+                    row = row + self.comps[j] * c
+            rows.append(row)
+        return SpinorField(rows)
 
     def derivative(self, axis: int) -> "SpinorField":
         return SpinorField([c.derivative(axis) for c in self.comps])
@@ -234,7 +243,7 @@ class SurfaceGeometry:
             for k in range(2):
                 t = self.frame[a][k].terms
                 if a == k:
-                    if set(t) != {0} or not np.allclose(t[0], 1.0):
+                    if set(t) != {0} or not (t[0] == 1.0).all():
                         return False
                 elif t:
                     return False

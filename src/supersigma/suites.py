@@ -5,10 +5,16 @@ by name and ``calibrate`` wraps the sign calibration, returning an updated
 configuration.  All randomness flows through one generator seeded from the
 configured seed and a fixed per-suite index, so reports are deterministic
 for a given (seed, config) pair whether suites run alone or under "all".
+
+The reduction, susy2d and Berezin suites draw their fixtures one at a time,
+in a fixed order, and evaluate them in chunks: ``_stack`` puts a chunk's
+fixtures on one leading axis of every sample array, so one evaluation
+checks the whole chunk with the same floating-point operations per fixture.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -49,10 +55,11 @@ from .spin_surface import (
 from .superdomain import SuperFunction
 from .toy_model import (
     ToyFields,
+    _embedding_residual,
+    _superfield_integrand,
     superfield_from_fields,
     toy_action_component,
     toy_action_superfield,
-    toy_embedding_residual,
     toy_invariance_residual,
     toy_susy,
     toy_susy_geometric,
@@ -135,6 +142,50 @@ def _sigma_fixture(rng, grid, n_gen, with_chi: bool) -> tuple:
     return geom, chi, fields, _constant_q(rng, grid, n_gen)
 
 
+# Most samples per term in one stacked chunk of fixtures.  On 16^2 grids a
+# chunk of 2,048 samples (8 fixtures) runs as fast as one of 8,192 and keeps
+# the peak memory lower; grids of more than 1,024 samples get chunks of one
+# fixture, which run unstacked.
+_CHUNK_SAMPLES = 2048
+
+
+def _chunk_sizes(count: int, grid: Grid):
+    """Sizes of the consecutive chunks that ``count`` fixtures on ``grid`` form."""
+    per_chunk = max(1, _CHUNK_SAMPLES // math.prod(grid.shape))
+    for start in range(0, count, per_chunk):
+        yield min(per_chunk, count - start)
+
+
+def _stack(items: list):
+    """One value holding every fixture of ``items`` on a leading sample axis.
+
+    ``items`` are like-shaped per-fixture values: fields, spinors,
+    gravitinos, component fields, or tuples of these.  A monomial missing
+    from some fixture is zero there; a single item is returned as it is.
+    """
+    first = items[0]
+    if len(items) == 1:
+        return first
+    if isinstance(first, tuple):
+        return tuple(_stack(list(column)) for column in zip(*items))
+    if isinstance(first, GrassmannField):
+        masks = dict.fromkeys(m for f in items for m in f.terms)
+        zero = np.zeros(first.grid.shape)
+        return GrassmannField(first.grid, first.n_gen, {
+            m: np.stack([f.terms.get(m, zero) for f in items]) for m in masks})
+    if isinstance(first, SpinorField):
+        return SpinorField(_stack([s.comps for s in items]))
+    if isinstance(first, GravitinoField):
+        return GravitinoField(_stack([g.chi for g in items]))
+    if isinstance(first, ComponentFields):
+        # The suites' fixtures have no winding.
+        return ComponentFields(phi=list(_stack([tuple(f.phi) for f in items])),
+                               psi=list(_stack([tuple(f.psi) for f in items])),
+                               F=list(_stack([tuple(f.F) for f in items])),
+                               winding=first.winding)
+    raise TypeError(f"cannot stack {type(first).__name__}")
+
+
 def build_calibration_battery(config: SuiteConfig, rng: np.random.Generator) -> list:
     grid = Grid(config.grid_shape, config.periods)
     n_gen = config.n_gen
@@ -203,12 +254,17 @@ def _suite_berezin(config: SuiteConfig, rng) -> list[CheckReport]:
     n_gen = config.n_gen
     grid = Grid((config.toy_points,), (config.periods[0],))
     tol = config.tolerance("berezin")
-    worst = 0.0
-    for _ in range(config.fixtures("berezin")):
+
+    def draw() -> tuple:
         f0 = _even_field(rng, grid, n_gen, soul_mask=0b11) \
             + _odd_field(rng, grid, n_gen, [1])
         f1 = _even_field(rng, grid, n_gen, soul_mask=0b110) \
             + _odd_field(rng, grid, n_gen, [2])
+        return f0, f1
+
+    worst = 0.0
+    for size in _chunk_sizes(config.fixtures("berezin"), grid):
+        f0, f1 = _stack([draw() for _ in range(size)])
         sf = SuperFunction(grid, 1, n_gen, {0: f0, 1: f1})
         lhs = berezin_integrate(sf)
         worst = max_or_nan((worst, lhs.max_abs_diff(f1.integral())))
@@ -231,7 +287,9 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
     for _ in range(count):
         f = _toy_fixture(rng, grid, n_gen)
         a_comp = toy_action_component(f)
-        a_super = toy_action_superfield(superfield_from_fields(f))
+        # The integrand and its integral are reused by the embedding check.
+        integrand = _superfield_integrand(superfield_from_fields(f))
+        a_super = berezin_integrate(integrand)
         equiv = max_or_nan((equiv, a_comp.max_abs_diff(a_super)))
 
         q = generator(n_gen, Q_GEN) * float(rng.normal())
@@ -241,7 +299,7 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
                                  d1.psi.max_abs_diff(d2.psi)))
 
         xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
-        embed = max_or_nan((embed, toy_embedding_residual(f, xi)))
+        embed = max_or_nan((embed, _embedding_residual(integrand, a_super, xi)))
 
     # Closed-form fixture: phi = sin x, psi = cos(x) theta1 + sin(x) theta2
     # on the circle of circumference 2 pi has action pi/2 + pi theta1 theta2.
@@ -272,13 +330,16 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
 
-    worst = 0.0
-    for _ in range(config.fixtures("reduction")):
-        fields = ComponentFields(
+    def draw() -> ComponentFields:
+        return ComponentFields(
             phi=[_even_field(rng, grid, n_gen, scale=0.7, soul_mask=0b11)],
             psi=[_odd_spinor(rng, grid, n_gen, PSI_GENS, scale=0.6)],
             F=[_even_field(rng, grid, n_gen, scale=0.5)],
         )
+
+    worst = 0.0
+    for size in _chunk_sizes(config.fixtures("reduction"), grid):
+        fields = _stack([draw() for _ in range(size)])
         a_super = action_superfield_flat(superfield_from_components(fields), coeffs)
         a_comp = action_component(geom, chi0, fields, coeffs=coeffs)
         worst = max_or_nan((worst, a_super.max_abs_diff(a_comp)))
@@ -303,9 +364,8 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
             0b11: _trig_array(rng, grid, scale=0.4),
         })
         scaled = weyl(geom, lam)
-        a0 = action_component(geom, chi0, classical_fields, coeffs=coeffs)
         a1 = action_component(scaled, chi0, classical_fields, coeffs=coeffs)
-        conformal = max_or_nan((conformal, a0.max_abs_diff(a1)))
+        conformal = max_or_nan((conformal, a.max_abs_diff(a1)))
 
     return [
         CheckReport("reduction-superfield-component", worst, tol),
@@ -329,14 +389,23 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
     cal_match = max_or_nan(abs(getattr(cal, k) - getattr(config.conventions, k))
                            for k in ("s1", "s2", "c4", "c5"))
 
-    chi0_resid = chi_resid = 0.0
-    for _ in range(config.fixtures("susy2d")):
-        geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=False)
-        chi0_resid = max_or_nan((chi0_resid, susy_invariance_residual(
-            geom, chi, fields, q, coeffs=config.conventions)))
-        geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=True)
-        chi_resid = max_or_nan((chi_resid, susy_invariance_residual(
-            geom, chi, fields, q, coeffs=config.conventions)))
+    # Every fixture has the flat identity frame.
+    geom = SurfaceGeometry.flat(grid, n_gen)
+    resid = [0.0, 0.0]  # the maxima over the fixtures without and with chi
+    for size in _chunk_sizes(config.fixtures("susy2d"), grid):
+        drawn = ([], [])
+        for i in range(size):
+            # A fixture without chi, then one with chi.  Each kind is checked
+            # once its chunk is drawn, so a chunk of one keeps no more
+            # fixtures alive than checking each fixture as it is drawn.
+            for kind in (0, 1):
+                drawn[kind].append(_sigma_fixture(rng, grid, n_gen, with_chi=bool(kind))[1:])
+                if i == size - 1:
+                    chi, fields, q = _stack(drawn[kind])
+                    drawn[kind].clear()
+                    resid[kind] = max_or_nan((resid[kind], susy_invariance_residual(
+                        geom, chi, fields, q, coeffs=config.conventions)))
+    chi0_resid, chi_resid = resid
 
     return [
         CheckReport("susy2d-calibration-residual", cal_residual, cal_tol),

@@ -26,7 +26,6 @@ from .superdomain import (
     SuperFunction,
     _apply_D,
     _apply_Q,
-    apply_Q,
     pullback_coordinate_change,
     restrict,
 )
@@ -120,7 +119,10 @@ def toy_susy_geometric(f: ToyFields, q: GrassmannNumber) -> ToyFields:
     dPhi = Phi.partial_even(1)
     zero_embed = Embedding(xi=[GrassmannField.zero(f.grid, f.n_gen)])
     dphi = restrict(_apply_Q(Phi, dPhi, q), zero_embed)
-    dpsi = restrict(apply_Q(_apply_D(Phi, dPhi), q), zero_embed)
+    # d_x D Phi = D d_x Phi, and D reads only the eta-free slot of
+    # d_x d_x Phi: phi'' is the one new derivative.
+    ddPhi = SuperFunction.from_even(f.grid, 1, f.n_gen, dPhi.coefficient(0).derivative(0))
+    dpsi = restrict(_apply_Q(_apply_D(Phi, dPhi), _apply_D(dPhi, ddPhi), q), zero_embed)
     return ToyFields(dphi, dpsi)
 
 
@@ -144,10 +146,15 @@ def toy_embedding_residual(f: ToyFields, xi: GrassmannField) -> float:
     change eta = xi + eta~ (unit Berezinian) and integrated there.  The
     result must equal the adapted xi = 0 integral.
     """
-    require_odd(xi, "embedding component xi")
     integrand = _superfield_integrand(superfield_from_fields(f))
-    a0 = berezin_integrate(integrand)
-    change = CoordinateChange(g0=f.grid.axis_points(0), g1=None, gamma0=xi, gamma1=None)
-    moved = pullback_coordinate_change(integrand, change)
-    a1 = berezin_integrate(moved)
+    return _embedding_residual(integrand, berezin_integrate(integrand), xi)
+
+
+def _embedding_residual(integrand: SuperFunction, a0: GrassmannNumber,
+                        xi: GrassmannField) -> float:
+    """``toy_embedding_residual`` given the superfield integrand of f and its
+    adapted (xi = 0) integral ``a0``."""
+    require_odd(xi, "embedding component xi")
+    change = CoordinateChange(g0=integrand.grid.axis_points(0), g1=None, gamma0=xi, gamma1=None)
+    a1 = berezin_integrate(pullback_coordinate_change(integrand, change))
     return a0.max_abs_diff(a1)

@@ -291,6 +291,50 @@ def test_decompose_fixture_spinor_not_two_entries_is_json_error(capsys, tmp_path
                       f"['components']['{key}'] must be a list of two spinor components")
 
 
+def _metric_fixture(n, **tensor):
+    zero = np.zeros((n, n)).tolist()
+    return {"kind": "metric", "shape": [n, n], "tensor": {"11": zero, "12": zero, "22": zero,
+                                                          **tensor}}
+
+
+@pytest.mark.parametrize("entry, values, shape", [
+    ("11", np.ones(8).tolist(), "[8]"),
+    ("12", np.ones((2, 8, 8)).tolist(), "[2, 8, 8]"),
+    ("22", np.ones((8, 4)).tolist(), "[8, 4]"),
+    ("11", 1.0, "[]"),
+], ids=["row", "stacked", "wrong-width", "scalar"])
+def test_decompose_fixture_entry_of_wrong_shape_is_json_error(capsys, tmp_path, entry,
+                                                              values, shape):
+    # A row or scalar used to be broadcast to the whole grid (and pass); a
+    # stacked entry would read as a batch of fixtures.
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_metric_fixture(8, **{entry: values})))
+    code, out = run_cli(capsys, "decompose", "--fixture", str(path))
+    assert code == 1
+    assert_json_error(out, "ValueError", f"entry ['tensor']['{entry}'] has shape {shape}, "
+                                         f"but the fixture's shape is [8, 8]")
+
+
+def test_decompose_gravitino_component_of_wrong_shape_is_json_error(capsys, tmp_path):
+    good = np.zeros((8, 8)).tolist()
+    components = {"chi1": [good, good], "chi2": [good, np.zeros(8).tolist()]}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({"kind": "gravitino", "shape": [8, 8], "components": components}))
+    code, out = run_cli(capsys, "decompose", "--fixture", str(path))
+    assert code == 1
+    assert_json_error(out, "ValueError", "entry ['components']['chi2'][1] has shape [8]")
+
+
+@pytest.mark.parametrize("values", [[[0.0] * 8] * 7 + [[0.0] * 3], {"a": 1.0}, "x"],
+                         ids=["ragged", "object", "string"])
+def test_decompose_fixture_entry_not_numeric_is_json_error(capsys, tmp_path, values):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_metric_fixture(8, **{"12": values})))
+    code, out = run_cli(capsys, "decompose", "--fixture", str(path))
+    assert code == 1
+    assert_json_error(out, "ValueError", "entry ['tensor']['12'] is not a numeric array")
+
+
 @pytest.mark.parametrize("config, fragment", [
     ({"tolerances": {"calibration": "x"}}, "tolerance 'calibration' must be a number"),
     ({"tolerances": {"toy": True}}, "tolerance 'toy' must be a number"),

@@ -180,6 +180,24 @@ def test_nonzero_gravitino_background_unsupported(rng, geom, grid):
         decompose_metric(geom, chi, dg)
 
 
+@pytest.mark.parametrize("call", ["metric", "gravitino", "lie", "dimensions"])
+def test_frame_near_identity_is_not_flat(rng, geom, chi0, grid, call):
+    # A frame 1e-12 away from the identity used to pass an allclose gate and
+    # then be treated as exactly flat.
+    assert geom.is_identity_frame()
+    near = geom.perturb_frame_constant(np.array([[1.0 + 1e-12, 0.0], [0.0, 1.0]]))
+    assert not near.is_identity_frame()
+    zero = GrassmannField.zero(grid, N_GEN)
+    calls = {
+        "metric": lambda: decompose_metric(near, chi0, MetricDeformation([[zero, zero], [zero, zero]])),
+        "gravitino": lambda: decompose_gravitino(near, chi0, gravitino(rng, grid)),
+        "lie": lambda: lie_derivative_metric(near, [even_field(rng, grid), even_field(rng, grid)]),
+        "dimensions": lambda: true_deformation_dimensions(near),
+    }
+    with pytest.raises(UnsupportedRegimeError):
+        calls[call]()
+
+
 def test_metric_deformation_must_be_symmetric(rng, grid):
     a = band_field(rng, grid)
     b = band_field(rng, grid)

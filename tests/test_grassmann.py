@@ -271,3 +271,24 @@ def test_numpy_operand_on_the_left_reaches_rmul():
             left = weights * element
             assert type(left) is type(element)
             assert left.max_abs_diff(element * weights) == 0.0
+
+
+def test_unit_scalars_and_zero_sums_return_an_operand(rng):
+    grid = Grid((5, 4), (1.0, 2.0))
+    samples = rng.normal(size=(5, 4))
+    samples[0, 0] = -0.0
+    field = GrassmannField(grid, N, {0: samples, 0b11: rng.normal(size=(5, 4))})
+    number = GrassmannNumber(N, {0b101: 2.5, 0b1: -1.25})
+    sf = SuperFunction(grid, 2, N, {0: field, 0b11: field * 0.5})
+    for x in (field, number, sf):
+        zero = x * 0.0
+        assert zero.is_zero()
+        assert x * 1 is x and x * 1.0 is x and 1.0 * x is x
+        assert x + zero is x and zero + x is x and x - zero is x
+    # x * -1 is -x, which has the bits of the skipped product c * -1.0,
+    # signed zeros included.
+    for m, a in field.terms.items():
+        for neg in ((field * -1).terms[m], (-1.0 * field).terms[m], (sf * -1).terms[0].terms[m]):
+            assert np.array_equal(neg, a * -1.0)
+            assert np.array_equal(np.signbit(neg), np.signbit(a * -1.0))
+    assert (number * -1).terms == {m: c * -1.0 for m, c in number.terms.items()}

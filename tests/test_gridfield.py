@@ -314,3 +314,130 @@ def test_trig_array_matches_meshgrid_sum_bitwise(shape, periods):
             b = _meshgrid_trig_array(np.random.default_rng(seed), grid, **kwargs)
             assert a.shape == grid.shape
             assert np.array_equal(a, b)
+
+
+# -- fields stacked over fixtures ---------------------------------------------
+
+def _fixture(f, i):
+    """Fixture i of a stacked field, as an unstacked field with the same masks."""
+    return GrassmannField(f.grid, f.n_gen, {
+        m: a[i] if a.ndim > f.grid.ndim else a for m, a in f.terms.items()})
+
+
+def _assert_same_bits(f, g):
+    assert list(f.terms) == list(g.terms)
+    for m, a in f.terms.items():
+        assert a.shape == g.terms[m].shape
+        assert np.array_equal(a, g.terms[m], equal_nan=True), m
+
+
+def _stacked_pair(rng, grid, count):
+    """Two per-fixture field lists and their stacks."""
+    fs = [even_field(rng, grid, soul_mask=0b11) + odd_field(rng, grid, [1]) for _ in range(count)]
+    gs = [even_field(rng, grid, soul_mask=0b110) + odd_field(rng, grid, [2]) for _ in range(count)]
+    stack = [GrassmannField(grid, N_GEN, {m: np.stack([h.terms[m] for h in hs]) for m in hs[0].terms})
+             for hs in (fs, gs)]
+    return fs, gs, stack[0], stack[1]
+
+
+@pytest.mark.parametrize("shape", [(12,), (33,), (9, 7), (16, 16), (64, 64)])
+def test_stacked_operations_match_each_fixture_bitwise(rng, shape):
+    # At 64^2 three fixtures exceed one derivative stack of 8,192 samples.
+    grid = Grid(shape, tuple(rng.uniform(1.0, 8.0, len(shape))))
+    count = 3
+    fs, gs, f, g = _stacked_pair(rng, grid, count)
+    assert all(a.shape == (count,) + shape for a in f.terms.values())
+    results = {
+        "product": (f * g, [a * b for a, b in zip(fs, gs)]),
+        "sum": (f + g, [a + b for a, b in zip(fs, gs)]),
+        "difference": (f - g, [a - b for a, b in zip(fs, gs)]),
+        "scaled": (f * 2.5, [a * 2.5 for a in fs]),
+        "array-scaled": (f * grid.axis_points(0).reshape((-1,) + (1,) * (grid.ndim - 1)),
+                         [a * grid.axis_points(0).reshape((-1,) + (1,) * (grid.ndim - 1))
+                          for a in fs]),
+        "power": ((f * f + 1.0).nilpotent_power(-0.5), [(a * a + 1.0).nilpotent_power(-0.5)
+                                                       for a in fs]),
+    }
+    for axis in range(grid.ndim):
+        results[f"derivative-{axis}"] = (f.derivative(axis), [a.derivative(axis) for a in fs])
+    for name, (stacked, each) in results.items():
+        for i in range(count):
+            _assert_same_bits(_fixture(stacked, i), each[i])
+    integral = (f * g).integral()
+    for m, c in integral.terms.items():
+        assert c.shape == (count,)
+        assert list(c) == [(a * b).integral().terms[m] for a, b in zip(fs, gs)]
+    assert f.max_abs() == max(a.max_abs() for a in fs)
+    assert (f * g).integral().max_abs() == max((a * b).integral().max_abs()
+                                               for a, b in zip(fs, gs))
+
+
+@pytest.mark.parametrize("shape", [(12,), (9, 7)])
+def test_mixed_stacked_and_unstacked_terms(rng, shape):
+    grid = Grid(shape, tuple(rng.uniform(1.0, 8.0, len(shape))))
+    body = rng.normal(size=shape)
+    soul = rng.normal(size=(4,) + shape)
+    f = GrassmannField(grid, N_GEN, {0: body, 0b11: soul})
+    # The unstacked term is broadcast to the fixture axis, in the given order.
+    assert list(f.terms) == [0, 0b11]
+    assert f.terms[0].shape == (4,) + shape
+    fs = [GrassmannField(grid, N_GEN, {0: body, 0b11: soul[i]}) for i in range(4)]
+    plain = GrassmannField(grid, N_GEN, {0: rng.normal(size=shape), 0b100: rng.normal(size=shape)})
+    for axis in range(grid.ndim):
+        d = f.derivative(axis)
+        for i in range(4):
+            _assert_same_bits(_fixture(d, i), fs[i].derivative(axis))
+    for stacked, each in [(f * plain, [a * plain for a in fs]),
+                          (plain * f, [plain * a for a in fs]),
+                          (f + plain, [a + plain for a in fs]),
+                          (plain - f, [plain - a for a in fs])]:
+        assert all(a.shape == (4,) + shape for a in stacked.terms.values())
+        for i in range(4):
+            _assert_same_bits(_fixture(stacked, i), each[i])
+
+
+def test_terms_must_stack_one_fixture_count(grid):
+    with pytest.raises(ValueError, match="different fixture counts"):
+        GrassmannField(grid, N_GEN, {0: np.ones((2, 64)), 1: np.ones((3, 64))})
+    f = GrassmannField(grid, N_GEN, {0: np.ones((2, 64))})
+    with pytest.raises(ValueError):
+        f + GrassmannField(grid, N_GEN, {0: np.ones((3, 64))})
+
+
+def test_nan_in_one_fixture_reaches_max_abs(rng, grid):
+    samples = rng.normal(size=(5, 64))
+    samples[3, 17] = np.nan
+    f = GrassmannField(grid, N_GEN, {0b1: rng.normal(size=(5, 64)), 0b10: samples})
+    assert np.isnan(f.max_abs())
+    assert np.isnan(f.integral().max_abs())
+    assert np.isnan((f * f.derivative(0)).max_abs())
+
+
+def test_value_at_and_compose_body_reject_stacked_fields(rng, grid):
+    f = GrassmannField(grid, N_GEN, {0: rng.normal(size=(2, 64)), 0b1: rng.normal(size=64)})
+    with pytest.raises(ValueError, match="stacked over 2 fixtures"):
+        f.value_at((3,))
+    with pytest.raises(ValueError, match="stacked over 2 fixtures"):
+        f.compose_body(grid.axis_points(0) + 0.1)
+    # The unstacked parts of the same fixtures still work.
+    _fixture(f, 1).value_at((3,))
+    _fixture(f, 1).compose_body(grid.axis_points(0) + 0.1)
+
+
+def test_grassmann_number_with_per_fixture_coefficients(grid):
+    a = GrassmannNumber(N_GEN, {0: np.array([1.0, -3.0]), 0b11: np.array([0.0, -0.0]),
+                                0b1: 2.0})
+    # An all-zero coefficient array is dropped like a zero float.
+    assert list(a.terms) == [0, 0b1]
+    assert a.max_abs() == 3.0
+    assert (a * a).terms[0].tolist() == [1.0, 9.0]
+    assert np.isnan(GrassmannNumber(N_GEN, {0: np.array([1.0, np.nan])}).max_abs())
+    with pytest.raises(ValueError, match="per-fixture"):
+        repr(a)
+    with pytest.raises(ValueError, match="1-d"):
+        GrassmannNumber(N_GEN, {0: np.ones((2, 2))})
+    # As a constant field it takes one value per fixture.
+    c = GrassmannField.constant(grid, a)
+    assert c.terms[0].shape == (2, 64)
+    assert np.array_equal(c.terms[0][1], np.full(64, -3.0))
+    assert np.array_equal(c.terms[0b1][0], np.full(64, 2.0))

@@ -64,6 +64,39 @@ def test_clifford_action_componentwise(rng, grid):
         assert rotated.comps[i].max_abs_diff(expected) < 1e-14
 
 
+def _dense_matrix_apply(s, m):
+    """Every entry of m multiplied in, zeros included."""
+    return [s.comps[0] * float(m[i, 0]) + s.comps[1] * float(m[i, 1]) for i in range(2)]
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma5", "full"])
+def test_matrix_apply_matches_dense_product_bitwise(rng, grid, name):
+    m = {"gamma1": CLIFFORD.gamma1, "gamma2": CLIFFORD.gamma2, "gamma5": CLIFFORD.gamma5,
+         "full": np.array([[0.5, -2.0], [1.5, 0.25]])}[name]
+    s = odd_spinor(rng, grid, [1, 2])
+    out = s.matrix_apply(m)
+    for got, want in zip(out.comps, _dense_matrix_apply(s, m)):
+        assert list(got.terms) == list(want.terms)
+        for mask, a in want.terms.items():
+            assert np.array_equal(got.terms[mask], a)
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma5"])
+@pytest.mark.parametrize("component", [0, 1])
+def test_nan_in_one_spinor_component_reaches_the_output(rng, grid, name, component):
+    # Skipping a zero matrix entry skips NaN * 0.0; the NaN must still reach
+    # the row where its entry is nonzero.
+    m = getattr(CLIFFORD, name)
+    s = odd_spinor(rng, grid, [1, 2])
+    comps = list(s.comps)
+    bad = {mask: a.copy() for mask, a in comps[component].terms.items()}
+    next(iter(bad.values()))[3, 5] = np.nan
+    comps[component] = GrassmannField(grid, N_GEN, bad)
+    out = SpinorField(comps).matrix_apply(m)
+    assert np.isnan(out.max_abs())
+    assert any(np.isnan(c.max_abs()) for c in out.comps)
+
+
 def test_super_weyl_shifts_gravitino(rng, grid):
     chi = gravitino(rng, grid)
     t = odd_spinor(rng, grid, [1, 2])
