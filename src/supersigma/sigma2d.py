@@ -1,9 +1,9 @@
 """Two-dimensional supersymmetric sigma model on the flat torus.
 
-Implements the six-term component action, its superfield counterpart on
-R^{2|2} (flat model, vanishing gravitino), the Dirac operator, matter
-supersymmetry variations, energy-momentum tensor, super current, and the
-harmonic-map gradient flow.
+Implements the five-term component action on a flat target, its superfield
+counterpart on R^{2|2} (flat model, vanishing gravitino), the Dirac
+operator, matter supersymmetry variations, energy-momentum tensor, super
+current, and the harmonic-map gradient flow (flat or sphere target).
 
 Superspace conventions (fixed here, verified by the reduction identity):
 
@@ -36,7 +36,6 @@ from .spin_surface import (
     SpinorField,
     SurfaceGeometry,
     clifford,
-    gravitino_connection_coefficient,
     pairing,
 )
 from .superdomain import SuperFunction
@@ -78,18 +77,16 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Target:
-    """Flat R^d or the round sphere S^2 (embedded in R^3) with curvature K."""
+    """Target of the harmonic flow: flat R^d, or the round sphere S^2
+    (embedded in R^3) with curvature K."""
 
     kind: str = "flat"
-    dim: int = 1
     curvature: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("flat", "sphere"):
             raise ValueError(f"unknown target kind {self.kind!r}")
         if self.kind == "sphere":
-            if self.dim != 3:
-                raise ValueError("sphere targets are embedded in R^3")
             if self.curvature <= 0.0:
                 raise ValueError("sphere curvature must be positive")
         elif self.curvature != 0.0:
@@ -181,11 +178,11 @@ class ComponentFields:
 class ActionCoefficients:
     """Term normalizations of the component action and variation signs.
 
-    c1..c6 multiply, in order: the Dirichlet term, the Dirac term, <F,F>,
-    the gravitino-matter coupling, the gravitino-squared coupling, and the
-    target-curvature term.  s1, s2 are the signs of the two matter
-    supersymmetry variations, and superfield_normalization is the overall
-    factor in front of the superfield action.
+    c1..c5 multiply, in order: the Dirichlet term, the Dirac term, <F,F>,
+    the gravitino-matter coupling and the gravitino-squared coupling.  s1,
+    s2 are the signs of the two matter supersymmetry variations, and
+    superfield_normalization is the overall factor in front of the
+    superfield action.
     """
 
     c1: float = 1.0
@@ -193,7 +190,6 @@ class ActionCoefficients:
     c3: float = -0.25
     c4: float = 2.0
     c5: float = 0.5
-    c6: float = 1.0 / 6.0
     s1: float = 1.0
     s2: float = 1.0
     superfield_normalization: float = -0.5
@@ -201,13 +197,16 @@ class ActionCoefficients:
     def to_dict(self) -> dict:
         return {
             "c1": self.c1, "c2": self.c2, "c3": self.c3,
-            "c4": self.c4, "c5": self.c5, "c6": self.c6,
+            "c4": self.c4, "c5": self.c5,
             "s1": self.s1, "s2": self.s2,
             "superfield_normalization": self.superfield_normalization,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ActionCoefficients":
+        if "c6" in d:
+            raise ValueError("convention 'c6' was removed: the target-curvature term "
+                             "is gone from the flat-target action; delete the key")
         known = [f.name for f in dataclass_fields(cls)]
         unknown = sorted(set(d) - set(known))
         if unknown:
@@ -219,36 +218,20 @@ class ActionCoefficients:
 # Dirac operator and action
 # ---------------------------------------------------------------------------
 
-def dirac(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
-          target: Target = Target()) -> list[SpinorField]:
-    """Dslash psi = gamma^a nabla^S_{f_a} psi with the gravitino-corrected
-    spin connection and the pulled-back target connection.
+def dirac(geom: SurfaceGeometry, fields: ComponentFields) -> list[SpinorField]:
+    """Dslash psi^t = gamma^a f_a psi^t for every target coordinate t.
 
+    The gravitino-corrected connection would add <gamma^b chi_b, chi_a>
+    gamma5 psi to f_a psi; the action reads Dslash psi only through
+    <psi, Dslash psi>, and <psi, gamma^a (c gamma5 psi)> vanishes
+    identically for odd psi and even c, so the correction is omitted.
     Each psi^t is differentiated once per axis.
     """
     conv = geom.clifford_convention
-    coeffs = [gravitino_connection_coefficient(chi, a, conv) for a in (1, 2)]
-    # nabla[t][a - 1] = f_a psi^t, then the target connection.
-    nabla = [list(geom.frame_derivatives_spinor(s)) for s in fields.psi]
-    if target.kind == "sphere":
-        # Tangential projection: subtract K <phi, f_a psi> phi^t pointwise.
-        for a in range(2):
-            radial = None
-            for s in range(fields.dim):
-                term = fields.phi[s] * nabla[s][a]
-                radial = term if radial is None else radial + term
-            for t in range(fields.dim):
-                nabla[t][a] = nabla[t][a] - (target.curvature * fields.phi[t]) * radial
     out: list[SpinorField] = []
-    for t in range(fields.dim):
-        acc = None
-        for a in (1, 2):
-            n = nabla[t][a - 1]
-            if not coeffs[a - 1].is_zero():
-                n = n + coeffs[a - 1] * fields.psi[t].matrix_apply(conv.gamma5)
-            term = clifford(a, n, conv)
-            acc = term if acc is None else acc + term
-        out.append(acc)
+    for s in fields.psi:
+        f1, f2 = geom.frame_derivatives_spinor(s)
+        out.append(clifford(1, f1, conv) + clifford(2, f2, conv))
     return out
 
 
@@ -269,11 +252,10 @@ def _psi_square(fields: ComponentFields, conv: CliffordConvention) -> GrassmannF
 
 
 def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
-                     fields: ComponentFields, target: Target,
-                     coeffs: ActionCoefficients, add) -> None:
-    """Call ``add(i, x)`` for every summand x of action term i (1..6).
+                     fields: ComponentFields, coeffs: ActionCoefficients, add) -> None:
+    """Call ``add(i, x)`` for every summand x of action term i (1..5).
 
-    Terms 1 and 3 are always visited; terms 2, 4, 5 and 6 only when their
+    Terms 1 and 3 are always visited; terms 2, 4 and 5 only when their
     coefficient is nonzero (and their fields are present), so the Dirac
     operator is skipped when c2 = 0.  The coefficients themselves are not
     applied: the caller decides how to fold the summands.
@@ -291,7 +273,7 @@ def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
     # Term 2: <psi, Dslash psi>.
     has_psi = any(not s.is_zero() for s in fields.psi)
     if has_psi and coeffs.c2:
-        dpsi = dirac(geom, chi, fields, target)
+        dpsi = dirac(geom, fields)
         for t in range(d):
             add(2, pairing(fields.psi[t], dpsi[t], conv))
 
@@ -318,34 +300,14 @@ def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
                 chi_coupling = chi_coupling + pairing(chi[a], chi[b].matrix_apply(gg), conv)
         add(5, chi_coupling * _psi_square(fields, conv))
 
-    # Term 6: target curvature, eps^{ab} eps^{cd} <R(psi_a, psi_c) psi_d, psi_b>.
-    if has_psi and target.kind == "sphere" and coeffs.c6:
-        K = target.curvature
-
-        def dot(al: int, be: int) -> GrassmannField:
-            acc = GrassmannField.zero(grid, n_gen)
-            for t in range(d):
-                acc = acc + fields.psi[t].comps[al] * fields.psi[t].comps[be]
-            return acc
-
-        eps = ((0, 1, 1.0), (1, 0, -1.0))
-        curv = GrassmannField.zero(grid, n_gen)
-        for al, be, e1 in eps:
-            for ga, de, e2 in eps:
-                # <R(psi_al, psi_ga) psi_de, psi_be>
-                #   = K (<psi_ga, psi_de><psi_al, psi_be> - <psi_al, psi_de><psi_ga, psi_be>)
-                curv = curv + (dot(ga, de) * dot(al, be)
-                               - dot(al, de) * dot(ga, be)) * (e1 * e2 * K)
-        add(6, curv)
-
 
 def _coefficient_vector(coeffs: ActionCoefficients) -> tuple[float, ...]:
-    """(c1, ..., c6), indexed by term number minus one."""
-    return (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6)
+    """(c1, ..., c5), indexed by term number minus one."""
+    return (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5)
 
 
 def action_density(geom: SurfaceGeometry, chi: GravitinoField,
-                   fields: ComponentFields, target: Target = Target(),
+                   fields: ComponentFields,
                    coeffs: ActionCoefficients = ActionCoefficients()) -> GrassmannField:
     """Pointwise action density including the volume factor."""
     c = _coefficient_vector(coeffs)
@@ -355,34 +317,34 @@ def action_density(geom: SurfaceGeometry, chi: GravitinoField,
         nonlocal density
         density = density + x * c[i - 1]
 
-    _action_summands(geom, chi, fields, target, coeffs, add)
+    _action_summands(geom, chi, fields, coeffs, add)
     return density * geom.volume_factor()
 
 
 def _action_terms(geom: SurfaceGeometry, chi: GravitinoField,
-                  fields: ComponentFields, target: Target = Target(),
+                  fields: ComponentFields,
                   coeffs: ActionCoefficients = ActionCoefficients()) -> list:
-    """The integrals Int T_i dvol of the six action terms, unweighted.
+    """The integrals Int T_i dvol of the five action terms, unweighted.
 
     Entry i - 1 is None when term i is absent (gated off as in
     ``action_density``), so sum_i c_i I_i is the action for every choice of
     coefficients that keeps the same terms nonzero.
     """
-    terms: list = [None] * 6
+    terms: list = [None] * 5
 
     def add(i: int, x: GrassmannField) -> None:
         terms[i - 1] = x if terms[i - 1] is None else terms[i - 1] + x
 
-    _action_summands(geom, chi, fields, target, coeffs, add)
+    _action_summands(geom, chi, fields, coeffs, add)
     vol = geom.volume_factor()
     return [None if t is None else (t * vol).integral() for t in terms]
 
 
 def action_component(geom: SurfaceGeometry, chi: GravitinoField,
-                     fields: ComponentFields, target: Target = Target(),
+                     fields: ComponentFields,
                      coeffs: ActionCoefficients = ActionCoefficients()) -> GrassmannNumber:
-    """The six-term component action integrated over the torus."""
-    return action_density(geom, chi, fields, target, coeffs).integral()
+    """The five-term component action integrated over the torus."""
+    return action_density(geom, chi, fields, coeffs).integral()
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +427,7 @@ def action_superfield_flat(Phis: Sequence[SuperFunction],
 # ---------------------------------------------------------------------------
 
 def susy_fields(fields: ComponentFields, chi: GravitinoField, q: SpinorField,
-                geom: SurfaceGeometry, target: Target = Target(),
+                geom: SurfaceGeometry,
                 coeffs: ActionCoefficients = ActionCoefficients()) -> ComponentFields:
     """Matter supersymmetry variation at F = 0 on a flat target:
 
@@ -477,8 +439,6 @@ def susy_fields(fields: ComponentFields, chi: GravitinoField, q: SpinorField,
     so the sign is not a matter of argument order, and the plus sign is the
     one for which the variation leaves the action invariant.
     """
-    if target.kind != "flat":
-        raise UnsupportedRegimeError("matter SUSY variations require a flat target")
     if any(not f.is_zero() for f in fields.F):
         raise UnsupportedRegimeError("matter SUSY variations require F = 0")
     require_odd(q, "supersymmetry parameter q")
@@ -544,7 +504,6 @@ def _susy_varied_geometry(geom: SurfaceGeometry, chi: GravitinoField,
 
 def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
                              fields: ComponentFields, q: SpinorField,
-                             target: Target = Target(),
                              coeffs: ActionCoefficients = ActionCoefficients()) -> float:
     """Max coefficient of A(varied) - A(original) under the simultaneous
     matter + geometry supersymmetry variation (constant parameter q).
@@ -552,10 +511,10 @@ def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
     All variations are proportional to the odd parameter q, so for a
     monomial q the difference is exactly the first variation.
     """
-    a0 = action_component(geom, chi, fields, target, coeffs)
+    a0 = action_component(geom, chi, fields, coeffs)
     varied_geom, varied_chi = _susy_varied_geometry(geom, chi, q)
-    varied = fields + susy_fields(fields, chi, q, geom, target, coeffs)
-    a1 = action_component(varied_geom, varied_chi, varied, target, coeffs)
+    varied = fields + susy_fields(fields, chi, q, geom, coeffs)
+    a1 = action_component(varied_geom, varied_chi, varied, coeffs)
     return a1.max_abs_diff(a0)
 
 
@@ -576,7 +535,7 @@ def _calibration_scores(battery: Sequence[tuple], base: ActionCoefficients) -> l
 
     Rows are (score, s1, s2, sign c4, sign c5, candidate) in the order
     s1, s2, sign c4, sign c5 with +1 first.  For fixed (s1, s2) the action
-    is linear in c1..c6, so each fixture needs the per-term integrals of
+    is linear in c1..c5, so each fixture needs the per-term integrals of
     the original configuration once and of the varied one once per
     (s1, s2); every candidate is then scored as a linear combination.
     """
@@ -638,7 +597,7 @@ def _sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def energy_momentum(geom: SurfaceGeometry, chi: GravitinoField,
-                    fields: ComponentFields, target: Target = Target(),
+                    fields: ComponentFields,
                     coeffs: ActionCoefficients = ActionCoefficients(),
                     h: float = 1e-5) -> list[list[GrassmannField]]:
     """Symmetric 2-tensor T with delta_g A = -Int delta g . T dvol.
@@ -651,8 +610,8 @@ def energy_momentum(geom: SurfaceGeometry, chi: GravitinoField,
     def density_for(E: np.ndarray) -> tuple[GrassmannField, GrassmannField]:
         plus = geom.perturb_frame_constant(_sym_inv_sqrt(np.eye(2) + h * E))
         minus = geom.perturb_frame_constant(_sym_inv_sqrt(np.eye(2) - h * E))
-        return (action_density(plus, chi, fields, target, coeffs),
-                action_density(minus, chi, fields, target, coeffs))
+        return (action_density(plus, chi, fields, coeffs),
+                action_density(minus, chi, fields, coeffs))
 
     def variation(E: np.ndarray) -> GrassmannField:
         dp, dm = density_for(E)
@@ -665,16 +624,15 @@ def energy_momentum(geom: SurfaceGeometry, chi: GravitinoField,
 
 
 def super_current(geom: SurfaceGeometry, chi: GravitinoField,
-                  fields: ComponentFields, target: Target = Target(),
+                  fields: ComponentFields,
                   coeffs: ActionCoefficients = ActionCoefficients()) -> GravitinoField:
     """J with delta_chi A = Int <delta chi_a, J_a> dvol (exact in Lambda_N):
 
         J_a = c4 (f_b phi^t) gamma^b gamma^a psi^t
             + 2 c5 <psi, psi> gamma^b gamma^a chi_b.
 
-    The Dirac term's gravitino correction does not contribute because
-    <psi, gamma^a gamma5 psi> vanishes identically for the antisymmetric
-    pairing.
+    The Dirac term carries no gravitino (see ``dirac`` for the gamma5
+    identity that lets it drop the gravitino-corrected connection).
     """
     conv = geom.clifford_convention
     psi_sq = _psi_square(fields, conv)
@@ -799,7 +757,8 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
 
     phi <- phi + 2 dt Laplace(phi) per component, until the Laplacian is
     below ``grad_tol`` everywhere.  Flat targets step in Fourier space;
-    sphere targets step in real space and are reprojected pointwise after
+    sphere targets take a 3-component map (UnsupportedRegimeError
+    otherwise), step in real space and are reprojected pointwise after
     every step.  The first and last entries of ``energies`` are evaluated in
     real space.  Raises FlowDivergenceError if the energy increases for 10
     consecutive steps.
@@ -811,6 +770,9 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
     winding = np.asarray(winding, dtype=float)
     phi = [np.asarray(p, dtype=float).copy() for p in phi0]
     if target.kind == "sphere":
+        if d != 3:
+            raise UnsupportedRegimeError(
+                f"sphere targets are embedded in R^3; the map has {d} components")
         if np.any(winding):
             raise UnsupportedRegimeError("sphere targets admit no winding")
         _reproject(phi, target)

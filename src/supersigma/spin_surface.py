@@ -292,12 +292,6 @@ def super_weyl(chi: GravitinoField, t: SpinorField,
     return GravitinoField([chi[a] + clifford(a, t, conv) for a in (1, 2)])
 
 
-def gravitino_connection_coefficient(chi: GravitinoField, a: int,
-                                     conv: CliffordConvention = CLIFFORD) -> GrassmannField:
-    """The even field <gamma^b chi_b, chi_a> entering the corrected connection."""
-    return pairing(chi.gamma_trace(conv), chi[a], conv)
-
-
 def weyl(geom: SurfaceGeometry, lam: GrassmannField) -> SurfaceGeometry:
     """Conformal rescaling g -> lam g, realized as frame scaling by lam^{-1/2}."""
     require_even(lam, "conformal factor")

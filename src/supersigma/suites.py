@@ -55,11 +55,11 @@ from .spin_surface import (
 from .superdomain import SuperFunction
 from .toy_model import (
     ToyFields,
-    _embedding_residual,
     _superfield_integrand,
     superfield_from_fields,
     toy_action_component,
     toy_action_superfield,
+    toy_embedding_residual,
     toy_invariance_residual,
     toy_susy,
     toy_susy_geometric,
@@ -287,7 +287,7 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
     for _ in range(count):
         f = _toy_fixture(rng, grid, n_gen)
         a_comp = toy_action_component(f)
-        # The integrand and its integral are reused by the embedding check.
+        # The integrand is reused by the embedding check.
         integrand = _superfield_integrand(superfield_from_fields(f))
         a_super = berezin_integrate(integrand)
         equiv = max_or_nan((equiv, a_comp.max_abs_diff(a_super)))
@@ -299,7 +299,7 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
                                  d1.psi.max_abs_diff(d2.psi)))
 
         xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
-        embed = max_or_nan((embed, _embedding_residual(integrand, a_super, xi)))
+        embed = max_or_nan((embed, toy_embedding_residual(integrand, xi)))
 
     # Closed-form fixture: phi = sin x, psi = cos(x) theta1 + sin(x) theta2
     # on the circle of circumference 2 pi has action pi/2 + pi theta1 theta2.

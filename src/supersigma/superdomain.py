@@ -32,7 +32,6 @@ from .gridfield import GrassmannField, Grid, _interpolation_phase, spectral_deri
 
 __all__ = [
     "SuperFunction",
-    "SuperVectorField",
     "Embedding",
     "CoordinateChange",
     "apply_D",
@@ -143,28 +142,6 @@ class SuperFunction(GradedElement):
                 f"slots={sorted(self.terms)})")
 
 
-@dataclass
-class SuperVectorField:
-    """V = V^a d_{x^a} + V^alpha d_{eta^alpha} with superfunction components."""
-
-    even_components: Sequence[SuperFunction | None]
-    odd_components: Sequence[SuperFunction | None]
-
-    def apply(self, f: SuperFunction) -> SuperFunction:
-        out = None
-        for a, comp in enumerate(self.even_components, start=1):
-            if comp is not None:
-                term = comp * f.partial_even(a)
-                out = term if out is None else out + term
-        for alpha, comp in enumerate(self.odd_components, start=1):
-            if comp is not None:
-                term = comp * f.partial_odd(alpha)
-                out = term if out is None else out + term
-        if out is None:
-            raise ValueError("vector field has no components")
-        return out
-
-
 def _apply_D(f: SuperFunction, dfdx: SuperFunction) -> SuperFunction:
     """``apply_D`` for a caller that already holds d_x f = f.partial_even(1)."""
     if f.m != 1 or f.n_odd != 1:
@@ -188,16 +165,6 @@ def apply_D(f: SuperFunction) -> SuperFunction:
 def apply_Q(f: SuperFunction, q: GrassmannNumber) -> SuperFunction:
     """Q f = q (d_eta f + eta d_x f) on R^{1|1} for an odd parameter q."""
     return _apply_Q(f, f.partial_even(1), q)
-
-
-def susy_vector_field(grid: Grid, n_gen: int, q: GrassmannNumber) -> SuperVectorField:
-    """Q as a SuperVectorField on R^{1|1}; agrees with apply_Q."""
-    require_odd(q, "supersymmetry parameter q")
-    q_field = SuperFunction.from_even(grid, 1, n_gen, GrassmannField.constant(grid, q))
-    # Q = q d_eta + Q_SIGN * (q eta) d_x.  mul_odd_coordinate builds eta*q,
-    # and q eta = -eta q for the odd constant q.
-    even = q_field.mul_odd_coordinate(1) * (-Q_SIGN)
-    return SuperVectorField(even_components=[even], odd_components=[q_field])
 
 
 @dataclass

@@ -138,23 +138,16 @@ def toy_invariance_residual(f: ToyFields, q: GrassmannNumber) -> float:
     return toy_action_component(f + delta).max_abs_diff(_toy_action(f, dphi))
 
 
-def toy_embedding_residual(f: ToyFields, xi: GrassmannField) -> float:
+def toy_embedding_residual(integrand: SuperFunction, xi: GrassmannField) -> float:
     """Independence of the superfield action from the embedding.
 
-    The Berezin integral is taken in coordinates adapted to the embedding
-    with i#eta = xi: the integrand is pulled back through the coordinate
-    change eta = xi + eta~ (unit Berezinian) and integrated there.  The
-    result must equal the adapted xi = 0 integral.
+    ``integrand`` is the superfield integrand -1/2 d_x(Phi) D(Phi) of the
+    fields.  Its Berezin integral is taken in coordinates adapted to the
+    embedding with i#eta = xi: the integrand is pulled back through the
+    coordinate change eta = xi + eta~ (unit Berezinian) and integrated
+    there.  The result must equal the adapted xi = 0 integral.
     """
-    integrand = _superfield_integrand(superfield_from_fields(f))
-    return _embedding_residual(integrand, berezin_integrate(integrand), xi)
-
-
-def _embedding_residual(integrand: SuperFunction, a0: GrassmannNumber,
-                        xi: GrassmannField) -> float:
-    """``toy_embedding_residual`` given the superfield integrand of f and its
-    adapted (xi = 0) integral ``a0``."""
     require_odd(xi, "embedding component xi")
     change = CoordinateChange(g0=integrand.grid.axis_points(0), g1=None, gamma0=xi, gamma1=None)
     a1 = berezin_integrate(pullback_coordinate_change(integrand, change))
-    return a0.max_abs_diff(a1)
+    return berezin_integrate(integrand).max_abs_diff(a1)

@@ -1,12 +1,16 @@
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from supersigma.grassmann import require_odd
 from supersigma.gridfield import GrassmannField
 from supersigma.spin_surface import GravitinoField, SpinorField
 from supersigma.suites import _even_field, _odd_field, _odd_spinor
 from supersigma.suites import _trig_array as trig_array  # noqa: F401 (re-exported to tests)
-from supersigma.superdomain import SuperFunction
+from supersigma.superdomain import Q_SIGN, SuperFunction
 
 N_GEN = 6
 
@@ -84,3 +88,37 @@ def homogeneous_part(f: SuperFunction, parity: int) -> SuperFunction:
         gamma: GrassmannField(f.grid, f.n_gen, {
             m: a for m, a in c.terms.items() if (gamma.bit_count() + m.bit_count()) % 2 == parity})
         for gamma, c in f.terms.items()})
+
+
+# An independent oracle for apply_Q: Q written as a super vector field.
+
+@dataclass
+class SuperVectorField:
+    """V = V^a d_{x^a} + V^alpha d_{eta^alpha} with superfunction components."""
+
+    even_components: Sequence[SuperFunction | None]
+    odd_components: Sequence[SuperFunction | None]
+
+    def apply(self, f: SuperFunction) -> SuperFunction:
+        out = None
+        for a, comp in enumerate(self.even_components, start=1):
+            if comp is not None:
+                term = comp * f.partial_even(a)
+                out = term if out is None else out + term
+        for alpha, comp in enumerate(self.odd_components, start=1):
+            if comp is not None:
+                term = comp * f.partial_odd(alpha)
+                out = term if out is None else out + term
+        if out is None:
+            raise ValueError("vector field has no components")
+        return out
+
+
+def susy_vector_field(grid, n_gen, q) -> SuperVectorField:
+    """Q as a SuperVectorField on R^{1|1}; agrees with apply_Q."""
+    require_odd(q, "supersymmetry parameter q")
+    q_field = SuperFunction.from_even(grid, 1, n_gen, GrassmannField.constant(grid, q))
+    # Q = q d_eta + Q_SIGN * (q eta) d_x.  mul_odd_coordinate builds eta*q,
+    # and q eta = -eta q for the odd constant q.
+    even = q_field.mul_odd_coordinate(1) * (-Q_SIGN)
+    return SuperVectorField(even_components=[even], odd_components=[q_field])

@@ -225,6 +225,8 @@ def test_config_rejects_unknown_key_with_value_error():
         SuiteConfig.from_dict({"sede": 1})
     with pytest.raises(ValueError, match="c7"):
         SuiteConfig.from_dict({"conventions": {"c7": 1.0}})
+    with pytest.raises(ValueError, match="'c6' was removed"):
+        SuiteConfig.from_dict({"conventions": {"c6": 0.1}})
 
 
 def test_flow_cli_starts_from_the_suite_initial_data(capsys, tmp_path, monkeypatch):

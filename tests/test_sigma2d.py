@@ -231,34 +231,27 @@ def test_linear_calibration_matches_brute_force(rng, grid, name):
 
 
 def action_terms_cases(rng, grid):
-    """Fixtures with chi != 0, F != 0, target dimension 2, and a sphere target."""
+    """Fixtures with chi != 0, F != 0, and target dimensions 1 and 2."""
     geom = SurfaceGeometry.flat(grid, N_GEN)
-    sphere = ComponentFields(
-        phi=[even_field(rng, grid, scale=0.7, soul_mask=0b11) for _ in range(3)],
-        psi=[odd_spinor(rng, grid, [1, 2], scale=0.6) for _ in range(3)],
-        F=[even_field(rng, grid, scale=0.5) for _ in range(3)],
-    )
     return [
-        (geom, gravitino(rng, grid), matter(rng, grid, with_F=True), Target()),
-        (geom, gravitino(rng, grid), matter_dim2(rng, grid, with_F=True), Target()),
-        (geom, gravitino(rng, grid), sphere, Target(kind="sphere", dim=3, curvature=1.3)),
+        (geom, gravitino(rng, grid), matter(rng, grid, with_F=True)),
+        (geom, gravitino(rng, grid), matter_dim2(rng, grid, with_F=True)),
     ]
 
 
 def test_action_terms_recombine_to_action(rng, grid):
     # Distinct magnitudes, so a term filed under the wrong index shows.
-    coeffs = ActionCoefficients(c1=1.3, c2=0.7, c3=-0.45, c4=2.2, c5=-0.35, c6=0.9)
-    c = (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6)
-    for geom, chi, fields, target in action_terms_cases(rng, grid):
-        terms = s2._action_terms(geom, chi, fields, target, coeffs)
+    coeffs = ActionCoefficients(c1=1.3, c2=0.7, c3=-0.45, c4=2.2, c5=-0.35)
+    c = (coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5)
+    for geom, chi, fields in action_terms_cases(rng, grid):
+        terms = s2._action_terms(geom, chi, fields, coeffs)
         present = [i + 1 for i, t in enumerate(terms) if t is not None]
-        assert present == ([1, 2, 3, 4, 5, 6] if target.kind == "sphere"
-                           else [1, 2, 3, 4, 5])
+        assert present == [1, 2, 3, 4, 5]
         total = GrassmannNumber(N_GEN)
         for ci, integral in zip(c, terms):
             if integral is not None:
                 total = total + integral * ci
-        expected = action_component(geom, chi, fields, target, coeffs)
+        expected = action_component(geom, chi, fields, coeffs)
         assert total.max_abs_diff(expected) < 1e-12
 
 
@@ -516,12 +509,21 @@ def test_flat_flow_steps_without_real_space_kernels(monkeypatch, grid):
 
 def test_sphere_flow_reprojects(grid):
     geom = SurfaceGeometry.flat(grid, N_GEN)
-    target = Target(kind="sphere", dim=3, curvature=1.0)
+    target = Target(kind="sphere", curvature=1.0)
     X, Y = grid.coordinates()
     phi0 = [1.0 + 0.1 * np.cos(X), 0.1 * np.sin(Y), 0.1 * np.cos(X + Y)]
     result = harmonic_flow(geom, phi0, steps=500, dt=1e-3, target=target)
     radii = np.sqrt(sum(p * p for p in result.phi))
     assert np.max(np.abs(radii - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("components", [2, 4])
+def test_sphere_flow_rejects_a_map_not_in_r3(grid, components):
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    X, _ = grid.coordinates()
+    phi0 = [1.0 + 0.1 * np.cos(X)] + [0.1 * np.sin(X)] * (components - 1)
+    with pytest.raises(UnsupportedRegimeError, match=r"R\^3"):
+        harmonic_flow(geom, phi0, steps=5, dt=1e-3, target=Target(kind="sphere", curvature=1.0))
 
 
 def test_gravitino_variation_is_odd(rng, grid):
@@ -565,10 +567,10 @@ def assert_no_repeat(log):
 
 
 def test_action_differentiates_each_field_once(rng, grid, derivative_log):
-    for geom, chi, fields, target in action_terms_cases(rng, grid):
+    for geom, chi, fields in action_terms_cases(rng, grid):
         assert not chi.is_zero() and not fields.psi[0].is_zero()
         derivative_log.clear()
-        action_component(geom, chi, fields, target, CAL)
+        action_component(geom, chi, fields, CAL)
         assert_no_repeat(derivative_log)
 
 

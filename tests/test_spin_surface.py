@@ -13,6 +13,7 @@ from supersigma.spin_surface import (
     super_weyl,
     weyl,
 )
+from supersigma.suites import _stack
 
 from conftest import (N_GEN, even_field, gravitino,
                       odd_field, odd_spinor, trig_array)
@@ -53,6 +54,23 @@ def test_pairing_antisymmetric_on_even_spinors(rng, grid):
     v = SpinorField([even_field(rng, grid) for _ in range(2)])
     assert (pairing(u, v) + pairing(v, u)).max_abs() < 1e-14
     assert pairing(u, u).max_abs() < 1e-14
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_gamma5_correction_drops_out_of_the_dirac_pairing(rng, grid, stacked):
+    # sigma2d.dirac omits the gravitino-corrected connection c gamma5 psi
+    # (c = <gamma^b chi_b, chi_a>): the action reads it only through
+    # <psi, gamma^a (c gamma5 psi)>, which vanishes for odd psi and even c.
+    def draw():
+        psi = SpinorField([odd_field(rng, grid, [1, 2, 3, 4])
+                           + odd_field(rng, grid, [1]) * even_field(rng, grid, soul_mask=0b110000)
+                           for _ in range(2)])
+        return psi, even_field(rng, grid, soul_mask=0b000011)
+
+    psi, c = _stack([draw() for _ in range(3)]) if stacked else draw()
+    rotated = c * psi.matrix_apply(CLIFFORD.gamma5)
+    for a in (1, 2):
+        assert pairing(psi, clifford(a, rotated)).max_abs() <= 1e-13
 
 
 def test_clifford_action_componentwise(rng, grid):

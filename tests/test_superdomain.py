@@ -13,10 +13,10 @@ from supersigma.superdomain import (
     apply_Q,
     pullback_coordinate_change,
     restrict,
-    susy_vector_field,
 )
 
-from conftest import N_GEN, even_field, homogeneous_part, odd_field, superfunctions
+from conftest import (N_GEN, even_field, homogeneous_part, odd_field, superfunctions,
+                      susy_vector_field)
 
 
 @pytest.fixture

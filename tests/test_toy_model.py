@@ -3,9 +3,10 @@ import pytest
 
 from supersigma.grassmann import GrassmannNumber, ParityError, generator, unit
 from supersigma.gridfield import GrassmannField, Grid
-from supersigma.superdomain import Embedding, apply_D, apply_Q, restrict, susy_vector_field
+from supersigma.superdomain import Embedding, apply_D, apply_Q, restrict
 from supersigma.toy_model import (
     ToyFields,
+    _superfield_integrand,
     fields_from_superfield,
     superfield_from_fields,
     toy_action_component,
@@ -16,7 +17,7 @@ from supersigma.toy_model import (
     toy_susy_geometric,
 )
 
-from conftest import N_GEN, even_field, odd_field
+from conftest import N_GEN, even_field, odd_field, susy_vector_field
 
 
 @pytest.fixture
@@ -87,7 +88,8 @@ def test_susy_geometric_matches_q_of_d_phi_bitwise(rng, grid):
 def test_embedding_independence(rng, grid):
     f = toy_fixture(rng, grid)
     xi = odd_field(rng, grid, [6])
-    assert toy_embedding_residual(f, xi) < 1e-12
+    integrand = _superfield_integrand(superfield_from_fields(f))
+    assert toy_embedding_residual(integrand, xi) < 1e-12
 
 
 def test_susy_requires_odd_parameter(rng, grid):
@@ -120,14 +122,16 @@ def test_each_toy_call_differentiates_each_field_once(rng, grid, derivative_log)
     xi = odd_field(rng, grid, [6], scale=0.8)
     # (call, derivatives taken): phi and psi once each; the geometric
     # variation also takes phi'' (for d_x D Phi = D d_x Phi), the invariance
-    # residual the varied phi and psi.
+    # residual the varied phi and psi; the embedding residual takes none
+    # beyond those of the integrand it is given.
     calls = [
         (lambda: toy_action_component(f), 2),
         (lambda: toy_action_superfield(superfield_from_fields(f)), 2),
         (lambda: toy_susy(f, q), 1),
         (lambda: toy_susy_geometric(f, q), 3),
         (lambda: toy_invariance_residual(f, q), 4),
-        (lambda: toy_embedding_residual(f, xi), 2),
+        (lambda: toy_embedding_residual(
+            _superfield_integrand(superfield_from_fields(f)), xi), 2),
     ]
     for call, expected in calls:
         derivative_log.clear()
