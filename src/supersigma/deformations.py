@@ -19,7 +19,8 @@ metric residual D is the transverse-traceless part of York's split.
 Every Fourier mode within the cutoff and every Grassmann mask is fitted in
 one batched least-squares solve: the design matrices of all band modes are
 stacked into one tensor A, its pseudo-inverse A+ (singular-value cutoff
-1e-10) is applied to every mask at once, and the residual is rhs - A A+ rhs.
+1e-10) is applied to every mask (and every fixture of an input stacked over
+fixtures) at once, and the residual is rhs - A A+ rhs.
 A+ depends only on the grid shape, the periods, the cutoff, the line
 (metric or gravitino) and, on the gravitino line, the Clifford matrices; it
 is cached under exactly that key, keeping the two most recently used keys
@@ -114,7 +115,9 @@ class DecompositionResult:
     The metric line fills ``weyl`` (lambda), ``vector`` (X), and
     ``residual_metric`` (D); the gravitino line fills ``super_weyl`` (t),
     ``susy_parameter`` (q), and ``residual_gravitino`` (DD).  Unused slots
-    are None.  Residual norms are max-coefficient magnitudes.
+    are None.  Residual norms are max-coefficient magnitudes; for an input
+    stacked over fixtures the fields are stacked too, and each norm is the
+    maximum over the fixtures.
     """
 
     weyl: GrassmannField | None = None
@@ -228,8 +231,12 @@ def _cached_pinv(key: tuple, A: np.ndarray) -> np.ndarray:
 
 def _field_from_modes(grid: Grid, n_gen: int, masks: Sequence[int],
                       mode_grids) -> GrassmannField:
-    """Inverse transform one mode grid per mask back to a GrassmannField."""
-    return GrassmannField(grid, n_gen, {mask: np.fft.ifft2(modes).real
+    """Inverse transform one mode grid per mask back to a GrassmannField.
+
+    The real part is copied out, so the field does not keep the complex
+    transform alive.
+    """
+    return GrassmannField(grid, n_gen, {mask: np.fft.ifft2(modes).real.copy()
                                         for mask, modes in zip(masks, mode_grids)})
 
 
@@ -241,13 +248,17 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
     stacked over the band modes, shape (n1_band, n2_band, n_components,
     n_params).  Returns one field per parameter and one residual field per
     component; modes beyond the cutoff go entirely to the residual.
+    Component fields stacked over fixtures are solved fixture by fixture
+    in one pass, and so are the fields returned.
     """
     grid, n_gen = comps[0].grid, comps[0].n_gen
     masks = sorted({m for f in comps for m in f.terms}) or [0]
+    shape = np.broadcast_shapes(grid.shape, *(a.shape for f in comps for a in f.terms.values()))
     zero = np.zeros(grid.shape)
     # F[mask, component] holds the Fourier modes; the band modes are
     # overwritten in place by the residual below.
-    F = np.fft.fft2(np.array([[f.terms.get(m, zero) for f in comps] for m in masks]))
+    F = np.fft.fft2(np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
+                              for m in masks]))
     k1, k2, m1, m2 = _mode_wavenumbers(grid)
     i1 = np.flatnonzero(np.abs(m1) <= cutoff)
     i2 = np.flatnonzero(np.abs(m2) <= cutoff)
@@ -259,7 +270,7 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
     sol = A_pinv @ rhs
     F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 1)
 
-    buf = np.zeros(grid.shape, dtype=complex)
+    buf = np.zeros(shape, dtype=complex)
 
     def param_modes(j):
         for k in range(len(masks)):

@@ -8,8 +8,9 @@ precision for band-limited data.
 A field may also hold a batch of fixtures: its sample arrays then have the
 shape ``(B, *grid.shape)``, one slice per fixture, and every operation acts
 on each slice as it would on that fixture's own field.  Integrals are
-per-fixture Grassmann numbers and ``max_abs`` takes the maximum over all
-fixtures.
+per-fixture Grassmann numbers, ``max_abs`` takes the maximum over all
+fixtures, and ``compose_body`` interpolates each fixture with the shared
+phase matrix.  Only ``value_at`` refuses a stacked field.
 """
 
 from __future__ import annotations
@@ -124,13 +125,13 @@ def _interpolation_phase(grid: Grid, points: np.ndarray) -> np.ndarray:
 
 
 def _interpolation_coefficients(values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of 1-d samples, ordered as the columns of
-    ``_interpolation_phase``."""
-    n = values.shape[0]
+    """Fourier coefficients of 1-d samples along the last axis, ordered as the
+    columns of ``_interpolation_phase``; leading axes (fixtures) are kept."""
+    n = values.shape[-1]
     fhat = np.fft.fft(values) / n
     if n % 2 == 0:
-        fhat = np.concatenate([fhat, [0.5 * fhat[n // 2]]])
-        fhat[n // 2] *= 0.5
+        fhat = np.concatenate([fhat, 0.5 * fhat[..., n // 2:n // 2 + 1]], axis=-1)
+        fhat[..., n // 2] *= 0.5
     return fhat
 
 
@@ -263,16 +264,20 @@ class GrassmannField(GradedElement):
 
     def compose_body(self, points: np.ndarray) -> "GrassmannField":
         """Evaluate the trig interpolant of every term at new abscissae (1-d);
-        the terms share one phase matrix."""
+        the terms, and the fixtures of a stacked field, share one phase matrix."""
         if not self.terms:
             return self
         return self._compose_phase(_interpolation_phase(self.grid, points))
 
     def _compose_phase(self, phase: np.ndarray) -> "GrassmannField":
-        """``compose_body`` at the points of ``phase = _interpolation_phase(grid, points)``."""
-        self._require_unstacked("compose_body")
-        return self._new({m: np.real(phase @ _interpolation_coefficients(a))
-                          for m, a in self.terms.items()})
+        """``compose_body`` at the points of ``phase = _interpolation_phase(grid, points)``.
+
+        Each fixture of a stacked term is one matrix-vector product with
+        ``phase``, the same bits as for that fixture's own field.
+        """
+        return self._new({
+            m: np.real(np.matmul(phase, _interpolation_coefficients(a)[..., None])[..., 0])
+            for m, a in self.terms.items()})
 
     def nilpotent_power(self, p: float) -> "GrassmannField":
         """f**p via the finite binomial series around the body.

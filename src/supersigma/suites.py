@@ -6,10 +6,12 @@ configuration.  All randomness flows through one generator seeded from the
 configured seed and a fixed per-suite index, so reports are deterministic
 for a given (seed, config) pair whether suites run alone or under "all".
 
-The reduction, susy2d and Berezin suites draw their fixtures one at a time,
-in a fixed order, and evaluate them in chunks: ``_stack`` puts a chunk's
-fixtures on one leading axis of every sample array, so one evaluation
-checks the whole chunk with the same floating-point operations per fixture.
+The reduction, susy2d, Berezin, toy and decompose suites draw their
+fixtures one at a time, in a fixed order, and evaluate them in chunks:
+``_stack`` puts a chunk's fixtures on one leading axis of every sample array
+(and of the toy suite's parameter q), so one evaluation checks the whole
+chunk with the same floating-point operations per fixture.  The grassmann
+suite, the calibration battery and the currents suite run per fixture.
 """
 
 from __future__ import annotations
@@ -159,15 +161,20 @@ def _chunk_sizes(count: int, grid: Grid):
 def _stack(items: list):
     """One value holding every fixture of ``items`` on a leading sample axis.
 
-    ``items`` are like-shaped per-fixture values: fields, spinors,
-    gravitinos, component fields, or tuples of these.  A monomial missing
-    from some fixture is zero there; a single item is returned as it is.
+    ``items`` are like-shaped per-fixture values: Grassmann numbers, fields,
+    spinors, gravitinos, component fields, or tuples of these.  A monomial
+    missing from some fixture is zero there; a single item is returned as it
+    is.  Stacked Grassmann numbers have one coefficient per fixture.
     """
     first = items[0]
     if len(items) == 1:
         return first
     if isinstance(first, tuple):
         return tuple(_stack(list(column)) for column in zip(*items))
+    if isinstance(first, GrassmannNumber):
+        masks = dict.fromkeys(m for q in items for m in q.terms)
+        return GrassmannNumber(first.n_gen, {
+            m: np.array([q.terms.get(m, 0.0) for q in items]) for m in masks})
     if isinstance(first, GrassmannField):
         masks = dict.fromkeys(m for f in items for m in f.terms)
         zero = np.zeros(first.grid.shape)
@@ -281,25 +288,27 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
     n_gen = config.n_gen
     grid = Grid((config.toy_points,), (config.periods[0],))
     tol = config.tolerance("toy")
-    count = config.fixtures("toy")
+
+    def draw() -> tuple:
+        f = _toy_fixture(rng, grid, n_gen)
+        q = generator(n_gen, Q_GEN) * float(rng.normal())
+        xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
+        return f.phi, f.psi, q, xi
 
     equiv = susy = geom_agree = embed = 0.0
-    for _ in range(count):
-        f = _toy_fixture(rng, grid, n_gen)
-        a_comp = toy_action_component(f)
-        # The integrand is reused by the embedding check.
-        integrand = _superfield_integrand(superfield_from_fields(f))
-        a_super = berezin_integrate(integrand)
-        equiv = max_or_nan((equiv, a_comp.max_abs_diff(a_super)))
+    for size in _chunk_sizes(config.fixtures("toy"), grid):
+        phi, psi, q, xi = _stack([draw() for _ in range(size)])
+        f = ToyFields(phi, psi)
+        Phi = superfield_from_fields(f)
+        equiv = max_or_nan((equiv, toy_action_component(f).max_abs_diff(
+            toy_action_superfield(Phi))))
 
-        q = generator(n_gen, Q_GEN) * float(rng.normal())
         susy = max_or_nan((susy, toy_invariance_residual(f, q)))
         d1, d2 = toy_susy(f, q), toy_susy_geometric(f, q)
         geom_agree = max_or_nan((geom_agree, d1.phi.max_abs_diff(d2.phi),
                                  d1.psi.max_abs_diff(d2.psi)))
 
-        xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
-        embed = max_or_nan((embed, toy_embedding_residual(integrand, xi)))
+        embed = max_or_nan((embed, toy_embedding_residual(_superfield_integrand(Phi), xi)))
 
     # Closed-form fixture: phi = sin x, psi = cos(x) theta1 + sin(x) theta2
     # on the circle of circumference 2 pi has action pi/2 + pi theta1 theta2.
@@ -533,22 +542,24 @@ def _suite_decompose(config: SuiteConfig, rng) -> list[CheckReport]:
     tol = config.tolerance("decompose")
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
-    count = config.fixtures("decompose")
 
-    m_reasm = m_trace = m_div = 0.0
-    g_reasm = g_trace = 0.0
-    for i in range(count):
+    def draw() -> tuple:
         g11 = _even_field(rng, grid, n_gen, soul_mask=0b11, cutoff=6)
         g12 = _even_field(rng, grid, n_gen, cutoff=6)
         g22 = _even_field(rng, grid, n_gen, soul_mask=0b1100, cutoff=6)
-        dg = MetricDeformation([[g11, g12], [g12, g22]])
-        r = decompose_metric(geom, chi0, dg)
+        dchi = GravitinoField([_odd_spinor(rng, grid, n_gen, PSI_GENS, cutoff=6),
+                               _odd_spinor(rng, grid, n_gen, CHI_GENS, cutoff=6)])
+        return g11, g12, g22, dchi
+
+    m_reasm = m_trace = m_div = 0.0
+    g_reasm = g_trace = 0.0
+    for size in _chunk_sizes(config.fixtures("decompose"), grid):
+        g11, g12, g22, dchi = _stack([draw() for _ in range(size)])
+        r = decompose_metric(geom, chi0, MetricDeformation([[g11, g12], [g12, g22]]))
         m_reasm = max_or_nan((m_reasm, r.reassembly_residual))
         m_trace = max_or_nan((m_trace, r.trace_residual))
         m_div = max_or_nan((m_div, r.divergence_residual))
 
-        dchi = GravitinoField([_odd_spinor(rng, grid, n_gen, PSI_GENS, cutoff=6),
-                               _odd_spinor(rng, grid, n_gen, CHI_GENS, cutoff=6)])
         rg = decompose_gravitino(geom, chi0, dchi)
         g_reasm = max_or_nan((g_reasm, rg.reassembly_residual))
         g_trace = max_or_nan((g_trace, rg.gamma_trace_residual))

@@ -373,6 +373,57 @@ def test_true_dimensions_match_reference(grid_, cutoff, conv):
 
 
 # ---------------------------------------------------------------------------
+# Inputs stacked over fixtures
+# ---------------------------------------------------------------------------
+
+def assert_fixture_bits(stacked, i, f):
+    """Fixture i of ``stacked`` equals ``f`` sample for sample; a monomial
+    that ``f`` lacks is zero there."""
+    zero = np.zeros(f.grid.shape)
+    assert set(f.terms) <= set(stacked.terms)
+    for m, a in stacked.terms.items():
+        assert np.array_equal(a[i], f.terms.get(m, zero)), m
+
+
+STACK_GRIDS = ORACLE_GRIDS[:2] + [Grid((32, 32), (2.0 * np.pi, 2.0 * np.pi))]
+
+
+@pytest.mark.parametrize("grid_", STACK_GRIDS, ids=lambda g: f"{g.shape[0]}x{g.shape[1]}")
+def test_stacked_decompositions_match_each_fixture(rng, grid_):
+    from supersigma.suites import _stack
+    geom_ = SurfaceGeometry.flat(grid_, N_GEN)
+    chi0_ = GravitinoField.zero(grid_, N_GEN)
+    count = 3
+    # The second fixture's g22 lacks the soul of the others: it is zero there.
+    metrics = [(band_field(rng, grid_, (0, 0b11)), band_field(rng, grid_),
+                band_field(rng, grid_, (0,) if i == 1 else (0, 0b1100))) for i in range(count)]
+    gravitinos = [GravitinoField([odd_spinor(rng, grid_, [1, 3], cutoff=6),
+                                  odd_spinor(rng, grid_, [2, 4], cutoff=6)])
+                  for _ in range(count)]
+    g11, g12, g22 = _stack(metrics)
+    r = decompose_metric(geom_, chi0_, MetricDeformation([[g11, g12], [g12, g22]]))
+    rg = decompose_gravitino(geom_, chi0_, _stack(gravitinos))
+    each = [decompose_metric(geom_, chi0_, MetricDeformation([[a, b], [b, c]]))
+            for a, b, c in metrics]
+    each_g = [decompose_gravitino(geom_, chi0_, d) for d in gravitinos]
+    for i in range(count):
+        pairs = [(r.weyl, each[i].weyl)] + list(zip(r.vector, each[i].vector))
+        pairs += [(r.residual_metric.tensor[a][b], each[i].residual_metric.tensor[a][b])
+                  for a in range(2) for b in range(2)]
+        pairs += list(zip(rg.super_weyl.comps, each_g[i].super_weyl.comps))
+        pairs += list(zip(rg.susy_parameter.comps, each_g[i].susy_parameter.comps))
+        pairs += [(rg.residual_gravitino[a].comps[c], each_g[i].residual_gravitino[a].comps[c])
+                  for a in (1, 2) for c in range(2)]
+        for stacked, f in pairs:
+            assert_fixture_bits(stacked, i, f)
+    # Each residual is the maximum of the per-fixture residuals.
+    for name in ("reassembly", "trace", "divergence"):
+        assert r.residual_norms()[name] == max(e.residual_norms()[name] for e in each)
+    for name in ("reassembly", "gamma_trace"):
+        assert rg.residual_norms()[name] == max(e.residual_norms()[name] for e in each_g)
+
+
+# ---------------------------------------------------------------------------
 # Cutoff validation
 # ---------------------------------------------------------------------------
 

@@ -413,15 +413,28 @@ def test_nan_in_one_fixture_reaches_max_abs(rng, grid):
     assert np.isnan((f * f.derivative(0)).max_abs())
 
 
-def test_value_at_and_compose_body_reject_stacked_fields(rng, grid):
+def test_value_at_rejects_stacked_fields(rng, grid):
     f = GrassmannField(grid, N_GEN, {0: rng.normal(size=(2, 64)), 0b1: rng.normal(size=64)})
     with pytest.raises(ValueError, match="stacked over 2 fixtures"):
         f.value_at((3,))
-    with pytest.raises(ValueError, match="stacked over 2 fixtures"):
-        f.compose_body(grid.axis_points(0) + 0.1)
     # The unstacked parts of the same fixtures still work.
     _fixture(f, 1).value_at((3,))
-    _fixture(f, 1).compose_body(grid.axis_points(0) + 0.1)
+
+
+@pytest.mark.parametrize("n", [7, 16, 33, 64])
+def test_compose_body_on_a_stacked_field_matches_each_fixture(rng, n):
+    grid = Grid((n,), (2.5,))
+    x = grid.axis_points(0)
+    points = x + 0.2 * np.sin(2.0 * np.pi * x / 2.5)
+    # One stacked term beside an unstacked one, which is broadcast.
+    f = GrassmannField(grid, N_GEN, {0: rng.normal(size=(5, n)), 0b11: rng.normal(size=n),
+                                     0b100: rng.normal(size=(5, n))})
+    out = f.compose_body(points)
+    assert all(a.shape == (5, n) for a in out.terms.values())
+    for i in range(5):
+        _assert_same_bits(_fixture(out, i), _fixture(f, i).compose_body(points))
+        for m, a in out.terms.items():
+            assert np.array_equal(a[i], _reference_trig_interpolate(f.terms[m][i], grid, points))
 
 
 def test_grassmann_number_with_per_fixture_coefficients(grid):

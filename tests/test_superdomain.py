@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from supersigma import gridfield, superdomain
 from supersigma.grassmann import GrassmannNumber, ParityError, generator
 from supersigma.gridfield import GrassmannField, Grid
+from supersigma.suites import _stack
 from supersigma.superdomain import (
     CoordinateChange,
     Embedding,
     SuperFunction,
+    _apply_Q,
     apply_D,
     apply_Q,
     pullback_coordinate_change,
@@ -256,3 +258,75 @@ def test_pullback_builds_one_phase_matrix(rng, monkeypatch, n):
             assert list(slot.terms) == list(expected.terms[gamma].terms)
             for m, a in slot.terms.items():
                 assert np.array_equal(a, expected.terms[gamma].terms[m])
+
+
+# -- superfunctions stacked over fixtures ----------------------------------------
+
+def _fixture(f, i):
+    """Fixture i of a stacked field or superfunction, with the same masks."""
+    if isinstance(f, SuperFunction):
+        return SuperFunction(f.grid, f.n_odd, f.n_gen,
+                             {g: _fixture(c, i) for g, c in f.terms.items()})
+    return GrassmannField(f.grid, f.n_gen, {
+        m: a[i] if a.ndim > f.grid.ndim else a for m, a in f.terms.items()})
+
+
+def _assert_same_bits(stacked_fixture, f):
+    """Equal samples on every slot and monomial; a monomial one side lacks is zero."""
+    if isinstance(f, SuperFunction):
+        assert set(stacked_fixture.terms) == set(f.terms)
+        for gamma, c in f.terms.items():
+            _assert_same_bits(stacked_fixture.terms[gamma], c)
+        return
+    zero = np.zeros(f.grid.shape)
+    assert set(f.terms) <= set(stacked_fixture.terms)
+    for m, a in stacked_fixture.terms.items():
+        assert np.array_equal(a, f.terms.get(m, zero)), m
+
+
+def _stacked_superfunctions(rng, grid, count):
+    fs = [random_superfunction(rng, grid) for _ in range(count)]
+    f0, f1 = _stack([(f.coefficient(0), f.coefficient(1)) for f in fs])
+    return fs, SuperFunction(grid, 1, N_GEN, {0: f0, 1: f1})
+
+
+@pytest.mark.parametrize("n", [15, 64])
+def test_pullback_of_a_stacked_superfunction_matches_each_fixture(rng, n):
+    grid = Grid((n,), (2.0 * np.pi,))
+    x = grid.axis_points(0)
+    count = 3
+    fs, f = _stacked_superfunctions(rng, grid, count)
+    gamma0s = [odd_field(rng, grid, [6], scale=0.6) for _ in range(count)]
+    g1s = [odd_field(rng, grid, [5], scale=0.4) for _ in range(count)]
+    gamma1 = GrassmannField(grid, N_GEN, {0: np.ones(grid.shape), 0b11: 0.4 * np.cos(x)})
+    g0 = x + 0.2 * np.cos(x)
+    changes = [
+        # The toy suite's change: eta = xi + eta~, one xi per fixture.
+        (CoordinateChange(g0=x, gamma0=_stack(gamma0s)),
+         [CoordinateChange(g0=x, gamma0=c) for c in gamma0s]),
+        (CoordinateChange(g0=g0, g1=_stack(g1s), gamma0=_stack(gamma0s), gamma1=gamma1),
+         [CoordinateChange(g0=g0, g1=a, gamma0=c, gamma1=gamma1)
+          for a, c in zip(g1s, gamma0s)]),
+    ]
+    for stacked_change, each in changes:
+        moved = pullback_coordinate_change(f, stacked_change)
+        for i in range(count):
+            _assert_same_bits(_fixture(moved, i), pullback_coordinate_change(fs[i], each[i]))
+
+
+def test_apply_q_and_restrict_with_a_per_fixture_parameter(rng, grid):
+    count = 4
+    fs, f = _stacked_superfunctions(rng, grid, count)
+    qs = [generator(N_GEN, 5) * float(rng.normal()) for _ in range(count)]
+    q = _stack(qs)
+    assert q.terms[1 << 4].shape == (count,)
+    xis = [odd_field(rng, grid, [6], scale=0.8) for _ in range(count)]
+    moved = _apply_Q(f, f.partial_even(1), q)
+    zero = Embedding(xi=[GrassmannField.zero(grid, N_GEN)])
+    on_zero = restrict(moved, zero)
+    on_xi = restrict(moved, Embedding(xi=[_stack(xis)]))
+    for i in range(count):
+        each = _apply_Q(fs[i], fs[i].partial_even(1), qs[i])
+        _assert_same_bits(_fixture(moved, i), each)
+        _assert_same_bits(_fixture(on_zero, i), restrict(each, zero))
+        _assert_same_bits(_fixture(on_xi, i), restrict(each, Embedding(xi=[xis[i]])))
