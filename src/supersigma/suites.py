@@ -11,7 +11,9 @@ fixtures one at a time, in a fixed order, and evaluate them in chunks:
 ``_stack`` puts a chunk's fixtures on one leading axis of every sample array
 (and of the toy suite's parameter q), so one evaluation checks the whole
 chunk with the same floating-point operations per fixture.  The grassmann
-suite, the calibration battery and the currents suite run per fixture.
+suite draws each battery in bulk and multiplies chunks of up to 512 fixtures
+as Grassmann numbers with one coefficient per fixture (``_grassmann_stacks``).
+The calibration battery and the currents suite run per fixture.
 """
 
 from __future__ import annotations
@@ -206,54 +208,151 @@ def build_calibration_battery(config: SuiteConfig, rng: np.random.Generator) -> 
 # Suites
 # ---------------------------------------------------------------------------
 
-def _suite_grassmann(config: SuiteConfig, rng) -> list[CheckReport]:
-    n_gen = config.n_gen
-    count = config.fixtures("grassmann")
-    tol = config.tolerance("grassmann")
+def _bit_parity(x: np.ndarray) -> np.ndarray:
+    """1 where a non-negative int64 has an odd number of set bits, else 0."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
 
-    def random_element(n_masks: int = 6) -> GrassmannNumber:
+
+def _grassmann_draws(rng, n_gen: int, count: int) -> dict:
+    """Every battery of the grassmann suite, drawn in bulk in a fixed order.
+
+    Masks and coefficients come in pairs of like-shaped arrays, one row (of
+    terms) per element:
+    - "elements": (count, 6), the associativity battery;
+    - "parities": (count, 2), the parities of each commutator's two factors;
+    - "homogeneous": (count, 2, 4), four distinct masks of the drawn parity;
+    - "linear": the (count, n_gen) coefficients of the odd linear elements;
+    - "souls": (10, 6), elements whose souls must be nilpotent.
+    """
+    if n_gen < 3:
+        raise ValueError("the grassmann suite needs n_gen >= 3 "
+                         "(four distinct monomials of each parity)")
+
+    def small_integers(shape) -> np.ndarray:
         # Small-integer coefficients keep all products and sums exact in
         # floating point, so the laws can be checked with zero tolerance.
-        masks = rng.integers(0, 1 << n_gen, n_masks)
-        return GrassmannNumber(n_gen, {int(m): float(rng.integers(-8, 9) or 1)
-                                       for m in masks})
+        c = rng.integers(-8, 9, shape).astype(float)
+        c[c == 0.0] = 1.0
+        return c
 
-    def random_homogeneous(parity: int) -> GrassmannNumber:
-        coeffs = {}
-        while len(coeffs) < 4:
-            m = int(rng.integers(0, 1 << n_gen))
-            if bin(m).count("1") % 2 == parity:
-                coeffs[m] = float(rng.integers(-8, 9) or 1)
-        return GrassmannNumber(n_gen, coeffs)
+    def elements(rows: int) -> tuple:
+        return rng.integers(0, 1 << n_gen, (rows, 6)), small_integers((rows, 6))
 
-    elems = [random_element() for _ in range(count)]
-    assoc = 0.0
-    for i in range(count):
-        a, b, c = elems[i], elems[(i + 1) % count], elems[(i + 2) % count]
-        assoc = max_or_nan((assoc, ((a * b) * c).max_abs_diff(a * (b * c))))
+    draws = {"elements": elements(count)}
+    parities = draws["parities"] = rng.integers(0, 2, (count, 2))
+    # A mask of a given parity is n_gen - 1 free bits above a bit 0 that fixes
+    # the parity, so a uniform draw of the free bits is uniform over the masks
+    # of that parity.  Rows with a repeated mask are drawn again.
+    free = rng.integers(0, 1 << (n_gen - 1), (*parities.shape, 4))
+    while True:
+        ordered = np.sort(free, axis=-1)
+        repeated = (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
+        if not repeated.any():
+            break
+        free[repeated] = rng.integers(0, 1 << (n_gen - 1), (int(repeated.sum()), 4))
+    masks = (free << 1) | (_bit_parity(free) ^ parities[..., None])
+    draws["homogeneous"] = masks, small_integers(masks.shape)
+    draws["linear"] = rng.normal(size=(count, n_gen))
+    draws["souls"] = elements(10)
+    return draws
 
-    comm = 0.0
-    for _ in range(count):
-        pa, pb = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        a, b = random_homogeneous(pa), random_homogeneous(pb)
-        sign = -1.0 if (pa and pb) else 1.0
-        comm = max_or_nan((comm, (a * b).max_abs_diff((b * a) * sign)))
 
-    nilp = 0.0
-    for _ in range(count):
-        lin = GrassmannNumber(n_gen, {1 << i: float(rng.normal()) for i in range(n_gen)})
-        nilp = max_or_nan((nilp, (lin * lin).max_abs()))
-    for _ in range(10):
-        s = random_element().soul()
+# Fixtures per stacked chunk of the grassmann suite.  A product of two
+# stacked numbers visits every pair of the chunk's monomials, up to 4^n_gen
+# pairs, so a chunk is stacked only while that is at most 8 pairs per fixture
+# (n_gen <= 6); otherwise each fixture runs alone, with float coefficients.
+_GRASSMANN_CHUNK = 512
+
+
+def _grassmann_chunks(count: int, n_gen: int):
+    """A slice over the fixtures of each consecutive chunk of the grassmann suite."""
+    per_chunk = _GRASSMANN_CHUNK if 4 ** n_gen <= 8 * _GRASSMANN_CHUNK else 1
+    for start in range(0, count, per_chunk):
+        yield slice(start, min(start + per_chunk, count))
+
+
+def _grassmann_stacks(n_gen: int, masks: np.ndarray, coeffs: np.ndarray,
+                      runs: int = 1) -> list[GrassmannNumber]:
+    """Grassmann numbers holding ``runs`` overlapping runs of rows of (masks, coeffs).
+
+    Each row is one element, and number k holds rows k to len(masks) - runs + k.
+    A repeated mask in a row keeps its last coefficient, as a dict would.  A
+    run of one row gives float coefficients.  A longer run gives each
+    monomial that occurs in it one coefficient per row, zero where a row lacks
+    it: a contiguous view of the monomial's row in one block that all runs
+    share.
+    """
+    size = len(masks) - runs + 1
+    if size == 1:
+        return [GrassmannNumber(n_gen, dict(zip(m, c)))
+                for m, c in zip(masks.tolist(), coeffs.tolist())]
+    n_masks = masks.shape[1]
+    later = np.triu(np.ones((n_masks, n_masks), dtype=bool), 1)
+    keep = ~((masks[:, :, None] == masks[:, None, :]) & later).any(axis=2)
+    present, where = np.unique(masks, return_inverse=True)
+    dense = np.zeros((len(present), len(masks)))
+    dense[where.reshape(masks.shape)[keep], np.nonzero(keep)[0]] = coeffs[keep]
+    return [GrassmannNumber(n_gen, {int(m): row[k:k + size] for m, row in zip(present, dense)})
+            for k in range(runs)]
+
+
+# Each law below returns the largest residual over its battery.  Their stacked
+# numbers die with them, so no law holds on to another's chunk.
+
+def _grassmann_associativity(n_gen: int, masks, coeffs) -> float:
+    """Largest |(ab)c - a(bc)| over the cyclic triples (i, i + 1, i + 2)."""
+    count = len(masks)
+    worst = 0.0
+    for s in _grassmann_chunks(count, n_gen):
+        rows = np.arange(s.start, s.stop + 2) % count
+        a, b, c = _grassmann_stacks(n_gen, masks[rows], coeffs[rows], 3)
+        worst = max_or_nan((worst, ((a * b) * c).max_abs_diff(a * (b * c))))
+    return worst
+
+
+def _grassmann_commutativity(n_gen: int, parities, masks, coeffs) -> float:
+    """Largest |ab - (-1)^(pa pb) ba| over pairs of homogeneous elements."""
+    # The sign is a per-fixture body: -1 where both factors are odd.
+    signs = (1.0 - 2.0 * (parities[:, 0] & parities[:, 1]))[:, None]
+    bodies = np.zeros(signs.shape, dtype=int)
+    worst = 0.0
+    for s in _grassmann_chunks(len(masks), n_gen):
+        a, b = (_grassmann_stacks(n_gen, masks[s, k], coeffs[s, k])[0] for k in (0, 1))
+        sign = _grassmann_stacks(n_gen, bodies[s], signs[s])[0]
+        worst = max_or_nan((worst, (a * b).max_abs_diff((b * a) * sign)))
+    return worst
+
+
+def _grassmann_nilpotency(n_gen: int, linear, soul_masks, soul_coeffs) -> float:
+    """Largest coefficient of lin * lin over the odd linear elements with
+    coefficients ``linear``, and of s^(n_gen + 1) over the souls s."""
+    lin_masks = np.broadcast_to(1 << np.arange(n_gen), linear.shape)
+    worst = 0.0
+    for s in _grassmann_chunks(len(linear), n_gen):
+        lin = _grassmann_stacks(n_gen, lin_masks[s], linear[s])[0]
+        worst = max_or_nan((worst, (lin * lin).max_abs()))
+    for s in _grassmann_chunks(len(soul_masks), n_gen):
+        soul = _grassmann_stacks(n_gen, soul_masks[s], soul_coeffs[s])[0].soul()
         power = unit(n_gen)
         for _ in range(n_gen + 1):
-            power = power * s
-        nilp = max_or_nan((nilp, power.max_abs()))
+            power = power * soul
+        worst = max_or_nan((worst, power.max_abs()))
+    return worst
 
+
+def _suite_grassmann(config: SuiteConfig, rng) -> list[CheckReport]:
+    n_gen = config.n_gen
+    tol = config.tolerance("grassmann")
+    draws = _grassmann_draws(rng, n_gen, config.fixtures("grassmann"))
     return [
-        CheckReport("grassmann-associativity", assoc, tol),
-        CheckReport("grassmann-graded-commutativity", comm, tol),
-        CheckReport("grassmann-nilpotency", nilp, tol),
+        CheckReport("grassmann-associativity",
+                    _grassmann_associativity(n_gen, *draws["elements"]), tol),
+        CheckReport("grassmann-graded-commutativity",
+                    _grassmann_commutativity(n_gen, draws["parities"], *draws["homogeneous"]), tol),
+        CheckReport("grassmann-nilpotency",
+                    _grassmann_nilpotency(n_gen, draws["linear"], *draws["souls"]), tol),
     ]
 
 

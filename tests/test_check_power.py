@@ -1,0 +1,66 @@
+"""Planted defects: each report row must fail when the code it checks is wrong.
+
+Every entry patches one defect into the library, reruns only the suites it
+names and requires each listed row to fail.  A defect written as a source
+edit recompiles the patched function from its own source, so the entry
+breaks loudly if that source no longer holds the text it edits.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from supersigma import grassmann, suites
+from supersigma.config import SuiteConfig
+
+
+def _edited(func, old: str, new: str):
+    """``func`` recompiled from its source with ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{func.__qualname__} no longer holds {old!r}"
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"),
+         vars(inspect.getmodule(func)), namespace)
+    return namespace[func.__name__]
+
+
+def _no_koszul_sign(monkeypatch):
+    monkeypatch.setattr(grassmann, "_flip_mask", lambda a: 0)
+
+
+def _flip_mask_one_bit_too_far(monkeypatch):
+    monkeypatch.setattr(grassmann, "_flip_mask",
+                        _edited(grassmann._flip_mask, "x = a >> 1", "x = a >> 2"))
+
+
+def _no_overlap_test(monkeypatch):
+    # A product of monomials that share a generator no longer vanishes.
+    mul = grassmann.GradedElement.__mul__
+    monkeypatch.setattr(grassmann.GradedElement, "__mul__",
+                        _edited(mul, "if ma & mb:", "if False:"))
+
+
+# (defect, suites to rerun, rows that must fail)
+DEFECTS = {
+    "flip-mask-zero": (_no_koszul_sign, ["grassmann"],
+                       {"grassmann-graded-commutativity", "grassmann-nilpotency"}),
+    "flip-mask-shifted": (_flip_mask_one_bit_too_far, ["grassmann"],
+                          {"grassmann-graded-commutativity", "grassmann-nilpotency"}),
+    "product-without-overlap-test": (_no_overlap_test, ["grassmann"],
+                                     {"grassmann-associativity",
+                                      "grassmann-graded-commutativity",
+                                      "grassmann-nilpotency"}),
+}
+
+
+@pytest.mark.parametrize("defect", list(DEFECTS))
+def test_planted_defect_fails_its_rows(monkeypatch, defect):
+    plant, suite_names, must_fail = DEFECTS[defect]
+    config = SuiteConfig()
+    clean = [c for name in suite_names for c in suites.run_suite(config, name)]
+    assert all(c.passed for c in clean)
+    plant(monkeypatch)
+    checks = [c for name in suite_names for c in suites.run_suite(config, name)]
+    failed = {c.name for c in checks if not c.passed}
+    assert must_fail <= failed, sorted(must_fail - failed)

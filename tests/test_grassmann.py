@@ -18,6 +18,7 @@ from supersigma.grassmann import (
 )
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.spin_surface import SpinorField
+from supersigma.suites import _stack
 from supersigma.superdomain import SuperFunction
 
 N = 6
@@ -120,6 +121,23 @@ def test_graded_commutativity(a, pa, pb):
                              if bin(m).count("1") % 2 == pb})
     sign = -1.0 if (pa and pb) else 1.0
     assert (ha * hb).max_abs_diff((hb * ha) * sign) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_elements(), _elements(), _elements()), min_size=1, max_size=6))
+def test_product_of_stacks_is_each_fixtures_product(fixtures):
+    # Three fixed fixtures: e1 e2 (sign +1), e2 e1 (sign -1), and zero, which
+    # lacks every monomial the others have.
+    e1, e2 = generator(N, 1), generator(N, 2)
+    fixtures = fixtures + [(e1, e2, unit(N)), (e2, e1, unit(N)), (GrassmannNumber(N),) * 3]
+    a, b, c = _stack(fixtures)
+    stacked = (a * b) * c
+    for i, (x, y, z) in enumerate(fixtures):
+        own = (x * y) * z
+        assert set(own.terms) <= set(stacked.terms)
+        for m, values in stacked.terms.items():
+            assert values[i] == own.terms.get(m, 0.0)
+    assert stacked.terms[0b11][-3:].tolist() == [1.0, -1.0, 0.0]
 
 
 def test_generator_squares_vanish():

@@ -1,13 +1,16 @@
 """The stacked suites (reduction, susy2d, Berezin, toy and decompose) against
-per-fixture loops.
+per-fixture loops, and the grassmann suite's bulk draws and chunks.
 
 The oracles below evaluate one fixture at a time, as the suites did before
 they stacked a chunk of fixtures on one leading axis.  Every residual must
 match bit for bit, and the suites must leave their generator in the same
-state as the oracles.
+state as the oracles.  Every grassmann residual is an exact 0.0, so a maximum
+over fixtures would show nothing: its draws, chunks and stacks are tested
+directly, and a NaN planted in one fixture must reach its row.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from supersigma.deformations import (
     true_deformation_dimensions,
 )
 from supersigma.gridfield import GrassmannField, Grid
-from supersigma.grassmann import generator, max_or_nan, unit
+from supersigma.grassmann import GrassmannNumber, generator, max_or_nan, unit
 from supersigma.sigma2d import (
     ComponentFields,
     action_component,
@@ -39,6 +42,9 @@ from supersigma.suites import (
     SPARE_GEN,
     _chunk_sizes,
     _even_field,
+    _grassmann_chunks,
+    _grassmann_draws,
+    _grassmann_stacks,
     _odd_field,
     _odd_spinor,
     _sigma_fixture,
@@ -299,8 +305,22 @@ def _poison(monkeypatch, name, calls):
     monkeypatch.setattr(suites, name, poisoned)
 
 
+def _poison_grassmann(monkeypatch, battery, fixtures):
+    """Make the given fixtures (0-based) of one grassmann battery NaN in
+    every coefficient."""
+    original = suites._grassmann_draws
+
+    def poisoned(*args):
+        draws = original(*args)
+        coeffs = draws[battery] if battery == "linear" else draws[battery][1]
+        coeffs[sorted(fixtures)] = np.nan
+        return draws
+
+    monkeypatch.setattr(suites, "_grassmann_draws", poisoned)
+
+
 @pytest.mark.parametrize("suite, name, calls, rows", [
-    # Reduction draws three even fields per fixture: poison fixture 9's F.
+    # Reduction draws two even fields (phi, F) per fixture: poison fixture 9's F.
     ("reduction", "_even_field", {9 * 2 + 1}, [0]),
     # Berezin draws two odd fields per fixture: poison fixture 20's f1.
     ("berezin", "_odd_field", {20 * 2 + 1}, [0]),
@@ -317,13 +337,100 @@ def _poison(monkeypatch, name, calls):
     # alone in the last chunk.
     ("decompose", "_even_field", {3 * 3 + 1}, [0, 1, 2]),
     ("decompose", "_odd_field", {4 * 4}, [3, 4]),
+    # The last fixture of the first chunk and of the short last chunk, so a
+    # chunk that drops its last fixture fails a row.  Reduction: chunks of
+    # 8 + 5; Berezin and toy: 32 + 13; susy2d: 8 + 1.
+    ("reduction", "_even_field", {7 * 2 + 1}, [0]),
+    ("reduction", "_even_field", {12 * 2 + 1}, [0]),
+    ("berezin", "_odd_field", {31 * 2 + 1}, [0]),
+    ("berezin", "_odd_field", {44 * 2 + 1}, [0]),
+    ("susy2d", "_sigma_fixture", {4 + 2 * 7}, [2]),
+    ("susy2d", "_sigma_fixture", {4 + 2 * 7 + 1}, [3]),
+    ("toy", "_even_field", {31}, [0, 2, 3, 4]),
+    # The grassmann batteries: 1,000 fixtures in chunks of 512 + 488.  A NaN
+    # element reaches the three associativity triples that hold it.
+    ("grassmann", "elements", {511}, [0]),
+    ("grassmann", "elements", {999}, [0]),
+    ("grassmann", "homogeneous", {511}, [1]),
+    ("grassmann", "homogeneous", {999}, [1]),
+    ("grassmann", "linear", {511}, [2]),
+    ("grassmann", "linear", {999}, [2]),
 ])
 def test_nan_in_one_fixture_makes_the_suite_residual_nan(monkeypatch, suite, name, calls, rows):
     config = CONFIGS["small-grid"]()
-    _poison(monkeypatch, name, calls)
+    if suite == "grassmann":
+        _poison_grassmann(monkeypatch, name, calls)
+    else:
+        _poison(monkeypatch, name, calls)
     checks = suites.run_suite(config, suite)
     for i, c in enumerate(checks):
         if i in rows:
             assert np.isnan(c.residual) and not c.passed, c.name
         else:
             assert not np.isnan(c.residual), c.name
+
+
+def test_grassmann_chunks_stack_512_fixtures_up_to_six_generators():
+    assert [c.stop - c.start for c in _grassmann_chunks(1000, 6)] == [512, 488]
+    assert [c.stop - c.start for c in _grassmann_chunks(3, 3)] == [3]
+    assert list(_grassmann_chunks(0, 6)) == []
+    # From 7 generators on, a stacked product would visit more than 8
+    # monomial pairs per fixture: each fixture runs alone.
+    for n_gen in (7, 8):
+        assert [c.stop - c.start for c in _grassmann_chunks(3, n_gen)] == [1, 1, 1]
+    draws = _grassmann_draws(np.random.default_rng(8), 8, 3)
+    for c in _grassmann_chunks(3, 8):
+        [number] = _grassmann_stacks(8, *(x[c] for x in draws["elements"]))
+        assert number.terms and all(type(v) is float for v in number.terms.values())
+
+
+def test_grassmann_stacks_match_each_rows_dict():
+    # Three generators and six masks per row: most rows repeat a mask, which
+    # keeps its last coefficient.
+    masks, coeffs = _grassmann_draws(np.random.default_rng(5), 3, 40)["elements"]
+    rows = [GrassmannNumber(3, {int(m): float(c) for m, c in zip(ms, cs)})
+            for ms, cs in zip(masks, coeffs)]
+    # Three runs of 38 rows share one block, as the associativity triples do.
+    runs = _grassmann_stacks(3, masks, coeffs, 3)
+    assert len(runs) == 3
+    for k, run in enumerate(runs):
+        own = rows[k:k + 38]
+        assert sorted(run.terms) == sorted({m for r in own for m in r.terms})
+        for m, values in run.terms.items():
+            assert values.flags.c_contiguous
+            assert values.tolist() == [r.terms.get(m, 0.0) for r in own]
+    # Runs of one row are the rows themselves, with float coefficients.
+    singles = _grassmann_stacks(3, masks[:3], coeffs[:3], 3)
+    assert [x.terms for x in singles] == [r.terms for r in rows[:3]]
+    assert all(type(c) is float for x in singles for c in x.terms.values())
+
+
+@pytest.mark.parametrize("n_gen", [3, 6, 16])
+def test_grassmann_homogeneous_draws_are_distinct_masks_of_the_drawn_parity(n_gen):
+    draws = _grassmann_draws(np.random.default_rng(n_gen), n_gen, 500)
+    masks, coeffs = draws["homogeneous"]
+    assert masks.shape == coeffs.shape == (500, 2, 4)
+    for row, parity in zip(masks.reshape(-1, 4).tolist(), draws["parities"].ravel().tolist()):
+        assert len(set(row)) == 4
+        assert all(0 <= m < 1 << n_gen and m.bit_count() % 2 == parity for m in row)
+    assert set(coeffs.ravel().tolist()) <= set(map(float, range(-8, 9))) - {0.0}
+
+
+def test_grassmann_suite_at_16_generators_stays_small():
+    # Drawing the masks of one parity by ranking all 2^15 of them per
+    # fixture would take about 1 GB here.
+    config = SuiteConfig(n_gen=16, fixture_counts={"grassmann": 2000})
+    tracemalloc.start()
+    try:
+        checks = suites.run_suite(config, "grassmann")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < 5e6
+
+
+def test_grassmann_suite_rejects_fewer_than_three_generators():
+    # Two generators have only two monomials of each parity.
+    with pytest.raises(ValueError, match="n_gen >= 3"):
+        suites.run_suite(SuiteConfig(n_gen=2), "grassmann")
