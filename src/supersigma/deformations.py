@@ -20,7 +20,9 @@ Every Fourier mode within the cutoff and every Grassmann mask is fitted in
 one batched least-squares solve: the design matrices of all band modes are
 stacked into one tensor A, its pseudo-inverse A+ (singular-value cutoff
 1e-10) is applied to every mask (and every fixture of an input stacked over
-fixtures) at once, and the residual is rhs - A A+ rhs.
+fixtures) at once, and the residual is rhs - A A+ rhs.  Since A(-m) is
+conj A(m), A+ is computed for one mode of each conjugate pair and
+conjugated for the other.
 A+ depends only on the grid shape, the periods, the cutoff, the line
 (metric or gravitino) and, on the gravitino line, the Clifford matrices; it
 is cached under exactly that key, keeping the two most recently used keys
@@ -215,11 +217,48 @@ def _gravitino_columns(kap1, kap2, conv: CliffordConvention) -> np.ndarray:
     return A
 
 
-def _cached_pinv(key: tuple, A: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the stacked design matrices ``A``, cached under ``key``."""
+def _conjugate_partners(modes: np.ndarray) -> np.ndarray:
+    """Position of the mode -m for each band mode number m along one axis, or
+    -1 where -m is not in the band (the -n/2 mode of an even axis whose
+    cutoff reaches n/2).
+
+    A band keeps the fftfreq order 0, 1, ..., -1, so -m sits at position
+    (-i) mod len(modes) whenever it is in the band.
+    """
+    partner = -np.arange(len(modes)) % len(modes)
+    return np.where(modes[partner] == -modes, partner, -1)
+
+
+def _paired_pinv(A: np.ndarray, modes1: np.ndarray, modes2: np.ndarray) -> np.ndarray:
+    """Pseudo-inverses of the band design matrices ``A``, shape (len(modes1),
+    len(modes2), rows, cols), with one ``pinv`` call for all of them.
+
+    A(-m) is conj A(m) on both lines (the columns are real constants and
+    i kappa), so only one member of each conjugate pair of modes, the zero
+    mode and the unpaired modes are inverted; each partner is filled with
+    the conjugate, which is pinv A(-m) exactly.
+    """
+    n1, n2 = len(modes1), len(modes2)
+    p1, p2 = _conjugate_partners(modes1)[:, None], _conjugate_partners(modes2)
+    flat = np.arange(n1 * n2)
+    # A mode is its own partner (and inverted) unless -m is in the band on
+    # both axes; of a pair, the member first in the band is inverted.
+    partner = np.where((p1 >= 0) & (p2 >= 0), p1 * n2 + p2, flat.reshape(n1, n2)).ravel()
+    own = flat <= partner
+    A = A.reshape(n1 * n2, *A.shape[-2:])
+    A_pinv = np.empty((n1 * n2, A.shape[-1], A.shape[-2]), dtype=A.dtype)
+    A_pinv[own] = np.linalg.pinv(A[own], rcond=SVD_CUTOFF)
+    A_pinv[~own] = A_pinv[partner[~own]].conj()
+    return A_pinv.reshape(n1, n2, *A_pinv.shape[1:])
+
+
+def _cached_pinv(key: tuple, A: np.ndarray, modes1: np.ndarray,
+                 modes2: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the stacked design matrices ``A`` of the band modes
+    ``modes1`` x ``modes2`` (``_paired_pinv``), cached under ``key``."""
     A_pinv = _PINV_CACHE.get(key)
     if A_pinv is None:
-        A_pinv = np.linalg.pinv(A, rcond=SVD_CUTOFF)
+        A_pinv = _paired_pinv(A, modes1, modes2)
         A_pinv.flags.writeable = False
         _PINV_CACHE[key] = A_pinv
         if len(_PINV_CACHE) > _PINV_CACHE_SIZE:
@@ -255,16 +294,17 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
     masks = sorted({m for f in comps for m in f.terms}) or [0]
     shape = np.broadcast_shapes(grid.shape, *(a.shape for f in comps for a in f.terms.values()))
     zero = np.zeros(grid.shape)
-    # F[mask, component] holds the Fourier modes; the band modes are
-    # overwritten in place by the residual below.
-    F = np.fft.fft2(np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
-                              for m in masks]))
+    # F[mask, component] holds the Fourier modes, transformed in place; the
+    # band modes are overwritten in place by the residual below.
+    F = np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
+                  for m in masks], dtype=complex)
+    np.fft.fft2(F, out=F)
     k1, k2, m1, m2 = _mode_wavenumbers(grid)
     i1 = np.flatnonzero(np.abs(m1) <= cutoff)
     i2 = np.flatnonzero(np.abs(m2) <= cutoff)
     band = (..., i1[:, None], i2)
     A = build_columns(k1[i1][:, None], k2[i2])
-    A_pinv = _cached_pinv((grid.shape, grid.periods, cutoff) + line_key, A)
+    A_pinv = _cached_pinv((grid.shape, grid.periods, cutoff) + line_key, A, m1[i1], m2[i2])
 
     rhs = np.moveaxis(F[band], 1, -1)[..., None]
     sol = A_pinv @ rhs

@@ -91,21 +91,31 @@ def _derivative_multiplier(grid: Grid, axis: int) -> np.ndarray:
 _STACK_SAMPLES = 8192
 
 
-def _fourier_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Complex derivative along grid ``axis`` of the trailing grid axes of
-    ``values``; leading axes (a stack of sample arrays) share one transform."""
+def _fourier_derivative(buf: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Differentiate the complex array ``buf`` in place along grid ``axis`` of
+    its trailing grid axes and return it; leading axes (a stack of sample
+    arrays) share one transform.
+
+    The transform, the product with ``1j * k`` and the inverse all write into
+    ``buf``, so a large grid allocates no temporary; the bits are those of
+    ``ifft(ik * fft(values))``.  ``buf`` must be an array the caller owns.
+    """
     ik = _derivative_multiplier(grid, axis).reshape((-1,) + (1,) * (grid.ndim - axis - 1))
-    fhat = np.fft.fft(values, axis=axis - grid.ndim)
-    return np.fft.ifft(ik * fhat, axis=axis - grid.ndim)
+    np.fft.fft(buf, axis=axis - grid.ndim, out=buf)
+    np.multiply(ik, buf, out=buf)
+    return np.fft.ifft(buf, axis=axis - grid.ndim, out=buf)
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Fourier-space derivative along ``axis``; exact on trig polynomials.
 
     The Nyquist mode is zeroed (odd derivative of an even-length grid).
+    ``values`` is left unchanged.
     """
-    out = _fourier_derivative(values, grid, axis)
-    return np.real(out) if np.isrealobj(values) else out
+    out = _fourier_derivative(np.array(values, dtype=complex), grid, axis)
+    # The real part is copied out, so the result does not keep the complex
+    # buffer alive.
+    return out.real.copy() if np.isrealobj(values) else out
 
 
 def _interpolation_phase(grid: Grid, points: np.ndarray) -> np.ndarray:
@@ -235,12 +245,14 @@ class GrassmannField(GradedElement):
         if not arrays:
             return self
         per_stack = max(1, _STACK_SAMPLES // arrays[0].size)
-        out = []
+        # One complex buffer serves every stack, filled straight from the
+        # terms; the real parts go to one block that does not keep it alive.
+        buf = np.empty((min(per_stack, len(arrays)),) + arrays[0].shape, dtype=complex)
+        out = np.empty((len(arrays),) + arrays[0].shape)
         for i in range(0, len(arrays), per_stack):
             chunk = arrays[i:i + per_stack]
-            # A lone array goes in as a view: no copy of a large grid.
-            stacked = np.stack(chunk) if len(chunk) > 1 else chunk[0][None]
-            out.extend(_fourier_derivative(stacked, self.grid, axis).real)
+            stack = np.stack(chunk, out=buf[:len(chunk)])
+            out[i:i + len(chunk)] = _fourier_derivative(stack, self.grid, axis).real
         return self._new(dict(zip(self.terms, out)))
 
     def integral(self) -> GrassmannNumber:

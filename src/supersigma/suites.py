@@ -98,8 +98,13 @@ def _trig_array(rng: np.random.Generator, grid: Grid, cutoff: int = 3,
         arg = rng.uniform(0.0, 2.0 * np.pi)
         for i in range(grid.ndim):
             k = int(rng.integers(-cutoff, cutoff + 1))
-            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * axes[i]
-        a = a + rng.normal() * scale * np.cos(arg)
+            # A zero wavenumber adds exactly +0.0 along axis i, so the phase
+            # stays constant there and its cosine broadcasts along that axis.
+            if k:
+                arg = arg + (2.0 * np.pi * k / grid.periods[i]) * axes[i]
+        wave = np.cos(arg)
+        wave *= rng.normal() * scale
+        a += wave
     return a
 
 

@@ -8,10 +8,11 @@ breaks loudly if that source no longer holds the text it edits.
 
 import inspect
 import textwrap
+from collections import OrderedDict
 
 import pytest
 
-from supersigma import grassmann, suites
+from supersigma import deformations, grassmann, suites
 from supersigma.config import SuiteConfig
 
 
@@ -41,6 +42,22 @@ def _no_overlap_test(monkeypatch):
                         _edited(mul, "if ma & mb:", "if False:"))
 
 
+def _in_place_sum_adds_for_subtract(monkeypatch):
+    # An odd-signed term product is added where it should be subtracted.
+    mul = grassmann.GradedElement.__mul__
+    monkeypatch.setattr(grassmann.GradedElement, "__mul__",
+                        _edited(mul, "np.subtract(acc, prod, out=acc)",
+                                "np.add(acc, prod, out=acc)"))
+
+
+def _pair_fill_without_conjugate(monkeypatch):
+    # Each conjugate partner mode gets pinv A(m) where pinv A(-m) belongs.
+    monkeypatch.setattr(deformations, "_paired_pinv",
+                        _edited(deformations._paired_pinv, ".conj()", ""))
+    # The clean run cached the right pseudo-inverses under the same keys.
+    monkeypatch.setattr(deformations, "_PINV_CACHE", OrderedDict())
+
+
 # (defect, suites to rerun, rows that must fail)
 DEFECTS = {
     "flip-mask-zero": (_no_koszul_sign, ["grassmann"],
@@ -51,6 +68,15 @@ DEFECTS = {
                                      {"grassmann-associativity",
                                       "grassmann-graded-commutativity",
                                       "grassmann-nilpotency"}),
+    "in-place-sum-adds-for-subtract": (_in_place_sum_adds_for_subtract, ["grassmann"],
+                                       {"grassmann-graded-commutativity",
+                                        "grassmann-nilpotency"}),
+    # The reassembly rows still pass: a fit with wrong parameters leaves a
+    # residual that makes up the difference.
+    "pair-fill-without-conjugate": (_pair_fill_without_conjugate, ["decompose"],
+                                    {"decompose-metric-trace-free",
+                                     "decompose-metric-divergence-free",
+                                     "decompose-gravitino-gamma-trace-free"}),
 }
 
 

@@ -493,6 +493,57 @@ def test_repeated_key_makes_no_pinv_call(rng, monkeypatch, geom, chi0, grid):
     assert calls == []
 
 
+PAIR_GRIDS = [
+    Grid((15, 15), (2.0 * np.pi, 2.0 * np.pi)),
+    Grid((16, 16), (7.5, 7.5)),
+    Grid((15, 12), (3.0, 5.5)),
+    Grid((32, 40), (1.0, 3.7)),
+]
+
+
+@pytest.mark.parametrize("line", ["metric", "gravitino", "gravitino-flipped"])
+@pytest.mark.parametrize("grid_, cutoff", [
+    pytest.param(g, c, id=f"{g.shape[0]}x{g.shape[1]}-cutoff-{c}")
+    for g in PAIR_GRIDS for c in (0, None, max(g.shape) // 2)])
+def test_pair_filled_pinv_equals_pinv_of_every_mode(grid_, cutoff, line):
+    # At max(n) // 2 an even axis keeps its -n/2 mode, whose partner +n/2 is
+    # not a band mode: those modes are inverted alone.
+    k1, k2, m1, m2 = deformations._mode_wavenumbers(grid_)
+    c = resolved(cutoff, grid_)
+    i1 = np.flatnonzero(np.abs(m1) <= c)
+    i2 = np.flatnonzero(np.abs(m2) <= c)
+    if line == "metric":
+        A = deformations._metric_columns(k1[i1][:, None], k2[i2])
+    else:
+        conv = FLIPPED if line == "gravitino-flipped" else CLIFFORD
+        A = deformations._gravitino_columns(k1[i1][:, None], k2[i2], conv)
+    filled = deformations._paired_pinv(A, m1[i1], m2[i2])
+    want = np.linalg.pinv(A, rcond=deformations.SVD_CUTOFF)
+    assert filled.shape == want.shape
+    assert (filled == want).all()
+
+
+def test_pair_filled_pinv_inverts_one_mode_per_conjugate_pair(monkeypatch):
+    inverted = []
+    pinv = np.linalg.pinv
+
+    def counting(a, *args, **kwargs):
+        inverted.append(len(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    # Odd axes of 5 and 7 band modes: the zero mode and one of each of the
+    # (35 - 1) / 2 pairs.  Even axes of 4 modes keep the -2 mode: the 7
+    # modes with -2 on an axis are unpaired, and the other 9 are the zero
+    # mode and 4 pairs.
+    for modes1, modes2, count in ([np.fft.fftfreq(5, 0.2), np.fft.fftfreq(7, 1 / 7), 18],
+                                  [np.fft.fftfreq(4, 0.25), np.fft.fftfreq(4, 0.25), 12]):
+        A = deformations._metric_columns(modes1[:, None], modes2)
+        deformations._paired_pinv(A, modes1, modes2)
+        assert inverted.pop() == count
+    assert inverted == []
+
+
 def test_cache_holds_at_most_two_entries(rng):
     deformations._PINV_CACHE.clear()
     for n in (8, 10, 12, 14, 16):

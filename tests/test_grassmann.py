@@ -140,6 +140,61 @@ def test_product_of_stacks_is_each_fixtures_product(fixtures):
     assert stacked.terms[0b11][-3:].tolist() == [1.0, -1.0, 0.0]
 
 
+# The graded product before in-place sums, kept as the oracle: a fresh
+# temporary for every term product, its negation and every partial sum.
+def _product_with_fresh_temporaries(a, b):
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if ma & mb:
+                continue
+            prod = -(ca * cb) if monomial_sign(ma, mb) < 0 else ca * cb
+            m = ma | mb
+            out[m] = out[m] + prod if m in out else prod
+    return a._new(out)
+
+
+def _bits(element):
+    """Each term's type, shape and bytes: equal only for bitwise-equal elements."""
+    return {m: (type(c).__name__, np.shape(c), np.asarray(c, dtype=float).tobytes())
+            for m, c in element.terms.items()}
+
+
+_PRODUCT_GRID = Grid((3, 2), (1.0, 2.0))
+
+
+@st.composite
+def _product_operands(draw):
+    """Two fields or two numbers whose terms are each drawn stacked over three
+    fixtures or not, so an operand may mix both; coefficients of mixed sizes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fields = draw(st.booleans())
+
+    def coefficient(stacked):
+        scale = 10.0 ** rng.integers(-3, 4)
+        if fields:
+            return scale * rng.normal(size=((3,) if stacked else ()) + _PRODUCT_GRID.shape)
+        return scale * rng.normal(size=3) if stacked else float(scale * rng.normal())
+
+    def operand():
+        masks = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=10, unique=True))
+        terms = {m: coefficient(draw(st.booleans())) for m in masks}
+        return GrassmannField(_PRODUCT_GRID, N, terms) if fields else GrassmannNumber(N, terms)
+
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_operands())
+def test_product_sums_in_place_with_the_bits_of_fresh_temporaries(operands):
+    a, b = operands
+    before = _bits(a), _bits(b)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _bits(x * y) == _bits(_product_with_fresh_temporaries(x, y))
+    # Elements are values: no product wrote into an operand's arrays.
+    assert (_bits(a), _bits(b)) == before
+
+
 def test_generator_squares_vanish():
     for i in range(1, N + 1):
         g = generator(N, i)

@@ -454,3 +454,99 @@ def test_grassmann_number_with_per_fixture_coefficients(grid):
     assert c.terms[0].shape == (2, 64)
     assert np.array_equal(c.terms[0][1], np.full(64, -3.0))
     assert np.array_equal(c.terms[0b1][0], np.full(64, 2.0))
+
+
+# -- in-place spectral transforms ---------------------------------------------
+# Oracles: the out-of-place kernels that the in-place transforms replaced,
+# with a fresh array at every step.
+
+def _out_of_place_fourier_derivative(values, grid, axis):
+    ik = (1j * gridfield.derivative_wavenumbers(grid, axis)).reshape(
+        (-1,) + (1,) * (grid.ndim - axis - 1))
+    fhat = np.fft.fft(values, axis=axis - grid.ndim)
+    return np.fft.ifft(ik * fhat, axis=axis - grid.ndim)
+
+
+def _out_of_place_spectral_derivative(values, grid, axis):
+    out = _out_of_place_fourier_derivative(values, grid, axis)
+    return np.real(out) if np.isrealobj(values) else out
+
+
+def _out_of_place_field_derivative(f, axis):
+    arrays = list(f.terms.values())
+    per_stack = max(1, gridfield._STACK_SAMPLES // arrays[0].size)
+    out = []
+    for i in range(0, len(arrays), per_stack):
+        chunk = arrays[i:i + per_stack]
+        stacked = np.stack(chunk) if len(chunk) > 1 else chunk[0][None]
+        out.extend(_out_of_place_fourier_derivative(stacked, f.grid, axis).real)
+    return GrassmannField(f.grid, f.n_gen, dict(zip(f.terms, out)))
+
+
+def _kernel_fields(rng, grid, masks):
+    """An unstacked, a stacked (3 fixtures) and a mixed field with ``masks``."""
+    unstacked = {m: rng.normal(size=grid.shape) for m in masks}
+    stacked = {m: rng.normal(size=(3,) + grid.shape) for m in masks}
+    mixed = {m: (stacked if i % 2 else unstacked)[m] for i, m in enumerate(masks)}
+    return [GrassmannField(grid, N_GEN, t) for t in (unstacked, stacked, mixed)]
+
+
+def _assert_derivatives_match_out_of_place(f):
+    for axis in range(f.grid.ndim):
+        d = f.derivative(axis)
+        _assert_same_bits(d, _out_of_place_field_derivative(f, axis))
+        for a in d.terms.values():
+            assert a.dtype == float
+            # The terms do not keep a complex transform buffer alive.
+            assert a.base is None or not np.iscomplexobj(a.base)
+        for a in f.terms.values():
+            before = a.copy()
+            got = spectral_derivative(a, f.grid, axis)
+            want = _out_of_place_spectral_derivative(a, f.grid, axis)
+            assert got.dtype == want.dtype == float and got.base is None
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(a, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(12,), (13,), (15, 13), (16, 16)])
+def test_in_place_derivative_matches_out_of_place_kernel_bitwise(rng, shape):
+    grid = Grid(shape, tuple(rng.uniform(1.0, 8.0, len(shape))))
+    for f in _kernel_fields(rng, grid, (0, 0b11, 0b101, 0b111000, 0b1)):
+        _assert_derivatives_match_out_of_place(f)
+
+
+def test_in_place_derivative_matches_out_of_place_kernel_at_64_squared(rng):
+    # Two 64^2 samples arrays fill one stack of 8,192 samples: five masks
+    # take three stacks, and three fixtures one stack per mask.
+    grid = Grid((64, 64), (3.0, 7.0))
+    for f in _kernel_fields(rng, grid, (0, 0b11, 0b101, 0b111000, 0b1)):
+        _assert_derivatives_match_out_of_place(f)
+
+
+def test_in_place_derivative_matches_out_of_place_kernel_at_256_squared(rng):
+    grid = Grid((256, 256), (2.0 * np.pi, 5.0))
+    _assert_derivatives_match_out_of_place(GrassmannField(grid, N_GEN, {
+        m: rng.normal(size=grid.shape) for m in (0, 0b11)}))
+
+
+@pytest.mark.parametrize("shape", [(12,), (15, 13)])
+def test_in_place_derivative_carries_a_nan_sample_as_before(rng, shape):
+    grid = Grid(shape, (3.0,) * len(shape))
+    terms = {m: rng.normal(size=(2,) + shape) for m in (0, 0b11)}
+    terms[0b11][1].flat[4] = np.nan
+    f = GrassmannField(grid, N_GEN, terms)
+    assert np.isnan(f.derivative(0).terms[0b11]).any()
+    _assert_derivatives_match_out_of_place(f)
+
+
+@pytest.mark.parametrize("shape", [(12,), (13,), (15, 13), (64, 64)])
+def test_spectral_derivative_of_complex_input_leaves_it_unchanged(rng, shape):
+    grid = Grid(shape, tuple(rng.uniform(1.0, 8.0, len(shape))))
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = values.copy()
+    for axis in range(grid.ndim):
+        got = spectral_derivative(values, grid, axis)
+        want = _out_of_place_spectral_derivative(before, grid, axis)
+        assert got.dtype == want.dtype == complex
+        assert np.array_equal(got, want)
+        assert np.array_equal(values, before)

@@ -405,6 +405,64 @@ def test_grassmann_stacks_match_each_rows_dict():
     assert all(type(c) is float for x in singles for c in x.terms.values())
 
 
+@pytest.mark.parametrize("n_gen, count", [(6, 1000), (6, 512), (6, 513), (6, 2), (6, 1),
+                                           (7, 5)])
+def test_grassmann_associativity_multiplies_every_cyclic_triple_once(monkeypatch, n_gen,
+                                                                      count):
+    # A NaN element reaches its row through a neighbouring triple, so a
+    # dropped triple is counted here: number k of each chunk's stacks holds
+    # the k-th factor of one triple per row.
+    factors = [[], [], []]
+    original = suites._grassmann_stacks
+
+    def recording(n, masks, coeffs, runs=1):
+        if runs == 3:
+            for k in range(3):
+                factors[k].append(masks[k:len(masks) - 2 + k])
+        return original(n, masks, coeffs, runs)
+
+    monkeypatch.setattr(suites, "_grassmann_stacks", recording)
+    masks, coeffs = _grassmann_draws(np.random.default_rng(count), n_gen, count)["elements"]
+    assert suites._grassmann_associativity(n_gen, masks, coeffs) == 0.0
+    assert sum(len(a) for a in factors[0]) == count
+    for k in range(3):
+        assert np.array_equal(np.concatenate(factors[k]), np.roll(masks, -k, axis=0))
+
+
+def _trig_array_with_every_phase(rng, grid, cutoff=3, n_modes=3, scale=1.0):
+    """``_trig_array`` before it skipped zero wavenumbers and summed in place,
+    kept as the oracle: every axis adds to the phase, and every sum is fresh."""
+    axes = [grid.axis_points(i).reshape([-1 if j == i else 1 for j in range(grid.ndim)])
+            for i in range(grid.ndim)]
+    a = np.zeros(grid.shape)
+    for _ in range(n_modes):
+        arg = rng.uniform(0.0, 2.0 * np.pi)
+        for i in range(grid.ndim):
+            k = int(rng.integers(-cutoff, cutoff + 1))
+            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * axes[i]
+        a = a + rng.normal() * scale * np.cos(arg)
+    return a
+
+
+@pytest.mark.parametrize("cutoff", [3, 6])
+@pytest.mark.parametrize("shape, periods", [
+    ((16,), (2.0 * np.pi,)), ((15,), (3.0,)),
+    ((16, 16), (2.0 * np.pi, 4.0 * np.pi)), ((15, 9), (3.0, 5.5)), ((1, 5), (1.0, 2.0)),
+])
+def test_trig_array_matches_every_phase_oracle_and_generator_state(shape, periods, cutoff):
+    # Each wavenumber is 0 with probability 1/(2 cutoff + 1): over 40 arrays
+    # of 3 modes, both axes of a 2-d mode are 0 several times.
+    grid = Grid(shape, periods)
+    rng, oracle_rng = np.random.default_rng(cutoff), np.random.default_rng(cutoff)
+    for i in range(40):
+        scale = (0.3, 1.0)[i % 2]
+        a = _trig_array(rng, grid, cutoff=cutoff, scale=scale)
+        assert a.shape == grid.shape and a.flags.writeable
+        assert np.array_equal(a, _trig_array_with_every_phase(oracle_rng, grid, cutoff=cutoff,
+                                                              scale=scale))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("n_gen", [3, 6, 16])
 def test_grassmann_homogeneous_draws_are_distinct_masks_of_the_drawn_parity(n_gen):
     draws = _grassmann_draws(np.random.default_rng(n_gen), n_gen, 500)
