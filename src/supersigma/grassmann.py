@@ -21,8 +21,6 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Mapping
 
-import numpy as np
-
 __all__ = [
     "Parity",
     "GradedElement",
@@ -233,26 +231,9 @@ class GradedElement:
                 # Koszul sign: the odd part of the left coefficient
                 # changes sign as it passes an odd right monomial.
                 left = ca.scale_by_parity(1.0, -1.0) if koszul and mb.bit_count() & 1 else ca
-                odd = (flip & mb).bit_count() & 1
-                prod = left * cb
+                prod = -(left * cb) if (flip & mb).bit_count() & 1 else left * cb
                 m = ma | mb
-                acc = out.get(m)
-                # Every array in ``out`` was made by this loop, so a sum of
-                # like-shaped arrays builds up in place in the first
-                # product's array: the bits of ``acc + -prod``, without a
-                # temporary per term.
-                if type(prod) is np.ndarray and (acc is None or type(acc) is np.ndarray
-                                                 and acc.shape == prod.shape):
-                    if acc is None:
-                        out[m] = np.negative(prod, out=prod) if odd else prod
-                    elif odd:
-                        np.subtract(acc, prod, out=acc)
-                    else:
-                        np.add(acc, prod, out=acc)
-                    continue
-                if odd:
-                    prod = -prod
-                out[m] = prod if acc is None else acc + prod
+                out[m] = out[m] + prod if m in out else prod
         return self._new(out)
 
     def __rmul__(self, other):

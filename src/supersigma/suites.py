@@ -98,13 +98,8 @@ def _trig_array(rng: np.random.Generator, grid: Grid, cutoff: int = 3,
         arg = rng.uniform(0.0, 2.0 * np.pi)
         for i in range(grid.ndim):
             k = int(rng.integers(-cutoff, cutoff + 1))
-            # A zero wavenumber adds exactly +0.0 along axis i, so the phase
-            # stays constant there and its cosine broadcasts along that axis.
-            if k:
-                arg = arg + (2.0 * np.pi * k / grid.periods[i]) * axes[i]
-        wave = np.cos(arg)
-        wave *= rng.normal() * scale
-        a += wave
+            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * axes[i]
+        a = a + rng.normal() * scale * np.cos(arg)
     return a
 
 

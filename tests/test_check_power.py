@@ -42,14 +42,6 @@ def _no_overlap_test(monkeypatch):
                         _edited(mul, "if ma & mb:", "if False:"))
 
 
-def _in_place_sum_adds_for_subtract(monkeypatch):
-    # An odd-signed term product is added where it should be subtracted.
-    mul = grassmann.GradedElement.__mul__
-    monkeypatch.setattr(grassmann.GradedElement, "__mul__",
-                        _edited(mul, "np.subtract(acc, prod, out=acc)",
-                                "np.add(acc, prod, out=acc)"))
-
-
 def _pair_fill_without_conjugate(monkeypatch):
     # Each conjugate partner mode gets pinv A(m) where pinv A(-m) belongs.
     monkeypatch.setattr(deformations, "_paired_pinv",
@@ -68,9 +60,6 @@ DEFECTS = {
                                      {"grassmann-associativity",
                                       "grassmann-graded-commutativity",
                                       "grassmann-nilpotency"}),
-    "in-place-sum-adds-for-subtract": (_in_place_sum_adds_for_subtract, ["grassmann"],
-                                       {"grassmann-graded-commutativity",
-                                        "grassmann-nilpotency"}),
     # The reassembly rows still pass: a fit with wrong parameters leaves a
     # residual that makes up the difference.
     "pair-fill-without-conjugate": (_pair_fill_without_conjugate, ["decompose"],

@@ -140,8 +140,9 @@ def test_product_of_stacks_is_each_fixtures_product(fixtures):
     assert stacked.terms[0b11][-3:].tolist() == [1.0, -1.0, 0.0]
 
 
-# The graded product before in-place sums, kept as the oracle: a fresh
-# temporary for every term product, its negation and every partial sum.
+# The graded product as a plain term loop with ``monomial_sign``, kept as the
+# reference: a fresh temporary for every term product, its negation and every
+# partial sum.
 def _product_with_fresh_temporaries(a, b):
     out = {}
     for ma, ca in a.terms.items():
@@ -186,7 +187,7 @@ def _product_operands(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_product_operands())
-def test_product_sums_in_place_with_the_bits_of_fresh_temporaries(operands):
+def test_product_has_the_bits_of_the_plain_term_loop(operands):
     a, b = operands
     before = _bits(a), _bits(b)
     for x, y in ((a, b), (b, a), (a, a)):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -550,3 +552,23 @@ def test_spectral_derivative_of_complex_input_leaves_it_unchanged(rng, shape):
         assert got.dtype == want.dtype == complex
         assert np.array_equal(got, want)
         assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_in_place_derivative_of_a_large_grid_allocates_no_temporary(rng, axis):
+    # numpy reports its array allocations to tracemalloc: an out-of-place
+    # fft / multiply / ifft would take three buffers the size of ``buf``;
+    # in place, a transform along the outer axis holds a block of columns
+    # (128 KB here).
+    grid = Grid((256, 256), (2.0 * np.pi, 5.0))
+    buf = (rng.normal(size=(1,) + grid.shape)).astype(complex)
+    want = _out_of_place_fourier_derivative(buf.copy(), grid, axis)
+    gridfield._derivative_multiplier(grid, axis)
+    tracemalloc.start()
+    try:
+        got = gridfield._fourier_derivative(buf, grid, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is buf and np.array_equal(got, want)
+    assert peak < buf.nbytes // 4

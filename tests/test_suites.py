@@ -430,8 +430,9 @@ def test_grassmann_associativity_multiplies_every_cyclic_triple_once(monkeypatch
 
 
 def _trig_array_with_every_phase(rng, grid, cutoff=3, n_modes=3, scale=1.0):
-    """``_trig_array`` before it skipped zero wavenumbers and summed in place,
-    kept as the oracle: every axis adds to the phase, and every sum is fresh."""
+    """The fixture draw as a reference: every axis adds to the phase, and
+    every sum is fresh.  A rewrite of ``_trig_array`` must keep its bits and
+    its use of the generator."""
     axes = [grid.axis_points(i).reshape([-1 if j == i else 1 for j in range(grid.ndim)])
             for i in range(grid.ndim)]
     a = np.zeros(grid.shape)
