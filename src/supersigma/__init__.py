@@ -10,7 +10,7 @@ from .grassmann import (
     monomial_sign,
     unit,
 )
-from .gridfield import GrassmannField, Grid, spectral_derivative, trig_interpolate
+from .gridfield import GrassmannField, Grid, spectral_derivative
 from .superdomain import SuperFunction, apply_D, apply_Q
 from .berezin import berezin_integrate
 from .spin_surface import (
@@ -24,7 +24,6 @@ from .sigma2d import (
     ActionCoefficients,
     CalibrationError,
     ComponentFields,
-    Target,
     UnsupportedRegimeError,
 )
 from .config import SuiteConfig
@@ -51,7 +50,6 @@ __all__ = [
     "SuiteReport",
     "SuperFunction",
     "SurfaceGeometry",
-    "Target",
     "UnsupportedRegimeError",
     "apply_D",
     "apply_Q",
@@ -59,7 +57,6 @@ __all__ = [
     "generator",
     "monomial_sign",
     "spectral_derivative",
-    "trig_interpolate",
     "unit",
     "__version__",
 ]

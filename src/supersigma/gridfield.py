@@ -24,8 +24,7 @@ import numpy as np
 
 from .grassmann import DimensionMismatchError, GradedElement, GrassmannNumber, max_or_nan
 
-__all__ = ["Grid", "GrassmannField", "derivative_wavenumbers", "spectral_derivative",
-           "trig_interpolate"]
+__all__ = ["Grid", "GrassmannField", "derivative_wavenumbers", "spectral_derivative"]
 
 
 @dataclass(frozen=True)
@@ -143,18 +142,6 @@ def _interpolation_coefficients(values: np.ndarray) -> np.ndarray:
         fhat = np.concatenate([fhat, 0.5 * fhat[..., n // 2:n // 2 + 1]], axis=-1)
         fhat[..., n // 2] *= 0.5
     return fhat
-
-
-def trig_interpolate(values: np.ndarray, grid: Grid, points: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of a 1-d periodic sample set.
-
-    Only supports 1-d grids (used by the 1|1 coordinate-change pullback).
-    ``points`` may be any array of evaluation abscissae.
-    """
-    if axis != 0:
-        raise NotImplementedError("trig interpolation implemented for 1-d grids only")
-    out = _interpolation_phase(grid, points) @ _interpolation_coefficients(values)
-    return np.real(out) if np.isrealobj(values) else out
 
 
 class GrassmannField(GradedElement):

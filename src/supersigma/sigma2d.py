@@ -3,7 +3,7 @@
 Implements the five-term component action on a flat target, its superfield
 counterpart on R^{2|2} (flat model, vanishing gravitino), the Dirac
 operator, matter supersymmetry variations, energy-momentum tensor, super
-current, and the harmonic-map gradient flow (flat or sphere target).
+current, and the harmonic-map gradient flow into a flat target.
 
 Superspace conventions (fixed here, verified by the reduction identity):
 
@@ -19,7 +19,6 @@ Superspace conventions (fixed here, verified by the reduction identity):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import cached_property
 from typing import Sequence
@@ -41,7 +40,6 @@ from .spin_surface import (
 from .superdomain import SuperFunction
 
 __all__ = [
-    "Target",
     "ComponentFields",
     "ActionCoefficients",
     "UnsupportedRegimeError",
@@ -50,10 +48,8 @@ __all__ = [
     "dirac",
     "action_density",
     "action_component",
-    "superspace_derivative",
     "action_superfield_flat",
     "superfield_from_components",
-    "components_from_superfield",
     "susy_fields",
     "susy_gravitino_variation",
     "susy_invariance_residual",
@@ -73,24 +69,6 @@ class UnsupportedRegimeError(ValueError):
 
 class CalibrationError(RuntimeError):
     """No sign assignment in the declared search space meets the tolerance."""
-
-
-@dataclass(frozen=True)
-class Target:
-    """Target of the harmonic flow: flat R^d, or the round sphere S^2
-    (embedded in R^3) with curvature K."""
-
-    kind: str = "flat"
-    curvature: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("flat", "sphere"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kind == "sphere":
-            if self.curvature <= 0.0:
-                raise ValueError("sphere curvature must be positive")
-        elif self.curvature != 0.0:
-            raise ValueError("flat targets have zero curvature")
 
 
 @dataclass
@@ -356,8 +334,8 @@ def _ghat(conv: CliffordConvention, a: int) -> np.ndarray:
     return conv.gamma2 if a == 1 else -conv.gamma1
 
 
-def _superspace_derivatives(Phi: SuperFunction,
-                            conv: CliffordConvention) -> tuple[SuperFunction, SuperFunction]:
+def _super_derivatives(Phi: SuperFunction,
+                       conv: CliffordConvention) -> tuple[SuperFunction, SuperFunction]:
     """(D_1 Phi, D_2 Phi) from one even gradient (d_1 Phi, d_2 Phi)."""
     if Phi.m != 2 or Phi.n_odd != 2:
         raise ValueError("superspace derivative is defined on R^{2|2}")
@@ -373,12 +351,6 @@ def _superspace_derivatives(Phi: SuperFunction,
                     D = D + grad[a - 1].mul_odd_coordinate(beta) * coeff
         out.append(D)
     return tuple(out)
-
-
-def superspace_derivative(Phi: SuperFunction, alpha: int,
-                          conv: CliffordConvention = CLIFFORD) -> SuperFunction:
-    """D_alpha Phi = d_{eta^alpha} Phi + (ghat^a)_{alpha beta} eta^beta d_a Phi."""
-    return _superspace_derivatives(Phi, conv)[alpha - 1]
 
 
 def superfield_from_components(fields: ComponentFields) -> list[SuperFunction]:
@@ -400,14 +372,6 @@ def superfield_from_components(fields: ComponentFields) -> list[SuperFunction]:
     return out
 
 
-def components_from_superfield(Phis: Sequence[SuperFunction]) -> ComponentFields:
-    return ComponentFields(
-        phi=[P.coefficient(0b00) for P in Phis],
-        psi=[SpinorField([P.coefficient(0b01), P.coefficient(0b10)]) for P in Phis],
-        F=[P.coefficient(0b11) * 2.0 for P in Phis],
-    )
-
-
 def action_superfield_flat(Phis: Sequence[SuperFunction],
                            coeffs: ActionCoefficients = ActionCoefficients(),
                            conv: CliffordConvention = CLIFFORD) -> GrassmannNumber:
@@ -416,7 +380,7 @@ def action_superfield_flat(Phis: Sequence[SuperFunction],
     integrand = SuperFunction(grid, 2, n_gen, {})
     for Phi in Phis:
         # The even gradient of Phi is freed before the product.
-        D1, D2 = _superspace_derivatives(Phi, conv)
+        D1, D2 = _super_derivatives(Phi, conv)
         integrand = integrand + D1 * D2 - D2 * D1
     integrand = integrand * coeffs.superfield_normalization
     return berezin_integrate(integrand)
@@ -676,144 +640,78 @@ def _dirichlet_energy(grid: Grid, phi: list[np.ndarray], winding: np.ndarray) ->
     return total * grid.volume
 
 
-def _laplacian(p: np.ndarray, grid: Grid) -> np.ndarray:
-    return (spectral_derivative(spectral_derivative(p, grid, 0), grid, 0)
-            + spectral_derivative(spectral_derivative(p, grid, 1), grid, 1))
-
-
-class _FourierFlow:
-    """Flat-target flow state: the ``rfft2`` of the stacked map.
-
-    A step scales every mode by 1 - 2 dt |k|^2, with k the Nyquist-zeroed
-    wavenumbers of ``spectral_derivative``; the Dirichlet energy follows by
-    Parseval, since the winding part is orthogonal to every periodic mode.
-    """
-
-    def __init__(self, grid: Grid, phi: list[np.ndarray], dt: float, winding: np.ndarray):
-        n0, n1 = grid.shape
-        k0 = derivative_wavenumbers(grid, 0)
-        k1 = derivative_wavenumbers(grid, 1)[: n1 // 2 + 1]
-        ksq = k0[:, None] ** 2 + k1 ** 2
-        # Half-spectrum columns other than 0 and (even n1) n1/2 stand for a
-        # conjugate pair.
-        pairs = np.full(k1.shape, 2.0)
-        pairs[0] = 1.0
-        if n1 % 2 == 0:
-            pairs[-1] = 1.0
-        self.shape = grid.shape
-        self.volume = grid.volume
-        self.minus_ksq = -ksq
-        self.growth = 1.0 - 2.0 * dt * ksq
-        self.energy_weight = pairs * ksq / float(n0 * n1) ** 2
-        self.winding_energy = float(np.sum(winding * winding))
-        self.hat = np.fft.rfft2(np.stack(phi))
-
-    def gradient_max(self) -> float:
-        return float(np.max(np.abs(np.fft.irfft2(self.minus_ksq * self.hat, s=self.shape))))
-
-    def advance(self) -> None:
-        self.hat = self.hat * self.growth
-
-    def energy(self) -> float:
-        power = self.hat.real ** 2 + self.hat.imag ** 2
-        return (self.winding_energy + float(np.sum(self.energy_weight * power))) * self.volume
-
-    def phi(self) -> list[np.ndarray]:
-        return list(np.fft.irfft2(self.hat, s=self.shape))
-
-
-class _SphereFlow:
-    """Sphere-target flow state: the map in real space, reprojected onto the
-    sphere after every step."""
-
-    def __init__(self, grid: Grid, phi: list[np.ndarray], dt: float, target: Target):
-        self.grid = grid
-        self.dt = dt
-        self.target = target
-        self.values = phi
-        self.lap: list[np.ndarray] = []
-
-    def gradient_max(self) -> float:
-        self.lap = [_laplacian(p, self.grid) for p in self.values]
-        return max_or_nan(float(np.max(np.abs(l))) for l in self.lap)
-
-    def advance(self) -> None:
-        self.values = [p + 2.0 * self.dt * l for p, l in zip(self.values, self.lap)]
-        _reproject(self.values, self.target)
-
-    def energy(self) -> float:
-        return _dirichlet_energy(self.grid, self.values, np.zeros((len(self.values), 2)))
-
-    def phi(self) -> list[np.ndarray]:
-        return self.values
-
-
 def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
                   steps: int, dt: float,
                   winding: np.ndarray | None = None,
-                  target: Target = Target(),
                   grad_tol: float = 1e-10) -> FlowResult:
-    """Explicit gradient descent on the Dirichlet energy.
+    """Explicit gradient descent on the Dirichlet energy of a map into flat R^d.
 
     phi <- phi + 2 dt Laplace(phi) per component, until the Laplacian is
-    below ``grad_tol`` everywhere.  Flat targets step in Fourier space;
-    sphere targets take a 3-component map (UnsupportedRegimeError
-    otherwise), step in real space and are reprojected pointwise after
-    every step.  The first and last entries of ``energies`` are evaluated in
-    real space.  Raises FlowDivergenceError if the energy increases for 10
+    below ``grad_tol`` everywhere.  The flow steps the ``rfft2`` of the
+    stacked map: a step scales every mode by 1 - 2 dt |k|^2, with k the
+    Nyquist-zeroed wavenumbers of ``spectral_derivative``, and the Dirichlet
+    energy follows by Parseval, since the winding part is orthogonal to every
+    periodic mode.  The first and last entries of ``energies`` are evaluated
+    in real space.  Raises FlowDivergenceError if the energy increases for 10
     consecutive steps.
     """
     grid = geom.grid
-    d = len(phi0)
     if winding is None:
-        winding = np.zeros((d, 2))
+        winding = np.zeros((len(phi0), 2))
     winding = np.asarray(winding, dtype=float)
     phi = [np.asarray(p, dtype=float).copy() for p in phi0]
-    if target.kind == "sphere":
-        if d != 3:
-            raise UnsupportedRegimeError(
-                f"sphere targets are embedded in R^3; the map has {d} components")
-        if np.any(winding):
-            raise UnsupportedRegimeError("sphere targets admit no winding")
-        _reproject(phi, target)
-        flow = _SphereFlow(grid, phi, dt, target)
-    else:
-        flow = _FourierFlow(grid, phi, dt, winding)
-    energies = [flow.energy()]
+    n0, n1 = grid.shape
+    k0 = derivative_wavenumbers(grid, 0)
+    k1 = derivative_wavenumbers(grid, 1)[: n1 // 2 + 1]
+    ksq = k0[:, None] ** 2 + k1 ** 2
+    # Half-spectrum columns other than 0 and (even n1) n1/2 stand for a
+    # conjugate pair.
+    pairs = np.full(k1.shape, 2.0)
+    pairs[0] = 1.0
+    if n1 % 2 == 0:
+        pairs[-1] = 1.0
+    shape, volume = grid.shape, grid.volume
+    minus_ksq = -ksq
+    growth = 1.0 - 2.0 * dt * ksq
+    energy_weight = pairs * ksq / float(n0 * n1) ** 2
+    winding_energy = float(np.sum(winding * winding))
+
+    def gradient_max(hat: np.ndarray) -> float:
+        return float(np.max(np.abs(np.fft.irfft2(minus_ksq * hat, s=shape))))
+
+    def energy(hat: np.ndarray) -> float:
+        power = hat.real ** 2 + hat.imag ** 2
+        return (winding_energy + float(np.sum(energy_weight * power))) * volume
+
+    hat = np.fft.rfft2(np.stack(phi))
+    energies = [energy(hat)]
     increases = 0
     converged = False
     step = 0
     for step in range(1, steps + 1):
-        if flow.gradient_max() < grad_tol:
+        if gradient_max(hat) < grad_tol:
             converged = True
             step -= 1
             break
-        flow.advance()
-        energy = flow.energy()
-        if energy > energies[-1]:
+        hat = hat * growth
+        e = energy(hat)
+        if e > energies[-1]:
             increases += 1
             if increases >= 10:
                 raise FlowDivergenceError(
                     f"energy increased for {increases} consecutive steps; reduce dt")
         else:
             increases = 0
-        energies.append(energy)
+        energies.append(e)
     else:
         # Step budget exhausted; check the final gradient.
-        converged = flow.gradient_max() < grad_tol
+        converged = gradient_max(hat) < grad_tol
     energies[0] = _dirichlet_energy(grid, phi, winding)
     if step:
-        phi = flow.phi()
+        phi = list(np.fft.irfft2(hat, s=shape))
         energies[-1] = _dirichlet_energy(grid, phi, winding)
     return FlowResult(phi=phi, winding=winding, energies=energies,
                       steps_taken=step, converged=converged)
-
-
-def _reproject(phi: list[np.ndarray], target: Target) -> None:
-    radius = 1.0 / math.sqrt(target.curvature)
-    norm = np.sqrt(sum(p * p for p in phi))
-    for t in range(len(phi)):
-        phi[t] = phi[t] * (radius / norm)
 
 
 # ---------------------------------------------------------------------------

@@ -215,30 +215,6 @@ class CoordinateChange:
         if np.any(slope <= 0.0):
             raise ValueError("body map g0 is not an orientation-preserving diffeomorphism")
 
-    @classmethod
-    def identity(cls, grid: Grid, n_gen: int) -> "CoordinateChange":
-        return cls(g0=grid.axis_points(0))
-
-    def inverse(self, grid: Grid, n_gen: int) -> "CoordinateChange":
-        """Inverse change; implemented for rigid rotations with g1 = 0."""
-        if self.g1 is not None and not self.g1.is_zero():
-            raise NotImplementedError("inverse only implemented for g1 = 0 changes")
-        x = grid.axis_points(0)
-        shift = np.asarray(self.g0, dtype=float) - x
-        if not np.allclose(shift, shift.flat[0]):
-            raise NotImplementedError("inverse only implemented for rigid rotations")
-        c = float(shift.flat[0])
-        # Keep the body map unwrapped: coefficient evaluation is periodic,
-        # and wrapping would make the validation slope check see a jump.
-        g0_inv = x - c
-        gamma1 = self.gamma1 if self.gamma1 is not None else GrassmannField.from_array(grid, n_gen, np.ones(grid.shape))
-        gamma1_inv = gamma1.nilpotent_power(-1.0).compose_body(g0_inv)
-        if self.gamma0 is not None and not self.gamma0.is_zero():
-            gamma0_inv = -(gamma1_inv * self.gamma0.compose_body(g0_inv))
-        else:
-            gamma0_inv = None
-        return CoordinateChange(g0=g0_inv, g1=None, gamma0=gamma0_inv, gamma1=gamma1_inv)
-
 
 def pullback_coordinate_change(f: SuperFunction, change: CoordinateChange) -> SuperFunction:
     """Express a function on R^{1|1} in the new coordinates (xt, eta_t).

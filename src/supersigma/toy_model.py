@@ -33,7 +33,6 @@ from .superdomain import (
 __all__ = [
     "ToyFields",
     "superfield_from_fields",
-    "fields_from_superfield",
     "toy_action_component",
     "toy_action_superfield",
     "toy_susy",
@@ -71,10 +70,6 @@ class ToyFields:
 def superfield_from_fields(f: ToyFields) -> SuperFunction:
     """Phi = phi + eta psi."""
     return SuperFunction(f.grid, 1, f.n_gen, {0: f.phi, 1: f.psi})
-
-
-def fields_from_superfield(Phi: SuperFunction) -> ToyFields:
-    return ToyFields(Phi.coefficient(0), Phi.coefficient(1))
 
 
 def _toy_action(f: ToyFields, dphi: GrassmannField) -> GrassmannNumber:

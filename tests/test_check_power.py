@@ -12,7 +12,7 @@ from collections import OrderedDict
 
 import pytest
 
-from supersigma import deformations, grassmann, suites
+from supersigma import deformations, grassmann, sigma2d, suites
 from supersigma.config import SuiteConfig
 
 
@@ -50,6 +50,12 @@ def _pair_fill_without_conjugate(monkeypatch):
     monkeypatch.setattr(deformations, "_PINV_CACHE", OrderedDict())
 
 
+def _energy_without_winding(monkeypatch):
+    # The real-space Dirichlet energy forgets the winding part of the map.
+    monkeypatch.setattr(sigma2d, "_dirichlet_energy",
+                        _edited(sigma2d._dirichlet_energy, " + winding[t, k]", ""))
+
+
 # (defect, suites to rerun, rows that must fail)
 DEFECTS = {
     "flip-mask-zero": (_no_koszul_sign, ["grassmann"],
@@ -66,6 +72,7 @@ DEFECTS = {
                                     {"decompose-metric-trace-free",
                                      "decompose-metric-divergence-free",
                                      "decompose-gravitino-gamma-trace-free"}),
+    "flow-energy-without-winding": (_energy_without_winding, ["flow"], {"flow-final-energy"}),
 }
 
 

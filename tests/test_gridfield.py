@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from supersigma import gridfield
 from supersigma.grassmann import GrassmannNumber, Parity, generator, unit
-from supersigma.gridfield import GrassmannField, Grid, spectral_derivative, trig_interpolate
+from supersigma.gridfield import GrassmannField, Grid, spectral_derivative
 
 from conftest import N_GEN, even_field, grassmann_fields, odd_field, trig_array
 
@@ -36,10 +36,10 @@ def test_spectral_derivative_respects_period(grid2d):
 
 def test_trig_interpolate_exact(grid):
     x = grid.axis_points(0)
-    values = np.cos(2.0 * x) + 0.3 * np.sin(5.0 * x)
-    pts = np.array([0.1, 1.7, 4.2])
+    f = GrassmannField(grid, N_GEN, {0: np.cos(2.0 * x) + 0.3 * np.sin(5.0 * x)})
+    pts = x + 0.1 + 0.3 * np.sin(x)
     expected = np.cos(2.0 * pts) + 0.3 * np.sin(5.0 * pts)
-    assert np.max(np.abs(trig_interpolate(values, grid, pts) - expected)) < 1e-12
+    assert np.max(np.abs(f.compose_body(pts).terms[0] - expected)) < 1e-12
 
 
 def test_integral_spectrally_exact(grid):
@@ -143,8 +143,6 @@ def test_compose_body_shares_one_phase_matrix(rng, monkeypatch, n):
     assert sorted(out.terms) == sorted(f.terms)
     for m, a in f.terms.items():
         assert np.array_equal(out.terms[m], _reference_trig_interpolate(a, grid, points))
-        assert np.array_equal(trig_interpolate(a, grid, points),
-                              _reference_trig_interpolate(a, grid, points))
     assert GrassmannField.zero(grid, N_GEN).compose_body(points).is_zero()
 
 

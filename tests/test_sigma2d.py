@@ -12,12 +12,10 @@ from supersigma.sigma2d import (
     CalibrationError,
     ComponentFields,
     FlowDivergenceError,
-    Target,
     UnsupportedRegimeError,
     action_component,
     action_superfield_flat,
     calibrate_conventions,
-    components_from_superfield,
     current_spin32,
     d_zbar,
     energy_momentum,
@@ -60,10 +58,11 @@ def matter(rng, grid, with_F=False, soul=True):
 
 def test_superfield_component_roundtrip(rng, grid):
     fields = matter(rng, grid, with_F=True)
-    back = components_from_superfield(superfield_from_components(fields))
-    assert back.phi[0].max_abs_diff(fields.phi[0]) < 1e-14
-    assert back.psi[0].max_abs_diff(fields.psi[0]) < 1e-14
-    assert back.F[0].max_abs_diff(fields.F[0]) < 1e-14
+    (Phi,) = superfield_from_components(fields)
+    assert Phi.coefficient(0b00).max_abs_diff(fields.phi[0]) < 1e-14
+    assert Phi.coefficient(0b01).max_abs_diff(fields.psi[0].comps[0]) < 1e-14
+    assert Phi.coefficient(0b10).max_abs_diff(fields.psi[0].comps[1]) < 1e-14
+    assert (Phi.coefficient(0b11) * 2.0).max_abs_diff(fields.F[0]) < 1e-14
 
 
 def test_superfield_action_equals_component_action(rng, grid):
@@ -401,8 +400,8 @@ def test_harmonic_flow_converges(grid):
     result = harmonic_flow(geom, phi0, steps=5000, dt=1e-3,
                            winding=np.eye(2))
     assert result.converged
-    linear = harmonic_flow(geom, [np.zeros(grid.shape)] * 2, steps=0,
-                           dt=1e-3, winding=np.eye(2)).energies[0]
+    # The affine limit carries only the winding's energy, |W|^2 vol.
+    linear = float(np.sum(np.eye(2) * np.eye(2))) * grid.volume
     assert abs(result.energies[-1] - linear) < 1e-6
     assert all(e1 <= e0 + 1e-12 for e0, e1 in zip(result.energies, result.energies[1:]))
 
@@ -492,7 +491,7 @@ def test_fourier_flow_divergence_matches_real_space_flow(grid):
 
 
 def test_flat_flow_steps_without_real_space_kernels(monkeypatch, grid):
-    calls = {"_laplacian": 0, "_dirichlet_energy": 0}
+    calls = {"spectral_derivative": 0, "_dirichlet_energy": 0}
     for name in calls:
         original = getattr(s2, name)
 
@@ -503,27 +502,9 @@ def test_flat_flow_steps_without_real_space_kernels(monkeypatch, grid):
     geom, phi0, winding = _flow_case("suite-seed-7")
     result = harmonic_flow(geom, phi0, steps=5000, dt=1e-3, winding=winding)
     assert result.steps_taken > 900
-    # Only the first and the last reported energies are evaluated in real space.
-    assert calls == {"_laplacian": 0, "_dirichlet_energy": 2}
-
-
-def test_sphere_flow_reprojects(grid):
-    geom = SurfaceGeometry.flat(grid, N_GEN)
-    target = Target(kind="sphere", curvature=1.0)
-    X, Y = grid.coordinates()
-    phi0 = [1.0 + 0.1 * np.cos(X), 0.1 * np.sin(Y), 0.1 * np.cos(X + Y)]
-    result = harmonic_flow(geom, phi0, steps=500, dt=1e-3, target=target)
-    radii = np.sqrt(sum(p * p for p in result.phi))
-    assert np.max(np.abs(radii - 1.0)) < 1e-12
-
-
-@pytest.mark.parametrize("components", [2, 4])
-def test_sphere_flow_rejects_a_map_not_in_r3(grid, components):
-    geom = SurfaceGeometry.flat(grid, N_GEN)
-    X, _ = grid.coordinates()
-    phi0 = [1.0 + 0.1 * np.cos(X)] + [0.1 * np.sin(X)] * (components - 1)
-    with pytest.raises(UnsupportedRegimeError, match=r"R\^3"):
-        harmonic_flow(geom, phi0, steps=5, dt=1e-3, target=Target(kind="sphere", curvature=1.0))
+    # Only the first and the last reported energies are evaluated in real
+    # space, with one derivative per coordinate and axis.
+    assert calls == {"spectral_derivative": 8, "_dirichlet_energy": 2}
 
 
 def test_gravitino_variation_is_odd(rng, grid):

@@ -122,7 +122,7 @@ def test_restrict_general_embedding(rng, grid):
 
 def test_pullback_identity_change(rng, grid):
     f = random_superfunction(rng, grid)
-    ident = CoordinateChange.identity(grid, N_GEN)
+    ident = CoordinateChange(g0=grid.axis_points(0))
     assert pullback_coordinate_change(f, ident).max_abs_diff(f) < 1e-12
 
 
@@ -135,8 +135,14 @@ def test_pullback_then_inverse_is_identity(rng, grid):
         gamma1=GrassmannField(grid, N_GEN, {
             0: np.ones(grid.shape), 0b11: 0.4 * np.cos(x)}),
     )
+    # The inverse of a rigid rotation by c: x = xt - c, and (gamma0, gamma1)
+    # inverted as an affine map of eta, evaluated at the rotated points.
+    g0_inv = x - 1.25
+    gamma1_inv = change.gamma1.nilpotent_power(-1.0).compose_body(g0_inv)
+    inverse = CoordinateChange(g0=g0_inv, gamma0=-(gamma1_inv * change.gamma0.compose_body(g0_inv)),
+                               gamma1=gamma1_inv)
     moved = pullback_coordinate_change(f, change)
-    back = pullback_coordinate_change(moved, change.inverse(grid, N_GEN))
+    back = pullback_coordinate_change(moved, inverse)
     assert back.max_abs_diff(f) < 1e-10
 
 
