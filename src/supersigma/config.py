@@ -2,9 +2,9 @@
 
 A SuiteConfig is a plain JSON-serializable record: grid sizes, torus
 periods, Grassmann generator count, per-family tolerances, the frozen
-action/variation conventions, the random seed, and fixture counts.  The
-default config path may be supplied through the SUPERSIGMA_CONFIG
-environment variable.
+action/variation conventions, the random seed, and fixture counts (each at
+least 1, so no check passes having checked nothing).  The default config
+path may be supplied through the SUPERSIGMA_CONFIG environment variable.
 """
 
 from __future__ import annotations
@@ -109,19 +109,17 @@ class SuiteConfig:
         for name, tol in self.tolerances.items():
             if tol < 0.0:
                 raise ValueError(f"tolerance {name!r} must be nonnegative")
-        integers = {"seed": self.seed, "n_gen": self.n_gen, "toy_points": self.toy_points,
-                    "flow_steps": self.flow_steps}
-        integers.update({f"fixture count {name!r}": n for name, n in self.fixture_counts.items()})
+        positive = {"toy_points": self.toy_points}
+        positive.update({f"fixture count {name!r}": n for name, n in self.fixture_counts.items()})
         for name in ("grid_shape", "reduction_grid_shape"):
-            integers.update({f"{name}[{i}]": n for i, n in enumerate(getattr(self, name))})
+            positive.update({f"{name}[{i}]": n for i, n in enumerate(getattr(self, name))})
+        integers = {"seed": self.seed, "n_gen": self.n_gen, "flow_steps": self.flow_steps,
+                    **positive}
         for what, value in integers.items():
             if not _is_integer(value):
                 raise ValueError(f"{what} must be an integer, got {value!r}")
         if self.n_gen < 1:
             raise ValueError("n_gen must be positive")
-        positive = {"toy_points": self.toy_points}
-        for name in ("grid_shape", "reduction_grid_shape"):
-            positive.update({f"{name}[{i}]": n for i, n in enumerate(getattr(self, name))})
         for what, value in positive.items():
             if value < 1:
                 raise ValueError(f"{what} must be at least 1, got {value!r}")

@@ -76,7 +76,7 @@ class MetricDeformation:
 
     def __post_init__(self):
         t = [[self.tensor[a][b] for b in range(2)] for a in range(2)]
-        if t[0][1].max_abs_diff(t[1][0]) > 0.0:
+        if np.any(t[0][1].max_abs_diff(t[1][0]) > 0.0):
             raise ValueError("metric deformation must be symmetric")
         for row in t:
             for entry in row:
@@ -95,10 +95,10 @@ class MetricDeformation:
         return MetricDeformation(
             [[self.tensor[a][b] - other.tensor[a][b] for b in range(2)] for a in range(2)])
 
-    def max_abs(self) -> float:
+    def max_abs(self):
         return max_or_nan(self.tensor[a][b].max_abs() for a in range(2) for b in range(2))
 
-    def max_abs_diff(self, other: "MetricDeformation") -> float:
+    def max_abs_diff(self, other: "MetricDeformation"):
         return (self - other).max_abs()
 
     def trace(self) -> GrassmannField:
@@ -118,8 +118,8 @@ class DecompositionResult:
     ``residual_metric`` (D); the gravitino line fills ``super_weyl`` (t),
     ``susy_parameter`` (q), and ``residual_gravitino`` (DD).  Unused slots
     are None.  Residual norms are max-coefficient magnitudes; for an input
-    stacked over fixtures the fields are stacked too, and each norm is the
-    maximum over the fixtures.
+    stacked over fixtures the fields are stacked too, and each norm has one
+    value per fixture.
     """
 
     weyl: GrassmannField | None = None

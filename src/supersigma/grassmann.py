@@ -13,13 +13,16 @@ sign rule over a map from monomial bitmasks to coefficients.
 
 A coefficient may also be a 1-d array with one value per fixture (the
 integral of a field stacked over fixtures): every operation then acts on
-each fixture's value alone, and ``max_abs`` reduces over the fixtures too.
+each fixture's value alone, and ``max_abs`` keeps the fixture axis, giving
+one value per fixture.  ``max_or_nan`` folds such values elementwise.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "Parity",
@@ -66,20 +69,15 @@ def require_odd(x, what: str) -> None:
         raise ParityError(f"{what} must be odd")
 
 
-def max_or_nan(values: Iterable[float]) -> float:
-    """The largest of ``values`` (0.0 when there are none), or NaN if any is NaN.
-
-    Python's ``max`` drops a NaN that does not come first (``max(0.0, nan)``
-    is 0.0), which would turn a NaN residual into a passing check.  Without
-    a NaN this returns what ``max`` returns: the first of the largest values.
-    """
-    out = None
+def max_or_nan(values: Iterable):
+    """The elementwise maximum of 0.0 and ``values`` (floats, or arrays of one
+    value per fixture), NaN wherever one is NaN: Python's ``max`` drops a NaN
+    that does not come first (``max(0.0, nan)`` is 0.0), which would turn a
+    NaN residual into a passing check."""
+    out = 0.0
     for v in values:
-        if v != v:
-            return v
-        if out is None or v > out:
-            out = v
-    return 0.0 if out is None else out
+        out = np.maximum(out, v)
+    return out
 
 
 def _flip_mask(a: int) -> int:
@@ -245,7 +243,7 @@ class GradedElement:
             return NotImplemented
         return o * self
 
-    def max_abs_diff(self, other) -> float:
+    def max_abs_diff(self, other):
         return (self - other).max_abs()
 
 
@@ -325,10 +323,9 @@ class GrassmannNumber(GradedElement):
 
     # -- inspection --------------------------------------------------------
 
-    def max_abs(self) -> float:
-        """Largest |coefficient|, over every fixture of an array coefficient."""
-        return max_or_nan(abs(c) if type(c) is float else float(abs(c).max())
-                          for c in self.terms.values())
+    def max_abs(self):
+        """Largest |coefficient|: one value per fixture for array coefficients."""
+        return max_or_nan(abs(c) for c in self.terms.values())
 
     def __repr__(self):
         if any(type(c) is not float for c in self.terms.values()):

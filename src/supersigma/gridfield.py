@@ -7,9 +7,9 @@ precision for band-limited data.
 
 A field may also hold a batch of fixtures: its sample arrays then have the
 shape ``(B, *grid.shape)``, one slice per fixture, and every operation acts
-on each slice as it would on that fixture's own field.  Integrals are
-per-fixture Grassmann numbers, ``max_abs`` takes the maximum over all
-fixtures, and ``compose_body`` interpolates each fixture with the shared
+on each slice as it would on that fixture's own field.  ``integral`` and
+``max_abs`` reduce the grid axes and keep the fixture axis, one value per
+fixture, and ``compose_body`` interpolates each fixture with the shared
 phase matrix.  Only ``value_at`` refuses a stacked field.
 """
 
@@ -197,8 +197,7 @@ class GrassmannField(GradedElement):
     def constant(cls, grid: Grid, value: GrassmannNumber) -> "GrassmannField":
         """The field equal to ``value`` everywhere (per fixture for array coefficients)."""
         return cls(grid, value.n_gen, {
-            m: np.full(grid.shape, c) if type(c) is float else np.multiply.outer(c, np.ones(grid.shape))
-            for m, c in value.terms.items()})
+            m: np.multiply.outer(c, np.ones(grid.shape)) for m, c in value.terms.items()})
 
     def _new(self, terms) -> "GrassmannField":
         return GrassmannField(self.grid, self.n_gen, terms)
@@ -248,18 +247,9 @@ class GrassmannField(GradedElement):
         A stacked field integrates each fixture alone: its coefficients are
         arrays of one integral per fixture.
         """
-        vol = self.grid.volume
-        grid_axes = tuple(range(1, self.grid.ndim + 1))
+        vol, grid_axes = self.grid.volume, tuple(range(-self.grid.ndim, 0))
         return GrassmannNumber(self.n_gen, {
-            m: (float(a.mean()) if a.ndim == self.grid.ndim else a.mean(axis=grid_axes)) * vol
-            for m, a in self.terms.items()})
-
-    def _require_unstacked(self, what: str) -> None:
-        """ValueError when the terms carry a fixture axis that ``what`` would misread."""
-        a = next(iter(self.terms.values()), None)
-        if a is not None and a.ndim != self.grid.ndim:
-            raise ValueError(f"{what} is not defined on a field stacked over "
-                             f"{a.shape[0]} fixtures")
+            m: a.mean(axis=grid_axes) * vol for m, a in self.terms.items()})
 
     def compose_body(self, points: np.ndarray) -> "GrassmannField":
         """Evaluate the trig interpolant of every term at new abscissae (1-d);
@@ -301,12 +291,16 @@ class GrassmannField(GradedElement):
 
     # -- inspection --------------------------------------------------------
 
-    def max_abs(self) -> float:
-        """Largest |sample| over every term (and every fixture of a stacked field)."""
-        return max_or_nan(float(np.max(np.abs(a))) for a in self.terms.values())
+    def max_abs(self):
+        """Largest |sample| over every term: one value per fixture of a stacked field."""
+        grid_axes = tuple(range(-self.grid.ndim, 0))
+        return max_or_nan(np.max(np.abs(a), axis=grid_axes) for a in self.terms.values())
 
     def value_at(self, index: tuple[int, ...]) -> GrassmannNumber:
-        self._require_unstacked("value_at")
+        a = next(iter(self.terms.values()), None)
+        if a is not None and a.ndim != self.grid.ndim:
+            raise ValueError(f"value_at is not defined on a field stacked over "
+                             f"{a.shape[0]} fixtures")
         return GrassmannNumber(self.n_gen, {m: float(a[index]) for m, a in self.terms.items()})
 
     def __repr__(self):

@@ -3,7 +3,8 @@
 A report is {"header": {seed, config_hash, conventions}, "checks": [...]}.
 Runtimes are tracked on the CheckReport objects but deliberately left out
 of the serialized form so that reports for the same seed and config are
-byte-identical across runs.
+byte-identical across runs; so are the per-fixture residuals
+(``fixture_residuals``, a read-only float64 memoryview in draw order).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ class CheckReport:
     passed: bool = field(init=False)
     runtime_ms: float = 0.0
     provenance: str = "derived"
+    fixture_residuals: memoryview | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.passed = bool(self.residual <= self.tolerance)

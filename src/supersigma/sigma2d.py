@@ -468,9 +468,9 @@ def _susy_varied_geometry(geom: SurfaceGeometry, chi: GravitinoField,
 
 def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
                              fields: ComponentFields, q: SpinorField,
-                             coeffs: ActionCoefficients = ActionCoefficients()) -> float:
-    """Max coefficient of A(varied) - A(original) under the simultaneous
-    matter + geometry supersymmetry variation (constant parameter q).
+                             coeffs: ActionCoefficients = ActionCoefficients()):
+    """Max coefficient of A(varied) - A(original), one per fixture of stacked
+    fields, under the matter + geometry supersymmetry variation (constant q).
 
     All variations are proportional to the odd parameter q, so for a
     monomial q the difference is exactly the first variation.

@@ -144,10 +144,10 @@ class SpinorField:
     def derivative(self, axis: int) -> "SpinorField":
         return SpinorField([c.derivative(axis) for c in self.comps])
 
-    def max_abs(self) -> float:
+    def max_abs(self):
         return max_or_nan(c.max_abs() for c in self.comps)
 
-    def max_abs_diff(self, other: "SpinorField") -> float:
+    def max_abs_diff(self, other: "SpinorField"):
         return (self - other).max_abs()
 
 
@@ -201,10 +201,10 @@ class GravitinoField:
     def gamma_trace(self, conv: CliffordConvention = CLIFFORD) -> SpinorField:
         return clifford(1, self[1], conv) + clifford(2, self[2], conv)
 
-    def max_abs(self) -> float:
+    def max_abs(self):
         return max_or_nan(c.max_abs() for c in self.chi)
 
-    def max_abs_diff(self, other: "GravitinoField") -> float:
+    def max_abs_diff(self, other: "GravitinoField"):
         return (self - other).max_abs()
 
 

@@ -134,7 +134,7 @@ class SuperFunction(GradedElement):
 
     # -- inspection --------------------------------------------------------------
 
-    def max_abs(self) -> float:
+    def max_abs(self):
         return max_or_nan(f.max_abs() for f in self.terms.values())
 
     def __repr__(self):

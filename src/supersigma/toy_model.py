@@ -121,26 +121,27 @@ def toy_susy_geometric(f: ToyFields, q: GrassmannNumber) -> ToyFields:
     return ToyFields(dphi, dpsi)
 
 
-def toy_invariance_residual(f: ToyFields, q: GrassmannNumber) -> float:
+def toy_invariance_residual(f: ToyFields, q: GrassmannNumber):
     """Max coefficient of A(f + delta f) - A(f).
 
     The variation is proportional to the odd parameter q, so for a monomial
     q the difference is exactly the first variation (q^2 = 0 structurally);
-    no finite-difference step is involved.
+    no finite-difference step is involved.  Stacked fields give one per fixture.
     """
     dphi = f.phi.derivative(0)
     delta = _toy_susy(f, q, dphi)
     return toy_action_component(f + delta).max_abs_diff(_toy_action(f, dphi))
 
 
-def toy_embedding_residual(integrand: SuperFunction, xi: GrassmannField) -> float:
+def toy_embedding_residual(integrand: SuperFunction, xi: GrassmannField):
     """Independence of the superfield action from the embedding.
 
     ``integrand`` is the superfield integrand -1/2 d_x(Phi) D(Phi) of the
     fields.  Its Berezin integral is taken in coordinates adapted to the
     embedding with i#eta = xi: the integrand is pulled back through the
     coordinate change eta = xi + eta~ (unit Berezinian) and integrated
-    there.  The result must equal the adapted xi = 0 integral.
+    there.  The result must equal the adapted xi = 0 integral: the residual
+    is their max coefficient difference, one per fixture of a stacked integrand.
     """
     require_odd(xi, "embedding component xi")
     change = CoordinateChange(g0=integrand.grid.axis_points(0), g1=None, gamma0=xi, gamma1=None)

@@ -162,9 +162,12 @@ def test_check_report_pass_iff_within_tolerance():
 
 
 def test_runtime_not_serialized():
-    rep = CheckReport("a", 0.0, 1.0)
+    # Nor are the per-fixture residuals: the report keeps only their maximum.
+    rep = CheckReport("a", 0.0, 1.0, fixture_residuals=np.array([0.0, 0.0]))
     rep.runtime_ms = 123.4
-    assert "runtime" not in json.dumps(rep.to_dict())
+    assert set(rep.to_dict()) == {"name", "residual", "tolerance", "passed", "provenance"}
+    text = json.dumps(rep.to_dict())
+    assert "runtime" not in text and "fixture" not in text
 
 
 def write_config(tmp_path, text):
@@ -381,9 +384,13 @@ def test_config_value_of_wrong_type_is_json_error(capsys, tmp_path, config, frag
     ({"periods": [6.0, -1.0]}, "periods[1] must be finite and positive, got -1.0"),
     ({"periods": [float("nan"), 6.0]}, "periods[0] must be finite and positive, got nan"),
     ({"periods": [6.0, float("inf")]}, "periods[1] must be finite and positive, got inf"),
+    # A count of 0 would pass every row of its suite having checked nothing.
+    ({"fixture_counts": {"decompose": 0}}, "fixture count 'decompose' must be at least 1, got 0"),
+    ({"fixture_counts": {"decompose": -3}},
+     "fixture count 'decompose' must be at least 1, got -3"),
 ], ids=["toy_points-zero", "toy_points-negative", "grid_shape-zero", "grid_shape-negative",
         "reduction_grid_shape-zero", "periods-zero", "periods-negative", "periods-nan",
-        "periods-inf"])
+        "periods-inf", "fixture-count-zero", "fixture-count-negative"])
 def test_config_value_out_of_range_is_json_error(capsys, tmp_path, config, fragment):
     path = write_config(tmp_path, json.dumps(config))
     code, out = run_cli(capsys, "verify", "all", "--config", path)

@@ -367,9 +367,10 @@ def test_stacked_operations_match_each_fixture_bitwise(rng, shape):
     for m, c in integral.terms.items():
         assert c.shape == (count,)
         assert list(c) == [(a * b).integral().terms[m] for a, b in zip(fs, gs)]
-    assert f.max_abs() == max(a.max_abs() for a in fs)
-    assert (f * g).integral().max_abs() == max((a * b).integral().max_abs()
-                                               for a, b in zip(fs, gs))
+    # max_abs keeps the fixture axis: one value per fixture.
+    assert f.max_abs().tolist() == [a.max_abs() for a in fs]
+    assert (f * g).integral().max_abs().tolist() == [(a * b).integral().max_abs()
+                                                     for a, b in zip(fs, gs)]
 
 
 @pytest.mark.parametrize("shape", [(12,), (9, 7)])
@@ -408,9 +409,9 @@ def test_nan_in_one_fixture_reaches_max_abs(rng, grid):
     samples = rng.normal(size=(5, 64))
     samples[3, 17] = np.nan
     f = GrassmannField(grid, N_GEN, {0b1: rng.normal(size=(5, 64)), 0b10: samples})
-    assert np.isnan(f.max_abs())
-    assert np.isnan(f.integral().max_abs())
-    assert np.isnan((f * f.derivative(0)).max_abs())
+    # The NaN reaches fixture 3's value and no other fixture's.
+    for value in (f, f.integral(), f * f.derivative(0)):
+        assert np.isnan(value.max_abs()).tolist() == [False, False, False, True, False]
 
 
 def test_value_at_rejects_stacked_fields(rng, grid):
@@ -442,9 +443,11 @@ def test_grassmann_number_with_per_fixture_coefficients(grid):
                                 0b1: 2.0})
     # An all-zero coefficient array is dropped like a zero float.
     assert list(a.terms) == [0, 0b1]
-    assert a.max_abs() == 3.0
+    # A float coefficient stands for every fixture alike.
+    assert a.max_abs().tolist() == [2.0, 3.0]
     assert (a * a).terms[0].tolist() == [1.0, 9.0]
-    assert np.isnan(GrassmannNumber(N_GEN, {0: np.array([1.0, np.nan])}).max_abs())
+    with_nan = GrassmannNumber(N_GEN, {0: np.array([1.0, np.nan])}).max_abs()
+    assert with_nan[0] == 1.0 and np.isnan(with_nan[1])
     with pytest.raises(ValueError, match="per-fixture"):
         repr(a)
     with pytest.raises(ValueError, match="1-d"):

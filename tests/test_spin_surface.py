@@ -67,10 +67,16 @@ def test_gamma5_correction_drops_out_of_the_dirac_pairing(rng, grid, stacked):
                            for _ in range(2)])
         return psi, even_field(rng, grid, soul_mask=0b000011)
 
-    psi, c = _stack([draw() for _ in range(3)]) if stacked else draw()
-    rotated = c * psi.matrix_apply(CLIFFORD.gamma5)
-    for a in (1, 2):
-        assert pairing(psi, clifford(a, rotated)).max_abs() <= 1e-13
+    def residuals(psi, c):
+        rotated = c * psi.matrix_apply(CLIFFORD.gamma5)
+        return [pairing(psi, clifford(a, rotated)).max_abs() for a in (1, 2)]
+
+    fixtures = [draw() for _ in range(3 if stacked else 1)]
+    got = residuals(*_stack(fixtures))
+    # One residual per fixture, each that fixture's own.
+    each = [residuals(*f) for f in fixtures]
+    assert np.array_equal(got, np.transpose(each) if stacked else each[0])
+    assert np.max(got) <= 1e-13
 
 
 def test_clifford_action_componentwise(rng, grid):

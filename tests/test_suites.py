@@ -2,11 +2,12 @@
 per-fixture loops, and the grassmann suite's bulk draws and chunks.
 
 The oracles below evaluate one fixture at a time, as the suites did before
-they stacked a chunk of fixtures on one leading axis.  Every residual must
-match bit for bit, and the suites must leave their generator in the same
-state as the oracles.  Every grassmann residual is an exact 0.0, so a maximum
-over fixtures would show nothing: its draws, chunks and stacks are tested
-directly, and a NaN planted in one fixture must reach its row.
+they stacked a chunk of fixtures on one leading axis, and return each row's
+residuals in draw order.  Every row's per-fixture residuals must match them
+bit for bit, and the suites must leave their generator in the same state as
+the oracles.  Every grassmann residual is an exact 0.0, so its values would
+show nothing: its draws, chunks and stacks are tested directly, and a NaN
+planted in one fixture must reach its row.
 """
 
 import os
@@ -25,7 +26,7 @@ from supersigma.deformations import (
     true_deformation_dimensions,
 )
 from supersigma.gridfield import GrassmannField, Grid
-from supersigma.grassmann import GrassmannNumber, generator, max_or_nan, unit
+from supersigma.grassmann import GrassmannNumber, generator, unit
 from supersigma.sigma2d import (
     ComponentFields,
     action_component,
@@ -72,13 +73,13 @@ ODD_GRID = os.path.join(os.path.dirname(__file__), "data", "odd_grid.json")
 def _berezin_oracle(config, rng):
     n_gen = config.n_gen
     grid = Grid((config.toy_points,), (config.periods[0],))
-    worst = 0.0
+    reduction = []
     for _ in range(config.fixtures("berezin")):
         f0 = _even_field(rng, grid, n_gen, soul_mask=0b11) + _odd_field(rng, grid, n_gen, [1])
         f1 = _even_field(rng, grid, n_gen, soul_mask=0b110) + _odd_field(rng, grid, n_gen, [2])
         sf = SuperFunction(grid, 1, n_gen, {0: f0, 1: f1})
-        worst = max_or_nan((worst, berezin_integrate(sf).max_abs_diff(f1.integral())))
-    return [worst]
+        reduction.append(berezin_integrate(sf).max_abs_diff(f1.integral()))
+    return [reduction]
 
 
 def _reduction_oracle(config, rng):
@@ -87,7 +88,7 @@ def _reduction_oracle(config, rng):
     coeffs = config.conventions
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
-    worst = 0.0
+    superfield = []
     for _ in range(config.fixtures("reduction")):
         fields = ComponentFields(
             phi=[_even_field(rng, grid, n_gen, scale=0.7, soul_mask=0b11)],
@@ -96,7 +97,7 @@ def _reduction_oracle(config, rng):
         )
         a_super = action_superfield_flat(superfield_from_components(fields), coeffs)
         a_comp = action_component(geom, chi0, fields, coeffs=coeffs)
-        worst = max_or_nan((worst, a_super.max_abs_diff(a_comp)))
+        superfield.append(a_super.max_abs_diff(a_comp))
     coords = grid.coordinates()
     classical_fields = ComponentFields(
         phi=[GrassmannField(grid, n_gen, {0: np.sin(coords[0])})],
@@ -105,7 +106,7 @@ def _reduction_oracle(config, rng):
     )
     a = action_component(geom, chi0, classical_fields, coeffs=coeffs)
     classical = a.max_abs_diff(unit(n_gen) * (coeffs.c1 * 2.0 * np.pi ** 2))
-    conformal = 0.0
+    conformal = []
     for _ in range(5):
         lam = GrassmannField(grid, n_gen, {
             0: np.exp(_trig_array(rng, grid, scale=0.3)),
@@ -113,8 +114,8 @@ def _reduction_oracle(config, rng):
         })
         a0 = action_component(geom, chi0, classical_fields, coeffs=coeffs)
         a1 = action_component(weyl(geom, lam), chi0, classical_fields, coeffs=coeffs)
-        conformal = max_or_nan((conformal, a0.max_abs_diff(a1)))
-    return [worst, classical, conformal]
+        conformal.append(a0.max_abs_diff(a1))
+    return [superfield, [classical], conformal]
 
 
 def _susy2d_oracle(config, rng):
@@ -122,18 +123,18 @@ def _susy2d_oracle(config, rng):
     grid = Grid(config.grid_shape, config.periods)
     battery = build_calibration_battery(config, rng)
     cal = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))
-    cal_residual = max_or_nan(susy_invariance_residual(geom, chi, fields, q, coeffs=cal)
-                              for geom, chi, fields, q in battery)
-    cal_match = max_or_nan(abs(getattr(cal, k) - getattr(config.conventions, k))
-                           for k in ("s1", "s2", "c4", "c5"))
-    chi0_resid = chi_resid = 0.0
+    cal_residual = [susy_invariance_residual(geom, chi, fields, q, coeffs=cal)
+                    for geom, chi, fields, q in battery]
+    cal_match = [abs(getattr(cal, k) - getattr(config.conventions, k))
+                 for k in ("s1", "s2", "c4", "c5")]
+    chi0_resid, chi_resid = [], []
     for _ in range(config.fixtures("susy2d")):
         geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=False)
-        chi0_resid = max_or_nan((chi0_resid, susy_invariance_residual(
-            geom, chi, fields, q, coeffs=config.conventions)))
+        chi0_resid.append(susy_invariance_residual(geom, chi, fields, q,
+                                                   coeffs=config.conventions))
         geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=True)
-        chi_resid = max_or_nan((chi_resid, susy_invariance_residual(
-            geom, chi, fields, q, coeffs=config.conventions)))
+        chi_resid.append(susy_invariance_residual(geom, chi, fields, q,
+                                                  coeffs=config.conventions))
     return [cal_residual, cal_match, chi0_resid, chi_resid]
 
 
@@ -141,23 +142,22 @@ def _toy_oracle(config, rng):
     n_gen = config.n_gen
     grid = Grid((config.toy_points,), (config.periods[0],))
     count = config.fixtures("toy")
-    equiv = susy = geom_agree = embed = 0.0
+    equiv, susy, geom_agree, embed = [], [], [], []
     for _ in range(count):
         f = _toy_fixture(rng, grid, n_gen)
         a_comp = toy_action_component(f)
         # The integrand is reused by the embedding check.
         integrand = _superfield_integrand(superfield_from_fields(f))
         a_super = berezin_integrate(integrand)
-        equiv = max_or_nan((equiv, a_comp.max_abs_diff(a_super)))
+        equiv.append(a_comp.max_abs_diff(a_super))
 
         q = generator(n_gen, Q_GEN) * float(rng.normal())
-        susy = max_or_nan((susy, toy_invariance_residual(f, q)))
+        susy.append(toy_invariance_residual(f, q))
         d1, d2 = toy_susy(f, q), toy_susy_geometric(f, q)
-        geom_agree = max_or_nan((geom_agree, d1.phi.max_abs_diff(d2.phi),
-                                 d1.psi.max_abs_diff(d2.psi)))
+        geom_agree.append(max(d1.phi.max_abs_diff(d2.phi), d1.psi.max_abs_diff(d2.psi)))
 
         xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
-        embed = max_or_nan((embed, toy_embedding_residual(integrand, xi)))
+        embed.append(toy_embedding_residual(integrand, xi))
     x = grid.axis_points(0)
     f = ToyFields(
         GrassmannField(grid, n_gen, {0: np.sin(x)}),
@@ -165,9 +165,9 @@ def _toy_oracle(config, rng):
     )
     expected = unit(n_gen) * (np.pi / 2.0) \
         + generator(n_gen, 1) * generator(n_gen, 2) * np.pi
-    closed = max_or_nan((toy_action_component(f).max_abs_diff(expected),
-                         toy_action_superfield(superfield_from_fields(f)).max_abs_diff(expected)))
-    return [equiv, closed, susy, geom_agree, embed]
+    closed = max(toy_action_component(f).max_abs_diff(expected),
+                 toy_action_superfield(superfield_from_fields(f)).max_abs_diff(expected))
+    return [equiv, [closed], susy, geom_agree, embed]
 
 
 def _decompose_oracle(config, rng):
@@ -176,28 +176,27 @@ def _decompose_oracle(config, rng):
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
     count = config.fixtures("decompose")
-    m_reasm = m_trace = m_div = 0.0
-    g_reasm = g_trace = 0.0
+    m_reasm, m_trace, m_div, g_reasm, g_trace = [], [], [], [], []
     for i in range(count):
         g11 = _even_field(rng, grid, n_gen, soul_mask=0b11, cutoff=6)
         g12 = _even_field(rng, grid, n_gen, cutoff=6)
         g22 = _even_field(rng, grid, n_gen, soul_mask=0b1100, cutoff=6)
         dg = MetricDeformation([[g11, g12], [g12, g22]])
         r = decompose_metric(geom, chi0, dg)
-        m_reasm = max_or_nan((m_reasm, r.reassembly_residual))
-        m_trace = max_or_nan((m_trace, r.trace_residual))
-        m_div = max_or_nan((m_div, r.divergence_residual))
+        m_reasm.append(r.reassembly_residual)
+        m_trace.append(r.trace_residual)
+        m_div.append(r.divergence_residual)
 
         dchi = GravitinoField([_odd_spinor(rng, grid, n_gen, PSI_GENS, cutoff=6),
                                _odd_spinor(rng, grid, n_gen, CHI_GENS, cutoff=6)])
         rg = decompose_gravitino(geom, chi0, dchi)
-        g_reasm = max_or_nan((g_reasm, rg.reassembly_residual))
-        g_trace = max_or_nan((g_trace, rg.gamma_trace_residual))
+        g_reasm.append(rg.reassembly_residual)
+        g_trace.append(rg.gamma_trace_residual)
     dims32 = true_deformation_dimensions(geom)
     dims64 = true_deformation_dimensions(SurfaceGeometry.flat(Grid((64, 64), config.periods), n_gen))
     dims_err = float(max(abs(dims32[0] - 2), abs(dims32[1] - 2)))
     stable = float(max(abs(dims32[0] - dims64[0]), abs(dims32[1] - dims64[1])))
-    return [m_reasm, m_trace, m_div, g_reasm, g_trace, dims_err, stable]
+    return [m_reasm, m_trace, m_div, g_reasm, g_trace, [dims_err], [stable]]
 
 
 ORACLES = {"berezin": _berezin_oracle, "reduction": _reduction_oracle,
@@ -222,10 +221,40 @@ def test_stacked_suite_matches_per_fixture_oracle(config_name, suite):
     rng, oracle_rng = suites.suite_rng(config, suite), suites.suite_rng(config, suite)
     checks = suites._SUITES[suite](config, rng)
     expected = ORACLES[suite](config, oracle_rng)
-    # Residuals equal to the bit; both runs consumed the same draws.
-    assert [c.residual for c in checks] == expected
+    # Every fixture's residual equal to the bit, in draw order, and each row
+    # reduced to their maximum; both runs consumed the same draws.
+    assert len(checks) == len(expected)
+    for check, each in zip(checks, expected):
+        assert np.array_equal(check.fixture_residuals, each), check.name
+        assert check.residual == max(each), check.name
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert all(c.passed for c in checks)
+
+
+# The residuals each row collects: one per fixture, or one per component for
+# a row of a single fixture (the calibration match has one per sign, the
+# divergence and holomorphy rows one per component).
+ROW_LENGTHS = {
+    "default": {"grassmann": [1000] * 3, "berezin": [100], "toy": [100, 1, 100, 100, 100],
+                "reduction": [50, 1, 5], "susy2d": [4, 4, 8, 8],
+                "currents": [10, 1, 2, 2, 1, 1, 2], "flow": [1, 1, 1],
+                "decompose": [50] * 5 + [1, 1]},
+    # 77 Berezin, 37 reduction and 11 susy2d fixtures.
+    "odd-grid": {"grassmann": [1000] * 3, "berezin": [77], "toy": [100, 1, 100, 100, 100],
+                 "reduction": [37, 1, 5], "susy2d": [4, 4, 11, 11],
+                 "currents": [10, 1, 2, 2, 1, 1, 2], "flow": [1, 1, 1],
+                 "decompose": [50] * 5 + [1, 1]},
+}
+
+
+@pytest.mark.parametrize("config_name", list(ROW_LENGTHS))
+def test_each_row_keeps_one_residual_per_fixture_drawn(config_name):
+    checks = suites.run_suite(CONFIGS[config_name](), "all")
+    lengths = ROW_LENGTHS[config_name]
+    assert [c.fixture_residuals.shape for c in checks] == \
+        [(n,) for name in suites.SUITE_NAMES for n in lengths[name]]
+    for c in checks:
+        assert c.residual == np.max(c.fixture_residuals), c.name
 
 
 def test_odd_grid_config_chunks_do_not_divide_the_counts():
@@ -423,7 +452,8 @@ def test_grassmann_associativity_multiplies_every_cyclic_triple_once(monkeypatch
 
     monkeypatch.setattr(suites, "_grassmann_stacks", recording)
     masks, coeffs = _grassmann_draws(np.random.default_rng(count), n_gen, count)["elements"]
-    assert suites._grassmann_associativity(n_gen, masks, coeffs) == 0.0
+    # One residual per triple, each exactly 0.0.
+    assert list(suites._grassmann_associativity(n_gen, masks, coeffs)) == [0.0] * count
     assert sum(len(a) for a in factors[0]) == count
     for k in range(3):
         assert np.array_equal(np.concatenate(factors[k]), np.roll(masks, -k, axis=0))
