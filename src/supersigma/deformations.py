@@ -16,13 +16,13 @@ gravitino susy image is the plain directional derivative of q, so both
 decompositions reduce to finite linear algebra on each Fourier mode: the
 metric residual D is the transverse-traceless part of York's split.
 
-Every Fourier mode within the cutoff and every Grassmann mask is fitted in
-one batched least-squares solve: the design matrices of all band modes are
-stacked into one tensor A, its pseudo-inverse A+ (singular-value cutoff
-1e-10) is applied to every mask (and every fixture of an input stacked over
-fixtures) at once, and the residual is rhs - A A+ rhs.  Since A(-m) is
-conj A(m), A+ is computed for one mode of each conjugate pair and
-conjugated for the other.
+Every Fourier mode within the cutoff is fitted in one batched
+least-squares solve per Grassmann mask: the design matrices of all band
+modes are stacked into one tensor A, its pseudo-inverse A+ (singular-value
+cutoff 1e-10) is applied to one mask's components (every fixture of an
+input stacked over fixtures at once), and the residual is rhs - A A+ rhs.
+Since A(-m) is conj A(m), A+ is computed for one mode of each conjugate
+pair and conjugated for the other.
 A+ depends only on the grid shape, the periods, the cutoff, the line
 (metric or gravitino) and, on the gravitino line, the Clifford matrices; it
 is cached under exactly that key, keeping the two most recently used keys
@@ -268,15 +268,16 @@ def _cached_pinv(key: tuple, A: np.ndarray, modes1: np.ndarray,
     return A_pinv
 
 
-def _field_from_modes(grid: Grid, n_gen: int, masks: Sequence[int],
-                      mode_grids) -> GrassmannField:
-    """Inverse transform one mode grid per mask back to a GrassmannField.
+def _inverse_fft2(buf: np.ndarray) -> None:
+    """Inverse-transform the trailing two axes of the complex ``buf`` in place.
 
-    The real part is copied out, so the field does not keep the complex
-    transform alive.
+    ``np.fft.ifft2(buf, out=buf)`` would return a fresh array: numpy 2.4.6
+    passes ``out=None`` on to the 1-d transforms.  So the two axes are
+    transformed one at a time, last axis first as ``ifft2`` does, and the
+    bits are those of ``ifft2(buf)``.
     """
-    return GrassmannField(grid, n_gen, {mask: np.fft.ifft2(modes).real.copy()
-                                        for mask, modes in zip(masks, mode_grids)})
+    np.fft.ifft(buf, axis=-1, out=buf)
+    np.fft.ifft(buf, axis=-2, out=buf)
 
 
 def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
@@ -289,38 +290,45 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
     component; modes beyond the cutoff go entirely to the residual.
     Component fields stacked over fixtures are solved fixture by fixture
     in one pass, and so are the fields returned.
+
+    One mask is solved at a time in one complex buffer: its component stack
+    is transformed in place, the band modes are overwritten by the residual,
+    and the residuals and then the parameters are inverse-transformed in the
+    same buffer.  Their real parts go into one float block per kind, which
+    the returned fields view.
     """
     grid, n_gen = comps[0].grid, comps[0].n_gen
     masks = sorted({m for f in comps for m in f.terms}) or [0]
     shape = np.broadcast_shapes(grid.shape, *(a.shape for f in comps for a in f.terms.values()))
-    zero = np.zeros(grid.shape)
-    # F[mask, component] holds the Fourier modes, transformed in place; the
-    # band modes are overwritten in place by the residual below.
-    F = np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
-                  for m in masks], dtype=complex)
-    np.fft.fft2(F, out=F)
     k1, k2, m1, m2 = _mode_wavenumbers(grid)
     i1 = np.flatnonzero(np.abs(m1) <= cutoff)
     i2 = np.flatnonzero(np.abs(m2) <= cutoff)
     band = (..., i1[:, None], i2)
     A = build_columns(k1[i1][:, None], k2[i2])
     A_pinv = _cached_pinv((grid.shape, grid.periods, cutoff) + line_key, A, m1[i1], m2[i2])
+    n_comps, n_params = A.shape[-2:]
 
-    rhs = np.moveaxis(F[band], 1, -1)[..., None]
-    sol = A_pinv @ rhs
-    F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 1)
+    params = np.empty((n_params, len(masks)) + shape)
+    resid = np.empty((n_comps, len(masks)) + shape)
+    buf = np.empty((max(n_comps, n_params),) + shape, dtype=complex)
+    F, P = buf[:n_comps], buf[:n_params]
+    zero = np.zeros(grid.shape)
+    for k, mask in enumerate(masks):
+        for c, f in enumerate(comps):
+            F[c] = f.terms.get(mask, zero)
+        np.fft.fft2(F, out=F)
+        rhs = np.moveaxis(F[band], 0, -1)[..., None]
+        sol = A_pinv @ rhs
+        F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 0)
+        _inverse_fft2(F)
+        resid[:, k] = F.real
+        P.fill(0.0)
+        P[band] = np.moveaxis(sol[..., 0], -1, 0)
+        _inverse_fft2(P)
+        params[:, k] = P.real
 
-    buf = np.zeros(shape, dtype=complex)
-
-    def param_modes(j):
-        for k in range(len(masks)):
-            buf[band] = sol[k, ..., j, 0]
-            yield buf
-
-    params = [_field_from_modes(grid, n_gen, masks, param_modes(j))
-              for j in range(A.shape[-1])]
-    resid = [_field_from_modes(grid, n_gen, masks, F[:, c]) for c in range(len(comps))]
-    return params, resid
+    return ([GrassmannField(grid, n_gen, dict(zip(masks, p))) for p in params],
+            [GrassmannField(grid, n_gen, dict(zip(masks, r))) for r in resid])
 
 
 def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDeformation,

@@ -100,6 +100,23 @@ class SuperFunction(GradedElement):
             raise ValueError("superfunctions live on different superdomains")
         return other
 
+    def product_coefficient(self, other: "SuperFunction", gamma: int) -> GrassmannField:
+        """The eta^gamma coefficient of ``self * other``, bit for bit, without
+        forming the product's other coefficients.
+
+        Each pair of terms whose monomials make eta^gamma is multiplied as two
+        single-term superfunctions, so the graded product supplies the sign,
+        and the pairs are summed in the order the product sums them.
+        """
+        out = GrassmannField.zero(self.grid, self.n_gen)
+        for ma, ca in self.terms.items():
+            mb = gamma ^ ma
+            if ma & mb or mb not in other.terms:
+                continue
+            pair = self._new({ma: ca}) * other._new({mb: other.terms[mb]})
+            out = out + pair.coefficient(gamma)
+        return out
+
     def mul_odd_coordinate(self, alpha: int) -> "SuperFunction":
         """Left multiplication by the odd coordinate eta^alpha (1-based)."""
         bit = 1 << (alpha - 1)

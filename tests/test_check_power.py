@@ -14,6 +14,7 @@ import pytest
 
 from supersigma import deformations, grassmann, sigma2d, suites
 from supersigma.config import SuiteConfig
+from supersigma.superdomain import SuperFunction
 
 
 def _edited(func, old: str, new: str):
@@ -56,6 +57,13 @@ def _energy_without_winding(monkeypatch):
                         _edited(sigma2d._dirichlet_energy, " + winding[t, k]", ""))
 
 
+def _top_without_eta2_eta1_pair(monkeypatch):
+    # The eta^1 eta^2 coefficient of a product forgets the pair (eta^2, eta^1).
+    monkeypatch.setattr(SuperFunction, "product_coefficient",
+                        _edited(SuperFunction.product_coefficient,
+                                "if ma & mb or", "if ma == 0b10 or ma & mb or"))
+
+
 # (defect, suites to rerun, rows that must fail)
 DEFECTS = {
     "flip-mask-zero": (_no_koszul_sign, ["grassmann"],
@@ -73,6 +81,8 @@ DEFECTS = {
                                      "decompose-metric-divergence-free",
                                      "decompose-gravitino-gamma-trace-free"}),
     "flow-energy-without-winding": (_energy_without_winding, ["flow"], {"flow-final-energy"}),
+    "top-coefficient-without-eta2-eta1": (_top_without_eta2_eta1_pair, ["reduction"],
+                                          {"reduction-superfield-component"}),
 }
 
 

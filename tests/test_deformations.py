@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -422,6 +424,109 @@ def test_stacked_decompositions_match_each_fixture(rng, grid_):
     for name in ("reassembly", "gamma_trace"):
         assert np.array_equal(rg.residual_norms()[name],
                               [e.residual_norms()[name] for e in each_g])
+
+
+# ---------------------------------------------------------------------------
+# One Grassmann mask at a time
+# ---------------------------------------------------------------------------
+
+def all_masks_band_solve(comps, cutoff, line_key, build_columns):
+    """The band solve with the modes of every mask and component held at once:
+    one ``fft2`` of the whole (mask, component) stack, one ``ifft2`` per
+    returned sample array."""
+    grid, n_gen = comps[0].grid, comps[0].n_gen
+    masks = sorted({m for f in comps for m in f.terms}) or [0]
+    shape = np.broadcast_shapes(grid.shape, *(a.shape for f in comps for a in f.terms.values()))
+    zero = np.zeros(grid.shape)
+    F = np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
+                  for m in masks], dtype=complex)
+    F = np.fft.fft2(F)
+    k1, k2, m1, m2 = deformations._mode_wavenumbers(grid)
+    i1 = np.flatnonzero(np.abs(m1) <= cutoff)
+    i2 = np.flatnonzero(np.abs(m2) <= cutoff)
+    band = (..., i1[:, None], i2)
+    A = build_columns(k1[i1][:, None], k2[i2])
+    A_pinv = deformations._cached_pinv((grid.shape, grid.periods, cutoff) + line_key,
+                                       A, m1[i1], m2[i2])
+    rhs = np.moveaxis(F[band], 1, -1)[..., None]
+    sol = A_pinv @ rhs
+    F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 1)
+
+    def field(planes):
+        return GrassmannField(grid, n_gen, {m: np.fft.ifft2(p).real.copy()
+                                            for m, p in zip(masks, planes)})
+
+    params = []
+    for j in range(A.shape[-1]):
+        planes = np.zeros((len(masks),) + shape, dtype=complex)
+        planes[band] = sol[..., j, 0]
+        params.append(field(planes))
+    return params, [field(F[:, c]) for c in range(len(comps))]
+
+
+def band_solve_inputs(rng, grid_, line, stacked):
+    """Component fields and line arguments of ``_band_solve`` for one line."""
+    def draw():
+        if line == "metric":
+            return (band_field(rng, grid_, (0, 0b11), cutoff=7), band_field(rng, grid_),
+                    band_field(rng, grid_, (0, 0b1100), cutoff=7))
+        chi1 = odd_spinor(rng, grid_, [1, 3], cutoff=7) + odd_spinor(rng, grid_, [5, 6], cutoff=7)
+        return tuple(chi1.comps) + tuple(odd_spinor(rng, grid_, [2, 4], cutoff=7).comps)
+
+    from supersigma.suites import _stack
+    comps = list(_stack([draw() for _ in range(3)]) if stacked else draw())
+    if line == "metric":
+        return comps, ("metric",), deformations._metric_columns
+    return (comps, ("gravitino", CLIFFORD.gamma(1).tobytes(), CLIFFORD.gamma(2).tobytes()),
+            lambda kap1, kap2: deformations._gravitino_columns(kap1, kap2, CLIFFORD))
+
+
+def owner(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-fixture", "stacked"])
+@pytest.mark.parametrize("line", ["metric", "gravitino"])
+@pytest.mark.parametrize("grid_, cutoff", [
+    pytest.param(g, c, id=f"{g.shape[0]}x{g.shape[1]}-cutoff-{c}")
+    for g in ORACLE_GRIDS for c in (0, None, max(g.shape) // 2)])
+def test_per_mask_band_solve_has_the_bits_of_the_all_masks_solve(rng, grid_, cutoff,
+                                                                 line, stacked):
+    comps, line_key, columns = band_solve_inputs(rng, grid_, line, stacked)
+    c = resolved(cutoff, grid_)
+    got = deformations._band_solve(comps, c, line_key, columns)
+    want = all_masks_band_solve(comps, c, line_key, columns)
+    for got_fields, want_fields in zip(got, want):
+        assert len(got_fields) == len(want_fields)
+        for f, w in zip(got_fields, want_fields):
+            assert set(f.terms) == set(w.terms)
+            for m, a in w.terms.items():
+                assert np.array_equal(f.terms[m], a), m
+                # A returned field keeps no complex transform alive.
+                assert owner(f.terms[m]).dtype == np.float64
+
+
+def test_gravitino_decomposition_of_a_large_grid_transforms_one_mask_at_a_time(rng):
+    # numpy reports its array allocations to tracemalloc.  Holding the
+    # complex modes of all 4 masks x 4 components at once, with two complex
+    # temporaries per inverse transform, takes about 95 sample planes of the
+    # grid here; one mask's complex stack at a time about 60.
+    grid_ = Grid((128, 128), (2.0 * np.pi, 2.0 * np.pi))
+    geom_ = SurfaceGeometry.flat(grid_, N_GEN)
+    chi0_ = GravitinoField.zero(grid_, N_GEN)
+    dchi = GravitinoField([odd_spinor(rng, grid_, [1, 2]), odd_spinor(rng, grid_, [3, 4])])
+    want = decompose_gravitino(geom_, chi0_, dchi)
+    plane = np.zeros(grid_.shape).nbytes
+    tracemalloc.start()
+    try:
+        got = decompose_gravitino(geom_, chi0_, dchi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.residual_gravitino.max_abs_diff(want.residual_gravitino) == 0.0
+    assert peak < 75 * plane
 
 
 # ---------------------------------------------------------------------------

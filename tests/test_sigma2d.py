@@ -1,8 +1,11 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 import supersigma.sigma2d as s2
+from supersigma.berezin import berezin_integrate
 from supersigma.config import SuiteConfig
 from supersigma.deformations import lie_derivative_metric
 from supersigma.grassmann import GrassmannNumber, Parity
@@ -33,7 +36,8 @@ from supersigma.spin_surface import (
     SpinorField,
     SurfaceGeometry,
 )
-from supersigma.suites import build_calibration_battery, flow_initial_data, suite_rng
+from supersigma.suites import _stack, build_calibration_battery, flow_initial_data, suite_rng
+from supersigma.superdomain import SuperFunction
 
 from conftest import (N_GEN, constant_odd_spinor, even_field, gravitino,
                       odd_field, odd_spinor, trig_array)
@@ -84,6 +88,66 @@ def test_superfield_rejects_winding(rng, grid):
     )
     with pytest.raises(UnsupportedRegimeError):
         superfield_from_components(fields)
+
+
+def full_integrand_action(Phis, coeffs, conv=CLIFFORD):
+    """The superfield action with every eta-coefficient of its integrand formed."""
+    integrand = SuperFunction(Phis[0].grid, 2, Phis[0].n_gen, {})
+    for Phi in Phis:
+        D1, D2 = s2._super_derivatives(Phi, conv)
+        integrand = integrand + D1 * D2 - D2 * D1
+    return berezin_integrate(integrand * coeffs.superfield_normalization)
+
+
+SUPERFIELD_GRIDS = [Grid((16, 16), (2.0 * np.pi, 2.0 * np.pi)),
+                    Grid((15, 13), (3.0, 5.5)),
+                    Grid((64, 64), (2.0 * np.pi, 7.0))]
+
+
+def superfields(rng, grid, stacking):
+    """Two superfields, both of one fixture, both of 3 fixtures, or one each."""
+    if stacking == "unstacked":
+        return superfield_from_components(matter_dim2(rng, grid, with_F=True))
+    stacked = superfield_from_components(
+        _stack([matter_dim2(rng, grid, with_F=True) for _ in range(3)]))
+    if stacking == "stacked":
+        return stacked
+    return stacked[:1] + superfield_from_components(matter(rng, grid, with_F=True))
+
+
+@pytest.mark.parametrize("stacking", ["unstacked", "stacked", "mixed"])
+@pytest.mark.parametrize("grid_", SUPERFIELD_GRIDS, ids=lambda g: f"{g.shape[0]}x{g.shape[1]}")
+def test_superfield_action_has_the_bits_of_the_full_integrand(rng, grid_, stacking):
+    Phis = superfields(rng, grid_, stacking)
+    arrays = [a for Phi in Phis for c in Phi.terms.values() for a in c.terms.values()]
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    for coeffs in (CAL, replace(CAL, superfield_normalization=1.0)):
+        got = action_superfield_flat(Phis, coeffs)
+        want = full_integrand_action(Phis, coeffs)
+        assert set(got.terms) == set(want.terms)
+        for m, c in want.terms.items():
+            assert np.array_equal(got.terms[m], c), m
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+def test_superfield_action_of_a_large_grid_forms_one_top_coefficient(rng):
+    # numpy reports its array allocations to tracemalloc.  Forming every
+    # eta-coefficient of D1 Phi D2 Phi and D2 Phi D1 Phi takes about 40
+    # sample planes of the grid here; the top coefficient alone about 23.
+    grid = Grid((128, 128), (2.0 * np.pi, 2.0 * np.pi))
+    Phis = superfield_from_components(matter(rng, grid, with_F=True))
+    want = action_superfield_flat(Phis, CAL)
+    plane = np.zeros(grid.shape).nbytes
+    tracemalloc.start()
+    try:
+        got = action_superfield_flat(Phis, CAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.max_abs_diff(want) == 0.0
+    assert peak < 30 * plane
 
 
 def test_susy_invariance_chi_zero(rng, grid):

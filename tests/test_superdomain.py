@@ -336,3 +336,64 @@ def test_apply_q_and_restrict_with_a_per_fixture_parameter(rng, grid):
         _assert_same_bits(_fixture(moved, i), each)
         _assert_same_bits(_fixture(on_zero, i), restrict(each, zero))
         _assert_same_bits(_fixture(on_xi, i), restrict(each, Embedding(xi=[xis[i]])))
+
+
+# ---------------------------------------------------------------------------
+# One coefficient of a product
+# ---------------------------------------------------------------------------
+
+COEFFICIENT_GRIDS = [Grid((16, 16), (2.0 * np.pi, 2.0 * np.pi)),
+                     Grid((15, 13), (3.0, 5.5)),
+                     Grid((64, 64), (2.0 * np.pi, 7.0))]
+
+
+def _mixed_parity_coefficient(rng, grid):
+    # Even and odd terms, so the product's Koszul sign acts on every pair.
+    return (even_field(rng, grid, soul_mask=0b11) + odd_field(rng, grid, [1, 3])
+            + odd_field(rng, grid, [2], scale=0.5))
+
+
+def _superfunction(rng, grid, n_odd, stacked_slots, count=3):
+    """A superfunction with every odd slot filled; the slots in
+    ``stacked_slots`` hold ``count`` fixtures, the others one."""
+    terms = {}
+    for gamma in range(1 << n_odd):
+        if gamma in stacked_slots:
+            terms[gamma] = _stack([_mixed_parity_coefficient(rng, grid) for _ in range(count)])
+        else:
+            terms[gamma] = _mixed_parity_coefficient(rng, grid)
+    return SuperFunction(grid, n_odd, N_GEN, terms)
+
+
+def _read_only(f: SuperFunction) -> SuperFunction:
+    for c in f.terms.values():
+        for a in c.terms.values():
+            a.flags.writeable = False
+    return f
+
+
+def _stacked_slots(stacking, n_odd):
+    """The slots the left and the right factor stack; "mixed" stacks the
+    left factor's even-numbered slots and none of the right factor's."""
+    every = set(range(1 << n_odd))
+    return {"unstacked": (set(), set()), "stacked": (every, every),
+            "mixed": (set(range(0, 1 << n_odd, 2)), set())}[stacking]
+
+
+@pytest.mark.parametrize("stacking", ["unstacked", "stacked", "mixed"])
+@pytest.mark.parametrize("n_odd", [1, 2])
+@pytest.mark.parametrize("grid_", COEFFICIENT_GRIDS, ids=lambda g: f"{g.shape[0]}x{g.shape[1]}")
+def test_product_coefficient_has_the_bits_of_the_full_product(rng, grid_, n_odd, stacking):
+    left_slots, right_slots = _stacked_slots(stacking, n_odd)
+    a = _read_only(_superfunction(rng, grid_, n_odd, left_slots))
+    b = _read_only(_superfunction(rng, grid_, n_odd, right_slots))
+    before = [(a_.copy(), a_) for f in (a, b) for c in f.terms.values() for a_ in c.terms.values()]
+    for x, y in ((a, b), (b, a), (a, a)):
+        full = x * y
+        for gamma in range(1 << n_odd):
+            got = x.product_coefficient(y, gamma)
+            want = full.coefficient(gamma)
+            assert set(got.terms) == set(want.terms), gamma
+            for m, arr in want.terms.items():
+                assert np.array_equal(got.terms[m], arr), (gamma, m)
+    assert all(np.array_equal(copy, arr) for copy, arr in before)
