@@ -462,13 +462,8 @@ def _susy_varied_geometry(geom: SurfaceGeometry, chi: GravitinoField,
     """
     dchi = susy_gravitino_variation(geom, chi, q)
     conv = geom.clifford_convention
-    new_frame = []
-    for a in (1, 2):
-        c = [pairing(clifford(b, q, conv), chi[a], conv) * (-2.0) for b in (1, 2)]
-        new_frame.append([geom.frame[a - 1][k]
-                          + (c[0] * geom.frame[0][k] + c[1] * geom.frame[1][k])
-                          for k in range(2)])
-    return geom.with_frame(new_frame), chi + dchi
+    c = [[pairing(clifford(b, q, conv), chi[a], conv) * (-2.0) for b in (1, 2)] for a in (1, 2)]
+    return geom.moved_frame(c), chi + dchi
 
 
 def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
@@ -560,35 +555,43 @@ def calibrate_conventions(battery: Sequence[tuple], tolerance: float = 1e-6,
 # Energy-momentum tensor and super current
 # ---------------------------------------------------------------------------
 
-def _sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
+def _lifted(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
+            n_gen: int) -> tuple[SurfaceGeometry, GravitinoField, ComponentFields]:
+    """(geom, chi, fields) on ``n_gen`` generators, every monomial mask unchanged."""
+    if n_gen > 63:
+        raise ValueError("energy_momentum needs n_gen <= 61 (it lifts to n_gen + 2 <= 63)")
+
+    def field(f: GrassmannField) -> GrassmannField:
+        return GrassmannField(f.grid, n_gen, f.terms)
+
+    def spinor(s: SpinorField) -> SpinorField:
+        return SpinorField([field(c) for c in s.comps])
+
+    return (geom.with_frame([[field(e) for e in row] for row in geom.frame]),
+            GravitinoField([spinor(s) for s in chi.chi]),
+            replace(fields, phi=[field(p) for p in fields.phi],
+                    psi=[spinor(s) for s in fields.psi], F=[field(f) for f in fields.F]))
 
 
 def energy_momentum(geom: SurfaceGeometry, chi: GravitinoField,
                     fields: ComponentFields,
-                    coeffs: ActionCoefficients = ActionCoefficients(),
-                    h: float = 1e-5) -> list[list[GrassmannField]]:
-    """Symmetric 2-tensor T with delta_g A = -Int delta g . T dvol.
+                    coeffs: ActionCoefficients = ActionCoefficients()) -> list[list[GrassmannField]]:
+    """Symmetric 2-tensor T with delta_g A = -Int delta g . T dvol, exact in Lambda_N:
+    with eps = e_{N+1} e_{N+2} on two more generators (eps^2 = 0), the frame
+    f - 1/2 eps E f is exactly that of g + eps E, and -T . E is the eps coefficient
+    of the action density.  Dirichlet sector: T = dphi (x) dphi - 1/2 |dphi|^2 g."""
+    n = fields.n_gen
+    geom, chi, fields = _lifted(geom, chi, fields, n + 2)
+    eps = 0b11 << n
+    step = GrassmannField(fields.grid, n + 2, {eps: np.full(fields.grid.shape, -0.5)})
 
-    Computed by central finite differences of the pointwise action density
-    under constant metric perturbations g -> g + h E (realized as frame
-    premultiplication by (1 + h E)^{-1/2}); the overall sign is chosen so
-    the Dirichlet sector gives T = dphi (x) dphi - 1/2 |dphi|^2 g.
-    """
-    def density_for(E: np.ndarray) -> tuple[GrassmannField, GrassmannField]:
-        plus = geom.perturb_frame_constant(_sym_inv_sqrt(np.eye(2) + h * E))
-        minus = geom.perturb_frame_constant(_sym_inv_sqrt(np.eye(2) - h * E))
-        return (action_density(plus, chi, fields, coeffs),
-                action_density(minus, chi, fields, coeffs))
+    def variation(c: list[list]) -> GrassmannField:
+        terms = action_density(geom.moved_frame(c), chi, fields, coeffs).terms
+        return GrassmannField(fields.grid, n, {m ^ eps: -x for m, x in terms.items() if m & eps})
 
-    def variation(E: np.ndarray) -> GrassmannField:
-        dp, dm = density_for(E)
-        return (dp - dm) * (-1.0 / (2.0 * h))
-
-    t11 = variation(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    t22 = variation(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    t12 = variation(np.array([[0.0, 1.0], [1.0, 0.0]])) * 0.5
+    t11 = variation([[step, 0.0], [0.0, 0.0]])
+    t22 = variation([[0.0, 0.0], [0.0, step]])
+    t12 = variation([[0.0, step], [step, 0.0]]) * 0.5
     return [[t11, t12], [t12, t22]]
 
 

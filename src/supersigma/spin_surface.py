@@ -271,18 +271,14 @@ class SurfaceGeometry:
         return SpinorField([c1, d1]), SpinorField([c2, d2])
 
     def with_frame(self, frame) -> "SurfaceGeometry":
-        return SurfaceGeometry(self.grid, self.n_gen, frame, self.clifford_convention)
+        """This geometry with ``frame``, in the algebra of the frame's entries."""
+        return SurfaceGeometry(self.grid, frame[0][0].n_gen, frame, self.clifford_convention)
 
-    def perturb_frame_constant(self, m: np.ndarray) -> "SurfaceGeometry":
-        """Frame premultiplied by a constant real matrix: f_a -> m_{ab} f_b."""
-        new = []
-        for a in range(2):
-            row = []
-            for k in range(2):
-                entry = self.frame[0][k] * float(m[a, 0]) + self.frame[1][k] * float(m[a, 1])
-                row.append(entry)
-            new.append(row)
-        return self.with_frame(new)
+    def moved_frame(self, c) -> "SurfaceGeometry":
+        """The frame f_a -> f_a + c[a][0] f_1 + c[a][1] f_2 for even c (reals or fields)."""
+        f = self.frame
+        return self.with_frame([[f[a][k] + (c[a][0] * f[0][k] + c[a][1] * f[1][k])
+                                 for k in range(2)] for a in range(2)])
 
 
 def super_weyl(chi: GravitinoField, t: SpinorField,

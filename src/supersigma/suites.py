@@ -58,6 +58,7 @@ from .spin_surface import (
     GravitinoField,
     SpinorField,
     SurfaceGeometry,
+    pairing,
     weyl,
 )
 from .superdomain import SuperFunction
@@ -590,6 +591,18 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     djre, djim = d_zbar(jre, jim)
     j_holo = [djre.max_abs(), djim.max_abs()]
 
+    # Noether identity of the super current, psi and chi nonzero:
+    # delta_chi A = Int <delta chi_a, J_a> dvol, exact for a direction on the
+    # spare generator, whose square vanishes.
+    _, chi, fields, _ = _sigma_fixture(rng, grid, n_gen, with_chi=True)
+    direction = GravitinoField([_odd_spinor(rng, grid, n_gen, [SPARE_GEN] * 2, scale=0.7)
+                                for _ in range(2)])
+    J = super_current(geom, chi, fields, coeffs=coeffs)
+    paired = pairing(direction[1], J[1], CLIFFORD) + pairing(direction[2], J[2], CLIFFORD)
+    varied = action_component(geom, chi + direction, fields, coeffs=coeffs)
+    noether = (varied - action_component(geom, chi, fields, coeffs=coeffs)).max_abs_diff(
+        paired.integral())
+
     return [
         _check("currents-energy-momentum-closed-form", closed_rel,
                config.tolerance("energy_momentum_relative"), provenance="closed-form"),
@@ -599,6 +612,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
         _check("currents-super-current-zero-at-psi-zero", [j_zero], tol),
         _check("currents-super-current-gamma-trace", [gamma_trace], tol),
         _check("currents-spin32-holomorphic", j_holo, tol),
+        _check("currents-super-current-noether", [noether], tol),
     ]
 
 

@@ -101,10 +101,11 @@ def test_criterion_08_energy_momentum():
 
 def test_criterion_09_super_current():
     checks, _ = suite("currents")
-    verdict(9, "super current vanishing, gamma trace, holomorphy",
+    verdict(9, "super current vanishing, gamma trace, holomorphy, Noether identity",
             [(checks["currents-super-current-zero-at-psi-zero"].residual, 0.0),
              (checks["currents-super-current-gamma-trace"].residual, 1e-8),
-             (checks["currents-spin32-holomorphic"].residual, 1e-8)])
+             (checks["currents-spin32-holomorphic"].residual, 1e-8),
+             (checks["currents-super-current-noether"].residual, 1e-8)])
 
 
 def test_criterion_10_harmonic_flow():

@@ -12,8 +12,9 @@ from collections import OrderedDict
 
 import pytest
 
-from supersigma import deformations, grassmann, sigma2d, suites
+from supersigma import berezin, deformations, grassmann, sigma2d, suites
 from supersigma.config import SuiteConfig
+from supersigma.spin_surface import GravitinoField
 from supersigma.superdomain import SuperFunction
 
 
@@ -64,6 +65,41 @@ def _top_without_eta2_eta1_pair(monkeypatch):
                                 "if ma & mb or", "if ma == 0b10 or ma & mb or"))
 
 
+def _replace_everywhere(monkeypatch, modules, name, func):
+    # The suites call the library through names they imported.
+    for module in modules:
+        monkeypatch.setattr(module, name, func)
+
+
+def _super_current_scaled(monkeypatch):
+    current = sigma2d.super_current
+
+    def scaled(*args, **kwargs):
+        return GravitinoField([s * 1.5 for s in current(*args, **kwargs).chi])
+
+    _replace_everywhere(monkeypatch, (sigma2d, suites), "super_current", scaled)
+
+
+def _super_current_without_c5(monkeypatch):
+    # J loses its 2 c5 <psi, psi> gamma^b gamma^a chi_b term.
+    _replace_everywhere(monkeypatch, (sigma2d, suites), "super_current",
+                        _edited(sigma2d.super_current, "if not chi.is_zero():", "if False:"))
+
+
+def _metric_variation_full_step(monkeypatch):
+    # The frame moves by f - eps E f, the frame of g + 2 eps E.
+    _replace_everywhere(monkeypatch, (sigma2d, suites), "energy_momentum",
+                        _edited(sigma2d.energy_momentum, "np.full(fields.grid.shape, -0.5)",
+                                "np.full(fields.grid.shape, -1.0)"))
+
+
+def _berezin_reads_body(monkeypatch):
+    # The odd integral reads the eta-free coefficient instead of the top one.
+    _replace_everywhere(monkeypatch, (berezin, suites), "berezin_integrate",
+                        _edited(berezin.berezin_integrate, "f.coefficient((1 << f.n_odd) - 1)",
+                                "f.coefficient(0)"))
+
+
 # (defect, suites to rerun, rows that must fail)
 DEFECTS = {
     "flip-mask-zero": (_no_koszul_sign, ["grassmann"],
@@ -83,6 +119,14 @@ DEFECTS = {
     "flow-energy-without-winding": (_energy_without_winding, ["flow"], {"flow-final-energy"}),
     "top-coefficient-without-eta2-eta1": (_top_without_eta2_eta1_pair, ["reduction"],
                                           {"reduction-superfield-component"}),
+    "super-current-times-1.5": (_super_current_scaled, ["currents"],
+                                {"currents-super-current-noether"}),
+    "super-current-without-c5": (_super_current_without_c5, ["currents"],
+                                 {"currents-super-current-noether"}),
+    "metric-variation-full-step": (_metric_variation_full_step, ["currents"],
+                                   {"currents-energy-momentum-closed-form"}),
+    "berezin-reads-body": (_berezin_reads_body, ["berezin"],
+                           {"berezin-top-coefficient-reduction"}),
 }
 
 

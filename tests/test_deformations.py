@@ -187,7 +187,7 @@ def test_frame_near_identity_is_not_flat(rng, geom, chi0, grid, call):
     # A frame 1e-12 away from the identity used to pass an allclose gate and
     # then be treated as exactly flat.
     assert geom.is_identity_frame()
-    near = geom.perturb_frame_constant(np.array([[1.0 + 1e-12, 0.0], [0.0, 1.0]]))
+    near = geom.moved_frame([[1e-12, 0.0], [0.0, 0.0]])
     assert not near.is_identity_frame()
     zero = GrassmannField.zero(grid, N_GEN)
     calls = {

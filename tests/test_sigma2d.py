@@ -36,7 +36,8 @@ from supersigma.spin_surface import (
     SpinorField,
     SurfaceGeometry,
 )
-from supersigma.suites import _stack, build_calibration_battery, flow_initial_data, suite_rng
+from supersigma.suites import (_sigma_fixture, _stack, build_calibration_battery,
+                               flow_initial_data, suite_rng)
 from supersigma.superdomain import SuperFunction
 
 from conftest import (N_GEN, constant_odd_spinor, even_field, gravitino,
@@ -381,7 +382,7 @@ def test_energy_momentum_closed_form(rng, grid):
             exact = dphi[a] * dphi[b]
             if a == b:
                 exact = exact - norm_sq * 0.5
-            assert T[a][b].max_abs_diff(exact) / scale < 1e-7
+            assert T[a][b].max_abs_diff(exact) / scale < 1e-13
     assert T[0][1].max_abs_diff(T[1][0]) == 0.0
 
 
@@ -396,10 +397,63 @@ def test_energy_momentum_holomorphic_for_harmonic_map(grid):
         winding=winding,
     )
     T = energy_momentum(geom, chi0, fields, coeffs=CAL)
-    assert (T[0][0] + T[1][1]).max_abs() < 1e-9
+    assert (T[0][0] + T[1][1]).max_abs() < 1e-13
     re, im = t_zz(T)
     dre, dim_ = d_zbar(re, im)
-    assert max(dre.max_abs(), dim_.max_abs()) < 1e-9
+    assert max(dre.max_abs(), dim_.max_abs()) < 1e-13
+
+
+def _central_difference_energy_momentum(geom, chi, fields, coeffs):
+    """Reference T: central differences of the action density under the
+    constant metric steps g -> g +- h E, each realized by the frame
+    premultiplied by (1 +- h E)^{-1/2}."""
+    h = 1e-5
+
+    def inv_sqrt(m):
+        vals, vecs = np.linalg.eigh(m)
+        return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
+
+    def density(m):
+        # The frame f_a -> m_ab f_b.
+        return s2.action_density(geom.moved_frame(m - np.eye(2)), chi, fields, coeffs)
+
+    def variation(E):
+        plus = density(inv_sqrt(np.eye(2) + h * E))
+        minus = density(inv_sqrt(np.eye(2) - h * E))
+        return (plus - minus) * (-1.0 / (2.0 * h))
+
+    t11 = variation(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    t22 = variation(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    t12 = variation(np.array([[0.0, 1.0], [1.0, 0.0]])) * 0.5
+    return [[t11, t12], [t12, t22]]
+
+
+def test_energy_momentum_matches_central_differences_off_shell(rng, grid):
+    # psi, chi and F all nonzero: every action term varies with the metric.
+    geom, chi, fields, _ = _sigma_fixture(rng, grid, N_GEN, with_chi=True)
+    fields = replace(fields, F=[even_field(rng, grid, scale=0.5)])
+    T = energy_momentum(geom, chi, fields, coeffs=CAL)
+    reference = _central_difference_energy_momentum(geom, chi, fields, CAL)
+    scale = max(T[a][b].max_abs() for a in range(2) for b in range(2))
+    assert scale > 1.0
+    for a in range(2):
+        for b in range(2):
+            assert T[a][b].max_abs_diff(reference[a][b]) / scale < 1e-8
+
+
+@pytest.mark.parametrize("n_gen", [61, 62])
+def test_energy_momentum_needs_two_generators_above_the_fields(n_gen):
+    grid = Grid((4, 4), (2.0 * np.pi, 2.0 * np.pi))
+    geom = SurfaceGeometry.flat(grid, n_gen)
+    chi0 = GravitinoField.zero(grid, n_gen)
+    fields = replace(ComponentFields.zero(grid, n_gen, 1), winding=np.array([[1.0, 0.5]]))
+    if n_gen > 61:
+        with pytest.raises(ValueError, match="energy_momentum needs n_gen <= 61"):
+            energy_momentum(geom, chi0, fields)
+    else:
+        T = energy_momentum(geom, chi0, fields)
+        assert T[0][0].n_gen == n_gen
+        assert T[0][0].terms[0][0, 0] == 1.0 - 0.5 * (1.0 + 0.25)
 
 
 def test_super_current_directional_oracle(rng, grid):

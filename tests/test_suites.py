@@ -237,12 +237,12 @@ def test_stacked_suite_matches_per_fixture_oracle(config_name, suite):
 ROW_LENGTHS = {
     "default": {"grassmann": [1000] * 3, "berezin": [100], "toy": [100, 1, 100, 100, 100],
                 "reduction": [50, 1, 5], "susy2d": [4, 4, 8, 8],
-                "currents": [10, 1, 2, 2, 1, 1, 2], "flow": [1, 1, 1],
+                "currents": [10, 1, 2, 2, 1, 1, 2, 1], "flow": [1, 1, 1],
                 "decompose": [50] * 5 + [1, 1]},
     # 77 Berezin, 37 reduction and 11 susy2d fixtures.
     "odd-grid": {"grassmann": [1000] * 3, "berezin": [77], "toy": [100, 1, 100, 100, 100],
                  "reduction": [37, 1, 5], "susy2d": [4, 4, 11, 11],
-                 "currents": [10, 1, 2, 2, 1, 1, 2], "flow": [1, 1, 1],
+                 "currents": [10, 1, 2, 2, 1, 1, 2, 1], "flow": [1, 1, 1],
                  "decompose": [50] * 5 + [1, 1]},
 }
 
