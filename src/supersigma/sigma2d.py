@@ -567,10 +567,13 @@ def _lifted(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
     def spinor(s: SpinorField) -> SpinorField:
         return SpinorField([field(c) for c in s.comps])
 
+    lifted = replace(fields, phi=[field(p) for p in fields.phi],
+                     psi=[spinor(s) for s in fields.psi], F=[field(f) for f in fields.F])
+    # phi keeps its arrays, so it keeps its gradients: relabel the caller's
+    # (computing them there if need be) instead of differentiating again.
+    lifted._phi_gradients = [tuple(map(field, grad)) for grad in fields._phi_gradients]
     return (geom.with_frame([[field(e) for e in row] for row in geom.frame]),
-            GravitinoField([spinor(s) for s in chi.chi]),
-            replace(fields, phi=[field(p) for p in fields.phi],
-                    psi=[spinor(s) for s in fields.psi], F=[field(f) for f in fields.F]))
+            GravitinoField([spinor(s) for s in chi.chi]), lifted)
 
 
 def energy_momentum(geom: SurfaceGeometry, chi: GravitinoField,

@@ -8,14 +8,20 @@ for a given (seed, config) pair whether suites run alone or under "all".
 Each row collects its residuals in draw order, one per fixture (or per
 component, for a row of one fixture), and ``_check`` reduces them once.
 
-The reduction, susy2d, Berezin, toy and decompose suites draw their
-fixtures one at a time, in a fixed order, and evaluate them in chunks:
-``_stack`` puts a chunk's fixtures on one leading axis of every sample array
-(and of the toy suite's parameter q), so one evaluation checks the whole
-chunk with the same floating-point operations per fixture.  The grassmann
+Every random field is a sum of three random Fourier modes (a trig array),
+made in two halves: ``_draw_modes`` draws an array's modes by scalar
+generator calls in a fixed order, and ``_synthesize`` turns the modes of any
+number of arrays into samples without touching the generator.  The
+reduction, susy2d, Berezin, toy and decompose suites draw their fixtures one
+at a time, in a fixed order, and evaluate them in chunks: ``_draw_chunk``
+draws a chunk's modes (and the scalars in between), and ``_synthesize_chunk``
+synthesizes them in one pass into one contiguous block per field term, its
+fixtures on a leading axis (``_stack`` puts the toy suite's q there), so one
+evaluation checks the whole chunk with the same floating-point operations
+per fixture.  The calibration battery is drawn the
+same way but checked per fixture, as is the currents suite.  The grassmann
 suite draws each battery in bulk and multiplies chunks of up to 512 fixtures
 as Grassmann numbers with one coefficient per fixture (``_grassmann_stacks``).
-The calibration battery and the currents suite run per fixture.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .deformations import (
     true_deformation_dimensions,
 )
 from .grassmann import GrassmannNumber, generator, max_or_nan, unit
-from .gridfield import GrassmannField, Grid
+from .gridfield import _STACK_SAMPLES, GrassmannField, Grid
 from .report import CheckReport
 from .sigma2d import (
     ActionCoefficients,
@@ -92,20 +98,111 @@ SPARE_GEN = 6
 # Fixture helpers
 # ---------------------------------------------------------------------------
 
+def _draw_modes(rng: np.random.Generator, ndim: int, cutoff: int, scale: float,
+                n_modes: int = 3) -> list:
+    """One trig array's modes, flat: per mode its phase, one wavenumber in
+    [-cutoff, cutoff] per grid axis, and its amplitude times ``scale``, each
+    drawn by one scalar generator call in that order.  This order fixes every
+    fixture, and so every report."""
+    modes = []
+    for _ in range(n_modes):
+        modes.append(rng.uniform(0.0, 2.0 * np.pi))
+        for _ in range(ndim):
+            modes.append(int(rng.integers(-cutoff, cutoff + 1)))
+        modes.append(rng.normal() * scale)
+    return modes
+
+
+@lru_cache(maxsize=64)
+def _phase_table(grid: Grid, axis: int, cutoff: int) -> np.ndarray:
+    """Read-only (2 cutoff + 1, n) table whose row k + cutoff is
+    (2 pi k / P) x along ``axis``, shared by every trig array on ``grid``."""
+    x = grid.axis_points(axis)
+    table = np.array([(2.0 * np.pi * k / grid.periods[axis]) * x
+                      for k in range(-cutoff, cutoff + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def _synthesize(grid: Grid, cutoff: int, modes) -> np.ndarray:
+    """The trig arrays whose modes (as ``_draw_modes`` gives them, drawn with
+    ``cutoff``) fill the last axis of ``modes``: sum_m a_m cos(p_m + sum_i
+    (2 pi k_mi / P_i) x_i), of shape ``modes.shape[:-1] + grid.shape``.  It
+    draws nothing.
+
+    Each sample gets the operations of the one-array sum, in its order: the
+    phase plus each axis's table entry in turn, the cosine, the product with
+    the amplitude, and the sum over modes from 0.0.  The modes run one at a
+    time over slices of at most ``_STACK_SAMPLES`` samples, so the one
+    temporary stays small and a large grid makes one array at a time.
+    """
+    ndim = grid.ndim
+    modes = np.asarray(modes, dtype=float)
+    lead = modes.shape[:-1]
+    modes = modes.reshape(-1, modes.shape[-1] // (ndim + 2), ndim + 2)
+    count, n_modes = modes.shape[:2]
+    ones = (1,) * ndim
+    phases = modes[..., 0].reshape(count, n_modes, *ones)
+    amplitudes = modes[..., -1].reshape(count, n_modes, *ones)
+    rows = modes[..., 1:-1].astype(np.intp) + cutoff
+    # Axis i's table, and the shape that puts a slice's rows of it along axis i.
+    tables = [(_phase_table(grid, i, cutoff), (-1,) + ones[:i] + (n,) + ones[i + 1:])
+              for i, n in enumerate(grid.shape)]
+    out = np.zeros((count,) + grid.shape)
+    per_slice = max(1, _STACK_SAMPLES // math.prod(grid.shape))
+    for start in range(0, count, per_slice):
+        part = slice(start, start + per_slice)
+        for m in range(n_modes):
+            # The phase plus the first axis's entries, added into the
+            # gathered rows (a sum of two terms is the same either way round).
+            table, shape = tables[0]
+            arg = table[rows[part, m, 0]].reshape(shape)
+            arg += phases[part, m]
+            for i, (table, shape) in enumerate(tables[1:], 1):
+                arg = arg + table[rows[part, m, i]].reshape(shape)
+            np.cos(arg, out=arg)
+            arg *= amplitudes[part, m]
+            out[part] += arg
+    return out.reshape(lead + grid.shape)
+
+
 def _trig_array(rng: np.random.Generator, grid: Grid, cutoff: int = 3,
                 n_modes: int = 3, scale: float = 1.0) -> np.ndarray:
-    # Axis i's points as a vector along axis i: the phase broadcasts to the
-    # grid with the same sums, in the same order, as on full meshgrid arrays.
-    axes = [grid.axis_points(i).reshape([-1 if j == i else 1 for j in range(grid.ndim)])
-            for i in range(grid.ndim)]
-    a = np.zeros(grid.shape)
-    for _ in range(n_modes):
-        arg = rng.uniform(0.0, 2.0 * np.pi)
-        for i in range(grid.ndim):
-            k = int(rng.integers(-cutoff, cutoff + 1))
-            arg = arg + (2.0 * np.pi * k / grid.periods[i]) * axes[i]
-        a = a + rng.normal() * scale * np.cos(arg)
-    return a
+    """One trig array of ``n_modes`` modes, drawn from ``rng`` and synthesized."""
+    return _synthesize(grid, cutoff, _draw_modes(rng, grid.ndim, cutoff, scale, n_modes))
+
+
+def _draw_chunk(rng: np.random.Generator, grid: Grid, count: int, draw_fixture,
+                cutoff: int = 3) -> tuple:
+    """Draw ``count`` fixtures in order, their trig arrays as modes only.
+
+    ``draw_fixture(trig)`` draws one fixture: it calls ``trig(scale)`` once
+    per trig array, as often for every fixture, and may draw scalars from
+    ``rng`` in between.  Returns the modes, of shape (count, arrays per
+    fixture, modes of one array), and the list of what ``draw_fixture``
+    returned.
+    """
+    rows = []
+
+    def trig(scale: float = 1.0):
+        rows.append(_draw_modes(rng, grid.ndim, cutoff, scale))
+
+    kept = [draw_fixture(trig) for _ in range(count)]
+    return np.array(rows).reshape(count, len(rows) // count, -1), kept
+
+
+def _synthesize_chunk(grid: Grid, cutoff: int, modes: np.ndarray) -> list[np.ndarray]:
+    """Array r of every fixture of ``modes`` (as ``_draw_chunk`` gives them),
+    synthesized in one pass: for each r one contiguous (count, *grid.shape)
+    block, as ``_stack`` makes it, or the array itself for one fixture."""
+    block = _synthesize(grid, cutoff, modes.swapaxes(0, 1))
+    return list(block[:, 0] if len(modes) == 1 else block)
+
+
+def _spinor(grid: Grid, n_gen: int, gens, arrays) -> SpinorField:
+    """The odd spinor whose component c is ``arrays[c]`` times generator ``gens[c]``."""
+    return SpinorField([GrassmannField(grid, n_gen, {1 << (g - 1): a})
+                        for g, a in zip(gens, arrays)])
 
 
 def _even_field(rng, grid, n_gen, scale=1.0, soul_mask: int | None = None,
@@ -126,29 +223,40 @@ def _odd_spinor(rng, grid, n_gen, gens, scale=1.0, cutoff: int = 3) -> SpinorFie
     return SpinorField([_odd_field(rng, grid, n_gen, [g], scale, cutoff) for g in gens])
 
 
-def _constant_q(rng, grid, n_gen) -> SpinorField:
-    comps = []
-    for _ in range(2):
-        coeff = float(rng.normal())
-        comps.append(GrassmannField(grid, n_gen,
-                                    {1 << (Q_GEN - 1): np.full(grid.shape, coeff)}))
-    return SpinorField(comps)
+def _sigma_draw(rng, with_chi: bool):
+    """The ``draw_fixture`` of a sigma-model fixture: phi, psi's two components
+    and, with chi, chi's four, then the two coefficients of the constant q."""
+    def draw(trig):
+        for scale in (0.7, 0.6, 0.6) + (0.5,) * (4 if with_chi else 0):
+            trig(scale)
+        return [float(rng.normal()) for _ in range(2)]
+    return draw
+
+
+def _sigma_fields(grid, n_gen, arrays, q) -> tuple:
+    """(geom, chi, fields, q) on the flat identity frame, F = 0, from the
+    arrays and q's coefficients (floats, or one per fixture) that
+    ``_sigma_draw`` draws (chi = 0 for three arrays)."""
+    geom = SurfaceGeometry.flat(grid, n_gen)
+    fields = ComponentFields(
+        phi=[GrassmannField(grid, n_gen, {0: arrays[0]})],
+        psi=[_spinor(grid, n_gen, PSI_GENS, arrays[1:3])],
+        F=[GrassmannField.zero(grid, n_gen)],
+    )
+    if len(arrays) > 3:
+        chi = GravitinoField([_spinor(grid, n_gen, CHI_GENS, arrays[3:5]),
+                              _spinor(grid, n_gen, CHI_GENS, arrays[5:7])])
+    else:
+        chi = GravitinoField.zero(grid, n_gen)
+    q = _spinor(grid, n_gen, (Q_GEN, Q_GEN),
+                [np.multiply.outer(c, np.ones(grid.shape)) for c in q])
+    return geom, chi, fields, q
 
 
 def _sigma_fixture(rng, grid, n_gen, with_chi: bool) -> tuple:
     """(geom, chi, fields, q) on the flat identity frame, F = 0."""
-    geom = SurfaceGeometry.flat(grid, n_gen)
-    fields = ComponentFields(
-        phi=[_even_field(rng, grid, n_gen, scale=0.7)],
-        psi=[_odd_spinor(rng, grid, n_gen, PSI_GENS, scale=0.6)],
-        F=[GrassmannField.zero(grid, n_gen)],
-    )
-    if with_chi:
-        chi = GravitinoField([_odd_spinor(rng, grid, n_gen, CHI_GENS, scale=0.5)
-                              for _ in range(2)])
-    else:
-        chi = GravitinoField.zero(grid, n_gen)
-    return geom, chi, fields, _constant_q(rng, grid, n_gen)
+    modes, [q] = _draw_chunk(rng, grid, 1, _sigma_draw(rng, with_chi))
+    return _sigma_fields(grid, n_gen, _synthesize(grid, 3, modes[0]), q)
 
 
 # Most samples per term in one stacked chunk of fixtures.  On 16^2 grids a
@@ -227,8 +335,10 @@ def _stack(items: list):
 def build_calibration_battery(config: SuiteConfig, rng: np.random.Generator) -> list:
     grid = Grid(config.grid_shape, config.periods)
     n_gen = config.n_gen
-    battery = [_sigma_fixture(rng, grid, n_gen, with_chi=True)
-               for _ in range(max(1, config.fixtures("calibration") - 1))]
+    count = max(1, config.fixtures("calibration") - 1)
+    modes, qs = _draw_chunk(rng, grid, count, _sigma_draw(rng, with_chi=True))
+    battery = [_sigma_fields(grid, n_gen, arrays, q)
+               for arrays, q in zip(_synthesize(grid, 3, modes), qs)]
     battery.append(_sigma_fixture(rng, grid, n_gen, with_chi=False))
     return battery
 
@@ -374,16 +484,17 @@ def _suite_berezin(config: SuiteConfig, rng) -> list[CheckReport]:
     grid = Grid((config.toy_points,), (config.periods[0],))
     tol = config.tolerance("berezin")
 
-    def draw() -> tuple:
-        f0 = _even_field(rng, grid, n_gen, soul_mask=0b11) \
-            + _odd_field(rng, grid, n_gen, [1])
-        f1 = _even_field(rng, grid, n_gen, soul_mask=0b110) \
-            + _odd_field(rng, grid, n_gen, [2])
-        return f0, f1
+    def draw(trig):
+        # f0's body, soul and odd part, then f1's.
+        for _ in range(6):
+            trig()
 
     residuals = []
     for size in _chunk_sizes(config.fixtures("berezin"), grid):
-        f0, f1 = _stack([draw() for _ in range(size)])
+        body0, soul0, odd0, body1, soul1, odd1 = _synthesize_chunk(
+            grid, 3, _draw_chunk(rng, grid, size, draw)[0])
+        f0 = GrassmannField(grid, n_gen, {0: body0, 0b11: soul0, 0b1: odd0})
+        f1 = GrassmannField(grid, n_gen, {0: body1, 0b110: soul1, 0b10: odd1})
         sf = SuperFunction(grid, 1, n_gen, {0: f0, 1: f1})
         residuals.extend(_fixture_floats(berezin_integrate(sf).max_abs_diff(f1.integral()), f1))
     return [_check("berezin-top-coefficient-reduction", residuals, tol)]
@@ -400,16 +511,22 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
     grid = Grid((config.toy_points,), (config.periods[0],))
     tol = config.tolerance("toy")
 
-    def draw() -> tuple:
-        f = _toy_fixture(rng, grid, n_gen)
+    def draw(trig):
+        # phi's body and soul and psi's two components (as _toy_fixture), q, xi.
+        for _ in range(4):
+            trig()
         q = generator(n_gen, Q_GEN) * float(rng.normal())
-        xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
-        return f.phi, f.psi, q, xi
+        trig(0.8)
+        return q
 
     equiv, susy, geom_agree, embed = [], [], [], []
     for size in _chunk_sizes(config.fixtures("toy"), grid):
-        phi, psi, q, xi = _stack([draw() for _ in range(size)])
-        f = ToyFields(phi, psi)
+        modes, qs = _draw_chunk(rng, grid, size, draw)
+        body, soul, psi1, psi2, xi = _synthesize_chunk(grid, 3, modes)
+        phi = GrassmannField(grid, n_gen, {0: body, 0b11: soul})
+        f = ToyFields(phi, GrassmannField(grid, n_gen, {0b01: psi1, 0b10: psi2}))
+        q = _stack(qs)
+        xi = GrassmannField(grid, n_gen, {1 << (SPARE_GEN - 1): xi})
         Phi = superfield_from_fields(f)
         equiv.extend(_fixture_floats(toy_action_component(f).max_abs_diff(
             toy_action_superfield(Phi)), phi))
@@ -448,16 +565,20 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
 
-    def draw() -> ComponentFields:
-        return ComponentFields(
-            phi=[_even_field(rng, grid, n_gen, scale=0.7, soul_mask=0b11)],
-            psi=[_odd_spinor(rng, grid, n_gen, PSI_GENS, scale=0.6)],
-            F=[_even_field(rng, grid, n_gen, scale=0.5)],
-        )
+    def draw(trig):
+        # phi's body and soul, psi's two components, F.
+        for scale in (0.7, 0.7, 0.6, 0.6, 0.5):
+            trig(scale)
 
     superfield = []
     for size in _chunk_sizes(config.fixtures("reduction"), grid):
-        fields = _stack([draw() for _ in range(size)])
+        body, soul, psi1, psi2, F = _synthesize_chunk(
+            grid, 3, _draw_chunk(rng, grid, size, draw)[0])
+        fields = ComponentFields(
+            phi=[GrassmannField(grid, n_gen, {0: body, 0b11: soul})],
+            psi=[_spinor(grid, n_gen, PSI_GENS, (psi1, psi2))],
+            F=[GrassmannField(grid, n_gen, {0: F})],
+        )
         a_super = action_superfield_flat(superfield_from_components(fields), coeffs)
         a_comp = action_component(geom, chi0, fields, coeffs=coeffs)
         superfield.extend(_fixture_floats(a_super.max_abs_diff(a_comp), fields.phi[0]))
@@ -508,20 +629,20 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
 
     # Every fixture has the flat identity frame.
     geom = SurfaceGeometry.flat(grid, n_gen)
+    kinds = [_sigma_draw(rng, with_chi) for with_chi in (False, True)]
     resid = ([], [])  # the residuals of the fixtures without and with chi
     for size in _chunk_sizes(config.fixtures("susy2d"), grid):
-        drawn = ([], [])
-        for i in range(size):
-            # A fixture without chi, then one with chi.  Each kind is checked
-            # once its chunk is drawn, so a chunk of one keeps no more
-            # fixtures alive than checking each fixture as it is drawn.
-            for kind in (0, 1):
-                drawn[kind].append(_sigma_fixture(rng, grid, n_gen, with_chi=bool(kind))[1:])
-                if i == size - 1:
-                    chi, fields, q = _stack(drawn[kind])
-                    drawn[kind].clear()
-                    resid[kind].extend(_fixture_floats(susy_invariance_residual(
-                        geom, chi, fields, q, coeffs=config.conventions), fields.phi[0]))
+        # A fixture without chi, then one with chi.  Each kind is synthesized
+        # and checked in turn, so a chunk of one keeps no more arrays alive
+        # than checking each fixture as it is drawn.
+        modes, qs = _draw_chunk(rng, grid, size, lambda trig: [k(trig) for k in kinds])
+        qs = np.array(qs)  # (fixture, kind, component)
+        for kind, roles in enumerate((slice(0, 3), slice(3, 10))):
+            arrays = _synthesize_chunk(grid, 3, modes[:, roles])
+            _, chi, fields, q = _sigma_fields(grid, n_gen, arrays,
+                                              qs[0, kind] if size == 1 else qs[:, kind].T)
+            resid[kind].extend(_fixture_floats(susy_invariance_residual(
+                geom, chi, fields, q, coeffs=config.conventions), fields.phi[0]))
 
     return [
         _check("susy2d-calibration-residual", cal_residual, cal_tol),
@@ -658,19 +779,22 @@ def _suite_decompose(config: SuiteConfig, rng) -> list[CheckReport]:
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
 
-    def draw() -> tuple:
-        g11 = _even_field(rng, grid, n_gen, soul_mask=0b11, cutoff=6)
-        g12 = _even_field(rng, grid, n_gen, cutoff=6)
-        g22 = _even_field(rng, grid, n_gen, soul_mask=0b1100, cutoff=6)
-        dchi = GravitinoField([_odd_spinor(rng, grid, n_gen, PSI_GENS, cutoff=6),
-                               _odd_spinor(rng, grid, n_gen, CHI_GENS, cutoff=6)])
-        return g11, g12, g22, dchi
+    def draw(trig):
+        # g11's body and soul, g12, g22's body and soul, dchi's four components.
+        for _ in range(9):
+            trig()
 
     residuals = {f"decompose-{name}": [] for name in (
         "metric-reassembly", "metric-trace-free", "metric-divergence-free",
         "gravitino-reassembly", "gravitino-gamma-trace-free")}
     for size in _chunk_sizes(config.fixtures("decompose"), grid):
-        g11, g12, g22, dchi = _stack([draw() for _ in range(size)])
+        g11, g11_soul, g12, g22, g22_soul, *dchi = _synthesize_chunk(
+            grid, 6, _draw_chunk(rng, grid, size, draw, cutoff=6)[0])
+        g11 = GrassmannField(grid, n_gen, {0: g11, 0b11: g11_soul})
+        g12 = GrassmannField(grid, n_gen, {0: g12})
+        g22 = GrassmannField(grid, n_gen, {0: g22, 0b1100: g22_soul})
+        dchi = GravitinoField([_spinor(grid, n_gen, PSI_GENS, dchi[:2]),
+                               _spinor(grid, n_gen, CHI_GENS, dchi[2:])])
         # The metric split is freed before the gravitino split sets the peak.
         r = decompose_metric(geom, chi0, MetricDeformation([[g11, g12], [g12, g22]]))
         values = [r.reassembly_residual, r.trace_residual, r.divergence_residual]

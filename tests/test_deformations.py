@@ -686,18 +686,21 @@ def test_nan_fixture_fails_the_decompose_checks(monkeypatch):
     from supersigma import suites
     config = SuiteConfig(seed=3)
     config.fixture_counts["decompose"] = 2
-    soul_masks = []
-    original = suites._even_field
+    shapes = []
+    original = suites._draw_chunk
 
-    def second_g11_with_nan(rng, grid, n_gen, soul_mask=None, **kwargs):
-        # Fields come as g11, g12, g22 per fixture: the fourth is the second g11.
-        soul_masks.append(soul_mask)
-        f = original(rng, grid, n_gen, soul_mask=soul_mask, **kwargs)
-        return with_nan_in_soul(f) if len(soul_masks) == 4 else f
+    def second_g11_soul_nan(rng, grid, count, draw_fixture, cutoff=3):
+        # Both fixtures share one 32^2 chunk, each drawing g11's body and
+        # soul, g12, g22's body and soul and four gravitino components: make
+        # the second g11's soul NaN (each mode is phase, k_1, k_2, amplitude).
+        modes, kept = original(rng, grid, count, draw_fixture, cutoff)
+        shapes.append(modes.shape)
+        modes[1, 1, 3::4] = np.nan
+        return modes, kept
 
-    monkeypatch.setattr(suites, "_even_field", second_g11_with_nan)
+    monkeypatch.setattr(suites, "_draw_chunk", second_g11_soul_nan)
     checks = {c.name: c for c in run_suite(config, "decompose")}
-    assert soul_masks[3] == 0b11
+    assert shapes == [(2, 9, 12)]
     for name in ("decompose-metric-reassembly", "decompose-metric-trace-free",
                  "decompose-metric-divergence-free"):
         assert np.isnan(checks[name].residual) and not checks[name].passed, name

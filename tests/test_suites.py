@@ -10,6 +10,7 @@ show nothing: its draws, chunks and stacks are tested directly, and a NaN
 planted in one fixture must reach its row.
 """
 
+import math
 import os
 import tracemalloc
 
@@ -42,6 +43,7 @@ from supersigma.suites import (
     Q_GEN,
     SPARE_GEN,
     _chunk_sizes,
+    _draw_chunk,
     _even_field,
     _grassmann_chunks,
     _grassmann_draws,
@@ -50,6 +52,7 @@ from supersigma.suites import (
     _odd_spinor,
     _sigma_fixture,
     _stack,
+    _synthesize_chunk,
     _toy_fixture,
     _trig_array,
     build_calibration_battery,
@@ -308,30 +311,23 @@ def test_stack_puts_fixtures_on_a_leading_axis(rng):
     assert _stack(chis).is_zero()
 
 
-def _poison(monkeypatch, name, calls):
-    """Make the given calls (0-based) of ``suites.<name>`` return a value with
-    one NaN sample in its first field term."""
-    original = getattr(suites, name)
-    count = [0]
+def _poison(monkeypatch, role, fixtures):
+    """Make trig array ``role`` of the given fixtures (0-based, counted over
+    every chunk the suite draws) NaN in every sample: each of its modes gets
+    a NaN amplitude in the chunk's drawn block."""
+    original = suites._draw_chunk
+    seen = [0]
 
-    def nan_field(f):
-        terms = dict(f.terms)
-        m = next(iter(terms))
-        terms[m] = terms[m].copy()
-        terms[m].flat[7] = np.nan
-        return GrassmannField(f.grid, f.n_gen, terms)
+    def poisoned(rng, grid, count, draw_fixture, cutoff=3):
+        modes, kept = original(rng, grid, count, draw_fixture, cutoff)
+        for i in range(count):
+            if seen[0] + i in fixtures:
+                # A mode is (phase, one wavenumber per axis, amplitude).
+                modes[i, role, grid.ndim + 1::grid.ndim + 2] = np.nan
+        seen[0] += count
+        return modes, kept
 
-    def poisoned(*args, **kwargs):
-        out = original(*args, **kwargs)
-        count[0] += 1
-        if count[0] - 1 not in calls:
-            return out
-        if isinstance(out, GrassmannField):
-            return nan_field(out)
-        geom, chi, fields, q = out
-        return geom, chi, ComponentFields([nan_field(fields.phi[0])], fields.psi, fields.F), q
-
-    monkeypatch.setattr(suites, name, poisoned)
+    monkeypatch.setattr(suites, "_draw_chunk", poisoned)
 
 
 def _poison_grassmann(monkeypatch, battery, fixtures):
@@ -348,34 +344,36 @@ def _poison_grassmann(monkeypatch, battery, fixtures):
     monkeypatch.setattr(suites, "_grassmann_draws", poisoned)
 
 
-@pytest.mark.parametrize("suite, name, calls, rows", [
-    # Reduction draws two even fields (phi, F) per fixture: poison fixture 9's F.
-    ("reduction", "_even_field", {9 * 2 + 1}, [0]),
-    # Berezin draws two odd fields per fixture: poison fixture 20's f1.
-    ("berezin", "_odd_field", {20 * 2 + 1}, [0]),
-    # susy2d draws 4 battery fixtures, then one pair per fixture.
-    ("susy2d", "_sigma_fixture", {4 + 2 * 2}, [2]),
-    ("susy2d", "_sigma_fixture", {4 + 2 * 8 + 1}, [3]),
-    # Toy draws one even field (phi) per fixture: poison the last fixture's,
-    # at the end of the short last chunk.  Every row but the closed-form one
-    # reads it.
-    ("toy", "_even_field", {44}, [0, 2, 3, 4]),
-    # Decompose draws three even fields (g11, g12, g22) and four odd ones
-    # (the two gravitino spinors) per fixture: poison fixture 3's g12, the
-    # last of the second chunk, then fixture 4's first gravitino component,
-    # alone in the last chunk.
-    ("decompose", "_even_field", {3 * 3 + 1}, [0, 1, 2]),
-    ("decompose", "_odd_field", {4 * 4}, [3, 4]),
+@pytest.mark.parametrize("suite, target, fixtures, rows", [
+    # The target is the poisoned array's place among its fixture's arrays.
+    # Reduction draws phi's body and soul, psi's two components and F:
+    # poison fixture 9's F.
+    ("reduction", 4, {9}, [0]),
+    # Berezin draws f0's body, soul and odd part, then f1's: poison fixture
+    # 20's odd part of f1.
+    ("berezin", 5, {20}, [0]),
+    # susy2d draws 4 battery fixtures, then per fixture phi, psi (2) of the
+    # one without chi and phi, psi (2), chi (4) of the one with chi.
+    ("susy2d", 0, {4 + 2}, [2]),
+    ("susy2d", 3, {4 + 8}, [3]),
+    # Toy draws phi's body first: poison the last fixture's, at the end of
+    # the short last chunk.  Every row but the closed-form one reads it.
+    ("toy", 0, {44}, [0, 2, 3, 4]),
+    # Decompose draws g11 (2 arrays), g12, g22 (2), then the gravitino's four
+    # components: poison fixture 3's g12, the last of the second chunk, then
+    # fixture 4's first gravitino component, alone in the last chunk.
+    ("decompose", 2, {3}, [0, 1, 2]),
+    ("decompose", 5, {4}, [3, 4]),
     # The last fixture of the first chunk and of the short last chunk, so a
     # chunk that drops its last fixture fails a row.  Reduction: chunks of
     # 8 + 5; Berezin and toy: 32 + 13; susy2d: 8 + 1.
-    ("reduction", "_even_field", {7 * 2 + 1}, [0]),
-    ("reduction", "_even_field", {12 * 2 + 1}, [0]),
-    ("berezin", "_odd_field", {31 * 2 + 1}, [0]),
-    ("berezin", "_odd_field", {44 * 2 + 1}, [0]),
-    ("susy2d", "_sigma_fixture", {4 + 2 * 7}, [2]),
-    ("susy2d", "_sigma_fixture", {4 + 2 * 7 + 1}, [3]),
-    ("toy", "_even_field", {31}, [0, 2, 3, 4]),
+    ("reduction", 4, {7}, [0]),
+    ("reduction", 4, {12}, [0]),
+    ("berezin", 5, {31}, [0]),
+    ("berezin", 5, {44}, [0]),
+    ("susy2d", 0, {4 + 7}, [2]),
+    ("susy2d", 3, {4 + 7}, [3]),
+    ("toy", 0, {31}, [0, 2, 3, 4]),
     # The grassmann batteries: 1,000 fixtures in chunks of 512 + 488.  A NaN
     # element reaches the three associativity triples that hold it.
     ("grassmann", "elements", {511}, [0]),
@@ -385,12 +383,13 @@ def _poison_grassmann(monkeypatch, battery, fixtures):
     ("grassmann", "linear", {511}, [2]),
     ("grassmann", "linear", {999}, [2]),
 ])
-def test_nan_in_one_fixture_makes_the_suite_residual_nan(monkeypatch, suite, name, calls, rows):
+def test_nan_in_one_fixture_makes_the_suite_residual_nan(monkeypatch, suite, target, fixtures,
+                                                         rows):
     config = CONFIGS["small-grid"]()
     if suite == "grassmann":
-        _poison_grassmann(monkeypatch, name, calls)
+        _poison_grassmann(monkeypatch, target, fixtures)
     else:
-        _poison(monkeypatch, name, calls)
+        _poison(monkeypatch, target, fixtures)
     checks = suites.run_suite(config, suite)
     for i, c in enumerate(checks):
         if i in rows:
@@ -494,6 +493,73 @@ def test_trig_array_matches_every_phase_oracle_and_generator_state(shape, period
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def _draw_five(rng):
+    """A fixture of five trig arrays of different scales, with a scalar draw
+    between the fourth and the fifth, as the toy suite draws its q."""
+    def draw(trig):
+        for scale in (0.7, 1.0, 0.6, 0.3):
+            trig(scale)
+        scalar = rng.normal()
+        trig(0.8)
+        return scalar
+    return draw
+
+
+@pytest.mark.parametrize("shape, periods, cutoff, count", [
+    # Blocks of more than gridfield._STACK_SAMPLES samples span several
+    # slices: 32 fixtures of 5 arrays of 64 points, 8 at 16^2 and 15x17,
+    # and 3 and 8 at 32^2.
+    ((64,), (2.0 * np.pi,), 3, 1), ((64,), (2.0 * np.pi,), 3, 3), ((64,), (2.0 * np.pi,), 3, 8),
+    ((64,), (2.0 * np.pi,), 3, 32),
+    ((16, 16), (2.0 * np.pi, 2.0 * np.pi), 3, 1), ((16, 16), (2.0 * np.pi, 2.0 * np.pi), 3, 3),
+    ((16, 16), (2.0 * np.pi, 2.0 * np.pi), 3, 8),
+    ((15, 17), (3.0, 5.5), 3, 1), ((15, 17), (3.0, 5.5), 3, 3), ((15, 17), (3.0, 5.5), 3, 8),
+    ((32, 32), (2.0 * np.pi, 4.0 * np.pi), 6, 1), ((32, 32), (2.0 * np.pi, 4.0 * np.pi), 6, 3),
+    ((32, 32), (2.0 * np.pi, 4.0 * np.pi), 6, 8),
+])
+def test_chunk_block_has_the_bits_of_one_array_at_a_time(shape, periods, cutoff, count):
+    grid = Grid(shape, periods)
+    rng, each_rng = np.random.default_rng(count), np.random.default_rng(count)
+    modes, scalars = _draw_chunk(rng, grid, count, _draw_five(rng), cutoff)
+    assert modes.shape == (count, 5, 3 * (grid.ndim + 2))
+    arrays = _synthesize_chunk(grid, cutoff, modes)
+    for i in range(count):
+        for role, scale in enumerate((0.7, 1.0, 0.6, 0.3)):
+            a = _trig_array(each_rng, grid, cutoff=cutoff, scale=scale)
+            assert np.array_equal(arrays[role][i] if count > 1 else arrays[role], a)
+        assert scalars[i] == each_rng.normal()
+        a = _trig_array(each_rng, grid, cutoff=cutoff, scale=0.8)
+        assert np.array_equal(arrays[4][i] if count > 1 else arrays[4], a)
+    # The synthesis draws nothing: the draws alone moved the generator.
+    assert rng.bit_generator.state == each_rng.bit_generator.state
+    for a in arrays:
+        assert a.shape == ((count,) if count > 1 else ()) + grid.shape
+        assert a.flags.c_contiguous and a.flags.writeable
+
+
+def test_synthesis_peaks_like_one_array_at_a_time_on_a_large_grid():
+    # One 256^2 reduction fixture: five arrays synthesized together must
+    # not need more memory than five drawn one at a time, plus one array.
+    grid = Grid((256, 256), (2.0 * np.pi, 2.0 * np.pi))
+    scales = (0.7, 0.7, 0.6, 0.6, 0.5)
+    one_array = 8 * math.prod(grid.shape)
+
+    def peak(make):
+        make(np.random.default_rng(0))  # first calls set up numpy's own state
+        tracemalloc.start()
+        try:
+            kept = make(np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1], kept
+        finally:
+            tracemalloc.stop()
+
+    each, arrays = peak(lambda rng: [_trig_array(rng, grid, scale=s) for s in scales])
+    block, chunk = peak(lambda rng: _synthesize_chunk(grid, 3, _draw_chunk(
+        rng, grid, 1, lambda trig: [trig(s) for s in scales])[0]))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, chunk))
+    assert block <= each + one_array
+
+
 @pytest.mark.parametrize("n_gen", [3, 6, 16])
 def test_grassmann_homogeneous_draws_are_distinct_masks_of_the_drawn_parity(n_gen):
     draws = _grassmann_draws(np.random.default_rng(n_gen), n_gen, 500)
@@ -523,3 +589,12 @@ def test_grassmann_suite_rejects_fewer_than_three_generators():
     # Two generators have only two monomials of each parity.
     with pytest.raises(ValueError, match="n_gen >= 3"):
         suites.run_suite(SuiteConfig(n_gen=2), "grassmann")
+
+
+def test_currents_suite_differentiates_each_phi_once(derivative_log):
+    # energy_momentum relabels the caller's phi gradients onto its two extra
+    # generators and leaves them cached, so the closed-form reference reuses
+    # them: 52 calls at the default config, 72 when the lift differentiated
+    # phi again.
+    suites.run_suite(SuiteConfig(), "currents")
+    assert len(derivative_log) == 52
