@@ -23,10 +23,10 @@ cutoff 1e-10) is applied to one mask's components (every fixture of an
 input stacked over fixtures at once), and the residual is rhs - A A+ rhs.
 Since A(-m) is conj A(m), A+ is computed for one mode of each conjugate
 pair and conjugated for the other.
-A+ depends only on the grid shape, the periods, the cutoff, the line
-(metric or gravitino) and, on the gravitino line, the Clifford matrices; it
-is cached under exactly that key, keeping the two most recently used keys
-(the metric and the gravitino line of one grid).
+A and A+ depend only on the grid shape, the periods, the cutoff, the line
+(metric or gravitino) and, on the gravitino line, the Clifford matrices;
+both are cached under exactly that key, keeping the two most recently used
+keys (the metric and the gravitino line of one grid).
 
 The residual spaces are two-dimensional on each line: the constant
 trace-free symmetric tensors and the constant gamma-trace-free gravitino
@@ -36,9 +36,9 @@ sections.
 from __future__ import annotations
 
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -62,10 +62,6 @@ __all__ = [
 ]
 
 SVD_CUTOFF = 1e-10
-
-# Pseudo-inverses of stacked band design matrices, most recently used last.
-_PINV_CACHE: OrderedDict = OrderedDict()
-_PINV_CACHE_SIZE = 2
 
 
 @dataclass
@@ -252,20 +248,30 @@ def _paired_pinv(A: np.ndarray, modes1: np.ndarray, modes2: np.ndarray) -> np.nd
     return A_pinv.reshape(n1, n2, *A_pinv.shape[1:])
 
 
-def _cached_pinv(key: tuple, A: np.ndarray, modes1: np.ndarray,
-                 modes2: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the stacked design matrices ``A`` of the band modes
-    ``modes1`` x ``modes2`` (``_paired_pinv``), cached under ``key``."""
-    A_pinv = _PINV_CACHE.get(key)
-    if A_pinv is None:
-        A_pinv = _paired_pinv(A, modes1, modes2)
-        A_pinv.flags.writeable = False
-        _PINV_CACHE[key] = A_pinv
-        if len(_PINV_CACHE) > _PINV_CACHE_SIZE:
-            _PINV_CACHE.popitem(last=False)
+@lru_cache(maxsize=2)
+def _band_matrices(grid: Grid, cutoff: int, line_key: tuple) -> tuple:
+    """(band, A, A+) of the band modes |m| <= cutoff on ``grid``, read-only.
+
+    ``band`` indexes the band modes of a transform's last two axes; A is the
+    design matrices stacked over them, shape (n1_band, n2_band, n_components,
+    n_params), and A+ their pseudo-inverses (``_paired_pinv``).  ``line_key``
+    is ("metric",), or ("gravitino", gamma^1, gamma^2) with the Clifford
+    matrices as float64 bytes.  The two most recently used keys are kept: the
+    metric and the gravitino line of one grid.
+    """
+    k1, k2, m1, m2 = _mode_wavenumbers(grid)
+    i1 = np.flatnonzero(np.abs(m1) <= cutoff)
+    i2 = np.flatnonzero(np.abs(m2) <= cutoff)
+    kap1, kap2 = k1[i1][:, None], k2[i2]
+    if line_key[0] == "metric":
+        A = _metric_columns(kap1, kap2)
     else:
-        _PINV_CACHE.move_to_end(key)
-    return A_pinv
+        gammas = (np.frombuffer(g).reshape(2, 2) for g in line_key[1:])
+        A = _gravitino_columns(kap1, kap2, CliffordConvention(*gammas))
+    A_pinv = _paired_pinv(A, m1[i1], m2[i2])
+    for a in (i1, i2, A, A_pinv):
+        a.flags.writeable = False
+    return (..., i1[:, None], i2), A, A_pinv
 
 
 def _inverse_fft2(buf: np.ndarray) -> None:
@@ -280,14 +286,13 @@ def _inverse_fft2(buf: np.ndarray) -> None:
     np.fft.ifft(buf, axis=-2, out=buf)
 
 
-def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
-                build_columns: Callable) -> tuple[list[GrassmannField], list[GrassmannField]]:
-    """Least-squares fit of the component fields on every band mode and mask.
+def _band_solve(comps: Sequence[GrassmannField], cutoff: int,
+                line_key: tuple) -> tuple[list[GrassmannField], list[GrassmannField]]:
+    """Least-squares fit of the component fields on every band mode and mask
+    of the line ``line_key`` (see ``_band_matrices``).
 
-    ``build_columns(kappa1, kappa2)`` returns the complex design matrices
-    stacked over the band modes, shape (n1_band, n2_band, n_components,
-    n_params).  Returns one field per parameter and one residual field per
-    component; modes beyond the cutoff go entirely to the residual.
+    Returns one field per parameter and one residual field per component;
+    modes beyond the cutoff go entirely to the residual.
     Component fields stacked over fixtures are solved fixture by fixture
     in one pass, and so are the fields returned.
 
@@ -300,12 +305,7 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int, line_key: tuple,
     grid, n_gen = comps[0].grid, comps[0].n_gen
     masks = sorted({m for f in comps for m in f.terms}) or [0]
     shape = np.broadcast_shapes(grid.shape, *(a.shape for f in comps for a in f.terms.values()))
-    k1, k2, m1, m2 = _mode_wavenumbers(grid)
-    i1 = np.flatnonzero(np.abs(m1) <= cutoff)
-    i2 = np.flatnonzero(np.abs(m2) <= cutoff)
-    band = (..., i1[:, None], i2)
-    A = build_columns(k1[i1][:, None], k2[i2])
-    A_pinv = _cached_pinv((grid.shape, grid.periods, cutoff) + line_key, A, m1[i1], m2[i2])
+    band, A, A_pinv = _band_matrices(grid, cutoff, line_key)
     n_comps, n_params = A.shape[-2:]
 
     params = np.empty((n_params, len(masks)) + shape)
@@ -346,7 +346,7 @@ def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDefor
     grid, n_gen = dg.grid, dg.n_gen
     cutoff = _resolve_cutoff(cutoff, grid)
     params, r = _band_solve([dg.tensor[0][0], dg.tensor[0][1], dg.tensor[1][1]],
-                            cutoff, ("metric",), _metric_columns)
+                            cutoff, ("metric",))
     lam, X = params[0], params[1:3]
     D = MetricDeformation([[r[0], r[1]], [r[1], r[2]]])
 
@@ -392,8 +392,8 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField, dchi: Gravit
     conv = geom.clifford_convention
     params, r = _band_solve(
         [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]],
-        cutoff, ("gravitino", conv.gamma(1).tobytes(), conv.gamma(2).tobytes()),
-        lambda kap1, kap2: _gravitino_columns(kap1, kap2, conv))
+        cutoff, ("gravitino",) + tuple(np.asarray(conv.gamma(a), dtype=float).tobytes()
+                                       for a in (1, 2)))
     t = SpinorField(params[0:2])
     q = SpinorField(params[2:4])
     DD = GravitinoField([SpinorField(r[0:2]), SpinorField(r[2:4])])

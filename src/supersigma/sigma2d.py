@@ -432,12 +432,17 @@ def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
                              q: SpinorField) -> GravitinoField:
     """Variation of the gravitino components chi_a = chi(f_a):
 
-        delta chi_a = f_a q - <gamma^b q, chi_a> chi_b - <q, chi_a> gamma^b chi_b.
+        delta chi_a = -f_a q - <gamma^b q, chi_a> chi_b - <q, chi_a> gamma^b chi_b.
 
-    The derivative term is the flat Levi-Civita part of nabla^S q; the two
-    quadratic terms carry the frame dependence of the components and the
-    completion required for invariance of the action (their form is unique
-    up to two-dimensional Fierz rearrangements).
+    The derivative term is -nabla^S_{f_a} q: the spinor covariant derivative
+    of q along the frame vector f_a, whose flat Levi-Civita part is the
+    frame derivative f_a q, enters with a minus sign.  That is the sign for
+    which the action is invariant under a local q at the calibrated signs
+    s1, s2, c4, c5 and the frame variation of ``_susy_varied_geometry``; a
+    constant q has f_a q = 0 and cannot tell.  The two quadratic terms carry
+    the frame dependence of the components and the completion required for
+    invariance of the action (their form is unique up to two-dimensional
+    Fierz rearrangements).
     """
     require_odd(q, "supersymmetry parameter q")
     conv = geom.clifford_convention
@@ -445,7 +450,7 @@ def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
     fq = geom.frame_derivatives_spinor(q)
     out = []
     for a in (1, 2):
-        dchi_a = fq[a - 1]
+        dchi_a = -fq[a - 1]
         for b in (1, 2):
             dchi_a = dchi_a - pairing(clifford(b, q, conv), chi[a], conv) * chi[b]
         dchi_a = dchi_a - pairing(q, chi[a], conv) * gt
@@ -470,7 +475,8 @@ def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
                              fields: ComponentFields, q: SpinorField,
                              coeffs: ActionCoefficients = ActionCoefficients()):
     """Max coefficient of A(varied) - A(original), one per fixture of stacked
-    fields, under the matter + geometry supersymmetry variation (constant q).
+    fields, under the matter + geometry supersymmetry variation with the
+    parameter q (constant or local).
 
     All variations are proportional to the odd parameter q, so for a
     monomial q the difference is exactly the first variation.
@@ -499,9 +505,11 @@ def _calibration_scores(battery: Sequence[tuple], base: ActionCoefficients) -> l
 
     Rows are (score, s1, s2, sign c4, sign c5, candidate) in the order
     s1, s2, sign c4, sign c5 with +1 first.  For fixed (s1, s2) the action
-    is linear in c1..c5, so each fixture needs the per-term integrals of
+    is linear in c1..c5, so each entry needs the per-term integrals of
     the original configuration once and of the varied one once per
-    (s1, s2); every candidate is then scored as a linear combination.
+    (s1, s2); every candidate is then scored as a linear combination.  An
+    entry may stack fixtures: its score is the largest of theirs, NaN if
+    any is NaN.
     """
     cands = {(s1, s2, sig4, sig5): replace(base, s1=s1, s2=s2, c4=sig4 * abs(base.c4),
                                            c5=sig5 * abs(base.c5))
@@ -519,7 +527,7 @@ def _calibration_scores(battery: Sequence[tuple], base: ActionCoefficients) -> l
                         key = (s1, s2, sig4, sig5)
                         c = _coefficient_vector(cands[key])
                         score = _combine(c, terms1).max_abs_diff(_combine(c, terms0))
-                        worst[key] = max_or_nan((worst[key], score))
+                        worst[key] = max_or_nan((worst[key], np.max(score)))
     return [(worst[key], *key, cand) for key, cand in cands.items()]
 
 
@@ -527,8 +535,8 @@ def calibrate_conventions(battery: Sequence[tuple], tolerance: float = 1e-6,
                           base: ActionCoefficients = ActionCoefficients()) -> ActionCoefficients:
     """Sign search over (s1, s2, sign c4, sign c5) for supersymmetry invariance.
 
-    ``battery`` is a sequence of fixtures (geom, chi, fields, q); the
-    magnitudes of the coefficients stay those of ``base``.  Each of the 16
+    ``battery`` is a sequence of fixtures (geom, chi, fields, q), each of
+    which may stack several on the fixture axis; the magnitudes of the coefficients stay those of ``base``.  Each of the 16
     candidates is scored by its worst invariance residual over the battery,
     computed from per-term action integrals (see ``_calibration_scores``);
     the scores agree with ``susy_invariance_residual`` to rounding.  Raises

@@ -11,17 +11,20 @@ component, for a row of one fixture), and ``_check`` reduces them once.
 Every random field is a sum of three random Fourier modes (a trig array),
 made in two halves: ``_draw_modes`` draws an array's modes by scalar
 generator calls in a fixed order, and ``_synthesize`` turns the modes of any
-number of arrays into samples without touching the generator.  The
-reduction, susy2d, Berezin, toy and decompose suites draw their fixtures one
-at a time, in a fixed order, and evaluate them in chunks: ``_draw_chunk``
-draws a chunk's modes (and the scalars in between), and ``_synthesize_chunk``
-synthesizes them in one pass into one contiguous block per field term, its
-fixtures on a leading axis (``_stack`` puts the toy suite's q there), so one
-evaluation checks the whole chunk with the same floating-point operations
-per fixture.  The calibration battery is drawn the
-same way but checked per fixture, as is the currents suite.  The grassmann
-suite draws each battery in bulk and multiplies chunks of up to 512 fixtures
-as Grassmann numbers with one coefficient per fixture (``_grassmann_stacks``).
+number of arrays into samples without touching the generator.  Every suite
+but grassmann draws its random fixtures one at a time, in a fixed order,
+and evaluates them in chunks: ``_draw_chunk`` draws a chunk's modes (and the
+scalars in between), and ``_synthesize_chunk`` synthesizes them in one pass
+into one contiguous block per field term, its fixtures on a leading axis, so
+one evaluation checks the whole chunk with the same floating-point
+operations per fixture.  Every drawn fixture is such a stack: a single one
+(the currents suite's j-zero and Noether fixtures, or any fixture on a grid
+of more than 1,024 samples) is a stack of one, and the calibration battery is a list of
+stacks.  Only the fixtures that draw no trig array (closed forms, pure
+windings) are built unstacked.  The grassmann suite draws each battery in
+bulk and multiplies chunks of up to 512 fixtures as Grassmann numbers with
+one coefficient per fixture (``_grassmann_stacks``), or one fixture at a
+time with float coefficients from 7 generators on.
 """
 
 from __future__ import annotations
@@ -103,10 +106,12 @@ def _draw_modes(rng: np.random.Generator, ndim: int, cutoff: int, scale: float,
     """One trig array's modes, flat: per mode its phase, one wavenumber in
     [-cutoff, cutoff] per grid axis, and its amplitude times ``scale``, each
     drawn by one scalar generator call in that order.  This order fixes every
-    fixture, and so every report."""
+    fixture, and so every report.  The phase ``random() * 2 pi`` is the
+    double, and leaves the generator in the state, of ``uniform(0, 2 pi)``,
+    at a third of its cost."""
     modes = []
     for _ in range(n_modes):
-        modes.append(rng.uniform(0.0, 2.0 * np.pi))
+        modes.append(rng.random() * (2.0 * np.pi))
         for _ in range(ndim):
             modes.append(int(rng.integers(-cutoff, cutoff + 1)))
         modes.append(rng.normal() * scale)
@@ -166,12 +171,6 @@ def _synthesize(grid: Grid, cutoff: int, modes) -> np.ndarray:
     return out.reshape(lead + grid.shape)
 
 
-def _trig_array(rng: np.random.Generator, grid: Grid, cutoff: int = 3,
-                n_modes: int = 3, scale: float = 1.0) -> np.ndarray:
-    """One trig array of ``n_modes`` modes, drawn from ``rng`` and synthesized."""
-    return _synthesize(grid, cutoff, _draw_modes(rng, grid.ndim, cutoff, scale, n_modes))
-
-
 def _draw_chunk(rng: np.random.Generator, grid: Grid, count: int, draw_fixture,
                 cutoff: int = 3) -> tuple:
     """Draw ``count`` fixtures in order, their trig arrays as modes only.
@@ -194,9 +193,8 @@ def _draw_chunk(rng: np.random.Generator, grid: Grid, count: int, draw_fixture,
 def _synthesize_chunk(grid: Grid, cutoff: int, modes: np.ndarray) -> list[np.ndarray]:
     """Array r of every fixture of ``modes`` (as ``_draw_chunk`` gives them),
     synthesized in one pass: for each r one contiguous (count, *grid.shape)
-    block, as ``_stack`` makes it, or the array itself for one fixture."""
-    block = _synthesize(grid, cutoff, modes.swapaxes(0, 1))
-    return list(block[:, 0] if len(modes) == 1 else block)
+    block, a stack of one for one fixture."""
+    return list(_synthesize(grid, cutoff, modes.swapaxes(0, 1)))
 
 
 def _spinor(grid: Grid, n_gen: int, gens, arrays) -> SpinorField:
@@ -205,64 +203,61 @@ def _spinor(grid: Grid, n_gen: int, gens, arrays) -> SpinorField:
                         for g, a in zip(gens, arrays)])
 
 
-def _even_field(rng, grid, n_gen, scale=1.0, soul_mask: int | None = None,
-                cutoff: int = 3) -> GrassmannField:
-    terms = {0: _trig_array(rng, grid, cutoff=cutoff, scale=scale)}
-    if soul_mask is not None:
-        terms[soul_mask] = _trig_array(rng, grid, cutoff=cutoff, scale=scale)
-    return GrassmannField(grid, n_gen, terms)
-
-
-def _odd_field(rng, grid, n_gen, gens, scale=1.0, cutoff: int = 3) -> GrassmannField:
-    terms = {1 << (g - 1): _trig_array(rng, grid, cutoff=cutoff, scale=scale)
-             for g in gens}
-    return GrassmannField(grid, n_gen, terms)
-
-
-def _odd_spinor(rng, grid, n_gen, gens, scale=1.0, cutoff: int = 3) -> SpinorField:
-    return SpinorField([_odd_field(rng, grid, n_gen, [g], scale, cutoff) for g in gens])
+def _sigma_arrays(trig, with_chi: bool) -> None:
+    """Draw a sigma-model fixture's arrays: phi, psi's two components and,
+    with chi, chi's four."""
+    for scale in (0.7, 0.6, 0.6) + (0.5,) * (4 if with_chi else 0):
+        trig(scale)
 
 
 def _sigma_draw(rng, with_chi: bool):
-    """The ``draw_fixture`` of a sigma-model fixture: phi, psi's two components
-    and, with chi, chi's four, then the two coefficients of the constant q."""
+    """The ``draw_fixture`` of a sigma-model fixture with a constant q: its
+    arrays, then q's two coefficients."""
     def draw(trig):
-        for scale in (0.7, 0.6, 0.6) + (0.5,) * (4 if with_chi else 0):
-            trig(scale)
+        _sigma_arrays(trig, with_chi)
         return [float(rng.normal()) for _ in range(2)]
     return draw
 
 
-def _sigma_fields(grid, n_gen, arrays, q) -> tuple:
-    """(geom, chi, fields, q) on the flat identity frame, F = 0, from the
-    arrays and q's coefficients (floats, or one per fixture) that
-    ``_sigma_draw`` draws (chi = 0 for three arrays)."""
+def _local_q_draw(with_chi: bool):
+    """The ``draw_fixture`` of a sigma-model fixture with a local q: its
+    arrays, then q's two components, trig arrays of scale 0.7."""
+    def draw(trig):
+        _sigma_arrays(trig, with_chi)
+        trig(0.7)
+        trig(0.7)
+    return draw
+
+
+def _constant_q(grid: Grid, qs) -> list[np.ndarray]:
+    """q's two components as stacked constant arrays on ``grid``, from the
+    coefficients that ``_sigma_draw`` drew for each fixture of a chunk."""
+    return [np.multiply.outer(c, np.ones(grid.shape)) for c in np.transpose(qs)]
+
+
+def _sigma_fields(grid, n_gen, arrays) -> tuple:
+    """(geom, chi, fields, q) on the flat identity frame, F = 0, from stacked
+    arrays: phi, psi's two components, chi's four (chi = 0 without them),
+    then q's two, both on generator Q_GEN."""
+    *matter, q1, q2 = arrays
     geom = SurfaceGeometry.flat(grid, n_gen)
     fields = ComponentFields(
-        phi=[GrassmannField(grid, n_gen, {0: arrays[0]})],
-        psi=[_spinor(grid, n_gen, PSI_GENS, arrays[1:3])],
+        phi=[GrassmannField(grid, n_gen, {0: matter[0]})],
+        psi=[_spinor(grid, n_gen, PSI_GENS, matter[1:3])],
         F=[GrassmannField.zero(grid, n_gen)],
     )
-    if len(arrays) > 3:
-        chi = GravitinoField([_spinor(grid, n_gen, CHI_GENS, arrays[3:5]),
-                              _spinor(grid, n_gen, CHI_GENS, arrays[5:7])])
+    if len(matter) > 3:
+        chi = GravitinoField([_spinor(grid, n_gen, CHI_GENS, matter[3:5]),
+                              _spinor(grid, n_gen, CHI_GENS, matter[5:7])])
     else:
         chi = GravitinoField.zero(grid, n_gen)
-    q = _spinor(grid, n_gen, (Q_GEN, Q_GEN),
-                [np.multiply.outer(c, np.ones(grid.shape)) for c in q])
-    return geom, chi, fields, q
-
-
-def _sigma_fixture(rng, grid, n_gen, with_chi: bool) -> tuple:
-    """(geom, chi, fields, q) on the flat identity frame, F = 0."""
-    modes, [q] = _draw_chunk(rng, grid, 1, _sigma_draw(rng, with_chi))
-    return _sigma_fields(grid, n_gen, _synthesize(grid, 3, modes[0]), q)
+    return geom, chi, fields, _spinor(grid, n_gen, (Q_GEN, Q_GEN), (q1, q2))
 
 
 # Most samples per term in one stacked chunk of fixtures.  On 16^2 grids a
 # chunk of 2,048 samples (8 fixtures) runs as fast as one of 8,192 and keeps
 # the peak memory lower; grids of more than 1,024 samples get chunks of one
-# fixture, which run unstacked.
+# fixture, a stack of one.
 _CHUNK_SAMPLES = 2048
 
 
@@ -277,7 +272,7 @@ def _fixture_floats(residual, chunk: GrassmannField) -> list[float]:
     """A chunk's residual, one per fixture of ``chunk``, a field of its stack:
     a float (an exactly zero difference has no terms) stands for every one."""
     a = next(iter(chunk.terms.values()))
-    return np.broadcast_to(residual, a.shape[:a.ndim - chunk.grid.ndim] or (1,)).tolist()
+    return np.broadcast_to(residual, a.shape[:a.ndim - chunk.grid.ndim]).tolist()
 
 
 def _check(name: str, residuals, tolerance: float,
@@ -297,50 +292,19 @@ def _frozen_row(data: bytes) -> memoryview:
     return memoryview(data).cast("d")
 
 
-def _stack(items: list):
-    """One value holding every fixture of ``items`` on a leading sample axis.
-
-    ``items`` are like-shaped per-fixture values: Grassmann numbers, fields,
-    spinors, gravitinos, component fields, or tuples of these.  A monomial
-    missing from some fixture is zero there; a single item is returned as it
-    is.  Stacked Grassmann numbers have one coefficient per fixture.
-    """
-    first = items[0]
-    if len(items) == 1:
-        return first
-    if isinstance(first, tuple):
-        return tuple(_stack(list(column)) for column in zip(*items))
-    if isinstance(first, GrassmannNumber):
-        masks = dict.fromkeys(m for q in items for m in q.terms)
-        return GrassmannNumber(first.n_gen, {
-            m: np.array([q.terms.get(m, 0.0) for q in items]) for m in masks})
-    if isinstance(first, GrassmannField):
-        masks = dict.fromkeys(m for f in items for m in f.terms)
-        zero = np.zeros(first.grid.shape)
-        return GrassmannField(first.grid, first.n_gen, {
-            m: np.stack([f.terms.get(m, zero) for f in items]) for m in masks})
-    if isinstance(first, SpinorField):
-        return SpinorField(_stack([s.comps for s in items]))
-    if isinstance(first, GravitinoField):
-        return GravitinoField(_stack([g.chi for g in items]))
-    if isinstance(first, ComponentFields):
-        # The suites' fixtures have no winding.
-        return ComponentFields(phi=list(_stack([tuple(f.phi) for f in items])),
-                               psi=list(_stack([tuple(f.psi) for f in items])),
-                               F=list(_stack([tuple(f.F) for f in items])),
-                               winding=first.winding)
-    raise TypeError(f"cannot stack {type(first).__name__}")
-
-
 def build_calibration_battery(config: SuiteConfig, rng: np.random.Generator) -> list:
+    """The sign calibration's fixtures (geom, chi, fields, q), q constant: one
+    stack per chunk of the fixtures with chi, then the fixture without chi as
+    a stack of one, drawn in that order."""
     grid = Grid(config.grid_shape, config.periods)
-    n_gen = config.n_gen
+
+    def entry(size: int, with_chi: bool) -> tuple:
+        modes, qs = _draw_chunk(rng, grid, size, _sigma_draw(rng, with_chi))
+        return _sigma_fields(grid, config.n_gen,
+                             _synthesize_chunk(grid, 3, modes) + _constant_q(grid, qs))
+
     count = max(1, config.fixtures("calibration") - 1)
-    modes, qs = _draw_chunk(rng, grid, count, _sigma_draw(rng, with_chi=True))
-    battery = [_sigma_fields(grid, n_gen, arrays, q)
-               for arrays, q in zip(_synthesize(grid, 3, modes), qs)]
-    battery.append(_sigma_fixture(rng, grid, n_gen, with_chi=False))
-    return battery
+    return [entry(size, True) for size in _chunk_sizes(count, grid)] + [entry(1, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +464,16 @@ def _suite_berezin(config: SuiteConfig, rng) -> list[CheckReport]:
     return [_check("berezin-top-coefficient-reduction", residuals, tol)]
 
 
-def _toy_fixture(rng, grid, n_gen) -> ToyFields:
-    phi = _even_field(rng, grid, n_gen, soul_mask=0b11)
-    psi = _odd_field(rng, grid, n_gen, PSI_GENS)
-    return ToyFields(phi, psi)
-
-
 def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
     n_gen = config.n_gen
     grid = Grid((config.toy_points,), (config.periods[0],))
     tol = config.tolerance("toy")
 
     def draw(trig):
-        # phi's body and soul and psi's two components (as _toy_fixture), q, xi.
+        # phi's body and soul, psi's two components, q's coefficient, xi.
         for _ in range(4):
             trig()
-        q = generator(n_gen, Q_GEN) * float(rng.normal())
+        q = float(rng.normal())
         trig(0.8)
         return q
 
@@ -525,7 +483,7 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
         body, soul, psi1, psi2, xi = _synthesize_chunk(grid, 3, modes)
         phi = GrassmannField(grid, n_gen, {0: body, 0b11: soul})
         f = ToyFields(phi, GrassmannField(grid, n_gen, {0b01: psi1, 0b10: psi2}))
-        q = _stack(qs)
+        q = GrassmannNumber(n_gen, {1 << (Q_GEN - 1): np.array(qs)})
         xi = GrassmannField(grid, n_gen, {1 << (SPARE_GEN - 1): xi})
         Phi = superfield_from_fields(f)
         equiv.extend(_fixture_floats(toy_action_component(f).max_abs_diff(
@@ -596,15 +554,18 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
     classical = a.max_abs_diff(expected)
 
     # Conformal invariance of the phi sector under a Weyl rescaling.
+    def draw_lam(trig):
+        # The exponent of lambda's body, then its soul.
+        trig(0.3)
+        trig(0.4)
+
     conformal = []
-    for _ in range(5):
-        lam = GrassmannField(grid, n_gen, {
-            0: np.exp(_trig_array(rng, grid, scale=0.3)),
-            0b11: _trig_array(rng, grid, scale=0.4),
-        })
-        scaled = weyl(geom, lam)
-        a1 = action_component(scaled, chi0, classical_fields, coeffs=coeffs)
-        conformal.append(a.max_abs_diff(a1))
+    for size in _chunk_sizes(5, grid):
+        body, soul = _synthesize_chunk(grid, 3, _draw_chunk(rng, grid, size, draw_lam)[0])
+        # Both arrays view one block: exponentiate in place, not beside it.
+        lam = GrassmannField(grid, n_gen, {0: np.exp(body, out=body), 0b11: soul})
+        a1 = action_component(weyl(geom, lam), chi0, classical_fields, coeffs=coeffs)
+        conformal.extend(_fixture_floats(a.max_abs_diff(a1), lam))
 
     return [
         _check("reduction-superfield-component", superfield, tol),
@@ -612,6 +573,14 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
                provenance="closed-form"),
         _check("reduction-conformal-invariance", conformal, config.tolerance("conformal")),
     ]
+
+
+def _invariance_floats(fixture: tuple, coeffs: ActionCoefficients) -> list[float]:
+    """The supersymmetry invariance residual of each fixture of a stacked
+    (geom, chi, fields, q)."""
+    geom, chi, fields, q = fixture
+    return _fixture_floats(susy_invariance_residual(geom, chi, fields, q, coeffs=coeffs),
+                           fields.phi[0])
 
 
 def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
@@ -622,33 +591,40 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
     battery = build_calibration_battery(config, rng)
 
     cal = calibrate_conventions(battery, tolerance=cal_tol)
-    cal_residual = [susy_invariance_residual(geom, chi, fields, q, coeffs=cal)
-                    for geom, chi, fields, q in battery]
+    cal_residual = [r for entry in battery for r in _invariance_floats(entry, cal)]
     cal_match = [abs(getattr(cal, k) - getattr(config.conventions, k))
                  for k in ("s1", "s2", "c4", "c5")]
 
-    # Every fixture has the flat identity frame.
-    geom = SurfaceGeometry.flat(grid, n_gen)
+    count = config.fixtures("susy2d")
     kinds = [_sigma_draw(rng, with_chi) for with_chi in (False, True)]
     resid = ([], [])  # the residuals of the fixtures without and with chi
-    for size in _chunk_sizes(config.fixtures("susy2d"), grid):
+    for size in _chunk_sizes(count, grid):
         # A fixture without chi, then one with chi.  Each kind is synthesized
-        # and checked in turn, so a chunk of one keeps no more arrays alive
-        # than checking each fixture as it is drawn.
+        # and checked in turn, and its arrays are held by no name, so a chunk
+        # of one keeps no more arrays alive than checking each fixture as it
+        # is drawn, and none outlives its check.
         modes, qs = _draw_chunk(rng, grid, size, lambda trig: [k(trig) for k in kinds])
         qs = np.array(qs)  # (fixture, kind, component)
         for kind, roles in enumerate((slice(0, 3), slice(3, 10))):
-            arrays = _synthesize_chunk(grid, 3, modes[:, roles])
-            _, chi, fields, q = _sigma_fields(grid, n_gen, arrays,
-                                              qs[0, kind] if size == 1 else qs[:, kind].T)
-            resid[kind].extend(_fixture_floats(susy_invariance_residual(
-                geom, chi, fields, q, coeffs=config.conventions), fields.phi[0]))
+            resid[kind].extend(_invariance_floats(_sigma_fields(
+                grid, n_gen, _synthesize_chunk(grid, 3, modes[:, roles])
+                + _constant_q(grid, qs[:, kind])), config.conventions))
+
+    # A local q, f_a q != 0, reaches the derivative term of the gravitino
+    # variation: as many fixtures again, without chi and then with chi.
+    local = []
+    for with_chi in (False, True):
+        for size in _chunk_sizes(count, grid):
+            modes = _draw_chunk(rng, grid, size, _local_q_draw(with_chi))[0]
+            local.extend(_invariance_floats(
+                _sigma_fields(grid, n_gen, _synthesize_chunk(grid, 3, modes)), config.conventions))
 
     return [
         _check("susy2d-calibration-residual", cal_residual, cal_tol),
         _check("susy2d-calibration-matches-config", cal_match, 0.0),
         _check("susy2d-invariance-chi-zero", resid[0], tol),
         _check("susy2d-invariance-chi-nonzero", resid[1], tol),
+        _check("susy2d-invariance-local-q", local, tol),
     ]
 
 
@@ -660,24 +636,26 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)
 
+    def phi_only(phi: np.ndarray) -> ComponentFields:
+        return ComponentFields(phi=[GrassmannField(grid, n_gen, {0: phi})],
+                               psi=[SpinorField.zero(grid, n_gen)],
+                               F=[GrassmannField.zero(grid, n_gen)])
+
     # Closed form: for psi = chi = F = 0 the energy-momentum tensor is
     # dphi (x) dphi - 1/2 |dphi|^2 g.
     closed_rel = []
-    for _ in range(config.fixtures("currents")):
-        fields = ComponentFields(
-            phi=[_even_field(rng, grid, n_gen, scale=0.8)],
-            psi=[SpinorField.zero(grid, n_gen)],
-            F=[GrassmannField.zero(grid, n_gen)],
-        )
+    for size in _chunk_sizes(config.fixtures("currents"), grid):
+        [phi] = _synthesize_chunk(grid, 3, _draw_chunk(rng, grid, size, lambda trig: trig(0.8))[0])
+        fields = phi_only(phi)
         T = energy_momentum(geom, chi0, fields, coeffs=coeffs)
         dphi = [fields.phi_derivative(0, k) for k in range(2)]
         norm_sq = dphi[0] * dphi[0] + dphi[1] * dphi[1]
-        scale = max(norm_sq.max_abs(), 1e-30)
+        scale = np.maximum(norm_sq.max_abs(), 1e-30)
         exact = [[dphi[a] * dphi[b] * coeffs.c1 for b in range(2)] for a in range(2)]
         for a in range(2):
             exact[a][a] = exact[a][a] - norm_sq * (0.5 * coeffs.c1)
         errors = (T[a][b].max_abs_diff(exact[a][b]) for a in range(2) for b in range(2))
-        closed_rel.append(max_or_nan(errors) / scale)
+        closed_rel.extend(_fixture_floats(max_or_nan(errors) / scale, fields.phi[0]))
 
     # Harmonic map (pure winding): T is trace-free, divergence-free, and
     # T_zz is antiholomorphic-derivative-free.
@@ -690,15 +668,18 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     dre, dim_ = d_zbar(re, im)
     holo = [dre.max_abs(), dim_.max_abs()]
 
-    # Super current: J = 0 when psi = 0 (gravitino present).
-    chi = GravitinoField([_odd_spinor(rng, grid, n_gen, CHI_GENS, scale=0.5)
-                          for _ in range(2)])
-    fields_nopsi = ComponentFields(
-        phi=[_even_field(rng, grid, n_gen)],
-        psi=[SpinorField.zero(grid, n_gen)],
-        F=[GrassmannField.zero(grid, n_gen)],
-    )
-    j_zero = super_current(geom, chi, fields_nopsi, coeffs=coeffs).max_abs()
+    # Super current: J = 0 when psi = 0 (gravitino present), one fixture.
+    def draw_nopsi(trig):
+        # chi's four components, then phi.
+        for scale in (0.5, 0.5, 0.5, 0.5, 1.0):
+            trig(scale)
+
+    *chi_arrays, phi = _synthesize_chunk(grid, 3, _draw_chunk(rng, grid, 1, draw_nopsi)[0])
+    chi = GravitinoField([_spinor(grid, n_gen, CHI_GENS, chi_arrays[:2]),
+                          _spinor(grid, n_gen, CHI_GENS, chi_arrays[2:])])
+    fields = phi_only(phi)
+    j_zero = _fixture_floats(super_current(geom, chi, fields, coeffs=coeffs).max_abs(),
+                             fields.phi[0])
 
     # Critical fixture: harmonic phi (pure winding), constant psi, chi = 0.
     d = 2
@@ -714,15 +695,25 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
 
     # Noether identity of the super current, psi and chi nonzero:
     # delta_chi A = Int <delta chi_a, J_a> dvol, exact for a direction on the
-    # spare generator, whose square vanishes.
-    _, chi, fields, _ = _sigma_fixture(rng, grid, n_gen, with_chi=True)
-    direction = GravitinoField([_odd_spinor(rng, grid, n_gen, [SPARE_GEN] * 2, scale=0.7)
-                                for _ in range(2)])
+    # spare generator, whose square vanishes.  One fixture: a sigma-model
+    # fixture with chi (its constant q is drawn but not used), then the
+    # direction's four components.
+    def draw_noether(trig):
+        q = _sigma_draw(rng, with_chi=True)(trig)
+        for _ in range(4):
+            trig(0.7)
+        return q
+
+    modes, qs = _draw_chunk(rng, grid, 1, draw_noether)
+    arrays = _synthesize_chunk(grid, 3, modes)
+    _, chi, fields, _ = _sigma_fields(grid, n_gen, arrays[:7] + _constant_q(grid, qs))
+    direction = GravitinoField([_spinor(grid, n_gen, (SPARE_GEN, SPARE_GEN), arrays[7:9]),
+                                _spinor(grid, n_gen, (SPARE_GEN, SPARE_GEN), arrays[9:])])
     J = super_current(geom, chi, fields, coeffs=coeffs)
     paired = pairing(direction[1], J[1], CLIFFORD) + pairing(direction[2], J[2], CLIFFORD)
     varied = action_component(geom, chi + direction, fields, coeffs=coeffs)
-    noether = (varied - action_component(geom, chi, fields, coeffs=coeffs)).max_abs_diff(
-        paired.integral())
+    a0 = action_component(geom, chi, fields, coeffs=coeffs)
+    noether = _fixture_floats((varied - a0).max_abs_diff(paired.integral()), fields.phi[0])
 
     return [
         _check("currents-energy-momentum-closed-form", closed_rel,
@@ -730,10 +721,10 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
         _check("currents-energy-momentum-trace", [trace], tol),
         _check("currents-energy-momentum-divergence", div, tol),
         _check("currents-t-zz-holomorphic", holo, tol),
-        _check("currents-super-current-zero-at-psi-zero", [j_zero], tol),
+        _check("currents-super-current-zero-at-psi-zero", j_zero, tol),
         _check("currents-super-current-gamma-trace", [gamma_trace], tol),
         _check("currents-spin32-holomorphic", j_holo, tol),
-        _check("currents-super-current-noether", [noether], tol),
+        _check("currents-super-current-noether", noether, tol),
     ]
 
 

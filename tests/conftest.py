@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from supersigma.grassmann import require_odd
+from supersigma.grassmann import GrassmannNumber, require_odd
 from supersigma.gridfield import GrassmannField
-from supersigma.spin_surface import GravitinoField, SpinorField
-from supersigma.suites import _even_field, _odd_field, _odd_spinor
-from supersigma.suites import _trig_array as trig_array  # noqa: F401 (re-exported to tests)
+from supersigma.sigma2d import ComponentFields
+from supersigma.spin_surface import GravitinoField, SpinorField, SurfaceGeometry
+from supersigma.suites import CHI_GENS, PSI_GENS, Q_GEN, _draw_modes, _synthesize
 from supersigma.superdomain import Q_SIGN, SuperFunction
 
 N_GEN = 6
@@ -37,16 +37,30 @@ def derivative_log(monkeypatch):
     return log
 
 
+# Per-fixture builders: each draws its arrays one at a time, with the scalar
+# generator calls of the suites' chunk draws, so they serve as oracles for the
+# stacked suites as well as fixtures for the unit tests.
+
+def trig_array(rng, grid, cutoff=3, n_modes=3, scale=1.0):
+    """One trig array of ``n_modes`` modes, drawn from ``rng`` and synthesized."""
+    return _synthesize(grid, cutoff, _draw_modes(rng, grid.ndim, cutoff, scale, n_modes))
+
+
 def even_field(rng, grid, scale=1.0, soul_mask=None, cutoff=3, n_gen=N_GEN):
-    return _even_field(rng, grid, n_gen, scale=scale, soul_mask=soul_mask, cutoff=cutoff)
+    terms = {0: trig_array(rng, grid, cutoff=cutoff, scale=scale)}
+    if soul_mask is not None:
+        terms[soul_mask] = trig_array(rng, grid, cutoff=cutoff, scale=scale)
+    return GrassmannField(grid, n_gen, terms)
 
 
 def odd_field(rng, grid, gens, scale=1.0, cutoff=3, n_gen=N_GEN):
-    return _odd_field(rng, grid, n_gen, gens, scale=scale, cutoff=cutoff)
+    return GrassmannField(grid, n_gen, {1 << (g - 1): trig_array(rng, grid, cutoff=cutoff,
+                                                                 scale=scale)
+                                        for g in gens})
 
 
 def odd_spinor(rng, grid, gens, scale=1.0, cutoff=3, n_gen=N_GEN):
-    return _odd_spinor(rng, grid, n_gen, gens, scale=scale, cutoff=cutoff)
+    return SpinorField([odd_field(rng, grid, [g], scale, cutoff, n_gen) for g in gens])
 
 
 def constant_odd_spinor(rng, grid, gen, n_gen=N_GEN):
@@ -56,9 +70,59 @@ def constant_odd_spinor(rng, grid, gen, n_gen=N_GEN):
         for _ in range(2)])
 
 
-def gravitino(rng, grid, gens=(3, 4), scale=0.5, n_gen=N_GEN):
+def gravitino(rng, grid, gens=CHI_GENS, scale=0.5, n_gen=N_GEN):
     return GravitinoField([odd_spinor(rng, grid, gens, scale, n_gen=n_gen)
                            for _ in range(2)])
+
+
+def sigma_fixture(rng, grid, with_chi, n_gen=N_GEN, local_q=False):
+    """(geom, chi, fields, q) as the suites draw one sigma-model fixture on the
+    flat identity frame, F = 0: phi, psi, chi if ``with_chi`` (else chi = 0),
+    then q on generator 5, constant or (``local_q``) two trig arrays."""
+    fields = ComponentFields(phi=[even_field(rng, grid, scale=0.7, n_gen=n_gen)],
+                             psi=[odd_spinor(rng, grid, PSI_GENS, scale=0.6, n_gen=n_gen)],
+                             F=[GrassmannField.zero(grid, n_gen)])
+    chi = gravitino(rng, grid, n_gen=n_gen) if with_chi else GravitinoField.zero(grid, n_gen)
+    if local_q:
+        q = odd_spinor(rng, grid, (Q_GEN, Q_GEN), scale=0.7, n_gen=n_gen)
+    else:
+        q = constant_odd_spinor(rng, grid, Q_GEN, n_gen=n_gen)
+    return SurfaceGeometry.flat(grid, n_gen), chi, fields, q
+
+
+def stack(items: list):
+    """One value holding every fixture of ``items`` on a leading sample axis.
+
+    ``items`` are like-shaped per-fixture values: Grassmann numbers, fields,
+    spinors, gravitinos, component fields, or tuples of these.  A monomial
+    missing from some fixture is zero there; a single item is returned as it
+    is.  Stacked Grassmann numbers have one coefficient per fixture.
+    """
+    first = items[0]
+    if len(items) == 1:
+        return first
+    if isinstance(first, tuple):
+        return tuple(stack(list(column)) for column in zip(*items))
+    if isinstance(first, GrassmannNumber):
+        masks = dict.fromkeys(m for q in items for m in q.terms)
+        return GrassmannNumber(first.n_gen, {
+            m: np.array([q.terms.get(m, 0.0) for q in items]) for m in masks})
+    if isinstance(first, GrassmannField):
+        masks = dict.fromkeys(m for f in items for m in f.terms)
+        zero = np.zeros(first.grid.shape)
+        return GrassmannField(first.grid, first.n_gen, {
+            m: np.stack([f.terms.get(m, zero) for f in items]) for m in masks})
+    if isinstance(first, SpinorField):
+        return SpinorField(stack([s.comps for s in items]))
+    if isinstance(first, GravitinoField):
+        return GravitinoField(stack([g.chi for g in items]))
+    if isinstance(first, ComponentFields):
+        # The fixtures stacked here have no winding.
+        return ComponentFields(phi=list(stack([tuple(f.phi) for f in items])),
+                               psi=list(stack([tuple(f.psi) for f in items])),
+                               F=list(stack([tuple(f.F) for f in items])),
+                               winding=first.winding)
+    raise TypeError(f"cannot stack {type(first).__name__}")
 
 
 # Hypothesis strategies with small-integer coefficients: every sum and product

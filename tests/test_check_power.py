@@ -8,7 +8,7 @@ breaks loudly if that source no longer holds the text it edits.
 
 import inspect
 import textwrap
-from collections import OrderedDict
+from functools import lru_cache
 
 import pytest
 
@@ -48,8 +48,11 @@ def _pair_fill_without_conjugate(monkeypatch):
     # Each conjugate partner mode gets pinv A(m) where pinv A(-m) belongs.
     monkeypatch.setattr(deformations, "_paired_pinv",
                         _edited(deformations._paired_pinv, ".conj()", ""))
-    # The clean run cached the right pseudo-inverses under the same keys.
-    monkeypatch.setattr(deformations, "_PINV_CACHE", OrderedDict())
+    # The clean run cached the right pseudo-inverses under the same keys, and
+    # the wrong ones must not outlive the test: the defect runs on a cache of
+    # its own, which the monkeypatch drops with it.
+    monkeypatch.setattr(deformations, "_band_matrices",
+                        lru_cache(maxsize=2)(deformations._band_matrices.__wrapped__))
 
 
 def _energy_without_winding(monkeypatch):
@@ -93,6 +96,13 @@ def _metric_variation_full_step(monkeypatch):
                                 "np.full(fields.grid.shape, -1.0)"))
 
 
+def _gravitino_variation_plus_fq(monkeypatch):
+    # delta chi_a takes +f_a q where -nabla^S q belongs.
+    monkeypatch.setattr(sigma2d, "susy_gravitino_variation",
+                        _edited(sigma2d.susy_gravitino_variation, "dchi_a = -fq[a - 1]",
+                                "dchi_a = fq[a - 1]"))
+
+
 def _berezin_reads_body(monkeypatch):
     # The odd integral reads the eta-free coefficient instead of the top one.
     _replace_everywhere(monkeypatch, (berezin, suites), "berezin_integrate",
@@ -127,6 +137,9 @@ DEFECTS = {
                                    {"currents-energy-momentum-closed-form"}),
     "berezin-reads-body": (_berezin_reads_body, ["berezin"],
                            {"berezin-top-coefficient-reduction"}),
+    # Every other susy2d row has a constant q, whose f_a q vanishes.
+    "gravitino-variation-plus-fq": (_gravitino_variation_plus_fq, ["susy2d"],
+                                    {"susy2d-invariance-local-q"}),
 }
 
 

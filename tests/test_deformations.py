@@ -26,7 +26,7 @@ from supersigma.spin_surface import (
 )
 from supersigma.suites import run_suite
 
-from conftest import N_GEN, even_field, gravitino, odd_field, odd_spinor
+from conftest import N_GEN, even_field, gravitino, odd_field, odd_spinor, stack
 
 
 @pytest.fixture
@@ -392,7 +392,6 @@ STACK_GRIDS = ORACLE_GRIDS[:2] + [Grid((32, 32), (2.0 * np.pi, 2.0 * np.pi))]
 
 @pytest.mark.parametrize("grid_", STACK_GRIDS, ids=lambda g: f"{g.shape[0]}x{g.shape[1]}")
 def test_stacked_decompositions_match_each_fixture(rng, grid_):
-    from supersigma.suites import _stack
     geom_ = SurfaceGeometry.flat(grid_, N_GEN)
     chi0_ = GravitinoField.zero(grid_, N_GEN)
     count = 3
@@ -402,9 +401,9 @@ def test_stacked_decompositions_match_each_fixture(rng, grid_):
     gravitinos = [GravitinoField([odd_spinor(rng, grid_, [1, 3], cutoff=6),
                                   odd_spinor(rng, grid_, [2, 4], cutoff=6)])
                   for _ in range(count)]
-    g11, g12, g22 = _stack(metrics)
+    g11, g12, g22 = stack(metrics)
     r = decompose_metric(geom_, chi0_, MetricDeformation([[g11, g12], [g12, g22]]))
-    rg = decompose_gravitino(geom_, chi0_, _stack(gravitinos))
+    rg = decompose_gravitino(geom_, chi0_, stack(gravitinos))
     each = [decompose_metric(geom_, chi0_, MetricDeformation([[a, b], [b, c]]))
             for a, b, c in metrics]
     each_g = [decompose_gravitino(geom_, chi0_, d) for d in gravitinos]
@@ -430,7 +429,7 @@ def test_stacked_decompositions_match_each_fixture(rng, grid_):
 # One Grassmann mask at a time
 # ---------------------------------------------------------------------------
 
-def all_masks_band_solve(comps, cutoff, line_key, build_columns):
+def all_masks_band_solve(comps, cutoff, line_key):
     """The band solve with the modes of every mask and component held at once:
     one ``fft2`` of the whole (mask, component) stack, one ``ifft2`` per
     returned sample array."""
@@ -441,13 +440,7 @@ def all_masks_band_solve(comps, cutoff, line_key, build_columns):
     F = np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
                   for m in masks], dtype=complex)
     F = np.fft.fft2(F)
-    k1, k2, m1, m2 = deformations._mode_wavenumbers(grid)
-    i1 = np.flatnonzero(np.abs(m1) <= cutoff)
-    i2 = np.flatnonzero(np.abs(m2) <= cutoff)
-    band = (..., i1[:, None], i2)
-    A = build_columns(k1[i1][:, None], k2[i2])
-    A_pinv = deformations._cached_pinv((grid.shape, grid.periods, cutoff) + line_key,
-                                       A, m1[i1], m2[i2])
+    band, A, A_pinv = deformations._band_matrices(grid, cutoff, line_key)
     rhs = np.moveaxis(F[band], 1, -1)[..., None]
     sol = A_pinv @ rhs
     F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 1)
@@ -473,12 +466,10 @@ def band_solve_inputs(rng, grid_, line, stacked):
         chi1 = odd_spinor(rng, grid_, [1, 3], cutoff=7) + odd_spinor(rng, grid_, [5, 6], cutoff=7)
         return tuple(chi1.comps) + tuple(odd_spinor(rng, grid_, [2, 4], cutoff=7).comps)
 
-    from supersigma.suites import _stack
-    comps = list(_stack([draw() for _ in range(3)]) if stacked else draw())
+    comps = list(stack([draw() for _ in range(3)]) if stacked else draw())
     if line == "metric":
-        return comps, ("metric",), deformations._metric_columns
-    return (comps, ("gravitino", CLIFFORD.gamma(1).tobytes(), CLIFFORD.gamma(2).tobytes()),
-            lambda kap1, kap2: deformations._gravitino_columns(kap1, kap2, CLIFFORD))
+        return comps, ("metric",)
+    return comps, ("gravitino", CLIFFORD.gamma(1).tobytes(), CLIFFORD.gamma(2).tobytes())
 
 
 def owner(a):
@@ -494,10 +485,10 @@ def owner(a):
     for g in ORACLE_GRIDS for c in (0, None, max(g.shape) // 2)])
 def test_per_mask_band_solve_has_the_bits_of_the_all_masks_solve(rng, grid_, cutoff,
                                                                  line, stacked):
-    comps, line_key, columns = band_solve_inputs(rng, grid_, line, stacked)
+    comps, line_key = band_solve_inputs(rng, grid_, line, stacked)
     c = resolved(cutoff, grid_)
-    got = deformations._band_solve(comps, c, line_key, columns)
-    want = all_masks_band_solve(comps, c, line_key, columns)
+    got = deformations._band_solve(comps, c, line_key)
+    want = all_masks_band_solve(comps, c, line_key)
     for got_fields, want_fields in zip(got, want):
         assert len(got_fields) == len(want_fields)
         for f, w in zip(got_fields, want_fields):
@@ -571,32 +562,40 @@ def test_decompose_suite_cold_and_warm_render_identically():
                                          conventions=config.conventions.to_dict(),
                                          checks=checks))
 
-    deformations._PINV_CACHE.clear()
+    deformations._band_matrices.cache_clear()
     cold = render()
-    assert deformations._PINV_CACHE
+    assert deformations._band_matrices.cache_info().currsize
     assert render() == cold
 
 
 def test_repeated_key_makes_no_pinv_call(rng, monkeypatch, geom, chi0, grid):
+    # A repeated key neither inverts nor builds the design matrices again.
     calls = []
-    pinv = np.linalg.pinv
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return pinv(*args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(np.linalg, "pinv", counting)
-    deformations._PINV_CACHE.clear()
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(np.linalg, "pinv")
+    counting(deformations, "_metric_columns")
+    counting(deformations, "_gravitino_columns")
+    deformations._band_matrices.cache_clear()
     dchi = GravitinoField([odd_spinor(rng, grid, [1, 3]), odd_spinor(rng, grid, [2, 4])])
     dg = MetricDeformation([[band_field(rng, grid), GrassmannField.zero(grid, N_GEN)],
                             [GrassmannField.zero(grid, N_GEN), band_field(rng, grid)]])
-    decompose_metric(geom, chi0, dg)
-    decompose_gravitino(geom, chi0, dchi)
-    assert len(calls) == 2
+    first = decompose_metric(geom, chi0, dg), decompose_gravitino(geom, chi0, dchi)
+    assert calls == ["_metric_columns", "pinv", "_gravitino_columns", "pinv"]
     calls.clear()
-    decompose_metric(geom, chi0, dg)
-    decompose_gravitino(geom, chi0, dchi)
+    again = decompose_metric(geom, chi0, dg), decompose_gravitino(geom, chi0, dchi)
     assert calls == []
+    for a, b in zip(first, again):
+        assert a.residual_norms() == b.residual_norms()
+    _, A, A_pinv = deformations._band_matrices(grid, min(grid.shape) // 4, ("metric",))
+    assert not (A.flags.writeable or A_pinv.flags.writeable)
 
 
 PAIR_GRIDS = [
@@ -651,14 +650,14 @@ def test_pair_filled_pinv_inverts_one_mode_per_conjugate_pair(monkeypatch):
 
 
 def test_cache_holds_at_most_two_entries(rng):
-    deformations._PINV_CACHE.clear()
+    deformations._band_matrices.cache_clear()
     for n in (8, 10, 12, 14, 16):
         g = Grid((n, n), (2.0 * np.pi, 2.0 * np.pi))
         zero = GrassmannField.zero(g, N_GEN)
         dg = MetricDeformation([[band_field(rng, g, cutoff=1), zero],
                                 [zero, band_field(rng, g, cutoff=1)]])
         decompose_metric(SurfaceGeometry.flat(g, N_GEN), GravitinoField.zero(g, N_GEN), dg)
-        assert len(deformations._PINV_CACHE) <= 2
+        assert deformations._band_matrices.cache_info().currsize <= 2
 
 
 # ---------------------------------------------------------------------------

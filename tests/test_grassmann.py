@@ -18,8 +18,9 @@ from supersigma.grassmann import (
 )
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.spin_surface import SpinorField
-from supersigma.suites import _stack
 from supersigma.superdomain import SuperFunction
+
+from conftest import stack
 
 N = 6
 
@@ -130,7 +131,7 @@ def test_product_of_stacks_is_each_fixtures_product(fixtures):
     # lacks every monomial the others have.
     e1, e2 = generator(N, 1), generator(N, 2)
     fixtures = fixtures + [(e1, e2, unit(N)), (e2, e1, unit(N)), (GrassmannNumber(N),) * 3]
-    a, b, c = _stack(fixtures)
+    a, b, c = stack(fixtures)
     stacked = (a * b) * c
     for i, (x, y, z) in enumerate(fixtures):
         own = (x * y) * z

@@ -36,12 +36,11 @@ from supersigma.spin_surface import (
     SpinorField,
     SurfaceGeometry,
 )
-from supersigma.suites import (_sigma_fixture, _stack, build_calibration_battery,
-                               flow_initial_data, suite_rng)
+from supersigma.suites import build_calibration_battery, flow_initial_data, suite_rng
 from supersigma.superdomain import SuperFunction
 
 from conftest import (N_GEN, constant_odd_spinor, even_field, gravitino,
-                      odd_field, odd_spinor, trig_array)
+                      odd_field, odd_spinor, sigma_fixture, stack, trig_array)
 
 CAL = replace(ActionCoefficients(), c5=-0.5)
 
@@ -110,7 +109,7 @@ def superfields(rng, grid, stacking):
     if stacking == "unstacked":
         return superfield_from_components(matter_dim2(rng, grid, with_F=True))
     stacked = superfield_from_components(
-        _stack([matter_dim2(rng, grid, with_F=True) for _ in range(3)]))
+        stack([matter_dim2(rng, grid, with_F=True) for _ in range(3)]))
     if stacking == "stacked":
         return stacked
     return stacked[:1] + superfield_from_components(matter(rng, grid, with_F=True))
@@ -217,8 +216,9 @@ def brute_force_scores(fixtures, base):
                                    c4=sig4 * abs(base.c4), c5=sig5 * abs(base.c5))
                     worst = 0.0
                     for geom, chi, fields, q in fixtures:
-                        worst = max(worst, susy_invariance_residual(
-                            geom, chi, fields, q, coeffs=cand))
+                        # A suite battery's entry stacks several fixtures.
+                        worst = max(worst, *np.atleast_1d(susy_invariance_residual(
+                            geom, chi, fields, q, coeffs=cand)))
                     rows.append((worst, sign1, sign2, sig4, sig5, cand))
     return rows
 
@@ -430,7 +430,7 @@ def _central_difference_energy_momentum(geom, chi, fields, coeffs):
 
 def test_energy_momentum_matches_central_differences_off_shell(rng, grid):
     # psi, chi and F all nonzero: every action term varies with the metric.
-    geom, chi, fields, _ = _sigma_fixture(rng, grid, N_GEN, with_chi=True)
+    geom, chi, fields, _ = sigma_fixture(rng, grid, with_chi=True)
     fields = replace(fields, F=[even_field(rng, grid, scale=0.5)])
     T = energy_momentum(geom, chi, fields, coeffs=CAL)
     reference = _central_difference_energy_momentum(geom, chi, fields, CAL)

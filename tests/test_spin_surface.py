@@ -13,10 +13,9 @@ from supersigma.spin_surface import (
     super_weyl,
     weyl,
 )
-from supersigma.suites import _stack
 
 from conftest import (N_GEN, even_field, gravitino,
-                      odd_field, odd_spinor, trig_array)
+                      odd_field, odd_spinor, stack, trig_array)
 
 
 @pytest.fixture
@@ -72,7 +71,7 @@ def test_gamma5_correction_drops_out_of_the_dirac_pairing(rng, grid, stacked):
         return [pairing(psi, clifford(a, rotated)).max_abs() for a in (1, 2)]
 
     fixtures = [draw() for _ in range(3 if stacked else 1)]
-    got = residuals(*_stack(fixtures))
+    got = residuals(*stack(fixtures))
     # One residual per fixture, each that fixture's own.
     each = [residuals(*f) for f in fixtures]
     assert np.array_equal(got, np.transpose(each) if stacked else each[0])

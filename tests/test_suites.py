@@ -1,9 +1,11 @@
-"""The stacked suites (reduction, susy2d, Berezin, toy and decompose) against
-per-fixture loops, and the grassmann suite's bulk draws and chunks.
+"""The stacked suites (Berezin, toy, reduction, susy2d, currents and
+decompose) against per-fixture loops, and the grassmann suite's bulk draws
+and chunks.
 
-The oracles below evaluate one fixture at a time, as the suites did before
-they stacked a chunk of fixtures on one leading axis, and return each row's
-residuals in draw order.  Every row's per-fixture residuals must match them
+The oracles below draw and evaluate one fixture at a time with the
+per-array builders of conftest, as the suites did before they stacked a
+chunk of fixtures on one leading axis, and return each row's residuals in
+draw order.  Every row's per-fixture residuals must match them
 bit for bit, and the suites must leave their generator in the same state as
 the oracles.  Every grassmann residual is an exact 0.0, so its values would
 show nothing: its draws, chunks and stacks are tested directly, and a NaN
@@ -13,6 +15,7 @@ planted in one fixture must reach its row.
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,13 +33,26 @@ from supersigma.gridfield import GrassmannField, Grid
 from supersigma.grassmann import GrassmannNumber, generator, unit
 from supersigma.sigma2d import (
     ComponentFields,
+    _calibration_scores,
     action_component,
     action_superfield_flat,
     calibrate_conventions,
+    current_spin32,
+    d_zbar,
+    energy_momentum,
+    super_current,
     superfield_from_components,
     susy_invariance_residual,
+    t_zz,
 )
-from supersigma.spin_surface import GravitinoField, SpinorField, SurfaceGeometry, weyl
+from supersigma.spin_surface import (
+    CLIFFORD,
+    GravitinoField,
+    SpinorField,
+    SurfaceGeometry,
+    pairing,
+    weyl,
+)
 from supersigma.suites import (
     CHI_GENS,
     PSI_GENS,
@@ -44,17 +60,11 @@ from supersigma.suites import (
     SPARE_GEN,
     _chunk_sizes,
     _draw_chunk,
-    _even_field,
+    _draw_modes,
     _grassmann_chunks,
     _grassmann_draws,
     _grassmann_stacks,
-    _odd_field,
-    _odd_spinor,
-    _sigma_fixture,
-    _stack,
     _synthesize_chunk,
-    _toy_fixture,
-    _trig_array,
     build_calibration_battery,
 )
 from supersigma.superdomain import SuperFunction
@@ -70,6 +80,8 @@ from supersigma.toy_model import (
     toy_susy_geometric,
 )
 
+from conftest import even_field, gravitino, odd_field, odd_spinor, sigma_fixture, stack, trig_array
+
 ODD_GRID = os.path.join(os.path.dirname(__file__), "data", "odd_grid.json")
 
 
@@ -78,8 +90,10 @@ def _berezin_oracle(config, rng):
     grid = Grid((config.toy_points,), (config.periods[0],))
     reduction = []
     for _ in range(config.fixtures("berezin")):
-        f0 = _even_field(rng, grid, n_gen, soul_mask=0b11) + _odd_field(rng, grid, n_gen, [1])
-        f1 = _even_field(rng, grid, n_gen, soul_mask=0b110) + _odd_field(rng, grid, n_gen, [2])
+        f0 = (even_field(rng, grid, soul_mask=0b11, n_gen=n_gen)
+              + odd_field(rng, grid, [1], n_gen=n_gen))
+        f1 = (even_field(rng, grid, soul_mask=0b110, n_gen=n_gen)
+              + odd_field(rng, grid, [2], n_gen=n_gen))
         sf = SuperFunction(grid, 1, n_gen, {0: f0, 1: f1})
         reduction.append(berezin_integrate(sf).max_abs_diff(f1.integral()))
     return [reduction]
@@ -94,9 +108,9 @@ def _reduction_oracle(config, rng):
     superfield = []
     for _ in range(config.fixtures("reduction")):
         fields = ComponentFields(
-            phi=[_even_field(rng, grid, n_gen, scale=0.7, soul_mask=0b11)],
-            psi=[_odd_spinor(rng, grid, n_gen, PSI_GENS, scale=0.6)],
-            F=[_even_field(rng, grid, n_gen, scale=0.5)],
+            phi=[even_field(rng, grid, scale=0.7, soul_mask=0b11, n_gen=n_gen)],
+            psi=[odd_spinor(rng, grid, PSI_GENS, scale=0.6, n_gen=n_gen)],
+            F=[even_field(rng, grid, scale=0.5, n_gen=n_gen)],
         )
         a_super = action_superfield_flat(superfield_from_components(fields), coeffs)
         a_comp = action_component(geom, chi0, fields, coeffs=coeffs)
@@ -112,8 +126,8 @@ def _reduction_oracle(config, rng):
     conformal = []
     for _ in range(5):
         lam = GrassmannField(grid, n_gen, {
-            0: np.exp(_trig_array(rng, grid, scale=0.3)),
-            0b11: _trig_array(rng, grid, scale=0.4),
+            0: np.exp(trig_array(rng, grid, scale=0.3)),
+            0b11: trig_array(rng, grid, scale=0.4),
         })
         a0 = action_component(geom, chi0, classical_fields, coeffs=coeffs)
         a1 = action_component(weyl(geom, lam), chi0, classical_fields, coeffs=coeffs)
@@ -121,24 +135,90 @@ def _reduction_oracle(config, rng):
     return [superfield, [classical], conformal]
 
 
+def _battery_oracle(config, rng):
+    """The calibration battery one fixture at a time: the fixtures with chi,
+    then the one without."""
+    grid = Grid(config.grid_shape, config.periods)
+    count = max(1, config.fixtures("calibration") - 1)
+    return [sigma_fixture(rng, grid, with_chi, config.n_gen)
+            for with_chi in [True] * count + [False]]
+
+
 def _susy2d_oracle(config, rng):
     n_gen = config.n_gen
     grid = Grid(config.grid_shape, config.periods)
-    battery = build_calibration_battery(config, rng)
+    battery = _battery_oracle(config, rng)
     cal = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))
     cal_residual = [susy_invariance_residual(geom, chi, fields, q, coeffs=cal)
                     for geom, chi, fields, q in battery]
     cal_match = [abs(getattr(cal, k) - getattr(config.conventions, k))
                  for k in ("s1", "s2", "c4", "c5")]
-    chi0_resid, chi_resid = [], []
-    for _ in range(config.fixtures("susy2d")):
-        geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=False)
+    count = config.fixtures("susy2d")
+    chi0_resid, chi_resid, local = [], [], []
+    for _ in range(count):
+        geom, chi, fields, q = sigma_fixture(rng, grid, False, n_gen)
         chi0_resid.append(susy_invariance_residual(geom, chi, fields, q,
                                                    coeffs=config.conventions))
-        geom, chi, fields, q = _sigma_fixture(rng, grid, n_gen, with_chi=True)
+        geom, chi, fields, q = sigma_fixture(rng, grid, True, n_gen)
         chi_resid.append(susy_invariance_residual(geom, chi, fields, q,
                                                   coeffs=config.conventions))
-    return [cal_residual, cal_match, chi0_resid, chi_resid]
+    for with_chi in (False, True):
+        for _ in range(count):
+            geom, chi, fields, q = sigma_fixture(rng, grid, with_chi, n_gen, local_q=True)
+            local.append(susy_invariance_residual(geom, chi, fields, q,
+                                                  coeffs=config.conventions))
+    return [cal_residual, cal_match, chi0_resid, chi_resid, local]
+
+
+def _phi_only(grid, n_gen, phi):
+    return ComponentFields(phi=[phi], psi=[SpinorField.zero(grid, n_gen)],
+                           F=[GrassmannField.zero(grid, n_gen)])
+
+
+def _currents_oracle(config, rng):
+    n_gen = config.n_gen
+    grid = Grid(config.grid_shape, config.periods)
+    coeffs = config.conventions
+    geom = SurfaceGeometry.flat(grid, n_gen)
+    chi0 = GravitinoField.zero(grid, n_gen)
+    closed_rel = []
+    for _ in range(config.fixtures("currents")):
+        fields = _phi_only(grid, n_gen, even_field(rng, grid, scale=0.8, n_gen=n_gen))
+        T = energy_momentum(geom, chi0, fields, coeffs=coeffs)
+        dphi = [fields.phi_derivative(0, k) for k in range(2)]
+        norm_sq = dphi[0] * dphi[0] + dphi[1] * dphi[1]
+        exact = [[dphi[a] * dphi[b] * coeffs.c1 for b in range(2)] for a in range(2)]
+        for a in range(2):
+            exact[a][a] = exact[a][a] - norm_sq * (0.5 * coeffs.c1)
+        errors = [T[a][b].max_abs_diff(exact[a][b]) for a in range(2) for b in range(2)]
+        closed_rel.append(max(errors) / max(norm_sq.max_abs(), 1e-30))
+    # The winding and critical fixtures draw no trig array: the suite builds
+    # them unstacked, as here.
+    winding = np.array([[1.0, 0.0], [0.5, 1.0]])
+    T = energy_momentum(geom, chi0, replace(ComponentFields.zero(grid, n_gen, 2), winding=winding),
+                        coeffs=coeffs)
+    trace = (T[0][0] + T[1][1]).max_abs()
+    div = [(T[a][0].derivative(0) + T[a][1].derivative(1)).max_abs() for a in range(2)]
+    holo = [f.max_abs() for f in d_zbar(*t_zz(T))]
+    chi = gravitino(rng, grid, n_gen=n_gen)
+    j_zero = super_current(geom, chi, _phi_only(grid, n_gen, even_field(rng, grid, n_gen=n_gen)),
+                           coeffs=coeffs).max_abs()
+    psi = [SpinorField([GrassmannField(grid, n_gen,
+                                       {1 << (g - 1): np.full(grid.shape, float(rng.normal()))})
+                        for g in PSI_GENS]) for _ in range(2)]
+    crit = replace(ComponentFields.zero(grid, n_gen, 2), psi=psi, winding=winding)
+    J = super_current(geom, chi0, crit, coeffs=coeffs)
+    gamma_trace = J.gamma_trace(CLIFFORD).max_abs()
+    j_holo = [f.max_abs() for f in d_zbar(*current_spin32(J, CLIFFORD))]
+    _, chi, fields, _ = sigma_fixture(rng, grid, True, n_gen)
+    direction = GravitinoField([odd_spinor(rng, grid, [SPARE_GEN] * 2, scale=0.7, n_gen=n_gen)
+                                for _ in range(2)])
+    J = super_current(geom, chi, fields, coeffs=coeffs)
+    paired = pairing(direction[1], J[1], CLIFFORD) + pairing(direction[2], J[2], CLIFFORD)
+    varied = action_component(geom, chi + direction, fields, coeffs=coeffs)
+    noether = (varied - action_component(geom, chi, fields, coeffs=coeffs)).max_abs_diff(
+        paired.integral())
+    return [closed_rel, [trace], div, holo, [j_zero], [gamma_trace], j_holo, [noether]]
 
 
 def _toy_oracle(config, rng):
@@ -147,7 +227,8 @@ def _toy_oracle(config, rng):
     count = config.fixtures("toy")
     equiv, susy, geom_agree, embed = [], [], [], []
     for _ in range(count):
-        f = _toy_fixture(rng, grid, n_gen)
+        f = ToyFields(even_field(rng, grid, soul_mask=0b11, n_gen=n_gen),
+                      odd_field(rng, grid, PSI_GENS, n_gen=n_gen))
         a_comp = toy_action_component(f)
         # The integrand is reused by the embedding check.
         integrand = _superfield_integrand(superfield_from_fields(f))
@@ -159,7 +240,7 @@ def _toy_oracle(config, rng):
         d1, d2 = toy_susy(f, q), toy_susy_geometric(f, q)
         geom_agree.append(max(d1.phi.max_abs_diff(d2.phi), d1.psi.max_abs_diff(d2.psi)))
 
-        xi = _odd_field(rng, grid, n_gen, [SPARE_GEN], scale=0.8)
+        xi = odd_field(rng, grid, [SPARE_GEN], scale=0.8, n_gen=n_gen)
         embed.append(toy_embedding_residual(integrand, xi))
     x = grid.axis_points(0)
     f = ToyFields(
@@ -181,17 +262,17 @@ def _decompose_oracle(config, rng):
     count = config.fixtures("decompose")
     m_reasm, m_trace, m_div, g_reasm, g_trace = [], [], [], [], []
     for i in range(count):
-        g11 = _even_field(rng, grid, n_gen, soul_mask=0b11, cutoff=6)
-        g12 = _even_field(rng, grid, n_gen, cutoff=6)
-        g22 = _even_field(rng, grid, n_gen, soul_mask=0b1100, cutoff=6)
+        g11 = even_field(rng, grid, soul_mask=0b11, cutoff=6, n_gen=n_gen)
+        g12 = even_field(rng, grid, cutoff=6, n_gen=n_gen)
+        g22 = even_field(rng, grid, soul_mask=0b1100, cutoff=6, n_gen=n_gen)
         dg = MetricDeformation([[g11, g12], [g12, g22]])
         r = decompose_metric(geom, chi0, dg)
         m_reasm.append(r.reassembly_residual)
         m_trace.append(r.trace_residual)
         m_div.append(r.divergence_residual)
 
-        dchi = GravitinoField([_odd_spinor(rng, grid, n_gen, PSI_GENS, cutoff=6),
-                               _odd_spinor(rng, grid, n_gen, CHI_GENS, cutoff=6)])
+        dchi = GravitinoField([odd_spinor(rng, grid, PSI_GENS, cutoff=6, n_gen=n_gen),
+                               odd_spinor(rng, grid, CHI_GENS, cutoff=6, n_gen=n_gen)])
         rg = decompose_gravitino(geom, chi0, dchi)
         g_reasm.append(rg.reassembly_residual)
         g_trace.append(rg.gamma_trace_residual)
@@ -203,7 +284,8 @@ def _decompose_oracle(config, rng):
 
 
 ORACLES = {"berezin": _berezin_oracle, "reduction": _reduction_oracle,
-           "susy2d": _susy2d_oracle, "toy": _toy_oracle, "decompose": _decompose_oracle}
+           "susy2d": _susy2d_oracle, "currents": _currents_oracle, "toy": _toy_oracle,
+           "decompose": _decompose_oracle}
 
 CONFIGS = {
     "default": lambda: SuiteConfig(),
@@ -239,12 +321,12 @@ def test_stacked_suite_matches_per_fixture_oracle(config_name, suite):
 # divergence and holomorphy rows one per component).
 ROW_LENGTHS = {
     "default": {"grassmann": [1000] * 3, "berezin": [100], "toy": [100, 1, 100, 100, 100],
-                "reduction": [50, 1, 5], "susy2d": [4, 4, 8, 8],
+                "reduction": [50, 1, 5], "susy2d": [4, 4, 8, 8, 16],
                 "currents": [10, 1, 2, 2, 1, 1, 2, 1], "flow": [1, 1, 1],
                 "decompose": [50] * 5 + [1, 1]},
     # 77 Berezin, 37 reduction and 11 susy2d fixtures.
     "odd-grid": {"grassmann": [1000] * 3, "berezin": [77], "toy": [100, 1, 100, 100, 100],
-                 "reduction": [37, 1, 5], "susy2d": [4, 4, 11, 11],
+                 "reduction": [37, 1, 5], "susy2d": [4, 4, 11, 11, 22],
                  "currents": [10, 1, 2, 2, 1, 1, 2, 1], "flow": [1, 1, 1],
                  "decompose": [50] * 5 + [1, 1]},
 }
@@ -281,23 +363,26 @@ def test_chunk_sizes_cover_the_count_in_order():
     assert list(_chunk_sizes(3, Grid((1024,), (1.0,)))) == [2, 1]
 
 
+# conftest's ``stack`` puts per-fixture values on the fixture axis for the
+# unit tests' stacked-against-each-fixture checks.
+
 def test_stack_of_one_is_the_value_as_drawn(rng):
     grid = Grid((8, 8), (1.0, 1.0))
-    f = _even_field(rng, grid, 6, soul_mask=0b11)
-    assert _stack([f]) is f
-    pair = (f, _odd_spinor(rng, grid, 6, PSI_GENS))
-    assert _stack([pair]) is pair
+    f = even_field(rng, grid, soul_mask=0b11)
+    assert stack([f]) is f
+    pair = (f, odd_spinor(rng, grid, PSI_GENS))
+    assert stack([pair]) is pair
 
 
 def test_stack_puts_fixtures_on_a_leading_axis(rng):
     grid = Grid((6, 5), (1.0, 2.0))
-    fields = [ComponentFields(phi=[_even_field(rng, grid, 6, soul_mask=0b11)],
-                              psi=[_odd_spinor(rng, grid, 6, PSI_GENS)],
+    fields = [ComponentFields(phi=[even_field(rng, grid, soul_mask=0b11)],
+                              psi=[odd_spinor(rng, grid, PSI_GENS)],
                               F=[GrassmannField.zero(grid, 6)]) for _ in range(3)]
     # A monomial that only one fixture has is zero in the others.
     fields[1] = ComponentFields(phi=[fields[1].phi[0] + GrassmannField(grid, 6, {0b1100: np.ones((6, 5))})],
                                 psi=fields[1].psi, F=fields[1].F)
-    stacked = _stack(fields)
+    stacked = stack(fields)
     phi = stacked.phi[0]
     assert list(phi.terms) == [0, 0b11, 0b1100]
     for i, f in enumerate(fields):
@@ -308,7 +393,7 @@ def test_stack_puts_fixtures_on_a_leading_axis(rng):
                 assert np.array_equal(a[i], f.psi[0].comps[c].terms[m])
     assert stacked.F[0].is_zero()
     chis = [GravitinoField.zero(grid, 6)] * 3
-    assert _stack(chis).is_zero()
+    assert stack(chis).is_zero()
 
 
 def _poison(monkeypatch, role, fixtures):
@@ -374,6 +459,13 @@ def _poison_grassmann(monkeypatch, battery, fixtures):
     ("susy2d", 0, {4 + 7}, [2]),
     ("susy2d", 3, {4 + 7}, [3]),
     ("toy", 0, {31}, [0, 2, 3, 4]),
+    # Currents draws its 10 closed-form fixtures in chunks of 8 + 2, one phi
+    # each, then the j-zero fixture (10) and the Noether fixture (11), both
+    # stacks of one: poison the last closed-form fixture of each chunk, then
+    # the Noether fixture's phi.
+    ("currents", 0, {7}, [0]),
+    ("currents", 0, {9}, [0]),
+    ("currents", 0, {11}, [7]),
     # The grassmann batteries: 1,000 fixtures in chunks of 512 + 488.  A NaN
     # element reaches the three associativity triples that hold it.
     ("grassmann", "elements", {511}, [0]),
@@ -396,6 +488,64 @@ def test_nan_in_one_fixture_makes_the_suite_residual_nan(monkeypatch, suite, tar
             assert np.isnan(c.residual) and not c.passed, c.name
         else:
             assert not np.isnan(c.residual), c.name
+
+
+@pytest.mark.parametrize("config_name", ["default", "odd-grid"])
+def test_stacked_calibration_battery_matches_the_per_fixture_battery(config_name):
+    # One entry per chunk of the fixtures with chi, then the one without chi
+    # as a stack of one; every candidate's score, the chosen conventions and
+    # each fixture's invariance residual have the bits of the per-fixture
+    # battery, which draws the same fixtures in the same order.
+    config = CONFIGS[config_name]()
+    rng, oracle_rng = suites.suite_rng(config, "susy2d"), suites.suite_rng(config, "susy2d")
+    battery = build_calibration_battery(config, rng)
+    each = _battery_oracle(config, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert [e[2].phi[0].terms[0].shape[0] for e in battery] == [3, 1]
+    base = config.conventions
+    assert _calibration_scores(battery, base) == _calibration_scores(each, base)
+    cal = calibrate_conventions(battery)
+    assert cal == calibrate_conventions(each)
+    stacked = np.concatenate([susy_invariance_residual(*e, coeffs=cal) for e in battery])
+    assert np.array_equal(stacked, [susy_invariance_residual(*e, coeffs=cal) for e in each])
+
+
+@pytest.mark.parametrize("config_name, sizes", [
+    # The battery's entries (3 fixtures with chi, 1 without), then per chunk
+    # the fixtures without and with chi, then the local-q fixtures without
+    # chi, chunk by chunk, and with chi.
+    ("default", [3, 1] + [8, 8] + [8, 8]),
+    ("odd-grid", [3, 1] + [10, 10, 1, 1] + [10, 1, 10, 1]),
+])
+def test_susy2d_checks_each_stack_with_one_invariance_residual(monkeypatch, config_name, sizes):
+    seen = []
+    original = suites.susy_invariance_residual
+
+    def counting(geom, chi, fields, q, coeffs):
+        seen.append(fields.phi[0].terms[0].shape[0])
+        return original(geom, chi, fields, q, coeffs=coeffs)
+
+    monkeypatch.setattr(suites, "susy_invariance_residual", counting)
+    suites.run_suite(CONFIGS[config_name](), "susy2d")
+    assert seen == sizes
+
+
+def test_draw_modes_phase_is_the_uniform_draw():
+    # random() * 2 pi returns the double that uniform(0, 2 pi) returns and
+    # moves the generator alike, also between integers and normal draws.
+    rng, ref = np.random.default_rng(22), np.random.default_rng(22)
+    for _ in range(20000):
+        assert rng.random() * (2.0 * np.pi) == ref.uniform(0.0, 2.0 * np.pi)
+        assert rng.integers(-3, 4) == ref.integers(-3, 4)
+        assert rng.normal() == ref.normal()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for _ in range(2000):
+        want = []
+        for _ in range(3):
+            want += [ref.uniform(0.0, 2.0 * np.pi), int(ref.integers(-6, 7)),
+                     int(ref.integers(-6, 7)), ref.normal() * 0.4]
+        assert _draw_modes(rng, 2, 6, 0.4) == want
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_grassmann_chunks_stack_512_fixtures_up_to_six_generators():
@@ -460,8 +610,8 @@ def test_grassmann_associativity_multiplies_every_cyclic_triple_once(monkeypatch
 
 def _trig_array_with_every_phase(rng, grid, cutoff=3, n_modes=3, scale=1.0):
     """The fixture draw as a reference: every axis adds to the phase, and
-    every sum is fresh.  A rewrite of ``_trig_array`` must keep its bits and
-    its use of the generator."""
+    every sum is fresh.  A rewrite of ``_draw_modes`` or ``_synthesize`` must
+    keep its bits and its use of the generator."""
     axes = [grid.axis_points(i).reshape([-1 if j == i else 1 for j in range(grid.ndim)])
             for i in range(grid.ndim)]
     a = np.zeros(grid.shape)
@@ -486,7 +636,7 @@ def test_trig_array_matches_every_phase_oracle_and_generator_state(shape, period
     rng, oracle_rng = np.random.default_rng(cutoff), np.random.default_rng(cutoff)
     for i in range(40):
         scale = (0.3, 1.0)[i % 2]
-        a = _trig_array(rng, grid, cutoff=cutoff, scale=scale)
+        a = trig_array(rng, grid, cutoff=cutoff, scale=scale)
         assert a.shape == grid.shape and a.flags.writeable
         assert np.array_equal(a, _trig_array_with_every_phase(oracle_rng, grid, cutoff=cutoff,
                                                               scale=scale))
@@ -525,15 +675,16 @@ def test_chunk_block_has_the_bits_of_one_array_at_a_time(shape, periods, cutoff,
     arrays = _synthesize_chunk(grid, cutoff, modes)
     for i in range(count):
         for role, scale in enumerate((0.7, 1.0, 0.6, 0.3)):
-            a = _trig_array(each_rng, grid, cutoff=cutoff, scale=scale)
-            assert np.array_equal(arrays[role][i] if count > 1 else arrays[role], a)
+            a = trig_array(each_rng, grid, cutoff=cutoff, scale=scale)
+            assert np.array_equal(arrays[role][i], a)
         assert scalars[i] == each_rng.normal()
-        a = _trig_array(each_rng, grid, cutoff=cutoff, scale=0.8)
-        assert np.array_equal(arrays[4][i] if count > 1 else arrays[4], a)
+        a = trig_array(each_rng, grid, cutoff=cutoff, scale=0.8)
+        assert np.array_equal(arrays[4][i], a)
     # The synthesis draws nothing: the draws alone moved the generator.
     assert rng.bit_generator.state == each_rng.bit_generator.state
+    # One block per array, a stack of one for one fixture.
     for a in arrays:
-        assert a.shape == ((count,) if count > 1 else ()) + grid.shape
+        assert a.shape == (count,) + grid.shape
         assert a.flags.c_contiguous and a.flags.writeable
 
 
@@ -553,10 +704,10 @@ def test_synthesis_peaks_like_one_array_at_a_time_on_a_large_grid():
         finally:
             tracemalloc.stop()
 
-    each, arrays = peak(lambda rng: [_trig_array(rng, grid, scale=s) for s in scales])
+    each, arrays = peak(lambda rng: [trig_array(rng, grid, scale=s) for s in scales])
     block, chunk = peak(lambda rng: _synthesize_chunk(grid, 3, _draw_chunk(
         rng, grid, 1, lambda trig: [trig(s) for s in scales])[0]))
-    assert all(np.array_equal(a, b) for a, b in zip(arrays, chunk))
+    assert all(np.array_equal(a, b) for a, [b] in zip(arrays, chunk))
     assert block <= each + one_array
 
 
@@ -594,7 +745,7 @@ def test_grassmann_suite_rejects_fewer_than_three_generators():
 def test_currents_suite_differentiates_each_phi_once(derivative_log):
     # energy_momentum relabels the caller's phi gradients onto its two extra
     # generators and leaves them cached, so the closed-form reference reuses
-    # them: 52 calls at the default config, 72 when the lift differentiated
-    # phi again.
+    # them: 36 calls at the default config, whose 10 closed-form fixtures run
+    # as chunks of 8 + 2, and 40 when the lift differentiated phi again.
     suites.run_suite(SuiteConfig(), "currents")
-    assert len(derivative_log) == 52
+    assert len(derivative_log) == 36

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from supersigma import gridfield, superdomain
 from supersigma.grassmann import GrassmannNumber, ParityError, generator
 from supersigma.gridfield import GrassmannField, Grid
-from supersigma.suites import _stack
 from supersigma.superdomain import (
     CoordinateChange,
     Embedding,
@@ -17,7 +16,7 @@ from supersigma.superdomain import (
     restrict,
 )
 
-from conftest import (N_GEN, even_field, homogeneous_part, odd_field, superfunctions,
+from conftest import (N_GEN, even_field, homogeneous_part, odd_field, stack, superfunctions,
                       susy_vector_field)
 
 
@@ -292,7 +291,7 @@ def _assert_same_bits(stacked_fixture, f):
 
 def _stacked_superfunctions(rng, grid, count):
     fs = [random_superfunction(rng, grid) for _ in range(count)]
-    f0, f1 = _stack([(f.coefficient(0), f.coefficient(1)) for f in fs])
+    f0, f1 = stack([(f.coefficient(0), f.coefficient(1)) for f in fs])
     return fs, SuperFunction(grid, 1, N_GEN, {0: f0, 1: f1})
 
 
@@ -308,9 +307,9 @@ def test_pullback_of_a_stacked_superfunction_matches_each_fixture(rng, n):
     g0 = x + 0.2 * np.cos(x)
     changes = [
         # The toy suite's change: eta = xi + eta~, one xi per fixture.
-        (CoordinateChange(g0=x, gamma0=_stack(gamma0s)),
+        (CoordinateChange(g0=x, gamma0=stack(gamma0s)),
          [CoordinateChange(g0=x, gamma0=c) for c in gamma0s]),
-        (CoordinateChange(g0=g0, g1=_stack(g1s), gamma0=_stack(gamma0s), gamma1=gamma1),
+        (CoordinateChange(g0=g0, g1=stack(g1s), gamma0=stack(gamma0s), gamma1=gamma1),
          [CoordinateChange(g0=g0, g1=a, gamma0=c, gamma1=gamma1)
           for a, c in zip(g1s, gamma0s)]),
     ]
@@ -324,13 +323,13 @@ def test_apply_q_and_restrict_with_a_per_fixture_parameter(rng, grid):
     count = 4
     fs, f = _stacked_superfunctions(rng, grid, count)
     qs = [generator(N_GEN, 5) * float(rng.normal()) for _ in range(count)]
-    q = _stack(qs)
+    q = stack(qs)
     assert q.terms[1 << 4].shape == (count,)
     xis = [odd_field(rng, grid, [6], scale=0.8) for _ in range(count)]
     moved = _apply_Q(f, f.partial_even(1), q)
     zero = Embedding(xi=[GrassmannField.zero(grid, N_GEN)])
     on_zero = restrict(moved, zero)
-    on_xi = restrict(moved, Embedding(xi=[_stack(xis)]))
+    on_xi = restrict(moved, Embedding(xi=[stack(xis)]))
     for i in range(count):
         each = _apply_Q(fs[i], fs[i].partial_even(1), qs[i])
         _assert_same_bits(_fixture(moved, i), each)
@@ -359,7 +358,7 @@ def _superfunction(rng, grid, n_odd, stacked_slots, count=3):
     terms = {}
     for gamma in range(1 << n_odd):
         if gamma in stacked_slots:
-            terms[gamma] = _stack([_mixed_parity_coefficient(rng, grid) for _ in range(count)])
+            terms[gamma] = stack([_mixed_parity_coefficient(rng, grid) for _ in range(count)])
         else:
             terms[gamma] = _mixed_parity_coefficient(rng, grid)
     return SuperFunction(grid, n_odd, N_GEN, terms)
