@@ -13,13 +13,7 @@ from .grassmann import (
 from .gridfield import GrassmannField, Grid, spectral_derivative
 from .superdomain import SuperFunction, apply_D, apply_Q
 from .berezin import berezin_integrate
-from .spin_surface import (
-    CLIFFORD,
-    CliffordConvention,
-    GravitinoField,
-    SpinorField,
-    SurfaceGeometry,
-)
+from .spin_surface import GravitinoField, SpinorField, SurfaceGeometry
 from .sigma2d import (
     ActionCoefficients,
     CalibrationError,
@@ -33,10 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionCoefficients",
-    "CLIFFORD",
     "CalibrationError",
     "CheckReport",
-    "CliffordConvention",
     "ComponentFields",
     "DimensionMismatchError",
     "GrassmannNumber",

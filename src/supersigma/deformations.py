@@ -12,7 +12,8 @@ where D is trace-free and divergence-free, and a gravitino deformation as
 
 where DD is gamma-trace-free.  On the flat torus with the gravitino
 background chi = 0 the susy metric image vanishes identically and the
-gravitino susy image is the plain directional derivative of q, so both
+gravitino susy image is delta chi_a = -d_a q, minus the plain directional
+derivative of q (``sigma2d.susy_gravitino_variation``), so both
 decompositions reduce to finite linear algebra on each Fourier mode: the
 metric residual D is the transverse-traceless part of York's split.
 
@@ -23,10 +24,10 @@ cutoff 1e-10) is applied to one mask's components (every fixture of an
 input stacked over fixtures at once), and the residual is rhs - A A+ rhs.
 Since A(-m) is conj A(m), A+ is computed for one mode of each conjugate
 pair and conjugated for the other.
-A and A+ depend only on the grid shape, the periods, the cutoff, the line
-(metric or gravitino) and, on the gravitino line, the Clifford matrices;
-both are cached under exactly that key, keeping the two most recently used
-keys (the metric and the gravitino line of one grid).
+A and A+ depend only on the grid shape, the periods, the cutoff and the
+line (metric or gravitino); both are cached under exactly that key, keeping
+the two most recently used keys (the metric and the gravitino line of one
+grid).
 
 The residual spaces are two-dimensional on each line: the constant
 trace-free symmetric tensors and the constant gamma-trace-free gravitino
@@ -45,12 +46,7 @@ import numpy as np
 from .grassmann import max_or_nan, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 from .sigma2d import UnsupportedRegimeError
-from .spin_surface import (
-    CliffordConvention,
-    GravitinoField,
-    SpinorField,
-    SurfaceGeometry,
-)
+from .spin_surface import GAMMA, GravitinoField, SpinorField, SurfaceGeometry
 
 __all__ = [
     "MetricDeformation",
@@ -194,20 +190,21 @@ def _metric_columns(kap1, kap2) -> np.ndarray:
     return A
 
 
-def _gravitino_columns(kap1, kap2, conv: CliffordConvention) -> np.ndarray:
+def _gravitino_columns(kap1, kap2) -> np.ndarray:
     """Design matrices for components (chi_1^1, chi_1^2, chi_2^1, chi_2^2),
     shape kap.shape + (4, 4).
 
     Columns 0-1: super-Weyl direction delta chi_a = gamma^a t.
-    Columns 2-3: susy direction delta chi_a = d_a q = i kappa_a q
-    (the flat spin connection at chi = 0).
+    Columns 2-3: susy direction delta chi_a = d_a p = i kappa_a p (the flat
+    spin connection at chi = 0), whose parameter p is -q for the
+    supersymmetry delta chi_a = -d_a q.
     """
     kap1, kap2 = np.broadcast_arrays(np.asarray(kap1, dtype=float),
                                      np.asarray(kap2, dtype=float))
     eye = np.eye(2)
     A = np.zeros(kap1.shape + (4, 4), dtype=complex)
-    A[..., 0:2, 0:2] = conv.gamma(1)
-    A[..., 2:4, 0:2] = conv.gamma(2)
+    A[..., 0:2, 0:2] = GAMMA[1]
+    A[..., 2:4, 0:2] = GAMMA[2]
     A[..., 0:2, 2:4] = (1j * kap1)[..., None, None] * eye
     A[..., 2:4, 2:4] = (1j * kap2)[..., None, None] * eye
     return A
@@ -249,25 +246,20 @@ def _paired_pinv(A: np.ndarray, modes1: np.ndarray, modes2: np.ndarray) -> np.nd
 
 
 @lru_cache(maxsize=2)
-def _band_matrices(grid: Grid, cutoff: int, line_key: tuple) -> tuple:
+def _band_matrices(grid: Grid, cutoff: int, line: str) -> tuple:
     """(band, A, A+) of the band modes |m| <= cutoff on ``grid``, read-only.
 
     ``band`` indexes the band modes of a transform's last two axes; A is the
     design matrices stacked over them, shape (n1_band, n2_band, n_components,
-    n_params), and A+ their pseudo-inverses (``_paired_pinv``).  ``line_key``
-    is ("metric",), or ("gravitino", gamma^1, gamma^2) with the Clifford
-    matrices as float64 bytes.  The two most recently used keys are kept: the
+    n_params), and A+ their pseudo-inverses (``_paired_pinv``).  ``line`` is
+    "metric" or "gravitino".  The two most recently used keys are kept: the
     metric and the gravitino line of one grid.
     """
     k1, k2, m1, m2 = _mode_wavenumbers(grid)
     i1 = np.flatnonzero(np.abs(m1) <= cutoff)
     i2 = np.flatnonzero(np.abs(m2) <= cutoff)
     kap1, kap2 = k1[i1][:, None], k2[i2]
-    if line_key[0] == "metric":
-        A = _metric_columns(kap1, kap2)
-    else:
-        gammas = (np.frombuffer(g).reshape(2, 2) for g in line_key[1:])
-        A = _gravitino_columns(kap1, kap2, CliffordConvention(*gammas))
+    A = (_metric_columns if line == "metric" else _gravitino_columns)(kap1, kap2)
     A_pinv = _paired_pinv(A, m1[i1], m2[i2])
     for a in (i1, i2, A, A_pinv):
         a.flags.writeable = False
@@ -287,9 +279,9 @@ def _inverse_fft2(buf: np.ndarray) -> None:
 
 
 def _band_solve(comps: Sequence[GrassmannField], cutoff: int,
-                line_key: tuple) -> tuple[list[GrassmannField], list[GrassmannField]]:
+                line: str) -> tuple[list[GrassmannField], list[GrassmannField]]:
     """Least-squares fit of the component fields on every band mode and mask
-    of the line ``line_key`` (see ``_band_matrices``).
+    of ``line``, "metric" or "gravitino" (see ``_band_matrices``).
 
     Returns one field per parameter and one residual field per component;
     modes beyond the cutoff go entirely to the residual.
@@ -305,7 +297,7 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int,
     grid, n_gen = comps[0].grid, comps[0].n_gen
     masks = sorted({m for f in comps for m in f.terms}) or [0]
     shape = np.broadcast_shapes(grid.shape, *(a.shape for f in comps for a in f.terms.values()))
-    band, A, A_pinv = _band_matrices(grid, cutoff, line_key)
+    band, A, A_pinv = _band_matrices(grid, cutoff, line)
     n_comps, n_params = A.shape[-2:]
 
     params = np.empty((n_params, len(masks)) + shape)
@@ -346,7 +338,7 @@ def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDefor
     grid, n_gen = dg.grid, dg.n_gen
     cutoff = _resolve_cutoff(cutoff, grid)
     params, r = _band_solve([dg.tensor[0][0], dg.tensor[0][1], dg.tensor[1][1]],
-                            cutoff, ("metric",))
+                            cutoff, "metric")
     lam, X = params[0], params[1:3]
     D = MetricDeformation([[r[0], r[1]], [r[1], r[2]]])
 
@@ -378,8 +370,9 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField, dchi: Gravit
     """Least-squares split delta chi = gamma t + susy(q) + DD per Fourier mode.
 
     Requires the flat identity frame and gravitino background chi = 0; at
-    that background L_X chi = 0 (null direction) and the susy image is the
-    plain directional derivative delta chi_a = d_a q.  The residual DD is
+    that background L_X chi = 0 (null direction) and the susy image is
+    delta chi_a = -d_a q, as ``sigma2d.susy_gravitino_variation`` makes it:
+    ``susy_parameter`` is that q.  The residual DD is
     gamma-trace-free for band-limited inputs.  Constant spinors (harmonic
     on the flat torus with trivial spin structure) are null directions of
     the susy fit and are reported, not errors.
@@ -389,33 +382,32 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField, dchi: Gravit
         require_odd(dchi[a], "gravitino deformation")
     grid, n_gen = dchi[1].grid, dchi[1].n_gen
     cutoff = _resolve_cutoff(cutoff, grid)
-    conv = geom.clifford_convention
     params, r = _band_solve(
         [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]],
-        cutoff, ("gravitino",) + tuple(np.asarray(conv.gamma(a), dtype=float).tobytes()
-                                       for a in (1, 2)))
+        cutoff, "gravitino")
     t = SpinorField(params[0:2])
-    q = SpinorField(params[2:4])
+    # The columns fit delta chi_a = +d_a p; the transformation's q is -p.
+    q = -SpinorField(params[2:4])
     DD = GravitinoField([SpinorField(r[0:2]), SpinorField(r[2:4])])
 
-    reassembled = _reassemble_gravitino(geom, t, q, DD)
+    reassembled = _reassemble_gravitino(t, q, DD)
     return DecompositionResult(
         super_weyl=t, susy_parameter=q,
         vector=[GrassmannField.zero(grid, n_gen) for _ in range(2)],
         residual_gravitino=DD,
         reassembly_residual=reassembled.max_abs_diff(dchi),
-        gamma_trace_residual=DD.gamma_trace(conv).max_abs(),
+        gamma_trace_residual=DD.gamma_trace().max_abs(),
         null_directions=["L_X chi vanishes at chi = 0",
                          "constant spinors q (harmonic)"],
     )
 
 
-def _reassemble_gravitino(geom: SurfaceGeometry, t: SpinorField, q: SpinorField,
-                          DD: GravitinoField) -> GravitinoField:
-    conv = geom.clifford_convention
+def _reassemble_gravitino(t: SpinorField, q: SpinorField, DD: GravitinoField) -> GravitinoField:
+    """gamma^a t - d_a q + DD_a: the super-Weyl part, the supersymmetry image
+    and the residual."""
     out = []
     for a in (1, 2):
-        part = t.matrix_apply(conv.gamma(a)) + q.derivative(a - 1) + DD[a]
+        part = t.matrix_apply(GAMMA[a]) - q.derivative(a - 1) + DD[a]
         out.append(part)
     return GravitinoField(out)
 
@@ -437,7 +429,6 @@ def true_deformation_dimensions(geom: SurfaceGeometry,
         raise UnsupportedRegimeError("dimension count implemented for the flat identity frame")
     grid = geom.grid
     cutoff = _resolve_cutoff(cutoff, grid)
-    conv = geom.clifford_convention
     n1, n2 = np.meshgrid(np.arange(cutoff + 1), np.arange(-cutoff, cutoff + 1), indexing="ij")
     keep = (n1 > 0) | (n2 >= 0)
     n1, n2 = n1[keep], n2[keep]
@@ -460,8 +451,8 @@ def true_deformation_dimensions(geom: SurfaceGeometry,
     # Odd line: unknowns (chi_1^1, chi_1^2, chi_2^1, chi_2^2);
     # gamma-trace + divergence rows.
     Ao = np.zeros(kap1.shape + (4, 4), dtype=complex)
-    Ao[:, 0:2, 0:2] = conv.gamma(1)
-    Ao[:, 0:2, 2:4] = conv.gamma(2)
+    Ao[:, 0:2, 0:2] = GAMMA[1]
+    Ao[:, 0:2, 2:4] = GAMMA[2]
     Ao[:, 2:4, 0:2] = (1j * kap1)[:, None, None] * eye
     Ao[:, 2:4, 2:4] = (1j * kap2)[:, None, None] * eye
     return dimension(Ae), dimension(Ao)

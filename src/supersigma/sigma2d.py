@@ -28,8 +28,8 @@ import numpy as np
 from .grassmann import GrassmannNumber, max_or_nan, require_even, require_odd
 from .gridfield import GrassmannField, Grid, derivative_wavenumbers, spectral_derivative
 from .spin_surface import (
-    CLIFFORD,
-    CliffordConvention,
+    GAMMA,
+    GAMMA_PRODUCTS,
     GravitinoField,
     SpinorField,
     SurfaceGeometry,
@@ -204,11 +204,10 @@ def dirac(geom: SurfaceGeometry, fields: ComponentFields) -> list[SpinorField]:
     identically for odd psi and even c, so the correction is omitted.
     Each psi^t is differentiated once per axis.
     """
-    conv = geom.clifford_convention
     out: list[SpinorField] = []
     for s in fields.psi:
         f1, f2 = geom.frame_derivatives_spinor(s)
-        out.append(clifford(1, f1, conv) + clifford(2, f2, conv))
+        out.append(clifford(1, f1) + clifford(2, f2))
     return out
 
 
@@ -220,11 +219,11 @@ def _frame_derivatives(geom: SurfaceGeometry,
     return [[f[a] for f in per_t] for a in range(2)]
 
 
-def _psi_square(fields: ComponentFields, conv: CliffordConvention) -> GrassmannField:
+def _psi_square(fields: ComponentFields) -> GrassmannField:
     """sum_t <psi^t, psi^t>."""
     out = GrassmannField.zero(fields.grid, fields.n_gen)
     for t in range(fields.dim):
-        out = out + pairing(fields.psi[t], fields.psi[t], conv)
+        out = out + pairing(fields.psi[t], fields.psi[t])
     return out
 
 
@@ -237,7 +236,6 @@ def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
     operator is skipped when c2 = 0.  The coefficients themselves are not
     applied: the caller decides how to fold the summands.
     """
-    conv = geom.clifford_convention
     grid, n_gen, d = fields.grid, fields.n_gen, fields.dim
 
     fphi = _frame_derivatives(geom, fields)
@@ -252,7 +250,7 @@ def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
     if has_psi and coeffs.c2:
         dpsi = dirac(geom, fields)
         for t in range(d):
-            add(2, pairing(fields.psi[t], dpsi[t], conv))
+            add(2, pairing(fields.psi[t], dpsi[t]))
 
     # Term 3: <F, F>.
     for t in range(d):
@@ -263,19 +261,18 @@ def _action_summands(geom: SurfaceGeometry, chi: GravitinoField,
     if has_psi and not chi.is_zero() and coeffs.c4:
         for a in (1, 2):
             for b in (1, 2):
-                gg = conv.gamma(a) @ conv.gamma(b)
-                rotated = chi[a].matrix_apply(gg)
+                rotated = chi[a].matrix_apply(GAMMA_PRODUCTS[a, b])
                 for t in range(d):
-                    add(4, fphi[b - 1][t] * pairing(rotated, fields.psi[t], conv))
+                    add(4, fphi[b - 1][t] * pairing(rotated, fields.psi[t]))
 
     # Term 5: <chi_a, gamma^b gamma^a chi_b> <psi, psi>.
     if has_psi and not chi.is_zero() and coeffs.c5:
         chi_coupling = GrassmannField.zero(grid, n_gen)
         for a in (1, 2):
             for b in (1, 2):
-                gg = conv.gamma(b) @ conv.gamma(a)
-                chi_coupling = chi_coupling + pairing(chi[a], chi[b].matrix_apply(gg), conv)
-        add(5, chi_coupling * _psi_square(fields, conv))
+                chi_coupling = chi_coupling + pairing(
+                    chi[a], chi[b].matrix_apply(GAMMA_PRODUCTS[b, a]))
+        add(5, chi_coupling * _psi_square(fields))
 
 
 def _coefficient_vector(coeffs: ActionCoefficients) -> tuple[float, ...]:
@@ -328,13 +325,11 @@ def action_component(geom: SurfaceGeometry, chi: GravitinoField,
 # Flat superspace R^{2|2}
 # ---------------------------------------------------------------------------
 
-def _ghat(conv: CliffordConvention, a: int) -> np.ndarray:
-    """Superspace frame matrices: ghat^1 = gamma^2, ghat^2 = -gamma^1."""
-    return conv.gamma2 if a == 1 else -conv.gamma1
+# Superspace frame matrices: ghat^1 = gamma^2, ghat^2 = -gamma^1.
+_GHAT = {1: GAMMA[2], 2: -GAMMA[1]}
 
 
-def _super_derivatives(Phi: SuperFunction,
-                       conv: CliffordConvention) -> tuple[SuperFunction, SuperFunction]:
+def _super_derivatives(Phi: SuperFunction) -> tuple[SuperFunction, SuperFunction]:
     """(D_1 Phi, D_2 Phi) from one even gradient (d_1 Phi, d_2 Phi)."""
     if Phi.m != 2 or Phi.n_odd != 2:
         raise ValueError("superspace derivative is defined on R^{2|2}")
@@ -343,7 +338,7 @@ def _super_derivatives(Phi: SuperFunction,
     for alpha in (1, 2):
         D = Phi.partial_odd(alpha)
         for a in (1, 2):
-            gh = _ghat(conv, a)
+            gh = _GHAT[a]
             for beta in (1, 2):
                 coeff = float(gh[alpha - 1, beta - 1])
                 if coeff:
@@ -372,8 +367,7 @@ def superfield_from_components(fields: ComponentFields) -> list[SuperFunction]:
 
 
 def action_superfield_flat(Phis: Sequence[SuperFunction],
-                           coeffs: ActionCoefficients = ActionCoefficients(),
-                           conv: CliffordConvention = CLIFFORD) -> GrassmannNumber:
+                           coeffs: ActionCoefficients = ActionCoefficients()) -> GrassmannNumber:
     """A(Phi) = norm * Int eps^{ab} <D_a Phi, D_b Phi> [d^2x d^2eta].
 
     The Berezin integral reads only the eta^1 eta^2 coefficient of the
@@ -386,7 +380,7 @@ def action_superfield_flat(Phis: Sequence[SuperFunction],
     density = GrassmannField.zero(grid, n_gen)
     for Phi in Phis:
         # The even gradient of Phi is freed before the product.
-        D1, D2 = _super_derivatives(Phi, conv)
+        D1, D2 = _super_derivatives(Phi)
         density = density + D1.product_coefficient(D2, top) - D2.product_coefficient(D1, top)
     return (density * coeffs.superfield_normalization).integral()
 
@@ -411,16 +405,16 @@ def susy_fields(fields: ComponentFields, chi: GravitinoField, q: SpinorField,
     if any(not f.is_zero() for f in fields.F):
         raise UnsupportedRegimeError("matter SUSY variations require F = 0")
     require_odd(q, "supersymmetry parameter q")
-    conv = geom.clifford_convention
     grid, n_gen, d = fields.grid, fields.n_gen, fields.dim
-    dphi = [pairing(q, fields.psi[t], conv) * coeffs.s1 for t in range(d)]
+    dphi = [pairing(q, fields.psi[t]) * coeffs.s1 for t in range(d)]
     fphi = _frame_derivatives(geom, fields)
+    gq = [clifford(a, q) for a in (1, 2)]
     dpsi: list[SpinorField] = []
     for t in range(d):
         acc = SpinorField.zero(grid, n_gen)
         for a in (1, 2):
-            scalar = fphi[a - 1][t] + pairing(fields.psi[t], chi[a], conv)
-            acc = acc + scalar * clifford(a, q, conv)
+            scalar = fphi[a - 1][t] + pairing(fields.psi[t], chi[a])
+            acc = acc + scalar * gq[a - 1]
         dpsi.append(acc * coeffs.s2)
     return ComponentFields(
         phi=dphi, psi=dpsi,
@@ -428,8 +422,14 @@ def susy_fields(fields: ComponentFields, chi: GravitinoField, q: SpinorField,
     )
 
 
+def _q_pairings(chi: GravitinoField, q: SpinorField) -> list[list[GrassmannField]]:
+    """<gamma^b q, chi_a> indexed [a - 1][b - 1], forming each gamma^b q once."""
+    gq = [clifford(b, q) for b in (1, 2)]
+    return [[pairing(g, chi[a]) for g in gq] for a in (1, 2)]
+
+
 def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
-                             q: SpinorField) -> GravitinoField:
+                             q: SpinorField, *, pairings=None) -> GravitinoField:
     """Variation of the gravitino components chi_a = chi(f_a):
 
         delta chi_a = -f_a q - <gamma^b q, chi_a> chi_b - <q, chi_a> gamma^b chi_b.
@@ -442,18 +442,20 @@ def susy_gravitino_variation(geom: SurfaceGeometry, chi: GravitinoField,
     constant q has f_a q = 0 and cannot tell.  The two quadratic terms carry
     the frame dependence of the components and the completion required for
     invariance of the action (their form is unique up to two-dimensional
-    Fierz rearrangements).
+    Fierz rearrangements).  ``pairings`` are the <gamma^b q, chi_a> of
+    ``_q_pairings(chi, q)``, formed here unless the caller has them.
     """
     require_odd(q, "supersymmetry parameter q")
-    conv = geom.clifford_convention
-    gt = chi.gamma_trace(conv)
+    if pairings is None:
+        pairings = _q_pairings(chi, q)
+    gt = chi.gamma_trace()
     fq = geom.frame_derivatives_spinor(q)
     out = []
     for a in (1, 2):
         dchi_a = -fq[a - 1]
         for b in (1, 2):
-            dchi_a = dchi_a - pairing(clifford(b, q, conv), chi[a], conv) * chi[b]
-        dchi_a = dchi_a - pairing(q, chi[a], conv) * gt
+            dchi_a = dchi_a - pairings[a - 1][b - 1] * chi[b]
+        dchi_a = dchi_a - pairing(q, chi[a]) * gt
         out.append(dchi_a)
     return GravitinoField(out)
 
@@ -463,11 +465,12 @@ def _susy_varied_geometry(geom: SurfaceGeometry, chi: GravitinoField,
     """(varied geometry, chi + delta chi) under the supersymmetry with parameter q.
 
     The frame moves by delta f_a = -2 <gamma^b q, chi_a> f_b (even: two odd
-    factors) and the gravitino by ``susy_gravitino_variation``.
+    factors) and the gravitino by ``susy_gravitino_variation``; both read the
+    same pairings <gamma^b q, chi_a>.
     """
-    dchi = susy_gravitino_variation(geom, chi, q)
-    conv = geom.clifford_convention
-    c = [[pairing(clifford(b, q, conv), chi[a], conv) * (-2.0) for b in (1, 2)] for a in (1, 2)]
+    pairings = _q_pairings(chi, q)
+    dchi = susy_gravitino_variation(geom, chi, q, pairings=pairings)
+    c = [[p * (-2.0) for p in row] for row in pairings]
     return geom.moved_frame(c), chi + dchi
 
 
@@ -617,14 +620,13 @@ def super_current(geom: SurfaceGeometry, chi: GravitinoField,
     The Dirac term carries no gravitino (see ``dirac`` for the gamma5
     identity that lets it drop the gravitino-corrected connection).
     """
-    conv = geom.clifford_convention
-    psi_sq = _psi_square(fields, conv)
+    psi_sq = _psi_square(fields)
     fphi = _frame_derivatives(geom, fields)
     out = []
     for a in (1, 2):
         acc = SpinorField.zero(fields.grid, fields.n_gen)
         for b in (1, 2):
-            gg = conv.gamma(b) @ conv.gamma(a)
+            gg = GAMMA_PRODUCTS[b, a]
             for t in range(fields.dim):
                 acc = acc + fphi[b - 1][t] * fields.psi[t].matrix_apply(gg) * coeffs.c4
             if not chi.is_zero():
@@ -751,8 +753,7 @@ def d_zbar(re: GrassmannField, im: GrassmannField) -> tuple[GrassmannField, Gras
     return out_re, out_im
 
 
-def current_spin32(J: GravitinoField,
-                   conv: CliffordConvention = CLIFFORD) -> tuple[GrassmannField, GrassmannField]:
+def current_spin32(J: GravitinoField) -> tuple[GrassmannField, GrassmannField]:
     """Complex spin-3/2 component of J (the gamma-trace-free part).
 
     With u_a = J_a^1 + i J_a^2 (chirality combination for gamma5 = C), the

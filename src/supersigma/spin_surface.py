@@ -1,12 +1,15 @@
 """Flat-torus surface geometry with spinors, gravitino, and their transformations.
 
-The spinor bundle is a real rank-2 bundle with Clifford matrices
+The spinor bundle is a real rank-2 bundle with the fixed Clifford matrices
 
     gamma^1 = [[1, 0], [0, -1]],   gamma^2 = [[0, 1], [1, 0]],
 
 and spinor pairing <s, t> = s^T C t with C = gamma^1 gamma^2 = [[0, 1], [-1, 0]]
 (antisymmetric, so <psi, psi> is generically nonzero for odd-valued psi).
-The chirality operator is gamma5 = gamma^1 gamma^2 = C.
+The chirality operator is gamma5 = gamma^1 gamma^2 = C.  The matrices are
+read-only module constants, not a setting: ``GAMMA[a]`` is gamma^a,
+``PAIRING_MATRIX`` is C (and gamma5), and ``GAMMA_PRODUCTS[a, b]`` is the
+exact integer matrix gamma^a gamma^b.
 
 Frames are stored as 2x2 matrices of even Grassmann fields, frame[a][k]
 holding the k-th coordinate component of the frame vector f_a; the induced
@@ -17,7 +20,7 @@ Grassmann expansion of 1/det and sqrt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +29,9 @@ from .grassmann import Parity, max_or_nan, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 
 __all__ = [
-    "CliffordConvention",
+    "GAMMA",
+    "GAMMA_PRODUCTS",
+    "PAIRING_MATRIX",
     "SpinorField",
     "GravitinoField",
     "SurfaceGeometry",
@@ -37,39 +42,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CliffordConvention:
-    """Real 2D Euclidean Clifford matrices and the spinor pairing matrix."""
-
-    gamma1: np.ndarray = field(default_factory=lambda: np.array([[1.0, 0.0], [0.0, -1.0]]))
-    gamma2: np.ndarray = field(default_factory=lambda: np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def gamma(self, a: int) -> np.ndarray:
-        if a == 1:
-            return self.gamma1
-        if a == 2:
-            return self.gamma2
-        raise ValueError(f"frame index {a} must be 1 or 2")
-
-    @property
-    def gamma5(self) -> np.ndarray:
-        return self.gamma1 @ self.gamma2
-
-    @property
-    def pairing_matrix(self) -> np.ndarray:
-        return self.gamma5
-
-    def validate(self) -> None:
-        for a in (1, 2):
-            for b in (1, 2):
-                anti = self.gamma(a) @ self.gamma(b) + self.gamma(b) @ self.gamma(a)
-                if not np.array_equal(anti, 2.0 * (a == b) * np.eye(2)):
-                    raise ValueError("Clifford relations violated")
-        if abs(np.linalg.det(self.pairing_matrix)) < 1e-12:
-            raise ValueError("degenerate spinor pairing")
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
-CLIFFORD = CliffordConvention()
+GAMMA = MappingProxyType({1: _read_only(np.array([[1.0, 0.0], [0.0, -1.0]])),
+                          2: _read_only(np.array([[0.0, 1.0], [1.0, 0.0]]))})
+PAIRING_MATRIX = _read_only(GAMMA[1] @ GAMMA[2])
+GAMMA_PRODUCTS = MappingProxyType({(a, b): _read_only(GAMMA[a] @ GAMMA[b])
+                                   for a in (1, 2) for b in (1, 2)})
 
 
 class SpinorField:
@@ -151,18 +133,17 @@ class SpinorField:
         return (self - other).max_abs()
 
 
-def clifford(a: int, s: SpinorField, conv: CliffordConvention = CLIFFORD) -> SpinorField:
+def clifford(a: int, s: SpinorField) -> SpinorField:
     """gamma^a acting pointwise on the spinor index."""
-    return s.matrix_apply(conv.gamma(a))
+    return s.matrix_apply(GAMMA[a])
 
 
-def pairing(s: SpinorField, t: SpinorField, conv: CliffordConvention = CLIFFORD) -> GrassmannField:
+def pairing(s: SpinorField, t: SpinorField) -> GrassmannField:
     """<s, t> = sum_{ab} s_a C_{ab} t_b (factors multiplied in this order)."""
-    C = conv.pairing_matrix
     out = GrassmannField.zero(s.grid, s.n_gen)
     for a in range(2):
         for b in range(2):
-            c = float(C[a, b])
+            c = float(PAIRING_MATRIX[a, b])
             if c:
                 out = out + s.comps[a] * t.comps[b] * c
     return out
@@ -198,8 +179,8 @@ class GravitinoField:
     def __sub__(self, other: "GravitinoField") -> "GravitinoField":
         return GravitinoField([a - b for a, b in zip(self.chi, other.chi)])
 
-    def gamma_trace(self, conv: CliffordConvention = CLIFFORD) -> SpinorField:
-        return clifford(1, self[1], conv) + clifford(2, self[2], conv)
+    def gamma_trace(self) -> SpinorField:
+        return clifford(1, self[1]) + clifford(2, self[2])
 
     def max_abs(self):
         return max_or_nan(c.max_abs() for c in self.chi)
@@ -211,16 +192,14 @@ class GravitinoField:
 class SurfaceGeometry:
     """Flat torus with an (even Grassmann-valued) frame f_a = frame[a][k] d_k."""
 
-    __slots__ = ("grid", "n_gen", "frame", "clifford_convention")
+    __slots__ = ("grid", "n_gen", "frame")
 
     def __init__(self, grid: Grid, n_gen: int,
-                 frame: Sequence[Sequence[GrassmannField]] | None = None,
-                 clifford_convention: CliffordConvention = CLIFFORD):
+                 frame: Sequence[Sequence[GrassmannField]] | None = None):
         if grid.ndim != 2:
             raise ValueError("surface geometry requires a 2D grid")
         self.grid = grid
         self.n_gen = n_gen
-        self.clifford_convention = clifford_convention
         if frame is None:
             one = GrassmannField.from_array(grid, n_gen, np.ones(grid.shape))
             zero = GrassmannField.zero(grid, n_gen)
@@ -272,7 +251,7 @@ class SurfaceGeometry:
 
     def with_frame(self, frame) -> "SurfaceGeometry":
         """This geometry with ``frame``, in the algebra of the frame's entries."""
-        return SurfaceGeometry(self.grid, frame[0][0].n_gen, frame, self.clifford_convention)
+        return SurfaceGeometry(self.grid, frame[0][0].n_gen, frame)
 
     def moved_frame(self, c) -> "SurfaceGeometry":
         """The frame f_a -> f_a + c[a][0] f_1 + c[a][1] f_2 for even c (reals or fields)."""
@@ -281,11 +260,10 @@ class SurfaceGeometry:
                                  for k in range(2)] for a in range(2)])
 
 
-def super_weyl(chi: GravitinoField, t: SpinorField,
-               conv: CliffordConvention = CLIFFORD) -> GravitinoField:
+def super_weyl(chi: GravitinoField, t: SpinorField) -> GravitinoField:
     """chi_a -> chi_a + gamma^a t."""
     require_odd(t, "super Weyl parameter t")
-    return GravitinoField([chi[a] + clifford(a, t, conv) for a in (1, 2)])
+    return GravitinoField([chi[a] + clifford(a, t) for a in (1, 2)])
 
 
 def weyl(geom: SurfaceGeometry, lam: GrassmannField) -> SurfaceGeometry:

@@ -63,7 +63,6 @@ from .sigma2d import (
     t_zz,
 )
 from .spin_surface import (
-    CLIFFORD,
     GravitinoField,
     SpinorField,
     SurfaceGeometry,
@@ -95,6 +94,30 @@ PSI_GENS = (1, 2)
 CHI_GENS = (3, 4)
 Q_GEN = 5
 SPARE_GEN = 6
+
+# (fewest, most, why) generators each suite can place its fields on; None
+# is no upper bound.  A Grassmann number holds at most 63 generators (a mask
+# is an int64); the flow suite places no Grassmann field, and the decompose
+# suite forms no Grassmann number.
+_GENERATOR_RANGES = {
+    "grassmann": (3, 63, "four distinct monomials of each parity"),
+    "berezin": (3, 63, "a soul on generators 2-3"),
+    "toy": (6, 63, "psi on generators 1-2, q on 5, the probe xi on 6"),
+    "reduction": (2, 63, "psi on generators 1-2"),
+    "susy2d": (5, 63, "psi on generators 1-2, chi on 3-4, q on 5"),
+    "currents": (6, 61, "psi on generators 1-2, chi on 3-4, a probe on 6, "
+                        "and energy_momentum lifts to n_gen + 2 <= 63"),
+    "flow": (1, None, "no Grassmann field"),
+    "decompose": (4, None, "deformations on generators 1-4"),
+}
+
+
+def _require_generators(config: SuiteConfig, suite: str) -> None:
+    """Raise ValueError unless ``suite`` can place its fields on config.n_gen generators."""
+    low, high, why = _GENERATOR_RANGES[suite]
+    if config.n_gen < low or (high is not None and config.n_gen > high):
+        bound = f"n_gen >= {low}" + ("" if high is None else f" and n_gen <= {high}")
+        raise ValueError(f"the {suite} suite needs {bound} ({why}); got n_gen={config.n_gen}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +351,6 @@ def _grassmann_draws(rng, n_gen: int, count: int) -> dict:
     - "homogeneous": (count, 2, 4), four distinct masks of the drawn parity;
     - "linear": the (count, n_gen) coefficients of the odd linear elements.
     """
-    if n_gen < 3:
-        raise ValueError("the grassmann suite needs n_gen >= 3 "
-                         "(four distinct monomials of each parity)")
-
     def small_integers(shape) -> np.ndarray:
         # Small-integer coefficients keep all products and sums exact in
         # floating point, so the laws can be checked with zero tolerance.
@@ -688,8 +707,8 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
                         for g in PSI_GENS]) for _ in range(d)]
     crit = replace(ComponentFields.zero(grid, n_gen, d), psi=psi, winding=winding)
     J = super_current(geom, chi0, crit, coeffs=coeffs)
-    gamma_trace = J.gamma_trace(CLIFFORD).max_abs()
-    jre, jim = current_spin32(J, CLIFFORD)
+    gamma_trace = J.gamma_trace().max_abs()
+    jre, jim = current_spin32(J)
     djre, djim = d_zbar(jre, jim)
     j_holo = [djre.max_abs(), djim.max_abs()]
 
@@ -710,7 +729,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     direction = GravitinoField([_spinor(grid, n_gen, (SPARE_GEN, SPARE_GEN), arrays[7:9]),
                                 _spinor(grid, n_gen, (SPARE_GEN, SPARE_GEN), arrays[9:])])
     J = super_current(geom, chi, fields, coeffs=coeffs)
-    paired = pairing(direction[1], J[1], CLIFFORD) + pairing(direction[2], J[2], CLIFFORD)
+    paired = pairing(direction[1], J[1]) + pairing(direction[2], J[2])
     varied = action_component(geom, chi + direction, fields, coeffs=coeffs)
     a0 = action_component(geom, chi, fields, coeffs=coeffs)
     noether = _fixture_floats((varied - a0).max_abs_diff(paired.integral()), fields.phi[0])
@@ -826,20 +845,25 @@ def suite_rng(config: SuiteConfig, name: str) -> np.random.Generator:
 
 
 def run_suite(config: SuiteConfig, suite: str) -> list[CheckReport]:
-    """Run one named suite (or "all") and return its check reports."""
-    if suite == "all":
-        out = []
-        for name in SUITE_NAMES:
-            out.extend(_SUITES[name](config, suite_rng(config, name)))
-        return out
-    if suite not in _SUITES:
+    """Run one named suite (or "all") and return its check reports.
+
+    Every suite to run is checked against config.n_gen before any draws.
+    """
+    if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{SUITE_NAMES + ['all']}")
-    return _SUITES[suite](config, suite_rng(config, suite))
+    names = SUITE_NAMES if suite == "all" else [suite]
+    for name in names:
+        _require_generators(config, name)
+    out = []
+    for name in names:
+        out.extend(_SUITES[name](config, suite_rng(config, name)))
+    return out
 
 
 def calibrate(config: SuiteConfig) -> tuple[SuiteConfig, ActionCoefficients]:
     """Run the sign calibration and return (updated config, coefficients)."""
+    _require_generators(config, "susy2d")
     rng = suite_rng(config, "susy2d")
     battery = build_calibration_battery(config, rng)
     cal = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))

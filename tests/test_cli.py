@@ -182,6 +182,40 @@ def assert_json_error(out, error_type, fragment):
     assert fragment in error["message"]
 
 
+@pytest.mark.parametrize("command, n_gen, bound", [
+    (["verify", "susy2d"], 4, "n_gen >= 5 and n_gen <= 63"),
+    (["calibrate"], 4, "n_gen >= 5 and n_gen <= 63"),
+    (["verify", "toy"], 4, "n_gen >= 6 and n_gen <= 63"),
+    (["verify", "currents"], 5, "n_gen >= 6 and n_gen <= 61"),
+    (["verify", "all"], 5, "the toy suite needs n_gen >= 6"),
+    (["verify", "grassmann"], 64, "n_gen >= 3 and n_gen <= 63"),
+    (["verify", "berezin"], 2, "n_gen >= 3 and n_gen <= 63"),
+    (["verify", "berezin"], 64, "n_gen >= 3 and n_gen <= 63"),
+    (["verify", "reduction"], 1, "n_gen >= 2 and n_gen <= 63"),
+    (["verify", "reduction"], 64, "n_gen >= 2 and n_gen <= 63"),
+    (["verify", "toy"], 5, "n_gen >= 6 and n_gen <= 63"),
+    (["verify", "toy"], 64, "n_gen >= 6 and n_gen <= 63"),
+    (["verify", "susy2d"], 64, "n_gen >= 5 and n_gen <= 63"),
+    (["calibrate"], 64, "n_gen >= 5 and n_gen <= 63"),
+    (["verify", "currents"], 62, "n_gen >= 6 and n_gen <= 61"),
+    (["verify", "decompose"], 3, "n_gen >= 4 (deformations"),
+], ids=["susy2d-4", "calibrate-4", "toy-4", "currents-5", "all-5", "grassmann-64",
+        "berezin-2", "berezin-64", "reduction-1", "reduction-64", "toy-5", "toy-64",
+        "susy2d-64", "calibrate-64", "currents-62", "decompose-3"])
+def test_generator_count_without_room_for_the_fields_is_json_error(capsys, tmp_path, monkeypatch,
+                                                                    command, n_gen, bound):
+    # The suite names the range it needs, and refuses before it draws.
+    def no_draws(*args):
+        raise AssertionError("a suite drew fixtures")
+
+    monkeypatch.setattr(suites, "suite_rng", no_draws)
+    path = write_config(tmp_path, json.dumps({"n_gen": n_gen}))
+    code, out = run_cli(capsys, *command, "--config", path)
+    assert code == 1
+    assert_json_error(out, "ValueError", bound)
+    assert_json_error(out, "ValueError", f"got n_gen={n_gen}")
+
+
 @pytest.mark.parametrize("command", [["verify", "susy2d"], ["calibrate"]])
 def test_calibration_error_is_json_error(capsys, tmp_path, command):
     path = write_config(tmp_path, '{"tolerances": {"calibration": 0.0}}')

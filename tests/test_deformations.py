@@ -16,17 +16,11 @@ from supersigma.deformations import (
 from supersigma.grassmann import ParityError
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.report import SuiteReport, render_report
-from supersigma.sigma2d import UnsupportedRegimeError
-from supersigma.spin_surface import (
-    CLIFFORD,
-    CliffordConvention,
-    GravitinoField,
-    SpinorField,
-    SurfaceGeometry,
-)
+from supersigma.sigma2d import UnsupportedRegimeError, susy_gravitino_variation
+from supersigma.spin_surface import GAMMA, GravitinoField, SpinorField, SurfaceGeometry
 from supersigma.suites import run_suite
 
-from conftest import N_GEN, even_field, gravitino, odd_field, odd_spinor, stack
+from conftest import N_GEN, even_field, gravitino, odd_field, odd_spinor, stack, trig_array
 
 
 @pytest.fixture
@@ -127,8 +121,7 @@ def test_nan_sample_reaches_every_metric_residual(geom, chi0, grid):
 
 def test_super_weyl_input_recovered(rng, geom, chi0, grid):
     t = SpinorField([band_field(rng, grid, (0b1,)), band_field(rng, grid, (0b10,))])
-    dchi = GravitinoField([t.matrix_apply(CLIFFORD.gamma(1)),
-                           t.matrix_apply(CLIFFORD.gamma(2))])
+    dchi = GravitinoField([t.matrix_apply(GAMMA[1]), t.matrix_apply(GAMMA[2])])
     r = decompose_gravitino(geom, chi0, dchi)
     assert r.residual_gravitino.max_abs() < 1e-8
     assert r.super_weyl.max_abs_diff(t) < 1e-8
@@ -142,10 +135,25 @@ def test_susy_image_absorbed(rng, geom, chi0, grid):
     assert r.reassembly_residual < 1e-8
 
 
+def test_fitted_susy_parameter_is_the_q_of_the_transformation(rng, geom, chi0, grid):
+    # At chi = 0 the supersymmetry moves the gravitino by delta chi_a = -d_a q,
+    # and a q without a zero mode is fixed by its derivatives: the split
+    # returns q itself, not -q, and no super-Weyl part.
+    def without_zero_mode():
+        a = trig_array(rng, grid, cutoff=6)
+        return a - a.mean()
+
+    q = SpinorField([GrassmannField(grid, N_GEN, {0b10000: without_zero_mode()})
+                     for _ in range(2)])
+    r = decompose_gravitino(geom, chi0, susy_gravitino_variation(geom, chi0, q))
+    assert r.susy_parameter.max_abs_diff(q) <= 1e-12
+    assert r.super_weyl.max_abs() <= 1e-12
+
+
 def test_constant_gamma_trace_free_section_is_true_deformation(geom, chi0, grid):
     A = np.zeros((2, 4))
-    A[:, 0:2] = CLIFFORD.gamma(1)
-    A[:, 2:4] = CLIFFORD.gamma(2)
+    A[:, 0:2] = GAMMA[1]
+    A[:, 2:4] = GAMMA[2]
     null = np.linalg.svd(A)[2][-1]
     dchi = GravitinoField([
         SpinorField([GrassmannField(grid, N_GEN, {0b1: np.full(grid.shape, null[2 * a])}),
@@ -228,10 +236,10 @@ def reference_metric_columns(kap1, kap2):
     ], dtype=complex)
 
 
-def reference_gravitino_columns(kap1, kap2, conv):
+def reference_gravitino_columns(kap1, kap2):
     A = np.zeros((4, 4), dtype=complex)
-    A[0:2, 0:2] = conv.gamma(1)
-    A[2:4, 0:2] = conv.gamma(2)
+    A[0:2, 0:2] = GAMMA[1]
+    A[2:4, 0:2] = GAMMA[2]
     A[0:2, 2:4] = 1j * kap1 * np.eye(2)
     A[2:4, 2:4] = 1j * kap2 * np.eye(2)
     return A
@@ -278,7 +286,7 @@ def reference_solve(comps, cutoff, build_columns):
 
 
 def reference_dimensions(geom, cutoff):
-    grid, conv = geom.grid, geom.clifford_convention
+    grid = geom.grid
 
     def nullity(A):
         s = np.linalg.svd(A, compute_uv=False)
@@ -297,16 +305,14 @@ def reference_dimensions(geom, cutoff):
                            [1j * kap1, 1j * kap2, 0.0],
                            [0.0, 1j * kap1, 1j * kap2]], dtype=complex)
             Ao = np.zeros((4, 4), dtype=complex)
-            Ao[0:2, 0:2] = conv.gamma(1)
-            Ao[0:2, 2:4] = conv.gamma(2)
+            Ao[0:2, 0:2] = GAMMA[1]
+            Ao[0:2, 2:4] = GAMMA[2]
             Ao[2:4, 0:2] = 1j * kap1 * np.eye(2)
             Ao[2:4, 2:4] = 1j * kap2 * np.eye(2)
             d_even += mult * nullity(Ae)
             d_odd += mult * nullity(Ao)
     return d_even, d_odd
 
-
-FLIPPED = CliffordConvention(gamma1=-CLIFFORD.gamma1)
 
 ORACLE_GRIDS = [
     Grid((12, 10), (2.0 * np.pi, 2.0 * np.pi)),
@@ -344,32 +350,32 @@ def test_metric_matches_per_mode_reference(rng, grid_, cutoff):
     assert r.residual_metric.max_abs_diff(D) == 0.0
 
 
-@pytest.mark.parametrize("conv", [CLIFFORD, FLIPPED], ids=["gamma1", "minus-gamma1"])
+@pytest.mark.parametrize("cache", ["cold", "metric-line-cached"])
 @pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
-def test_gravitino_matches_per_mode_reference(rng, grid_, cutoff, conv):
-    conv.validate()
-    geom_ = SurfaceGeometry(grid_, N_GEN, clifford_convention=conv)
+def test_gravitino_matches_per_mode_reference(rng, grid_, cutoff, cache):
+    geom_ = SurfaceGeometry.flat(grid_, N_GEN)
     dchi = GravitinoField([odd_spinor(rng, grid_, [1, 3], cutoff=7),
                            odd_spinor(rng, grid_, [2, 4], cutoff=7)])
     dchi = GravitinoField([dchi[1] + odd_spinor(rng, grid_, [5, 6], cutoff=7), dchi[2]])
-    chi0_ = GravitinoField.zero(grid_, N_GEN)
-    # Warm the cache with the default convention on the same grid and cutoff:
-    # a key without the Clifford matrices would then hand back its A+.
-    decompose_gravitino(SurfaceGeometry.flat(grid_, N_GEN), chi0_, dchi, cutoff=cutoff)
-    r = decompose_gravitino(geom_, chi0_, dchi, cutoff=cutoff)
+    deformations._band_matrices.cache_clear()
+    if cache == "metric-line-cached":
+        # The metric line of the same grid and cutoff is cached first: a key
+        # without the line would hand back its A and A+.
+        deformations._band_matrices(grid_, resolved(cutoff, grid_), "metric")
+    r = decompose_gravitino(geom_, GravitinoField.zero(grid_, N_GEN), dchi, cutoff=cutoff)
     comps = [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]]
-    params, res = reference_solve(comps, resolved(cutoff, grid_),
-                                  lambda k1, k2: reference_gravitino_columns(k1, k2, conv))
+    params, res = reference_solve(comps, resolved(cutoff, grid_), reference_gravitino_columns)
     assert r.super_weyl.max_abs_diff(SpinorField(params[0:2])) == 0.0
-    assert r.susy_parameter.max_abs_diff(SpinorField(params[2:4])) == 0.0
+    # The reference fits delta chi_a = +d_a p; the supersymmetry parameter
+    # is q = -p, since delta chi_a = -d_a q.
+    assert r.susy_parameter.max_abs_diff(-SpinorField(params[2:4])) == 0.0
     DD = GravitinoField([SpinorField(res[0:2]), SpinorField(res[2:4])])
     assert r.residual_gravitino.max_abs_diff(DD) == 0.0
 
 
-@pytest.mark.parametrize("conv", [CLIFFORD, FLIPPED], ids=["gamma1", "minus-gamma1"])
 @pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
-def test_true_dimensions_match_reference(grid_, cutoff, conv):
-    geom_ = SurfaceGeometry(grid_, N_GEN, clifford_convention=conv)
+def test_true_dimensions_match_reference(grid_, cutoff):
+    geom_ = SurfaceGeometry.flat(grid_, N_GEN)
     assert true_deformation_dimensions(geom_, cutoff) == \
         reference_dimensions(geom_, resolved(cutoff, grid_))
 
@@ -429,7 +435,7 @@ def test_stacked_decompositions_match_each_fixture(rng, grid_):
 # One Grassmann mask at a time
 # ---------------------------------------------------------------------------
 
-def all_masks_band_solve(comps, cutoff, line_key):
+def all_masks_band_solve(comps, cutoff, line):
     """The band solve with the modes of every mask and component held at once:
     one ``fft2`` of the whole (mask, component) stack, one ``ifft2`` per
     returned sample array."""
@@ -440,7 +446,7 @@ def all_masks_band_solve(comps, cutoff, line_key):
     F = np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
                   for m in masks], dtype=complex)
     F = np.fft.fft2(F)
-    band, A, A_pinv = deformations._band_matrices(grid, cutoff, line_key)
+    band, A, A_pinv = deformations._band_matrices(grid, cutoff, line)
     rhs = np.moveaxis(F[band], 1, -1)[..., None]
     sol = A_pinv @ rhs
     F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 1)
@@ -458,7 +464,7 @@ def all_masks_band_solve(comps, cutoff, line_key):
 
 
 def band_solve_inputs(rng, grid_, line, stacked):
-    """Component fields and line arguments of ``_band_solve`` for one line."""
+    """Component fields of ``_band_solve`` for one line."""
     def draw():
         if line == "metric":
             return (band_field(rng, grid_, (0, 0b11), cutoff=7), band_field(rng, grid_),
@@ -466,10 +472,7 @@ def band_solve_inputs(rng, grid_, line, stacked):
         chi1 = odd_spinor(rng, grid_, [1, 3], cutoff=7) + odd_spinor(rng, grid_, [5, 6], cutoff=7)
         return tuple(chi1.comps) + tuple(odd_spinor(rng, grid_, [2, 4], cutoff=7).comps)
 
-    comps = list(stack([draw() for _ in range(3)]) if stacked else draw())
-    if line == "metric":
-        return comps, ("metric",)
-    return comps, ("gravitino", CLIFFORD.gamma(1).tobytes(), CLIFFORD.gamma(2).tobytes())
+    return list(stack([draw() for _ in range(3)]) if stacked else draw())
 
 
 def owner(a):
@@ -485,10 +488,10 @@ def owner(a):
     for g in ORACLE_GRIDS for c in (0, None, max(g.shape) // 2)])
 def test_per_mask_band_solve_has_the_bits_of_the_all_masks_solve(rng, grid_, cutoff,
                                                                  line, stacked):
-    comps, line_key = band_solve_inputs(rng, grid_, line, stacked)
+    comps = band_solve_inputs(rng, grid_, line, stacked)
     c = resolved(cutoff, grid_)
-    got = deformations._band_solve(comps, c, line_key)
-    want = all_masks_band_solve(comps, c, line_key)
+    got = deformations._band_solve(comps, c, line)
+    want = all_masks_band_solve(comps, c, line)
     for got_fields, want_fields in zip(got, want):
         assert len(got_fields) == len(want_fields)
         for f, w in zip(got_fields, want_fields):
@@ -594,7 +597,7 @@ def test_repeated_key_makes_no_pinv_call(rng, monkeypatch, geom, chi0, grid):
     assert calls == []
     for a, b in zip(first, again):
         assert a.residual_norms() == b.residual_norms()
-    _, A, A_pinv = deformations._band_matrices(grid, min(grid.shape) // 4, ("metric",))
+    _, A, A_pinv = deformations._band_matrices(grid, min(grid.shape) // 4, "metric")
     assert not (A.flags.writeable or A_pinv.flags.writeable)
 
 
@@ -620,8 +623,10 @@ def test_pair_filled_pinv_equals_pinv_of_every_mode(grid_, cutoff, line):
     if line == "metric":
         A = deformations._metric_columns(k1[i1][:, None], k2[i2])
     else:
-        conv = FLIPPED if line == "gravitino-flipped" else CLIFFORD
-        A = deformations._gravitino_columns(k1[i1][:, None], k2[i2], conv)
+        A = deformations._gravitino_columns(k1[i1][:, None], k2[i2])
+        if line == "gravitino-flipped":
+            # The same columns with -gamma^1: a second real constant block.
+            A[..., 0:2, 0:2] *= -1.0
     filled = deformations._paired_pinv(A, m1[i1], m2[i2])
     want = np.linalg.pinv(A, rcond=deformations.SVD_CUTOFF)
     assert filled.shape == want.shape

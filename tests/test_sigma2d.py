@@ -31,7 +31,6 @@ from supersigma.sigma2d import (
     t_zz,
 )
 from supersigma.spin_surface import (
-    CLIFFORD,
     GravitinoField,
     SpinorField,
     SurfaceGeometry,
@@ -90,11 +89,11 @@ def test_superfield_rejects_winding(rng, grid):
         superfield_from_components(fields)
 
 
-def full_integrand_action(Phis, coeffs, conv=CLIFFORD):
+def full_integrand_action(Phis, coeffs):
     """The superfield action with every eta-coefficient of its integrand formed."""
     integrand = SuperFunction(Phis[0].grid, 2, Phis[0].n_gen, {})
     for Phi in Phis:
-        D1, D2 = s2._super_derivatives(Phi, conv)
+        D1, D2 = s2._super_derivatives(Phi)
         integrand = integrand + D1 * D2 - D2 * D1
     return berezin_integrate(integrand * coeffs.superfield_normalization)
 
@@ -471,7 +470,7 @@ def test_super_current_directional_oracle(rng, grid):
     from supersigma.spin_surface import pairing
     density = GrassmannField.zero(grid, N_GEN)
     for a in (1, 2):
-        density = density + pairing(direction[a], J[a], CLIFFORD)
+        density = density + pairing(direction[a], J[a])
     expected = density.integral()
     assert (a1 - a0).max_abs_diff(expected) < 1e-11
 
@@ -492,7 +491,7 @@ def test_super_current_gamma_trace_free_at_chi_zero(rng, grid):
     chi0 = GravitinoField.zero(grid, N_GEN)
     fields = matter(rng, grid, soul=False)
     J = super_current(geom, chi0, fields, coeffs=CAL)
-    assert J.gamma_trace(CLIFFORD).max_abs() < 1e-13
+    assert J.gamma_trace().max_abs() < 1e-13
 
 
 def test_spin32_component_holomorphic_on_critical_fixture(rng, grid):
@@ -506,7 +505,7 @@ def test_spin32_component_holomorphic_on_critical_fixture(rng, grid):
         winding=winding,
     )
     J = super_current(geom, chi0, crit, coeffs=CAL)
-    re, im = current_spin32(J, CLIFFORD)
+    re, im = current_spin32(J)
     dre, dim_ = d_zbar(re, im)
     assert max(dre.max_abs(), dim_.max_abs()) < 1e-12
 

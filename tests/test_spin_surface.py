@@ -4,8 +4,9 @@ import pytest
 from supersigma.grassmann import ParityError
 from supersigma.gridfield import GrassmannField, Grid
 from supersigma.spin_surface import (
-    CLIFFORD,
-    CliffordConvention,
+    GAMMA,
+    GAMMA_PRODUCTS,
+    PAIRING_MATRIX,
     SpinorField,
     SurfaceGeometry,
     clifford,
@@ -26,20 +27,27 @@ def grid():
 def test_clifford_relations():
     for a in (1, 2):
         for b in (1, 2):
-            anti = CLIFFORD.gamma(a) @ CLIFFORD.gamma(b) \
-                + CLIFFORD.gamma(b) @ CLIFFORD.gamma(a)
+            assert np.array_equal(GAMMA_PRODUCTS[a, b], GAMMA[a] @ GAMMA[b])
+            anti = GAMMA_PRODUCTS[a, b] + GAMMA_PRODUCTS[b, a]
             assert np.array_equal(anti, 2.0 * (a == b) * np.eye(2))
 
 
 def test_pairing_matrix_antisymmetric():
-    C = CLIFFORD.pairing_matrix
+    C = PAIRING_MATRIX
+    assert np.array_equal(C, GAMMA[1] @ GAMMA[2])
     assert np.array_equal(C, -C.T)
-    CLIFFORD.validate()
+    assert np.array_equal(C @ C, -np.eye(2))  # nondegenerate: C^-1 = -C
 
 
-def test_bad_convention_rejected():
-    with pytest.raises(ValueError):
-        CliffordConvention(gamma1=np.eye(2), gamma2=np.eye(2)).validate()
+def test_clifford_constants_are_read_only():
+    for m in [*GAMMA.values(), PAIRING_MATRIX, *GAMMA_PRODUCTS.values()]:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        GAMMA[1] = np.eye(2)
+    with pytest.raises(TypeError):
+        GAMMA_PRODUCTS[1, 1] = np.eye(2)
 
 
 def test_pairing_symmetric_on_odd_spinors(rng, grid):
@@ -67,7 +75,7 @@ def test_gamma5_correction_drops_out_of_the_dirac_pairing(rng, grid, stacked):
         return psi, even_field(rng, grid, soul_mask=0b000011)
 
     def residuals(psi, c):
-        rotated = c * psi.matrix_apply(CLIFFORD.gamma5)
+        rotated = c * psi.matrix_apply(PAIRING_MATRIX)
         return [pairing(psi, clifford(a, rotated)).max_abs() for a in (1, 2)]
 
     fixtures = [draw() for _ in range(3 if stacked else 1)]
@@ -80,11 +88,14 @@ def test_gamma5_correction_drops_out_of_the_dirac_pairing(rng, grid, stacked):
 
 def test_clifford_action_componentwise(rng, grid):
     s = odd_spinor(rng, grid, [1, 2])
-    g1 = CLIFFORD.gamma(1)
-    rotated = clifford(1, s, CLIFFORD)
+    g1 = GAMMA[1]
+    rotated = clifford(1, s)
     for i in range(2):
         expected = s.comps[0] * g1[i, 0] + s.comps[1] * g1[i, 1]
         assert rotated.comps[i].max_abs_diff(expected) < 1e-14
+
+
+CLIFFORD_MATRICES = {"gamma1": GAMMA[1], "gamma2": GAMMA[2], "gamma5": PAIRING_MATRIX}
 
 
 def _dense_matrix_apply(s, m):
@@ -94,8 +105,7 @@ def _dense_matrix_apply(s, m):
 
 @pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma5", "full"])
 def test_matrix_apply_matches_dense_product_bitwise(rng, grid, name):
-    m = {"gamma1": CLIFFORD.gamma1, "gamma2": CLIFFORD.gamma2, "gamma5": CLIFFORD.gamma5,
-         "full": np.array([[0.5, -2.0], [1.5, 0.25]])}[name]
+    m = {**CLIFFORD_MATRICES, "full": np.array([[0.5, -2.0], [1.5, 0.25]])}[name]
     s = odd_spinor(rng, grid, [1, 2])
     out = s.matrix_apply(m)
     for got, want in zip(out.comps, _dense_matrix_apply(s, m)):
@@ -109,7 +119,7 @@ def test_matrix_apply_matches_dense_product_bitwise(rng, grid, name):
 def test_nan_in_one_spinor_component_reaches_the_output(rng, grid, name, component):
     # Skipping a zero matrix entry skips NaN * 0.0; the NaN must still reach
     # the row where its entry is nonzero.
-    m = getattr(CLIFFORD, name)
+    m = CLIFFORD_MATRICES[name]
     s = odd_spinor(rng, grid, [1, 2])
     comps = list(s.comps)
     bad = {mask: a.copy() for mask, a in comps[component].terms.items()}
@@ -123,15 +133,15 @@ def test_nan_in_one_spinor_component_reaches_the_output(rng, grid, name, compone
 def test_super_weyl_shifts_gravitino(rng, grid):
     chi = gravitino(rng, grid)
     t = odd_spinor(rng, grid, [1, 2])
-    shifted = super_weyl(chi, t, CLIFFORD)
+    shifted = super_weyl(chi, t)
     for a in (1, 2):
-        assert shifted[a].max_abs_diff(chi[a] + clifford(a, t, CLIFFORD)) < 1e-14
+        assert shifted[a].max_abs_diff(chi[a] + clifford(a, t)) < 1e-14
 
 
 def test_gamma_trace(rng, grid):
     chi = gravitino(rng, grid)
-    gt = chi.gamma_trace(CLIFFORD)
-    expected = clifford(1, chi[1], CLIFFORD) + clifford(2, chi[2], CLIFFORD)
+    gt = chi.gamma_trace()
+    expected = clifford(1, chi[1]) + clifford(2, chi[2])
     assert gt.max_abs_diff(expected) == 0.0
 
 

@@ -46,7 +46,6 @@ from supersigma.sigma2d import (
     t_zz,
 )
 from supersigma.spin_surface import (
-    CLIFFORD,
     GravitinoField,
     SpinorField,
     SurfaceGeometry,
@@ -208,13 +207,13 @@ def _currents_oracle(config, rng):
                         for g in PSI_GENS]) for _ in range(2)]
     crit = replace(ComponentFields.zero(grid, n_gen, 2), psi=psi, winding=winding)
     J = super_current(geom, chi0, crit, coeffs=coeffs)
-    gamma_trace = J.gamma_trace(CLIFFORD).max_abs()
-    j_holo = [f.max_abs() for f in d_zbar(*current_spin32(J, CLIFFORD))]
+    gamma_trace = J.gamma_trace().max_abs()
+    j_holo = [f.max_abs() for f in d_zbar(*current_spin32(J))]
     _, chi, fields, _ = sigma_fixture(rng, grid, True, n_gen)
     direction = GravitinoField([odd_spinor(rng, grid, [SPARE_GEN] * 2, scale=0.7, n_gen=n_gen)
                                 for _ in range(2)])
     J = super_current(geom, chi, fields, coeffs=coeffs)
-    paired = pairing(direction[1], J[1], CLIFFORD) + pairing(direction[2], J[2], CLIFFORD)
+    paired = pairing(direction[1], J[1]) + pairing(direction[2], J[2])
     varied = action_component(geom, chi + direction, fields, coeffs=coeffs)
     noether = (varied - action_component(geom, chi, fields, coeffs=coeffs)).max_abs_diff(
         paired.integral())
@@ -740,6 +739,19 @@ def test_grassmann_suite_rejects_fewer_than_three_generators():
     # Two generators have only two monomials of each parity.
     with pytest.raises(ValueError, match="n_gen >= 3"):
         suites.run_suite(SuiteConfig(n_gen=2), "grassmann")
+
+
+@pytest.mark.parametrize("suite, n_gen", [
+    ("grassmann", 3), ("grassmann", 63), ("berezin", 3), ("berezin", 63),
+    ("toy", 6), ("toy", 63), ("reduction", 2), ("reduction", 63),
+    ("susy2d", 5), ("susy2d", 63), ("currents", 6), ("currents", 61),
+    ("flow", 1), ("decompose", 4),
+])
+def test_suite_passes_at_each_end_of_its_generator_range(suite, n_gen):
+    # The fewest and the most generators a suite accepts place every field.
+    # 100 grassmann fixtures, not 1000, keep the 63-generator products quick.
+    checks = suites.run_suite(SuiteConfig(n_gen=n_gen, fixture_counts={"grassmann": 100}), suite)
+    assert checks and all(c.passed for c in checks)
 
 
 def test_currents_suite_differentiates_each_phi_once(derivative_log):
