@@ -18,8 +18,6 @@ def berezin_integrate(f: SuperFunction) -> GrassmannNumber:
     """Integral of ``f`` over its torus and all of its odd directions.
 
     Integration is in coordinates adapted to the zero embedding (xi = 0),
-    where the odd integral is the plain top coefficient.  Independence of
-    the embedding is checked by pulling the integrand back through the
-    coordinate change eta = xi + eta~ (``toy_model.toy_embedding_residual``).
+    where the odd integral is the plain top coefficient.
     """
     return f.coefficient((1 << f.n_odd) - 1).integral()

@@ -30,6 +30,7 @@ __all__ = [
     "GrassmannNumber",
     "DimensionMismatchError",
     "ParityError",
+    "fresh_generators",
     "max_or_nan",
     "monomial_sign",
     "require_even",
@@ -78,6 +79,33 @@ def max_or_nan(values: Iterable):
     for v in values:
         out = np.maximum(out, v)
     return out
+
+
+def _mask_limit(n_gen: int) -> int:
+    """2**n_gen; ValueError unless 0 <= n_gen <= 63 (a mask is an int64)."""
+    if not 0 <= n_gen <= 63:
+        raise ValueError("generator count must be between 0 and 63")
+    return 1 << n_gen
+
+
+def fresh_generators(direction: Iterable, inputs: Iterable, what: str) -> int:
+    """The generators of the monomials of the graded elements ``direction``,
+    as a bitmask; ValueError naming the lowest one that a monomial of
+    ``inputs`` also carries.  A variation along fresh generators puts one in
+    every monomial it adds, so the part of a varied value ``free_of`` them is
+    the unvaried value bit for bit."""
+    fresh = used = 0
+    for x in direction:
+        for m in x.terms:
+            fresh |= m
+    for x in inputs:
+        for m in x.terms:
+            used |= m
+    shared = fresh & used
+    if shared:
+        raise ValueError(f"{what} shares generator {(shared & -shared).bit_length()} "
+                         "with the unvaried inputs")
+    return fresh
 
 
 def _flip_mask(a: int) -> int:
@@ -243,6 +271,10 @@ class GradedElement:
             return NotImplemented
         return o * self
 
+    def free_of(self, bits: int):
+        """The terms whose monomials carry none of the generators in the mask ``bits``."""
+        return self._new({m: c for m, c in self.terms.items() if not m & bits})
+
     def max_abs_diff(self, other):
         return (self - other).max_abs()
 
@@ -257,12 +289,10 @@ class GrassmannNumber(GradedElement):
     __slots__ = ("n_gen",)
 
     def __init__(self, n_gen: int, terms: Mapping[int, float] | None = None):
-        if not 0 <= n_gen <= 63:
-            raise ValueError("generator count must be between 0 and 63")
+        limit = _mask_limit(n_gen)
         self.n_gen = n_gen
         clean: dict[int, float] = {}
         if terms:
-            limit = 1 << n_gen
             for mask, c in terms.items():
                 if not 0 <= mask < limit:
                     raise ValueError(f"monomial mask {mask} out of range for n_gen={n_gen}")

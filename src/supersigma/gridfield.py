@@ -22,7 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .grassmann import DimensionMismatchError, GradedElement, GrassmannNumber, max_or_nan
+from .grassmann import (DimensionMismatchError, GradedElement, GrassmannNumber, _mask_limit,
+                        max_or_nan)
 
 __all__ = ["Grid", "GrassmannField", "derivative_wavenumbers", "spectral_derivative"]
 
@@ -150,7 +151,8 @@ class GrassmannField(GradedElement):
     Each term is an array of ``grid.shape``, or of ``(B, *grid.shape)`` for a
     field stacked over B fixtures; when some terms are stacked, the others
     are broadcast to the same shape.  Any other array is broadcast to
-    ``grid.shape``.
+    ``grid.shape``.  ``n_gen`` and the masks are checked as for a
+    ``GrassmannNumber``.
     """
 
     __slots__ = ("grid", "n_gen")
@@ -158,12 +160,15 @@ class GrassmannField(GradedElement):
     _scalars = (int, float, np.ndarray)
 
     def __init__(self, grid: Grid, n_gen: int, terms: Mapping[int, np.ndarray] | None = None):
+        limit = _mask_limit(n_gen)
         self.grid = grid
         self.n_gen = n_gen
         clean: dict[int, np.ndarray] = {}
         if terms:
             stacked = None
             for mask, arr in terms.items():
+                if not 0 <= mask < limit:
+                    raise ValueError(f"monomial mask {mask} out of range for n_gen={n_gen}")
                 a = np.asarray(arr, dtype=float)
                 if a.shape != grid.shape:
                     if a.shape[1:] != grid.shape:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannNumber, max_or_nan, require_even, require_odd
+from .grassmann import GrassmannNumber, fresh_generators, max_or_nan, require_even, require_odd
 from .gridfield import GrassmannField, Grid, derivative_wavenumbers, spectral_derivative
 from .spin_surface import (
     GAMMA,
@@ -474,21 +474,29 @@ def _susy_varied_geometry(geom: SurfaceGeometry, chi: GravitinoField,
     return geom.moved_frame(c), chi + dchi
 
 
+def _q_generators(geom: SurfaceGeometry, chi: GravitinoField, fields: ComponentFields,
+                  q: SpinorField) -> int:
+    """The generators of q, checked to be fresh to (geom, chi, fields)."""
+    inputs = [e for row in geom.frame for e in row] + fields.phi + fields.F
+    inputs += [c for s in (*chi.chi, *fields.psi) for c in s.comps]
+    return fresh_generators(q.comps, inputs, "the supersymmetry parameter q")
+
+
 def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
                              fields: ComponentFields, q: SpinorField,
                              coeffs: ActionCoefficients = ActionCoefficients()):
-    """Max coefficient of A(varied) - A(original), one per fixture of stacked
-    fields, under the matter + geometry supersymmetry variation with the
-    parameter q (constant or local).
-
-    All variations are proportional to the odd parameter q, so for a
-    monomial q the difference is exactly the first variation.
+    """Max coefficient of the first variation of the action, one per fixture
+    of stacked fields, under the matter + geometry supersymmetry variation
+    with the parameter q (constant or local): A(varied) minus its part free of
+    q's generators, which is A(original) bit for bit since they must be fresh
+    to the inputs (ValueError otherwise).  Subtracting that part keeps a NaN
+    of A(original).  For a monomial q the variation is exact (q^2 = 0).
     """
-    a0 = action_component(geom, chi, fields, coeffs)
+    bits = _q_generators(geom, chi, fields, q)
     varied_geom, varied_chi = _susy_varied_geometry(geom, chi, q)
     varied = fields + susy_fields(fields, chi, q, geom, coeffs)
     a1 = action_component(varied_geom, varied_chi, varied, coeffs)
-    return a1.max_abs_diff(a0)
+    return a1.max_abs_diff(a1.free_of(bits))
 
 
 _SIGNS = (1.0, -1.0)
@@ -508,29 +516,30 @@ def _calibration_scores(battery: Sequence[tuple], base: ActionCoefficients) -> l
 
     Rows are (score, s1, s2, sign c4, sign c5, candidate) in the order
     s1, s2, sign c4, sign c5 with +1 first.  For fixed (s1, s2) the action
-    is linear in c1..c5, so each entry needs the per-term integrals of
-    the original configuration once and of the varied one once per
-    (s1, s2); every candidate is then scored as a linear combination.  An
-    entry may stack fixtures: its score is the largest of theirs, NaN if
-    any is NaN.
+    is linear in c1..c5, so each entry needs the per-term integrals of the
+    varied configuration once per (s1, s2), and every candidate is scored
+    as a linear combination.  The original configuration is not evaluated:
+    its integrals are the q-free part of any (s1, s2)'s, as in
+    ``susy_invariance_residual``.  An entry may stack fixtures: its score
+    is the largest of theirs, NaN if any is NaN.
     """
     cands = {(s1, s2, sig4, sig5): replace(base, s1=s1, s2=s2, c4=sig4 * abs(base.c4),
                                            c5=sig5 * abs(base.c5))
              for s1 in _SIGNS for s2 in _SIGNS for sig4 in _SIGNS for sig5 in _SIGNS}
     worst = dict.fromkeys(cands, 0.0)
     for geom, chi, fields, q in battery:
-        terms0 = _action_terms(geom, chi, fields, coeffs=base)
+        bits = _q_generators(geom, chi, fields, q)
         varied_geom, varied_chi = _susy_varied_geometry(geom, chi, q)
+        varied = {}
         for s1 in _SIGNS:
             for s2 in _SIGNS:
                 delta = susy_fields(fields, chi, q, geom, coeffs=replace(base, s1=s1, s2=s2))
-                terms1 = _action_terms(varied_geom, varied_chi, fields + delta, coeffs=base)
-                for sig4 in _SIGNS:
-                    for sig5 in _SIGNS:
-                        key = (s1, s2, sig4, sig5)
-                        c = _coefficient_vector(cands[key])
-                        score = _combine(c, terms1).max_abs_diff(_combine(c, terms0))
-                        worst[key] = max_or_nan((worst[key], np.max(score)))
+                varied[s1, s2] = _action_terms(varied_geom, varied_chi, fields + delta, coeffs=base)
+        terms0 = [None if t is None else t.free_of(bits) for t in varied[1.0, 1.0]]
+        for key, cand in cands.items():
+            c = _coefficient_vector(cand)
+            score = _combine(c, varied[key[:2]]).max_abs_diff(_combine(c, terms0))
+            worst[key] = max_or_nan((worst[key], np.max(score)))
     return [(worst[key], *key, cand) for key, cand in cands.items()]
 
 
@@ -544,7 +553,8 @@ def calibrate_conventions(battery: Sequence[tuple], tolerance: float = 1e-6,
     computed from per-term action integrals (see ``_calibration_scores``);
     the scores agree with ``susy_invariance_residual`` to rounding.  Raises
     CalibrationError when the battery is degenerate (cannot distinguish any
-    assignment) or when no assignment meets the tolerance.
+    assignment) or when no assignment meets the tolerance, and ValueError
+    when an entry's q shares a generator with its geom, chi or fields.
     """
     if not battery:
         raise CalibrationError("underdetermined: empty calibration battery")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .berezin import berezin_integrate
-from .grassmann import GrassmannNumber, require_even, require_odd
+from .grassmann import GrassmannNumber, fresh_generators, require_even, require_odd
 from .gridfield import GrassmannField, Grid
 from .superdomain import (
     CoordinateChange,
@@ -72,16 +72,11 @@ def superfield_from_fields(f: ToyFields) -> SuperFunction:
     return SuperFunction(f.grid, 1, f.n_gen, {0: f.phi, 1: f.psi})
 
 
-def _toy_action(f: ToyFields, dphi: GrassmannField) -> GrassmannNumber:
-    """``toy_action_component`` given phi' = f.phi.derivative(0)."""
-    dpsi = f.psi.derivative(0)
-    density = dphi * dphi + f.psi * dpsi
-    return density.integral() * 0.5
-
-
 def toy_action_component(f: ToyFields) -> GrassmannNumber:
     """A = 1/2 Int phi'^2 + psi psi' dx over the circle."""
-    return _toy_action(f, f.phi.derivative(0))
+    dphi = f.phi.derivative(0)
+    density = dphi * dphi + f.psi * f.psi.derivative(0)
+    return density.integral() * 0.5
 
 
 def _superfield_integrand(Phi: SuperFunction) -> SuperFunction:
@@ -97,15 +92,10 @@ def toy_action_superfield(Phi: SuperFunction) -> GrassmannNumber:
     return berezin_integrate(_superfield_integrand(Phi))
 
 
-def _toy_susy(f: ToyFields, q: GrassmannNumber, dphi: GrassmannField) -> ToyFields:
-    """``toy_susy`` given phi' = f.phi.derivative(0)."""
-    require_odd(q, "supersymmetry parameter q")
-    return ToyFields(q * f.psi, -(q * dphi))
-
-
 def toy_susy(f: ToyFields, q: GrassmannNumber) -> ToyFields:
     """Supersymmetry variation (delta phi, delta psi) = (q psi, -q phi')."""
-    return _toy_susy(f, q, f.phi.derivative(0))
+    require_odd(q, "supersymmetry parameter q")
+    return ToyFields(q * f.psi, -(q * f.phi.derivative(0)))
 
 
 def toy_susy_geometric(f: ToyFields, q: GrassmannNumber) -> ToyFields:
@@ -122,26 +112,26 @@ def toy_susy_geometric(f: ToyFields, q: GrassmannNumber) -> ToyFields:
 
 
 def toy_invariance_residual(f: ToyFields, q: GrassmannNumber):
-    """Max coefficient of A(f + delta f) - A(f).
-
-    The variation is proportional to the odd parameter q, so for a monomial
-    q the difference is exactly the first variation (q^2 = 0 structurally);
-    no finite-difference step is involved.  Stacked fields give one per fixture.
+    """Max coefficient of the first variation of A under ``toy_susy``, one
+    per fixture of stacked fields: A(f + delta f) minus its part free of q's
+    generators, which must be fresh to phi and psi (ValueError otherwise), so
+    that part is A(f) bit for bit.  Exact for a monomial q (q^2 = 0); no
+    finite-difference step is involved.
     """
-    dphi = f.phi.derivative(0)
-    delta = _toy_susy(f, q, dphi)
-    return toy_action_component(f + delta).max_abs_diff(_toy_action(f, dphi))
+    bits = fresh_generators([q], [f.phi, f.psi], "the supersymmetry parameter q")
+    a1 = toy_action_component(f + toy_susy(f, q))
+    return a1.max_abs_diff(a1.free_of(bits))
 
 
 def toy_embedding_residual(integrand: SuperFunction, xi: GrassmannField):
-    """Independence of the superfield action from the embedding.
+    """Max coefficient difference, one per fixture of a stacked ``integrand``
+    (the superfield integrand -1/2 d_x(Phi) D(Phi)), between its Berezin
+    integral and that of its pullback through eta = xi + eta~ (unit Berezinian).
 
-    ``integrand`` is the superfield integrand -1/2 d_x(Phi) D(Phi) of the
-    fields.  Its Berezin integral is taken in coordinates adapted to the
-    embedding with i#eta = xi: the integrand is pulled back through the
-    coordinate change eta = xi + eta~ (unit Berezinian) and integrated
-    there.  The result must equal the adapted xi = 0 integral: the residual
-    is their max coefficient difference, one per fixture of a stacked integrand.
+    Not a test of embedding independence: xi reaches only the eta~-free slot,
+    which the Berezin integral does not read, so the residual is the same for
+    every xi.  It checks the pullback's eta~ slot, the trigonometric
+    interpolant of the top coefficient at the grid points, to round-off.
     """
     require_odd(xi, "embedding component xi")
     change = CoordinateChange(g0=integrand.grid.axis_points(0), g1=None, gamma0=xi, gamma1=None)

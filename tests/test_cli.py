@@ -198,10 +198,12 @@ def assert_json_error(out, error_type, fragment):
     (["verify", "susy2d"], 64, "n_gen >= 5 and n_gen <= 63"),
     (["calibrate"], 64, "n_gen >= 5 and n_gen <= 63"),
     (["verify", "currents"], 62, "n_gen >= 6 and n_gen <= 61"),
-    (["verify", "decompose"], 3, "n_gen >= 4 (deformations"),
+    (["verify", "decompose"], 3, "n_gen >= 4 and n_gen <= 63"),
+    (["verify", "decompose"], 64, "n_gen >= 4 and n_gen <= 63"),
+    (["verify", "flow"], 64, "n_gen >= 1 and n_gen <= 63"),
 ], ids=["susy2d-4", "calibrate-4", "toy-4", "currents-5", "all-5", "grassmann-64",
         "berezin-2", "berezin-64", "reduction-1", "reduction-64", "toy-5", "toy-64",
-        "susy2d-64", "calibrate-64", "currents-62", "decompose-3"])
+        "susy2d-64", "calibrate-64", "currents-62", "decompose-3", "decompose-64", "flow-64"])
 def test_generator_count_without_room_for_the_fields_is_json_error(capsys, tmp_path, monkeypatch,
                                                                     command, n_gen, bound):
     # The suite names the range it needs, and refuses before it draws.

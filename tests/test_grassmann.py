@@ -9,6 +9,7 @@ from supersigma.grassmann import (
     GrassmannNumber,
     Parity,
     ParityError,
+    fresh_generators,
     generator,
     max_or_nan,
     monomial_sign,
@@ -367,3 +368,35 @@ def test_unit_scalars_and_zero_sums_return_an_operand(rng):
             assert np.array_equal(neg, a * -1.0)
             assert np.array_equal(np.signbit(neg), np.signbit(a * -1.0))
     assert (number * -1).terms == {m: c * -1.0 for m, c in number.terms.items()}
+
+
+def test_free_of_keeps_the_terms_without_the_bits(rng):
+    x = GrassmannNumber(N, {0: 1.0, 0b1: 2.0, 0b10000: 3.0, 0b10001: 4.0, 0b100010: 5.0})
+    assert x.free_of(0b10000).terms == {0: 1.0, 0b1: 2.0, 0b100010: 5.0}
+    assert x.free_of(0b110000).terms == {0: 1.0, 0b1: 2.0}
+    assert x.free_of(0).terms == x.terms
+    grid = Grid((8,), (1.0,))
+    f = GrassmannField(grid, N, {0: rng.normal(size=8), 0b11: rng.normal(size=8),
+                                 0b10100: rng.normal(size=8)})
+    assert list(f.free_of(0b100).terms) == [0, 0b11]
+    assert all(f.free_of(0b100).terms[m] is f.terms[m] for m in (0, 0b11))
+    # A superfunction's monomials are its odd coordinates.
+    sf = SuperFunction(grid, 2, N, {0b00: f, 0b01: f, 0b11: f})
+    assert list(sf.free_of(0b10).terms) == [0b00, 0b01]
+
+
+def test_first_variation_keeps_a_nan_of_the_free_part():
+    # The variation subtracts the free part rather than dropping it, so a NaN
+    # that only the unvaried value carries still reaches the residual.
+    x = GrassmannNumber(N, {0: np.array([1.0, np.nan]), 0b10000: np.array([1e-3, 2e-3])})
+    residual = x.max_abs_diff(x.free_of(0b10000))
+    assert residual[0] == 1e-3 and np.isnan(residual[1])
+
+
+def test_fresh_generators_names_the_lowest_shared_generator():
+    inputs = [generator(N, 1) * generator(N, 2), generator(N, 3) * 0.5]
+    q = generator(N, 5) * 2.0 + generator(N, 6)
+    assert fresh_generators([q], inputs, "q") == 0b110000
+    assert fresh_generators([q], [], "q") == 0b110000
+    with pytest.raises(ValueError, match="^q shares generator 2 with the unvaried inputs"):
+        fresh_generators([generator(N, 5), generator(N, 2) + generator(N, 3)], inputs, "q")

@@ -573,3 +573,25 @@ def test_in_place_derivative_of_a_large_grid_allocates_no_temporary(rng, axis):
         tracemalloc.stop()
     assert got is buf and np.array_equal(got, want)
     assert peak < buf.nbytes // 4
+
+
+@pytest.mark.parametrize("n_gen, mask, message", [
+    (64, None, "generator count must be between 0 and 63"),
+    (-1, None, "generator count must be between 0 and 63"),
+    (3, 8, "monomial mask 8 out of range for n_gen=3"),
+    (3, -1, "monomial mask -1 out of range for n_gen=3"),
+    (63, 1 << 63, f"monomial mask {1 << 63} out of range for n_gen=63"),
+], ids=["n_gen-64", "n_gen-negative", "mask-2^n_gen", "mask-negative", "mask-2^63"])
+def test_field_rejects_what_a_number_rejects(grid, n_gen, mask, message):
+    # The same checks, with the same messages, as a Grassmann number's.
+    terms = {} if mask is None else {mask: np.ones(grid.shape)}
+    with pytest.raises(ValueError) as field_error:
+        GrassmannField(grid, n_gen, terms)
+    with pytest.raises(ValueError) as number_error:
+        GrassmannNumber(n_gen, {m: 1.0 for m in terms})
+    assert str(field_error.value) == str(number_error.value) == message
+
+
+def test_field_accepts_the_top_monomial_of_63_generators(grid):
+    f = GrassmannField(grid, 63, {(1 << 63) - 1: np.ones(grid.shape)})
+    assert f.integral().terms == {(1 << 63) - 1: grid.volume}

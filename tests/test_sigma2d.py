@@ -710,3 +710,101 @@ def test_new_fields_get_fresh_phi_gradients(rng, grid):
     # The original keeps its own gradients.
     after = [fields.phi_derivative(t, k) for t in range(2) for k in range(2)]
     assert all(a is b for a, b in zip(after, before))
+
+
+# The first variation read off one evaluation: q's generators are fresh, so
+# the part of A(varied) free of them is A(original), bit for bit.
+
+def assert_same_terms(x, y):
+    """x and y have the same monomials with equal coefficients (NaN equal to NaN)."""
+    assert list(x.terms) == list(y.terms)
+    for m in x.terms:
+        assert np.array_equal(x.terms[m], y.terms[m], equal_nan=True), m
+
+
+Q_BITS = 1 << 4  # generator Q_GEN = 5
+
+
+def free_part_cases(rng, grid):
+    """(name, (geom, chi, fields, q)): constant and local q, chi zero and not,
+    one fixture and a stacked chunk of three."""
+    return [
+        ("constant-q-chi-zero", sigma_fixture(rng, grid, False)),
+        ("constant-q-chi-nonzero", sigma_fixture(rng, grid, True)),
+        ("local-q-chi-zero", sigma_fixture(rng, grid, False, local_q=True)),
+        ("local-q-chi-nonzero", sigma_fixture(rng, grid, True, local_q=True)),
+        ("stacked-chunk", stacked_fixtures(rng, grid, 3, local_q=True)),
+    ]
+
+
+def stacked_fixtures(rng, grid, count, local_q=False):
+    """``count`` sigma-model fixtures with chi, stacked on the flat frame."""
+    chi, fields, q = stack([sigma_fixture(rng, grid, True, local_q=local_q)[1:]
+                            for _ in range(count)])
+    return SurfaceGeometry.flat(grid, N_GEN), chi, fields, q
+
+
+def test_q_free_part_of_the_varied_action_is_the_action(rng, grid):
+    for name, (geom, chi, fields, q) in free_part_cases(rng, grid):
+        varied_geom, varied_chi = s2._susy_varied_geometry(geom, chi, q)
+        varied = fields + susy_fields(fields, chi, q, geom, CAL)
+        a1 = action_component(varied_geom, varied_chi, varied, CAL)
+        assert a1.free_of(Q_BITS).terms, name
+        assert_same_terms(a1.free_of(Q_BITS), action_component(geom, chi, fields, CAL))
+        # The per-term integrals the calibration scores, at every (s1, s2).
+        terms0 = s2._action_terms(geom, chi, fields, ActionCoefficients())
+        for s1 in (1.0, -1.0):
+            for s2_ in (1.0, -1.0):
+                delta = susy_fields(fields, chi, q, geom, replace(CAL, s1=s1, s2=s2_))
+                terms1 = s2._action_terms(varied_geom, varied_chi, fields + delta,
+                                          ActionCoefficients())
+                for t0, t1 in zip(terms0, terms1):
+                    if t0 is None:
+                        assert t1 is None or t1.free_of(Q_BITS).is_zero(), name
+                    else:
+                        assert_same_terms(t1.free_of(Q_BITS), t0)
+
+
+def test_q_free_part_along_the_noether_direction_is_the_action(rng, grid):
+    # The currents suite's Noether row varies chi along the spare generator 6.
+    geom, chi, fields, _ = stacked_fixtures(rng, grid, 2)
+    direction = stack([gravitino(rng, grid, gens=(6, 6), scale=0.7) for _ in range(2)])
+    a1 = action_component(geom, chi + direction, fields, CAL)
+    assert a1.free_of(1 << 5).terms and len(a1.free_of(1 << 5).terms) < len(a1.terms)
+    assert_same_terms(a1.free_of(1 << 5), action_component(geom, chi, fields, CAL))
+
+
+def test_susy_residual_is_the_difference_of_two_evaluations(rng, grid):
+    for name, (geom, chi, fields, q) in free_part_cases(rng, grid):
+        varied_geom, varied_chi = s2._susy_varied_geometry(geom, chi, q)
+        varied = fields + susy_fields(fields, chi, q, geom, CAL)
+        a1 = action_component(varied_geom, varied_chi, varied, CAL)
+        a0 = action_component(geom, chi, fields, CAL)
+        assert np.array_equal(susy_invariance_residual(geom, chi, fields, q, coeffs=CAL),
+                              a1.max_abs_diff(a0)), name
+
+
+def shared_generator_cases(rng, grid):
+    """(fixture whose q shares a generator with its inputs, that generator)."""
+    geom, chi, fields, q = sigma_fixture(rng, grid, True)
+    soul = GrassmannField(grid, N_GEN, {0: np.ones(grid.shape),
+                                        0b110000: 0.1 * trig_array(rng, grid)})
+    return [
+        ((geom, chi, fields, constant_odd_spinor(rng, grid, 1)), 1),  # psi's
+        ((geom, chi, fields, constant_odd_spinor(rng, grid, 4)), 4),  # chi's
+        ((geom, chi, fields, odd_spinor(rng, grid, (5, 2))), 2),
+        ((geom.with_frame([[soul, geom.frame[0][1]], [geom.frame[1][0], soul]]),
+          chi, fields, q), 5),  # the frame's
+    ]
+
+
+def test_susy_residual_rejects_q_sharing_a_generator(rng, grid):
+    for fixture, g in shared_generator_cases(rng, grid):
+        with pytest.raises(ValueError, match=f"q shares generator {g} with the unvaried"):
+            susy_invariance_residual(*fixture, coeffs=CAL)
+
+
+def test_calibration_rejects_q_sharing_a_generator(rng, grid):
+    for fixture, g in shared_generator_cases(rng, grid):
+        with pytest.raises(ValueError, match=f"q shares generator {g} with the unvaried"):
+            calibrate_conventions(battery(rng, grid) + [fixture])

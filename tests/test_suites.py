@@ -723,8 +723,9 @@ def test_grassmann_homogeneous_draws_are_distinct_masks_of_the_drawn_parity(n_ge
 
 def test_grassmann_suite_at_16_generators_stays_small():
     # Drawing the masks of one parity by ranking all 2^15 of them per
-    # fixture would take about 1 GB here.
-    config = SuiteConfig(n_gen=16, fixture_counts={"grassmann": 2000})
+    # fixture takes about 1 MB per fixture: 10 fixtures, about 10 MB, break
+    # the bound with room to spare (5 are the fewest that break it).
+    config = SuiteConfig(n_gen=16, fixture_counts={"grassmann": 10})
     tracemalloc.start()
     try:
         checks = suites.run_suite(config, "grassmann")
@@ -757,7 +758,20 @@ def test_suite_passes_at_each_end_of_its_generator_range(suite, n_gen):
 def test_currents_suite_differentiates_each_phi_once(derivative_log):
     # energy_momentum relabels the caller's phi gradients onto its two extra
     # generators and leaves them cached, so the closed-form reference reuses
-    # them: 36 calls at the default config, whose 10 closed-form fixtures run
-    # as chunks of 8 + 2, and 40 when the lift differentiated phi again.
+    # them: 32 calls at the default config, whose 10 closed-form fixtures run
+    # as chunks of 8 + 2, and 36 when the lift differentiated phi again.  The
+    # Noether row evaluates the action once, at chi + direction: 36 calls
+    # when it also evaluated it at chi (psi's two components on two axes).
     suites.run_suite(SuiteConfig(), "currents")
-    assert len(derivative_log) == 36
+    assert len(derivative_log) == 32
+
+
+def test_susy2d_local_q_row_needs_13_points_per_axis():
+    # The local-q integrand reaches mode 4 x 3 = 12: at 12 points per axis
+    # that mode aliases onto the mean and only the local-q row fails; at 13,
+    # and on the odd grid, every row passes.
+    rows = {c.name: c for c in suites.run_suite(SuiteConfig(grid_shape=(12, 12)), "susy2d")}
+    assert [name for name, c in rows.items() if not c.passed] == ["susy2d-invariance-local-q"]
+    for config in (SuiteConfig(grid_shape=(13, 13)), SuiteConfig.load(ODD_GRID)):
+        checks = suites.run_suite(config, "susy2d")
+        assert len(checks) == 5 and all(c.passed for c in checks)

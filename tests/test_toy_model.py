@@ -16,7 +16,7 @@ from supersigma.toy_model import (
     toy_susy_geometric,
 )
 
-from conftest import N_GEN, even_field, odd_field, susy_vector_field
+from conftest import N_GEN, even_field, odd_field, stack, susy_vector_field
 
 
 @pytest.fixture
@@ -120,15 +120,16 @@ def test_each_toy_call_differentiates_each_field_once(rng, grid, derivative_log)
     q = generator(N_GEN, 5) * 0.7
     xi = odd_field(rng, grid, [6], scale=0.8)
     # (call, derivatives taken): phi and psi once each; the geometric
-    # variation also takes phi'' (for d_x D Phi = D d_x Phi), the invariance
-    # residual the varied phi and psi; the embedding residual takes none
+    # variation also takes phi'' (for d_x D Phi = D d_x Phi); the invariance
+    # residual takes phi (for the variation) and the varied phi and psi, since
+    # it evaluates the action only once; the embedding residual takes none
     # beyond those of the integrand it is given.
     calls = [
         (lambda: toy_action_component(f), 2),
         (lambda: toy_action_superfield(superfield_from_fields(f)), 2),
         (lambda: toy_susy(f, q), 1),
         (lambda: toy_susy_geometric(f, q), 3),
-        (lambda: toy_invariance_residual(f, q), 4),
+        (lambda: toy_invariance_residual(f, q), 3),
         (lambda: toy_embedding_residual(
             _superfield_integrand(superfield_from_fields(f)), xi), 2),
     ]
@@ -137,3 +138,42 @@ def test_each_toy_call_differentiates_each_field_once(rng, grid, derivative_log)
         call()
         pairs = [(id(field), axis) for field, axis in derivative_log]
         assert len(set(pairs)) == len(pairs) == expected
+
+
+def stacked_toy_fixture(rng, grid, count):
+    """``count`` toy fixtures stacked on a leading axis, and a q with one
+    coefficient per fixture on generator 5, as the toy suite draws them."""
+    fixtures = [toy_fixture(rng, grid) for _ in range(count)]
+    phi, psi = (stack([getattr(f, name) for f in fixtures]) for name in ("phi", "psi"))
+    return ToyFields(phi, psi), GrassmannNumber(N_GEN, {1 << 4: rng.normal(size=count)})
+
+
+def test_q_free_part_of_the_varied_toy_action_is_the_action(rng, grid):
+    cases = [(toy_fixture(rng, grid), generator(N_GEN, 5) * 0.8),
+             (toy_fixture(rng, grid), generator(N_GEN, 5) * 0.3 + generator(N_GEN, 6) * 0.4),
+             stacked_toy_fixture(rng, grid, 4)]
+    for f, q in cases:
+        a1 = toy_action_component(f + toy_susy(f, q))
+        a0 = toy_action_component(f)
+        assert list(a1.free_of(0b110000).terms) == list(a0.terms)  # generators 5 and 6
+        for m, c in a0.terms.items():
+            assert np.array_equal(a1.terms[m], c)
+        assert np.array_equal(toy_invariance_residual(f, q), a1.max_abs_diff(a0))
+
+
+def test_toy_residual_rejects_q_sharing_a_generator(rng, grid):
+    f = toy_fixture(rng, grid)
+    for q, g in [(generator(N_GEN, 1), 1), (generator(N_GEN, 2) * 0.5 + generator(N_GEN, 5), 2),
+                 (generator(N_GEN, 1) * generator(N_GEN, 2) * generator(N_GEN, 5), 1)]:
+        with pytest.raises(ValueError, match=f"q shares generator {g} with the unvaried"):
+            toy_invariance_residual(f, q)
+
+
+def test_embedding_residual_is_the_same_for_every_xi(rng, grid):
+    # xi reaches only the eta~-free slot, which the Berezin integral does not
+    # read: the residual is the interpolation round-off of the top coefficient.
+    integrand = _superfield_integrand(superfield_from_fields(toy_fixture(rng, grid)))
+    xi = odd_field(rng, grid, [6])
+    residuals = [toy_embedding_residual(integrand, x)
+                 for x in (GrassmannField.zero(grid, N_GEN), xi, xi * 1e6)]
+    assert residuals[0] == residuals[1] == residuals[2] < 1e-12
