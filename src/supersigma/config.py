@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .sigma2d import ActionCoefficients
 
@@ -47,11 +47,6 @@ DEFAULT_FIXTURE_COUNTS = {
     "decompose": 50,
 }
 
-# Signs fixed by calibration: the gravitino-squared coupling enters with
-# c5 = -1/2 (all other signs at their defaults).
-CALIBRATED_COEFFICIENTS = replace(ActionCoefficients(), c5=-0.5)
-
-
 def _require_known(kind: str, given: dict, defaults: dict) -> None:
     unknown = sorted(set(given) - set(defaults))
     if unknown:
@@ -78,8 +73,7 @@ class SuiteConfig:
     periods: tuple[float, float] = (6.283185307179586, 6.283185307179586)
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     fixture_counts: dict = field(default_factory=lambda: dict(DEFAULT_FIXTURE_COUNTS))
-    conventions: ActionCoefficients = field(
-        default_factory=lambda: CALIBRATED_COEFFICIENTS)
+    conventions: ActionCoefficients = field(default_factory=ActionCoefficients)
     flow_steps: int = 5000
     flow_dt: float = 1e-3
 

@@ -17,17 +17,17 @@ derivative of q (``sigma2d.susy_gravitino_variation``), so both
 decompositions reduce to finite linear algebra on each Fourier mode: the
 metric residual D is the transverse-traceless part of York's split.
 
-Every Fourier mode within the cutoff is fitted in one batched
-least-squares solve per Grassmann mask: the design matrices of all band
-modes are stacked into one tensor A, its pseudo-inverse A+ (singular-value
-cutoff 1e-10) is applied to one mask's components (every fixture of an
-input stacked over fixtures at once), and the residual is rhs - A A+ rhs.
-Since A(-m) is conj A(m), A+ is computed for one mode of each conjugate
-pair and conjugated for the other.
-A and A+ depend only on the grid shape, the periods, the cutoff and the
-line (metric or gravitino); both are cached under exactly that key, keeping
-the two most recently used keys (the metric and the gravitino line of one
-grid).
+The band is fixed by the grid: the Fourier modes with |m| <= min(shape) // 4
+on both axes.  Every band mode is fitted in one batched least-squares
+solve per Grassmann mask: the design matrices of all band modes are
+stacked into one tensor A, its pseudo-inverse A+ (singular-value cutoff
+1e-10) is applied to one mask's components (every fixture of an input
+stacked over fixtures at once), and the residual is rhs - A A+ rhs.
+The band holds -m with every m, and A(-m) is conj A(m), so A+ is computed
+for one mode of each conjugate pair and conjugated for the other.
+A and A+ depend only on the grid (shape and periods) and the line (metric
+or gravitino); both are cached under the key (grid, line), keeping the two
+most recently used keys (the metric and the gravitino line of one grid).
 
 The residual spaces are two-dimensional on each line: the constant
 trace-free symmetric tensors and the constant gamma-trace-free gravitino
@@ -36,7 +36,6 @@ sections.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -154,20 +153,22 @@ def lie_derivative_metric(geom: SurfaceGeometry, X: Sequence[GrassmannField]) ->
     return MetricDeformation([[dX[a][b] + dX[b][a] for b in range(2)] for a in range(2)])
 
 
-def _resolve_cutoff(cutoff, grid: Grid) -> int:
-    """The default cutoff min(shape) // 4, or ``cutoff`` checked to be an integer >= 0."""
-    if cutoff is None:
-        return min(grid.shape) // 4
-    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral) or cutoff < 0:
-        raise ValueError(f"cutoff must be a non-negative integer, got {cutoff!r}")
-    return int(cutoff)
+def _band_cutoff(grid: Grid) -> int:
+    """The band's largest |m| on either axis, min(shape) // 4: below n/2 on
+    every axis, so the band holds -m with every m."""
+    return min(grid.shape) // 4
 
 
 def _mode_wavenumbers(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Angular wavenumbers and integer mode indices along each axis."""
+    """Angular wavenumbers and integer mode indices along each axis.
+
+    ``fftfreq(n, d=1/n)`` misses the integers by an ulp for some n (49, 98,
+    103, ...), which would drop the modes |m| = cutoff from the band; so the
+    indices are rounded.
+    """
     n1, n2 = grid.shape
-    m1 = np.fft.fftfreq(n1, d=1.0 / n1)
-    m2 = np.fft.fftfreq(n2, d=1.0 / n2)
+    m1 = np.fft.fftfreq(n1, d=1.0 / n1).round()
+    m2 = np.fft.fftfreq(n2, d=1.0 / n2).round()
     k1 = 2.0 * np.pi * m1 / grid.periods[0]
     k2 = 2.0 * np.pi * m2 / grid.periods[1]
     return k1, k2, m1, m2
@@ -210,34 +211,20 @@ def _gravitino_columns(kap1, kap2) -> np.ndarray:
     return A
 
 
-def _conjugate_partners(modes: np.ndarray) -> np.ndarray:
-    """Position of the mode -m for each band mode number m along one axis, or
-    -1 where -m is not in the band (the -n/2 mode of an even axis whose
-    cutoff reaches n/2).
+def _paired_pinv(A: np.ndarray) -> np.ndarray:
+    """Pseudo-inverses of the band design matrices ``A``, shape (n1_band,
+    n2_band, rows, cols), with one ``pinv`` call for all of them.
 
-    A band keeps the fftfreq order 0, 1, ..., -1, so -m sits at position
-    (-i) mod len(modes) whenever it is in the band.
-    """
-    partner = -np.arange(len(modes)) % len(modes)
-    return np.where(modes[partner] == -modes, partner, -1)
-
-
-def _paired_pinv(A: np.ndarray, modes1: np.ndarray, modes2: np.ndarray) -> np.ndarray:
-    """Pseudo-inverses of the band design matrices ``A``, shape (len(modes1),
-    len(modes2), rows, cols), with one ``pinv`` call for all of them.
-
+    A band keeps the fftfreq order 0, 1, ..., -1 on each axis and holds -m
+    with every m, so the mode -m of position i sits at position (-i) mod len.
     A(-m) is conj A(m) on both lines (the columns are real constants and
-    i kappa), so only one member of each conjugate pair of modes, the zero
-    mode and the unpaired modes are inverted; each partner is filled with
-    the conjugate, which is pinv A(-m) exactly.
+    i kappa), so only the zero mode and one member of each conjugate pair of
+    modes, the one first in the band, are inverted; each partner is filled
+    with the conjugate, which is pinv A(-m) exactly.
     """
-    n1, n2 = len(modes1), len(modes2)
-    p1, p2 = _conjugate_partners(modes1)[:, None], _conjugate_partners(modes2)
-    flat = np.arange(n1 * n2)
-    # A mode is its own partner (and inverted) unless -m is in the band on
-    # both axes; of a pair, the member first in the band is inverted.
-    partner = np.where((p1 >= 0) & (p2 >= 0), p1 * n2 + p2, flat.reshape(n1, n2)).ravel()
-    own = flat <= partner
+    n1, n2 = A.shape[:2]
+    partner = ((-np.arange(n1) % n1)[:, None] * n2 + (-np.arange(n2) % n2)).ravel()
+    own = np.arange(n1 * n2) <= partner
     A = A.reshape(n1 * n2, *A.shape[-2:])
     A_pinv = np.empty((n1 * n2, A.shape[-1], A.shape[-2]), dtype=A.dtype)
     A_pinv[own] = np.linalg.pinv(A[own], rcond=SVD_CUTOFF)
@@ -246,8 +233,8 @@ def _paired_pinv(A: np.ndarray, modes1: np.ndarray, modes2: np.ndarray) -> np.nd
 
 
 @lru_cache(maxsize=2)
-def _band_matrices(grid: Grid, cutoff: int, line: str) -> tuple:
-    """(band, A, A+) of the band modes |m| <= cutoff on ``grid``, read-only.
+def _band_matrices(grid: Grid, line: str) -> tuple:
+    """(band, A, A+) of the band modes of ``grid`` (``_band_cutoff``), read-only.
 
     ``band`` indexes the band modes of a transform's last two axes; A is the
     design matrices stacked over them, shape (n1_band, n2_band, n_components,
@@ -256,11 +243,12 @@ def _band_matrices(grid: Grid, cutoff: int, line: str) -> tuple:
     metric and the gravitino line of one grid.
     """
     k1, k2, m1, m2 = _mode_wavenumbers(grid)
+    cutoff = _band_cutoff(grid)
     i1 = np.flatnonzero(np.abs(m1) <= cutoff)
     i2 = np.flatnonzero(np.abs(m2) <= cutoff)
     kap1, kap2 = k1[i1][:, None], k2[i2]
     A = (_metric_columns if line == "metric" else _gravitino_columns)(kap1, kap2)
-    A_pinv = _paired_pinv(A, m1[i1], m2[i2])
+    A_pinv = _paired_pinv(A)
     for a in (i1, i2, A, A_pinv):
         a.flags.writeable = False
     return (..., i1[:, None], i2), A, A_pinv
@@ -278,13 +266,13 @@ def _inverse_fft2(buf: np.ndarray) -> None:
     np.fft.ifft(buf, axis=-2, out=buf)
 
 
-def _band_solve(comps: Sequence[GrassmannField], cutoff: int,
+def _band_solve(comps: Sequence[GrassmannField],
                 line: str) -> tuple[list[GrassmannField], list[GrassmannField]]:
     """Least-squares fit of the component fields on every band mode and mask
     of ``line``, "metric" or "gravitino" (see ``_band_matrices``).
 
     Returns one field per parameter and one residual field per component;
-    modes beyond the cutoff go entirely to the residual.
+    modes outside the band go entirely to the residual.
     Component fields stacked over fixtures are solved fixture by fixture
     in one pass, and so are the fields returned.
 
@@ -297,7 +285,7 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int,
     grid, n_gen = comps[0].grid, comps[0].n_gen
     masks = sorted({m for f in comps for m in f.terms}) or [0]
     shape = np.broadcast_shapes(grid.shape, *(a.shape for f in comps for a in f.terms.values()))
-    band, A, A_pinv = _band_matrices(grid, cutoff, line)
+    band, A, A_pinv = _band_matrices(grid, line)
     n_comps, n_params = A.shape[-2:]
 
     params = np.empty((n_params, len(masks)) + shape)
@@ -323,9 +311,10 @@ def _band_solve(comps: Sequence[GrassmannField], cutoff: int,
             [GrassmannField(grid, n_gen, dict(zip(masks, r))) for r in resid])
 
 
-def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDeformation,
-                     cutoff: int | None = None) -> DecompositionResult:
-    """Least-squares split delta g = lambda g + L_X g + D per Fourier mode.
+def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField,
+                     dg: MetricDeformation) -> DecompositionResult:
+    """Least-squares split delta g = lambda g + L_X g + D per Fourier mode of
+    the band (modes outside it go to D).
 
     Requires the flat identity frame and gravitino background chi = 0; at
     that background the susy metric image -2<gamma^b q, chi_a> f_b vanishes
@@ -336,9 +325,7 @@ def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField, dg: MetricDefor
     """
     _require_flat_background(geom, chi)
     grid, n_gen = dg.grid, dg.n_gen
-    cutoff = _resolve_cutoff(cutoff, grid)
-    params, r = _band_solve([dg.tensor[0][0], dg.tensor[0][1], dg.tensor[1][1]],
-                            cutoff, "metric")
+    params, r = _band_solve([dg.tensor[0][0], dg.tensor[0][1], dg.tensor[1][1]], "metric")
     lam, X = params[0], params[1:3]
     D = MetricDeformation([[r[0], r[1]], [r[1], r[2]]])
 
@@ -365,9 +352,10 @@ def _reassemble_metric(geom: SurfaceGeometry, lam: GrassmannField,
     return MetricDeformation(t)
 
 
-def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField, dchi: GravitinoField,
-                        cutoff: int | None = None) -> DecompositionResult:
-    """Least-squares split delta chi = gamma t + susy(q) + DD per Fourier mode.
+def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField,
+                        dchi: GravitinoField) -> DecompositionResult:
+    """Least-squares split delta chi = gamma t + susy(q) + DD per Fourier mode
+    of the band (modes outside it go to DD).
 
     Requires the flat identity frame and gravitino background chi = 0; at
     that background L_X chi = 0 (null direction) and the susy image is
@@ -381,10 +369,8 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField, dchi: Gravit
     for a in (1, 2):
         require_odd(dchi[a], "gravitino deformation")
     grid, n_gen = dchi[1].grid, dchi[1].n_gen
-    cutoff = _resolve_cutoff(cutoff, grid)
     params, r = _band_solve(
-        [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]],
-        cutoff, "gravitino")
+        [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]], "gravitino")
     t = SpinorField(params[0:2])
     # The columns fit delta chi_a = +d_a p; the transformation's q is -p.
     q = -SpinorField(params[2:4])
@@ -412,23 +398,23 @@ def _reassemble_gravitino(t: SpinorField, q: SpinorField, DD: GravitinoField) ->
     return GravitinoField(out)
 
 
-def true_deformation_dimensions(geom: SurfaceGeometry,
-                                cutoff: int | None = None) -> tuple[int, int]:
+def true_deformation_dimensions(geom: SurfaceGeometry) -> tuple[int, int]:
     """Real dimensions of the residual ("true") deformation spaces.
 
-    Even part: band-limited symmetric 2-tensors with zero trace and zero
-    divergence.  Odd part: band-limited gravitino-shaped sections with zero
-    gamma-trace and zero divergence.  Computed per Fourier mode as complex
-    nullities of the constraint matrices (singular values below 1e-10
-    relative count as zero); each nonzero mode contributes twice its
-    complex nullity as a real dimension, the zero mode once.
+    Even part: symmetric 2-tensors on the band of ``geom``'s grid
+    (|m| <= min(shape) // 4) with zero trace and zero divergence.  Odd part:
+    gravitino-shaped sections on that band with zero gamma-trace and zero
+    divergence.  Computed per Fourier mode as complex nullities of the
+    constraint matrices (singular values below 1e-10 relative count as
+    zero); each nonzero mode contributes twice its complex nullity as a real
+    dimension, the zero mode once.
     On the flat torus both come out 2: the constant trace-free symmetric
     tensors and the constant gamma-trace-free sections.
     """
     if not geom.is_identity_frame():
         raise UnsupportedRegimeError("dimension count implemented for the flat identity frame")
     grid = geom.grid
-    cutoff = _resolve_cutoff(cutoff, grid)
+    cutoff = _band_cutoff(grid)
     n1, n2 = np.meshgrid(np.arange(cutoff + 1), np.arange(-cutoff, cutoff + 1), indexing="ij")
     keep = (n1 > 0) | (n2 >= 0)
     n1, n2 = n1[keep], n2[keep]

@@ -159,14 +159,16 @@ class ActionCoefficients:
     the gravitino-matter coupling and the gravitino-squared coupling.  s1,
     s2 are the signs of the two matter supersymmetry variations, and
     superfield_normalization is the overall factor in front of the
-    superfield action.
+    superfield action.  The defaults are the calibrated point
+    (``calibrate_conventions``; c5 = -1/2), at which the action is
+    supersymmetric.
     """
 
     c1: float = 1.0
     c2: float = 1.0
     c3: float = -0.25
     c4: float = 2.0
-    c5: float = 0.5
+    c5: float = -0.5
     s1: float = 1.0
     s2: float = 1.0
     superfield_normalization: float = -0.5
@@ -671,14 +673,17 @@ def _dirichlet_energy(grid: Grid, phi: list[np.ndarray], winding: np.ndarray) ->
     return total * grid.volume
 
 
+# The flow has converged once the Laplacian is below this everywhere.
+FLOW_GRAD_TOL = 1e-10
+
+
 def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
                   steps: int, dt: float,
-                  winding: np.ndarray | None = None,
-                  grad_tol: float = 1e-10) -> FlowResult:
+                  winding: np.ndarray | None = None) -> FlowResult:
     """Explicit gradient descent on the Dirichlet energy of a map into flat R^d.
 
     phi <- phi + 2 dt Laplace(phi) per component, until the Laplacian is
-    below ``grad_tol`` everywhere.  The flow steps the ``rfft2`` of the
+    below ``FLOW_GRAD_TOL`` everywhere.  The flow steps the ``rfft2`` of the
     stacked map: a step scales every mode by 1 - 2 dt |k|^2, with k the
     Nyquist-zeroed wavenumbers of ``spectral_derivative``, and the Dirichlet
     energy follows by Parseval, since the winding part is orthogonal to every
@@ -720,7 +725,7 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
     converged = False
     step = 0
     for step in range(1, steps + 1):
-        if gradient_max(hat) < grad_tol:
+        if gradient_max(hat) < FLOW_GRAD_TOL:
             converged = True
             step -= 1
             break
@@ -736,7 +741,7 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
         energies.append(e)
     else:
         # Step budget exhausted; check the final gradient.
-        converged = gradient_max(hat) < grad_tol
+        converged = gradient_max(hat) < FLOW_GRAD_TOL
     energies[0] = _dirichlet_energy(grid, phi, winding)
     if step:
         phi = list(np.fft.irfft2(hat, s=shape))

@@ -140,21 +140,22 @@ def _draw_modes(rng: np.random.Generator, ndim: int, cutoff: int, scale: float,
 
 
 @lru_cache(maxsize=64)
-def _phase_table(grid: Grid, axis: int, cutoff: int) -> np.ndarray:
-    """Read-only (2 cutoff + 1, n) table whose row k + cutoff is
-    (2 pi k / P) x along ``axis``, shared by every trig array on ``grid``."""
+def _phase_table(grid: Grid, axis: int, half_width: int) -> np.ndarray:
+    """Read-only (2 half_width + 1, n) table whose row k + half_width is
+    (2 pi k / P) x along ``axis``, shared by every trig array on ``grid``.
+    Row k is computed alone, so its bits do not depend on ``half_width``."""
     x = grid.axis_points(axis)
     table = np.array([(2.0 * np.pi * k / grid.periods[axis]) * x
-                      for k in range(-cutoff, cutoff + 1)])
+                      for k in range(-half_width, half_width + 1)])
     table.flags.writeable = False
     return table
 
 
-def _synthesize(grid: Grid, cutoff: int, modes) -> np.ndarray:
-    """The trig arrays whose modes (as ``_draw_modes`` gives them, drawn with
-    ``cutoff``) fill the last axis of ``modes``: sum_m a_m cos(p_m + sum_i
-    (2 pi k_mi / P_i) x_i), of shape ``modes.shape[:-1] + grid.shape``.  It
-    draws nothing.
+def _synthesize(grid: Grid, modes) -> np.ndarray:
+    """The trig arrays whose modes (as ``_draw_modes`` gives them) fill the
+    last axis of ``modes``: sum_m a_m cos(p_m + sum_i (2 pi k_mi / P_i) x_i),
+    of shape ``modes.shape[:-1] + grid.shape``.  It draws nothing, and reads
+    the phase tables' half-width off the drawn wavenumbers.
 
     Each sample gets the operations of the one-array sum, in its order: the
     phase plus each axis's table entry in turn, the cosine, the product with
@@ -170,9 +171,11 @@ def _synthesize(grid: Grid, cutoff: int, modes) -> np.ndarray:
     ones = (1,) * ndim
     phases = modes[..., 0].reshape(count, n_modes, *ones)
     amplitudes = modes[..., -1].reshape(count, n_modes, *ones)
-    rows = modes[..., 1:-1].astype(np.intp) + cutoff
+    wavenumbers = modes[..., 1:-1].astype(np.intp)
+    half_width = int(np.abs(wavenumbers).max(initial=0))
+    rows = wavenumbers + half_width
     # Axis i's table, and the shape that puts a slice's rows of it along axis i.
-    tables = [(_phase_table(grid, i, cutoff), (-1,) + ones[:i] + (n,) + ones[i + 1:])
+    tables = [(_phase_table(grid, i, half_width), (-1,) + ones[:i] + (n,) + ones[i + 1:])
               for i, n in enumerate(grid.shape)]
     out = np.zeros((count,) + grid.shape)
     per_slice = max(1, _STACK_SAMPLES // math.prod(grid.shape))
@@ -211,11 +214,11 @@ def _draw_chunk(rng: np.random.Generator, grid: Grid, count: int, draw_fixture,
     return np.array(rows).reshape(count, len(rows) // count, -1), kept
 
 
-def _synthesize_chunk(grid: Grid, cutoff: int, modes: np.ndarray) -> list[np.ndarray]:
+def _synthesize_chunk(grid: Grid, modes: np.ndarray) -> list[np.ndarray]:
     """Array r of every fixture of ``modes`` (as ``_draw_chunk`` gives them),
     synthesized in one pass: for each r one contiguous (count, *grid.shape)
     block, a stack of one for one fixture."""
-    return list(_synthesize(grid, cutoff, modes.swapaxes(0, 1)))
+    return list(_synthesize(grid, modes.swapaxes(0, 1)))
 
 
 def _spinor(grid: Grid, n_gen: int, gens, arrays) -> SpinorField:
@@ -322,7 +325,7 @@ def build_calibration_battery(config: SuiteConfig, rng: np.random.Generator) -> 
     def entry(size: int, with_chi: bool) -> tuple:
         modes, qs = _draw_chunk(rng, grid, size, _sigma_draw(rng, with_chi))
         return _sigma_fields(grid, config.n_gen,
-                             _synthesize_chunk(grid, 3, modes) + _constant_q(grid, qs))
+                             _synthesize_chunk(grid, modes) + _constant_q(grid, qs))
 
     count = max(1, config.fixtures("calibration") - 1)
     return [entry(size, True) for size in _chunk_sizes(count, grid)] + [entry(1, False)]
@@ -473,7 +476,7 @@ def _suite_berezin(config: SuiteConfig, rng) -> list[CheckReport]:
     residuals = []
     for size in _chunk_sizes(config.fixtures("berezin"), grid):
         body0, soul0, odd0, body1, soul1, odd1 = _synthesize_chunk(
-            grid, 3, _draw_chunk(rng, grid, size, draw)[0])
+            grid, _draw_chunk(rng, grid, size, draw)[0])
         f0 = GrassmannField(grid, n_gen, {0: body0, 0b11: soul0, 0b1: odd0})
         f1 = GrassmannField(grid, n_gen, {0: body1, 0b110: soul1, 0b10: odd1})
         sf = SuperFunction(grid, 1, n_gen, {0: f0, 1: f1})
@@ -497,7 +500,7 @@ def _suite_toy(config: SuiteConfig, rng) -> list[CheckReport]:
     equiv, susy, geom_agree, embed = [], [], [], []
     for size in _chunk_sizes(config.fixtures("toy"), grid):
         modes, qs = _draw_chunk(rng, grid, size, draw)
-        body, soul, psi1, psi2, xi = _synthesize_chunk(grid, 3, modes)
+        body, soul, psi1, psi2, xi = _synthesize_chunk(grid, modes)
         phi = GrassmannField(grid, n_gen, {0: body, 0b11: soul})
         f = ToyFields(phi, GrassmannField(grid, n_gen, {0b01: psi1, 0b10: psi2}))
         q = GrassmannNumber(n_gen, {1 << (Q_GEN - 1): np.array(qs)})
@@ -548,7 +551,7 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
     superfield = []
     for size in _chunk_sizes(config.fixtures("reduction"), grid):
         body, soul, psi1, psi2, F = _synthesize_chunk(
-            grid, 3, _draw_chunk(rng, grid, size, draw)[0])
+            grid, _draw_chunk(rng, grid, size, draw)[0])
         fields = ComponentFields(
             phi=[GrassmannField(grid, n_gen, {0: body, 0b11: soul})],
             psi=[_spinor(grid, n_gen, PSI_GENS, (psi1, psi2))],
@@ -578,7 +581,7 @@ def _suite_reduction(config: SuiteConfig, rng) -> list[CheckReport]:
 
     conformal = []
     for size in _chunk_sizes(5, grid):
-        body, soul = _synthesize_chunk(grid, 3, _draw_chunk(rng, grid, size, draw_lam)[0])
+        body, soul = _synthesize_chunk(grid, _draw_chunk(rng, grid, size, draw_lam)[0])
         # Both arrays view one block: exponentiate in place, not beside it.
         lam = GrassmannField(grid, n_gen, {0: np.exp(body, out=body), 0b11: soul})
         a1 = action_component(weyl(geom, lam), chi0, classical_fields, coeffs=coeffs)
@@ -624,7 +627,7 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
         qs = np.array(qs)  # (fixture, kind, component)
         for kind, roles in enumerate((slice(0, 3), slice(3, 10))):
             resid[kind].extend(_invariance_floats(_sigma_fields(
-                grid, n_gen, _synthesize_chunk(grid, 3, modes[:, roles])
+                grid, n_gen, _synthesize_chunk(grid, modes[:, roles])
                 + _constant_q(grid, qs[:, kind])), config.conventions))
 
     # A local q, f_a q != 0, reaches the derivative term of the gravitino
@@ -636,7 +639,7 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
         for size in _chunk_sizes(count, grid):
             modes = _draw_chunk(rng, grid, size, _local_q_draw(with_chi))[0]
             local.extend(_invariance_floats(
-                _sigma_fields(grid, n_gen, _synthesize_chunk(grid, 3, modes)), config.conventions))
+                _sigma_fields(grid, n_gen, _synthesize_chunk(grid, modes)), config.conventions))
 
     return [
         _check("susy2d-calibration-residual", cal_residual, cal_tol),
@@ -664,7 +667,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
     # dphi (x) dphi - 1/2 |dphi|^2 g.
     closed_rel = []
     for size in _chunk_sizes(config.fixtures("currents"), grid):
-        [phi] = _synthesize_chunk(grid, 3, _draw_chunk(rng, grid, size, lambda trig: trig(0.8))[0])
+        [phi] = _synthesize_chunk(grid, _draw_chunk(rng, grid, size, lambda trig: trig(0.8))[0])
         fields = phi_only(phi)
         T = energy_momentum(geom, chi0, fields, coeffs=coeffs)
         dphi = [fields.phi_derivative(0, k) for k in range(2)]
@@ -693,7 +696,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
         for scale in (0.5, 0.5, 0.5, 0.5, 1.0):
             trig(scale)
 
-    *chi_arrays, phi = _synthesize_chunk(grid, 3, _draw_chunk(rng, grid, 1, draw_nopsi)[0])
+    *chi_arrays, phi = _synthesize_chunk(grid, _draw_chunk(rng, grid, 1, draw_nopsi)[0])
     chi = GravitinoField([_spinor(grid, n_gen, CHI_GENS, chi_arrays[:2]),
                           _spinor(grid, n_gen, CHI_GENS, chi_arrays[2:])])
     fields = phi_only(phi)
@@ -724,7 +727,7 @@ def _suite_currents(config: SuiteConfig, rng) -> list[CheckReport]:
         return q
 
     modes, qs = _draw_chunk(rng, grid, 1, draw_noether)
-    arrays = _synthesize_chunk(grid, 3, modes)
+    arrays = _synthesize_chunk(grid, modes)
     _, chi, fields, _ = _sigma_fields(grid, n_gen, arrays[:7] + _constant_q(grid, qs))
     direction = GravitinoField([_spinor(grid, n_gen, (SPARE_GEN, SPARE_GEN), arrays[7:9]),
                                 _spinor(grid, n_gen, (SPARE_GEN, SPARE_GEN), arrays[9:])])
@@ -800,7 +803,7 @@ def _suite_decompose(config: SuiteConfig, rng) -> list[CheckReport]:
         "gravitino-reassembly", "gravitino-gamma-trace-free")}
     for size in _chunk_sizes(config.fixtures("decompose"), grid):
         g11, g11_soul, g12, g22, g22_soul, *dchi = _synthesize_chunk(
-            grid, 6, _draw_chunk(rng, grid, size, draw, cutoff=6)[0])
+            grid, _draw_chunk(rng, grid, size, draw, cutoff=6)[0])
         g11 = GrassmannField(grid, n_gen, {0: g11, 0b11: g11_soul})
         g12 = GrassmannField(grid, n_gen, {0: g12})
         g22 = GrassmannField(grid, n_gen, {0: g22, 0b1100: g22_soul})

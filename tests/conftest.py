@@ -43,7 +43,7 @@ def derivative_log(monkeypatch):
 
 def trig_array(rng, grid, cutoff=3, n_modes=3, scale=1.0):
     """One trig array of ``n_modes`` modes, drawn from ``rng`` and synthesized."""
-    return _synthesize(grid, cutoff, _draw_modes(rng, grid.ndim, cutoff, scale, n_modes))
+    return _synthesize(grid, _draw_modes(rng, grid.ndim, cutoff, scale, n_modes))
 
 
 def even_field(rng, grid, scale=1.0, soul_mask=None, cutoff=3, n_gen=N_GEN):

@@ -121,7 +121,7 @@ def test_decompose_subcommand(capsys, tmp_path):
 
 
 def test_decompose_exit_one_when_residual_exceeds_tolerance(capsys, tmp_path):
-    # cos(7 x) in g11 alone lies above the default cutoff 16 // 4 = 4, so it
+    # cos(7 x) in g11 alone lies outside the band |m| <= 16 // 4 = 4, so it
     # goes entirely to the residual D, which is then not trace-free.
     n = 16
     x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -446,6 +446,15 @@ def test_valid_config_values_are_not_coerced():
     stored = SuiteConfig.from_dict(given).to_dict()
     assert json.dumps([stored["periods"], stored["flow_dt"], stored["conventions"]["c1"]]) \
         == "[[6, 6], 1, 1]"
+
+
+def test_config_setting_one_convention_keeps_the_calibrated_others(capsys, tmp_path):
+    # The conventions not named take the calibrated defaults, c5 = -1/2
+    # among them, so the susy2d rows still pass.
+    path = write_config(tmp_path, json.dumps({"conventions": {"c1": 1.0}}))
+    code, out = run_cli(capsys, "verify", "susy2d", "--config", path)
+    assert code == 0
+    assert parse_report(out).conventions["c5"] == -0.5
 
 
 def test_config_type_error_under_verify_reduction_is_json_error(capsys, tmp_path):

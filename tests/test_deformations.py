@@ -250,8 +250,9 @@ def reference_solve(comps, cutoff, build_columns):
     grid, n_gen = comps[0].grid, comps[0].n_gen
     masks = sorted({m for f in comps for m in f.terms}) or [0]
     n1, n2 = grid.shape
-    m1 = np.fft.fftfreq(n1, d=1.0 / n1)
-    m2 = np.fft.fftfreq(n2, d=1.0 / n2)
+    # Mode numbers in fftfreq order, as integers.
+    m1 = (np.arange(n1) + n1 // 2) % n1 - n1 // 2
+    m2 = (np.arange(n2) + n2 // 2) % n2 - n2 // 2
     k1 = 2.0 * np.pi * m1 / grid.periods[0]
     k2 = 2.0 * np.pi * m2 / grid.periods[1]
     n_par = build_columns(k1[0], k2[0]).shape[1]
@@ -314,35 +315,40 @@ def reference_dimensions(geom, cutoff):
     return d_even, d_odd
 
 
+# Odd and even sides; the bands min(shape) // 4 are 0, 1, 2, 2, 3, 3, 4, 4,
+# 5 and 6.  fftfreq(49, d=1/49) misses the integers by an ulp.
 ORACLE_GRIDS = [
+    Grid((3, 5), (2.0 * np.pi, 2.0 * np.pi)),
+    Grid((6, 7), (2.0, 3.0)),
     Grid((12, 10), (2.0 * np.pi, 2.0 * np.pi)),
     Grid((15, 9), (3.0, 5.5)),
+    Grid((15, 12), (3.0, 5.5)),
+    Grid((49, 12), (3.0, 2.0 * np.pi)),
     Grid((16, 16), (7.5, 7.5)),
+    Grid((19, 17), (4.0, 2.5)),
+    Grid((20, 23), (2.5, 4.0)),
+    Grid((27, 24), (2.0 * np.pi, 3.0)),
 ]
 
 
-def oracle_cutoffs(grid):
-    # 0, 2, the default, and one at or above n/2 that keeps every Nyquist mode.
-    return [0, 2, None, max(grid.shape) // 2]
+def shape_id(grid):
+    return f"{grid.shape[0]}x{grid.shape[1]}"
 
 
-ORACLE_CASES = [pytest.param(g, c, id=f"{g.shape[0]}x{g.shape[1]}-cutoff-{c}")
-                for g in ORACLE_GRIDS for c in oracle_cutoffs(g)]
+def band_cutoff(grid):
+    """The largest |m| of the grid's band on either axis."""
+    return min(grid.shape) // 4
 
 
-def resolved(cutoff, grid):
-    return min(grid.shape) // 4 if cutoff is None else cutoff
-
-
-@pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
-def test_metric_matches_per_mode_reference(rng, grid_, cutoff):
+@pytest.mark.parametrize("grid_", ORACLE_GRIDS, ids=shape_id)
+def test_metric_matches_per_mode_reference(rng, grid_):
     geom_ = SurfaceGeometry.flat(grid_, N_GEN)
     g11 = band_field(rng, grid_, (0, 0b11), cutoff=7)
     g12 = band_field(rng, grid_, (0, 0b1100), cutoff=7)
     g22 = band_field(rng, grid_, (0, 0b110000), cutoff=7)
     dg = MetricDeformation([[g11, g12], [g12, g22]])
-    r = decompose_metric(geom_, GravitinoField.zero(grid_, N_GEN), dg, cutoff=cutoff)
-    params, res = reference_solve([g11, g12, g22], resolved(cutoff, grid_),
+    r = decompose_metric(geom_, GravitinoField.zero(grid_, N_GEN), dg)
+    params, res = reference_solve([g11, g12, g22], band_cutoff(grid_),
                                   reference_metric_columns)
     assert r.weyl.max_abs_diff(params[0]) == 0.0
     assert max(r.vector[a].max_abs_diff(params[1 + a]) for a in range(2)) == 0.0
@@ -351,20 +357,20 @@ def test_metric_matches_per_mode_reference(rng, grid_, cutoff):
 
 
 @pytest.mark.parametrize("cache", ["cold", "metric-line-cached"])
-@pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
-def test_gravitino_matches_per_mode_reference(rng, grid_, cutoff, cache):
+@pytest.mark.parametrize("grid_", ORACLE_GRIDS, ids=shape_id)
+def test_gravitino_matches_per_mode_reference(rng, grid_, cache):
     geom_ = SurfaceGeometry.flat(grid_, N_GEN)
     dchi = GravitinoField([odd_spinor(rng, grid_, [1, 3], cutoff=7),
                            odd_spinor(rng, grid_, [2, 4], cutoff=7)])
     dchi = GravitinoField([dchi[1] + odd_spinor(rng, grid_, [5, 6], cutoff=7), dchi[2]])
     deformations._band_matrices.cache_clear()
     if cache == "metric-line-cached":
-        # The metric line of the same grid and cutoff is cached first: a key
-        # without the line would hand back its A and A+.
-        deformations._band_matrices(grid_, resolved(cutoff, grid_), "metric")
-    r = decompose_gravitino(geom_, GravitinoField.zero(grid_, N_GEN), dchi, cutoff=cutoff)
+        # The metric line of the same grid is cached first: a key without
+        # the line would hand back its A and A+.
+        deformations._band_matrices(grid_, "metric")
+    r = decompose_gravitino(geom_, GravitinoField.zero(grid_, N_GEN), dchi)
     comps = [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]]
-    params, res = reference_solve(comps, resolved(cutoff, grid_), reference_gravitino_columns)
+    params, res = reference_solve(comps, band_cutoff(grid_), reference_gravitino_columns)
     assert r.super_weyl.max_abs_diff(SpinorField(params[0:2])) == 0.0
     # The reference fits delta chi_a = +d_a p; the supersymmetry parameter
     # is q = -p, since delta chi_a = -d_a q.
@@ -373,11 +379,10 @@ def test_gravitino_matches_per_mode_reference(rng, grid_, cutoff, cache):
     assert r.residual_gravitino.max_abs_diff(DD) == 0.0
 
 
-@pytest.mark.parametrize("grid_, cutoff", ORACLE_CASES)
-def test_true_dimensions_match_reference(grid_, cutoff):
+@pytest.mark.parametrize("grid_", ORACLE_GRIDS, ids=shape_id)
+def test_true_dimensions_match_reference(grid_):
     geom_ = SurfaceGeometry.flat(grid_, N_GEN)
-    assert true_deformation_dimensions(geom_, cutoff) == \
-        reference_dimensions(geom_, resolved(cutoff, grid_))
+    assert true_deformation_dimensions(geom_) == reference_dimensions(geom_, band_cutoff(grid_))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +398,11 @@ def assert_fixture_bits(stacked, i, f):
         assert np.array_equal(a[i], f.terms.get(m, zero)), m
 
 
-STACK_GRIDS = ORACLE_GRIDS[:2] + [Grid((32, 32), (2.0 * np.pi, 2.0 * np.pi))]
+STACK_GRIDS = [Grid((12, 10), (2.0 * np.pi, 2.0 * np.pi)), Grid((15, 9), (3.0, 5.5)),
+               Grid((32, 32), (2.0 * np.pi, 2.0 * np.pi))]
 
 
-@pytest.mark.parametrize("grid_", STACK_GRIDS, ids=lambda g: f"{g.shape[0]}x{g.shape[1]}")
+@pytest.mark.parametrize("grid_", STACK_GRIDS, ids=shape_id)
 def test_stacked_decompositions_match_each_fixture(rng, grid_):
     geom_ = SurfaceGeometry.flat(grid_, N_GEN)
     chi0_ = GravitinoField.zero(grid_, N_GEN)
@@ -435,7 +441,7 @@ def test_stacked_decompositions_match_each_fixture(rng, grid_):
 # One Grassmann mask at a time
 # ---------------------------------------------------------------------------
 
-def all_masks_band_solve(comps, cutoff, line):
+def all_masks_band_solve(comps, line):
     """The band solve with the modes of every mask and component held at once:
     one ``fft2`` of the whole (mask, component) stack, one ``ifft2`` per
     returned sample array."""
@@ -446,7 +452,7 @@ def all_masks_band_solve(comps, cutoff, line):
     F = np.array([[np.broadcast_to(f.terms.get(m, zero), shape) for f in comps]
                   for m in masks], dtype=complex)
     F = np.fft.fft2(F)
-    band, A, A_pinv = deformations._band_matrices(grid, cutoff, line)
+    band, A, A_pinv = deformations._band_matrices(grid, line)
     rhs = np.moveaxis(F[band], 1, -1)[..., None]
     sol = A_pinv @ rhs
     F[band] = np.moveaxis((rhs - A @ sol)[..., 0], -1, 1)
@@ -483,15 +489,11 @@ def owner(a):
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one-fixture", "stacked"])
 @pytest.mark.parametrize("line", ["metric", "gravitino"])
-@pytest.mark.parametrize("grid_, cutoff", [
-    pytest.param(g, c, id=f"{g.shape[0]}x{g.shape[1]}-cutoff-{c}")
-    for g in ORACLE_GRIDS for c in (0, None, max(g.shape) // 2)])
-def test_per_mask_band_solve_has_the_bits_of_the_all_masks_solve(rng, grid_, cutoff,
-                                                                 line, stacked):
+@pytest.mark.parametrize("grid_", ORACLE_GRIDS, ids=shape_id)
+def test_per_mask_band_solve_has_the_bits_of_the_all_masks_solve(rng, grid_, line, stacked):
     comps = band_solve_inputs(rng, grid_, line, stacked)
-    c = resolved(cutoff, grid_)
-    got = deformations._band_solve(comps, c, line)
-    want = all_masks_band_solve(comps, c, line)
+    got = deformations._band_solve(comps, line)
+    want = all_masks_band_solve(comps, line)
     for got_fields, want_fields in zip(got, want):
         assert len(got_fields) == len(want_fields)
         for f, w in zip(got_fields, want_fields):
@@ -524,31 +526,38 @@ def test_gravitino_decomposition_of_a_large_grid_transforms_one_mask_at_a_time(r
 
 
 # ---------------------------------------------------------------------------
-# Cutoff validation
+# The band
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [-1, 1.5, 2.0, "3", True])
-def test_invalid_cutoff_rejected(geom, chi0, grid, bad):
-    one = GrassmannField.from_array(grid, N_GEN, np.ones(grid.shape))
-    zero = GrassmannField.zero(grid, N_GEN)
-    dg = MetricDeformation([[one, zero], [zero, one]])
-    with pytest.raises(ValueError, match="cutoff"):
-        decompose_metric(geom, chi0, dg, cutoff=bad)
-    with pytest.raises(ValueError, match="cutoff"):
-        decompose_gravitino(geom, chi0, chi0, cutoff=bad)
-    with pytest.raises(ValueError, match="cutoff"):
-        true_deformation_dimensions(geom, cutoff=bad)
+def test_band_holds_minus_m_at_the_mirrored_position_on_every_grid_up_to_64():
+    # The precondition of _paired_pinv: on each axis the band keeps the
+    # fftfreq order 0, 1, ..., c, -c, ..., -1, so the mode -m of position i
+    # sits at position (-i) mod len, and no -n/2 mode lacks its partner.
+    for n1 in range(1, 65):
+        for n2 in range(1, 65):
+            grid_ = Grid((n1, n2), (2.0 * np.pi, 3.0))
+            c = deformations._band_cutoff(grid_)
+            assert c == band_cutoff(grid_)
+            for m in deformations._mode_wavenumbers(grid_)[2:]:
+                modes = m[np.abs(m) <= c]
+                assert len(modes) == 2 * c + 1, (n1, n2)
+                mirrored = -np.arange(len(modes)) % len(modes)
+                assert np.array_equal(modes[mirrored], -modes), (n1, n2)
 
 
-def test_zero_cutoff_fits_only_the_constant_mode(rng, geom, chi0, grid):
-    three = GrassmannField.from_array(grid, N_GEN, np.full(grid.shape, 3.0))
-    wave = band_field(rng, grid, cutoff=6)
-    zero = GrassmannField.zero(grid, N_GEN)
+def test_zero_cutoff_fits_only_the_constant_mode(rng):
+    # A side of 3 points: the band min(shape) // 4 = 0 is the constant mode.
+    grid_ = Grid((3, 8), (2.0 * np.pi, 5.0))
+    geom_ = SurfaceGeometry.flat(grid_, N_GEN)
+    three = GrassmannField.from_array(grid_, N_GEN, np.full(grid_.shape, 3.0))
+    wave = band_field(rng, grid_, cutoff=6)
+    zero = GrassmannField.zero(grid_, N_GEN)
     dg = MetricDeformation([[three + wave, zero], [zero, three]])
-    r = decompose_metric(geom, chi0, dg, cutoff=np.int64(0))
+    r = decompose_metric(geom_, GravitinoField.zero(grid_, N_GEN), dg)
     assert r.reassembly_residual < 1e-12
     assert abs(np.mean(r.weyl.terms[0]) - 3.0 - 0.5 * np.mean(wave.terms[0])) < 1e-12
-    assert true_deformation_dimensions(geom, cutoff=0) == (2, 2)
+    assert r.residual_metric.max_abs() > 0.1
+    assert true_deformation_dimensions(geom_) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -597,40 +606,26 @@ def test_repeated_key_makes_no_pinv_call(rng, monkeypatch, geom, chi0, grid):
     assert calls == []
     for a, b in zip(first, again):
         assert a.residual_norms() == b.residual_norms()
-    _, A, A_pinv = deformations._band_matrices(grid, min(grid.shape) // 4, "metric")
+    _, A, A_pinv = deformations._band_matrices(grid, "metric")
     assert not (A.flags.writeable or A_pinv.flags.writeable)
 
 
-PAIR_GRIDS = [
-    Grid((15, 15), (2.0 * np.pi, 2.0 * np.pi)),
-    Grid((16, 16), (7.5, 7.5)),
-    Grid((15, 12), (3.0, 5.5)),
-    Grid((32, 40), (1.0, 3.7)),
-]
+PAIR_GRIDS = ORACLE_GRIDS + [Grid((15, 15), (2.0 * np.pi, 2.0 * np.pi)),
+                             Grid((32, 40), (1.0, 3.7))]
 
 
 @pytest.mark.parametrize("line", ["metric", "gravitino", "gravitino-flipped"])
-@pytest.mark.parametrize("grid_, cutoff", [
-    pytest.param(g, c, id=f"{g.shape[0]}x{g.shape[1]}-cutoff-{c}")
-    for g in PAIR_GRIDS for c in (0, None, max(g.shape) // 2)])
-def test_pair_filled_pinv_equals_pinv_of_every_mode(grid_, cutoff, line):
-    # At max(n) // 2 an even axis keeps its -n/2 mode, whose partner +n/2 is
-    # not a band mode: those modes are inverted alone.
-    k1, k2, m1, m2 = deformations._mode_wavenumbers(grid_)
-    c = resolved(cutoff, grid_)
-    i1 = np.flatnonzero(np.abs(m1) <= c)
-    i2 = np.flatnonzero(np.abs(m2) <= c)
-    if line == "metric":
-        A = deformations._metric_columns(k1[i1][:, None], k2[i2])
-    else:
-        A = deformations._gravitino_columns(k1[i1][:, None], k2[i2])
-        if line == "gravitino-flipped":
-            # The same columns with -gamma^1: a second real constant block.
-            A[..., 0:2, 0:2] *= -1.0
-    filled = deformations._paired_pinv(A, m1[i1], m2[i2])
+@pytest.mark.parametrize("grid_", PAIR_GRIDS, ids=shape_id)
+def test_pair_filled_pinv_equals_pinv_of_every_mode(grid_, line):
+    _, A, A_pinv = deformations._band_matrices(grid_, line.removesuffix("-flipped"))
+    if line == "gravitino-flipped":
+        # The same columns with -gamma^1: a second real constant block.
+        A = A.copy()
+        A[..., 0:2, 0:2] *= -1.0
+        A_pinv = deformations._paired_pinv(A)
     want = np.linalg.pinv(A, rcond=deformations.SVD_CUTOFF)
-    assert filled.shape == want.shape
-    assert (filled == want).all()
+    assert A_pinv.shape == want.shape
+    assert (A_pinv == want).all()
 
 
 def test_pair_filled_pinv_inverts_one_mode_per_conjugate_pair(monkeypatch):
@@ -642,15 +637,12 @@ def test_pair_filled_pinv_inverts_one_mode_per_conjugate_pair(monkeypatch):
         return pinv(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "pinv", counting)
-    # Odd axes of 5 and 7 band modes: the zero mode and one of each of the
-    # (35 - 1) / 2 pairs.  Even axes of 4 modes keep the -2 mode: the 7
-    # modes with -2 on an axis are unpaired, and the other 9 are the zero
-    # mode and 4 pairs.
-    for modes1, modes2, count in ([np.fft.fftfreq(5, 0.2), np.fft.fftfreq(7, 1 / 7), 18],
-                                  [np.fft.fftfreq(4, 0.25), np.fft.fftfreq(4, 0.25), 12]):
-        A = deformations._metric_columns(modes1[:, None], modes2)
-        deformations._paired_pinv(A, modes1, modes2)
-        assert inverted.pop() == count
+    # A band of n1 x n2 modes (both odd) inverts the zero mode and one of
+    # each of the (n1 n2 - 1) / 2 conjugate pairs.
+    for n1, n2 in ((1, 1), (1, 7), (5, 7), (9, 9)):
+        modes1, modes2 = np.fft.fftfreq(n1, 1 / n1), np.fft.fftfreq(n2, 1 / n2)
+        deformations._paired_pinv(deformations._metric_columns(modes1[:, None], modes2))
+        assert inverted.pop() == (n1 * n2 + 1) // 2
     assert inverted == []
 
 

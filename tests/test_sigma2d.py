@@ -41,9 +41,6 @@ from supersigma.superdomain import SuperFunction
 from conftest import (N_GEN, constant_odd_spinor, even_field, gravitino,
                       odd_field, odd_spinor, sigma_fixture, stack, trig_array)
 
-CAL = replace(ActionCoefficients(), c5=-0.5)
-
-
 @pytest.fixture
 def grid():
     return Grid((16, 16), (2.0 * np.pi, 2.0 * np.pi))
@@ -73,8 +70,8 @@ def test_superfield_action_equals_component_action(rng, grid):
     chi0 = GravitinoField.zero(grid, N_GEN)
     for _ in range(5):
         fields = matter(rng, grid, with_F=True)
-        a_super = action_superfield_flat(superfield_from_components(fields), CAL)
-        a_comp = action_component(geom, chi0, fields, coeffs=CAL)
+        a_super = action_superfield_flat(superfield_from_components(fields))
+        a_comp = action_component(geom, chi0, fields)
         assert a_super.max_abs_diff(a_comp) < 1e-11
 
 
@@ -122,7 +119,7 @@ def test_superfield_action_has_the_bits_of_the_full_integrand(rng, grid_, stacki
     before = [a.copy() for a in arrays]
     for a in arrays:
         a.flags.writeable = False
-    for coeffs in (CAL, replace(CAL, superfield_normalization=1.0)):
+    for coeffs in (ActionCoefficients(), ActionCoefficients(superfield_normalization=1.0)):
         got = action_superfield_flat(Phis, coeffs)
         want = full_integrand_action(Phis, coeffs)
         assert set(got.terms) == set(want.terms)
@@ -137,11 +134,11 @@ def test_superfield_action_of_a_large_grid_forms_one_top_coefficient(rng):
     # sample planes of the grid here; the top coefficient alone about 23.
     grid = Grid((128, 128), (2.0 * np.pi, 2.0 * np.pi))
     Phis = superfield_from_components(matter(rng, grid, with_F=True))
-    want = action_superfield_flat(Phis, CAL)
+    want = action_superfield_flat(Phis)
     plane = np.zeros(grid.shape).nbytes
     tracemalloc.start()
     try:
-        got = action_superfield_flat(Phis, CAL)
+        got = action_superfield_flat(Phis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,7 +151,7 @@ def test_susy_invariance_chi_zero(rng, grid):
     chi0 = GravitinoField.zero(grid, N_GEN)
     fields = matter(rng, grid, soul=False)
     q = constant_odd_spinor(rng, grid, 5)
-    assert susy_invariance_residual(geom, chi0, fields, q, coeffs=CAL) < 1e-12
+    assert susy_invariance_residual(geom, chi0, fields, q) < 1e-12
 
 
 def test_susy_invariance_chi_nonzero(rng, grid):
@@ -162,7 +159,19 @@ def test_susy_invariance_chi_nonzero(rng, grid):
     chi = gravitino(rng, grid)
     fields = matter(rng, grid, soul=False)
     q = constant_odd_spinor(rng, grid, 5)
-    assert susy_invariance_residual(geom, chi, fields, q, coeffs=CAL) < 1e-12
+    assert susy_invariance_residual(geom, chi, fields, q) < 1e-12
+
+
+def test_default_coefficients_are_the_calibrated_point():
+    # Every sigma2d function called without coeffs evaluates the
+    # supersymmetric action: on the suite's first calibration entry, three
+    # fixtures with chi != 0, the default c5 = +1/2 read 4.07.
+    config = SuiteConfig()
+    battery_ = build_calibration_battery(config, suite_rng(config, "susy2d"))
+    geom, chi, fields, q = battery_[0]
+    assert not chi.is_zero()
+    assert np.max(susy_invariance_residual(geom, chi, fields, q)) <= 1e-12
+    assert calibrate_conventions(battery_) == ActionCoefficients() == config.conventions
 
 
 def test_susy_variation_first_order_exactness(rng, grid):
@@ -172,8 +181,8 @@ def test_susy_variation_first_order_exactness(rng, grid):
     chi0 = GravitinoField.zero(grid, N_GEN)
     fields = matter(rng, grid, soul=False)
     q = constant_odd_spinor(rng, grid, 5)
-    delta = susy_fields(fields, chi0, q, geom, coeffs=CAL)
-    delta2 = susy_fields(delta, chi0, q, geom, coeffs=CAL)
+    delta = susy_fields(fields, chi0, q, geom)
+    delta2 = susy_fields(delta, chi0, q, geom)
     assert delta2.phi[0].max_abs() < 1e-13
 
 
@@ -183,7 +192,7 @@ def test_susy_rejects_even_parameter(rng, grid):
     fields = matter(rng, grid, soul=False)
     q_even = SpinorField([even_field(rng, grid) for _ in range(2)])
     with pytest.raises(Exception):
-        susy_fields(fields, chi0, q_even, geom, coeffs=CAL)
+        susy_fields(fields, chi0, q_even, geom)
 
 
 def battery(rng, grid, n=3):
@@ -372,7 +381,7 @@ def test_energy_momentum_closed_form(rng, grid):
         psi=[SpinorField.zero(grid, N_GEN)],
         F=[GrassmannField.zero(grid, N_GEN)],
     )
-    T = energy_momentum(geom, chi0, fields, coeffs=CAL)
+    T = energy_momentum(geom, chi0, fields)
     dphi = [fields.phi_derivative(0, k) for k in range(2)]
     norm_sq = dphi[0] * dphi[0] + dphi[1] * dphi[1]
     scale = norm_sq.max_abs()
@@ -395,7 +404,7 @@ def test_energy_momentum_holomorphic_for_harmonic_map(grid):
         F=[GrassmannField.zero(grid, N_GEN) for _ in range(2)],
         winding=winding,
     )
-    T = energy_momentum(geom, chi0, fields, coeffs=CAL)
+    T = energy_momentum(geom, chi0, fields)
     assert (T[0][0] + T[1][1]).max_abs() < 1e-13
     re, im = t_zz(T)
     dre, dim_ = d_zbar(re, im)
@@ -431,8 +440,8 @@ def test_energy_momentum_matches_central_differences_off_shell(rng, grid):
     # psi, chi and F all nonzero: every action term varies with the metric.
     geom, chi, fields, _ = sigma_fixture(rng, grid, with_chi=True)
     fields = replace(fields, F=[even_field(rng, grid, scale=0.5)])
-    T = energy_momentum(geom, chi, fields, coeffs=CAL)
-    reference = _central_difference_energy_momentum(geom, chi, fields, CAL)
+    T = energy_momentum(geom, chi, fields)
+    reference = _central_difference_energy_momentum(geom, chi, fields, ActionCoefficients())
     scale = max(T[a][b].max_abs() for a in range(2) for b in range(2))
     assert scale > 1.0
     for a in range(2):
@@ -464,9 +473,9 @@ def test_super_current_directional_oracle(rng, grid):
     fields = matter(rng, grid, soul=False)
     direction = GravitinoField([odd_spinor(rng, grid, [6, 6], scale=0.7)
                                 for _ in range(2)])
-    a0 = action_component(geom, chi, fields, coeffs=CAL)
-    a1 = action_component(geom, chi + direction, fields, coeffs=CAL)
-    J = super_current(geom, chi, fields, coeffs=CAL)
+    a0 = action_component(geom, chi, fields)
+    a1 = action_component(geom, chi + direction, fields)
+    J = super_current(geom, chi, fields)
     from supersigma.spin_surface import pairing
     density = GrassmannField.zero(grid, N_GEN)
     for a in (1, 2):
@@ -483,14 +492,14 @@ def test_super_current_vanishes_without_psi(rng, grid):
         psi=[SpinorField.zero(grid, N_GEN)],
         F=[GrassmannField.zero(grid, N_GEN)],
     )
-    assert super_current(geom, chi, fields, coeffs=CAL).max_abs() == 0.0
+    assert super_current(geom, chi, fields).max_abs() == 0.0
 
 
 def test_super_current_gamma_trace_free_at_chi_zero(rng, grid):
     geom = SurfaceGeometry.flat(grid, N_GEN)
     chi0 = GravitinoField.zero(grid, N_GEN)
     fields = matter(rng, grid, soul=False)
-    J = super_current(geom, chi0, fields, coeffs=CAL)
+    J = super_current(geom, chi0, fields)
     assert J.gamma_trace().max_abs() < 1e-13
 
 
@@ -504,7 +513,7 @@ def test_spin32_component_holomorphic_on_critical_fixture(rng, grid):
         F=[GrassmannField.zero(grid, N_GEN) for _ in range(2)],
         winding=winding,
     )
-    J = super_current(geom, chi0, crit, coeffs=CAL)
+    J = super_current(geom, chi0, crit)
     re, im = current_spin32(J)
     dre, dim_ = d_zbar(re, im)
     assert max(dre.max_abs(), dim_.max_abs()) < 1e-12
@@ -531,7 +540,7 @@ def test_harmonic_flow_divergence_detected(grid):
         harmonic_flow(geom, phi0, steps=2000, dt=0.05, winding=np.eye(2))
 
 
-def _reference_flow(grid, phi0, steps, dt, winding, grad_tol=1e-10):
+def _reference_flow(grid, phi0, steps, dt, winding):
     """The real-space flat flow: two spectral derivatives per Laplacian and a
     real-space Dirichlet energy every step.  Returns (phi, energies, steps
     taken, converged)."""
@@ -552,14 +561,14 @@ def _reference_flow(grid, phi0, steps, dt, winding, grad_tol=1e-10):
     step = 0
     for step in range(1, steps + 1):
         lap = [laplacian(p) for p in phi]
-        if max(float(np.max(np.abs(l))) for l in lap) < grad_tol:
+        if max(float(np.max(np.abs(l))) for l in lap) < s2.FLOW_GRAD_TOL:
             return phi, energies, step - 1, True
         phi = [p + 2.0 * dt * l for p, l in zip(phi, lap)]
         energies.append(energy(phi))
         increases = increases + 1 if energies[-1] > energies[-2] else 0
         if increases >= 10:
             raise FlowDivergenceError("energy increased for 10 consecutive steps")
-    converged = max(float(np.max(np.abs(laplacian(p)))) for p in phi) < grad_tol
+    converged = max(float(np.max(np.abs(laplacian(p)))) for p in phi) < s2.FLOW_GRAD_TOL
     return phi, energies, step, converged
 
 
@@ -668,19 +677,19 @@ def test_action_differentiates_each_field_once(rng, grid, derivative_log):
     for geom, chi, fields in action_terms_cases(rng, grid):
         assert not chi.is_zero() and not fields.psi[0].is_zero()
         derivative_log.clear()
-        action_component(geom, chi, fields, CAL)
+        action_component(geom, chi, fields)
         assert_no_repeat(derivative_log)
 
 
 def test_superfield_action_differentiates_each_field_once(rng, grid, derivative_log):
-    action_superfield_flat(superfield_from_components(matter_dim2(rng, grid, with_F=True)), CAL)
+    action_superfield_flat(superfield_from_components(matter_dim2(rng, grid, with_F=True)))
     assert_no_repeat(derivative_log)
 
 
 def test_susy_residual_differentiates_each_field_once(rng, grid, derivative_log):
     geom = SurfaceGeometry.flat(grid, N_GEN)
     q = two_generator_q(rng, grid)
-    susy_invariance_residual(geom, gravitino(rng, grid), matter_dim2(rng, grid), q, coeffs=CAL)
+    susy_invariance_residual(geom, gravitino(rng, grid), matter_dim2(rng, grid), q)
     assert_no_repeat(derivative_log)
 
 
@@ -747,15 +756,15 @@ def stacked_fixtures(rng, grid, count, local_q=False):
 def test_q_free_part_of_the_varied_action_is_the_action(rng, grid):
     for name, (geom, chi, fields, q) in free_part_cases(rng, grid):
         varied_geom, varied_chi = s2._susy_varied_geometry(geom, chi, q)
-        varied = fields + susy_fields(fields, chi, q, geom, CAL)
-        a1 = action_component(varied_geom, varied_chi, varied, CAL)
+        varied = fields + susy_fields(fields, chi, q, geom)
+        a1 = action_component(varied_geom, varied_chi, varied)
         assert a1.free_of(Q_BITS).terms, name
-        assert_same_terms(a1.free_of(Q_BITS), action_component(geom, chi, fields, CAL))
+        assert_same_terms(a1.free_of(Q_BITS), action_component(geom, chi, fields))
         # The per-term integrals the calibration scores, at every (s1, s2).
         terms0 = s2._action_terms(geom, chi, fields, ActionCoefficients())
         for s1 in (1.0, -1.0):
             for s2_ in (1.0, -1.0):
-                delta = susy_fields(fields, chi, q, geom, replace(CAL, s1=s1, s2=s2_))
+                delta = susy_fields(fields, chi, q, geom, ActionCoefficients(s1=s1, s2=s2_))
                 terms1 = s2._action_terms(varied_geom, varied_chi, fields + delta,
                                           ActionCoefficients())
                 for t0, t1 in zip(terms0, terms1):
@@ -769,18 +778,18 @@ def test_q_free_part_along_the_noether_direction_is_the_action(rng, grid):
     # The currents suite's Noether row varies chi along the spare generator 6.
     geom, chi, fields, _ = stacked_fixtures(rng, grid, 2)
     direction = stack([gravitino(rng, grid, gens=(6, 6), scale=0.7) for _ in range(2)])
-    a1 = action_component(geom, chi + direction, fields, CAL)
+    a1 = action_component(geom, chi + direction, fields)
     assert a1.free_of(1 << 5).terms and len(a1.free_of(1 << 5).terms) < len(a1.terms)
-    assert_same_terms(a1.free_of(1 << 5), action_component(geom, chi, fields, CAL))
+    assert_same_terms(a1.free_of(1 << 5), action_component(geom, chi, fields))
 
 
 def test_susy_residual_is_the_difference_of_two_evaluations(rng, grid):
     for name, (geom, chi, fields, q) in free_part_cases(rng, grid):
         varied_geom, varied_chi = s2._susy_varied_geometry(geom, chi, q)
-        varied = fields + susy_fields(fields, chi, q, geom, CAL)
-        a1 = action_component(varied_geom, varied_chi, varied, CAL)
-        a0 = action_component(geom, chi, fields, CAL)
-        assert np.array_equal(susy_invariance_residual(geom, chi, fields, q, coeffs=CAL),
+        varied = fields + susy_fields(fields, chi, q, geom)
+        a1 = action_component(varied_geom, varied_chi, varied)
+        a0 = action_component(geom, chi, fields)
+        assert np.array_equal(susy_invariance_residual(geom, chi, fields, q),
                               a1.max_abs_diff(a0)), name
 
 
@@ -801,7 +810,7 @@ def shared_generator_cases(rng, grid):
 def test_susy_residual_rejects_q_sharing_a_generator(rng, grid):
     for fixture, g in shared_generator_cases(rng, grid):
         with pytest.raises(ValueError, match=f"q shares generator {g} with the unvaried"):
-            susy_invariance_residual(*fixture, coeffs=CAL)
+            susy_invariance_residual(*fixture)
 
 
 def test_calibration_rejects_q_sharing_a_generator(rng, grid):

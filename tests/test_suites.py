@@ -623,7 +623,7 @@ def _trig_array_with_every_phase(rng, grid, cutoff=3, n_modes=3, scale=1.0):
     return a
 
 
-@pytest.mark.parametrize("cutoff", [3, 6])
+@pytest.mark.parametrize("cutoff", [0, 3, 6])
 @pytest.mark.parametrize("shape, periods", [
     ((16,), (2.0 * np.pi,)), ((15,), (3.0,)),
     ((16, 16), (2.0 * np.pi, 4.0 * np.pi)), ((15, 9), (3.0, 5.5)), ((1, 5), (1.0, 2.0)),
@@ -657,7 +657,8 @@ def _draw_five(rng):
 @pytest.mark.parametrize("shape, periods, cutoff, count", [
     # Blocks of more than gridfield._STACK_SAMPLES samples span several
     # slices: 32 fixtures of 5 arrays of 64 points, 8 at 16^2 and 15x17,
-    # and 3 and 8 at 32^2.
+    # and 3 and 8 at 32^2.  The synthesis reads the draw's cutoff (0, 3 or
+    # 6) off the drawn wavenumbers.
     ((64,), (2.0 * np.pi,), 3, 1), ((64,), (2.0 * np.pi,), 3, 3), ((64,), (2.0 * np.pi,), 3, 8),
     ((64,), (2.0 * np.pi,), 3, 32),
     ((16, 16), (2.0 * np.pi, 2.0 * np.pi), 3, 1), ((16, 16), (2.0 * np.pi, 2.0 * np.pi), 3, 3),
@@ -665,13 +666,15 @@ def _draw_five(rng):
     ((15, 17), (3.0, 5.5), 3, 1), ((15, 17), (3.0, 5.5), 3, 3), ((15, 17), (3.0, 5.5), 3, 8),
     ((32, 32), (2.0 * np.pi, 4.0 * np.pi), 6, 1), ((32, 32), (2.0 * np.pi, 4.0 * np.pi), 6, 3),
     ((32, 32), (2.0 * np.pi, 4.0 * np.pi), 6, 8),
+    ((64,), (2.0 * np.pi,), 0, 3), ((16, 16), (2.0 * np.pi, 2.0 * np.pi), 0, 8),
+    ((15, 17), (3.0, 5.5), 0, 3),
 ])
 def test_chunk_block_has_the_bits_of_one_array_at_a_time(shape, periods, cutoff, count):
     grid = Grid(shape, periods)
     rng, each_rng = np.random.default_rng(count), np.random.default_rng(count)
     modes, scalars = _draw_chunk(rng, grid, count, _draw_five(rng), cutoff)
     assert modes.shape == (count, 5, 3 * (grid.ndim + 2))
-    arrays = _synthesize_chunk(grid, cutoff, modes)
+    arrays = _synthesize_chunk(grid, modes)
     for i in range(count):
         for role, scale in enumerate((0.7, 1.0, 0.6, 0.3)):
             a = trig_array(each_rng, grid, cutoff=cutoff, scale=scale)
@@ -704,7 +707,7 @@ def test_synthesis_peaks_like_one_array_at_a_time_on_a_large_grid():
             tracemalloc.stop()
 
     each, arrays = peak(lambda rng: [trig_array(rng, grid, scale=s) for s in scales])
-    block, chunk = peak(lambda rng: _synthesize_chunk(grid, 3, _draw_chunk(
+    block, chunk = peak(lambda rng: _synthesize_chunk(grid, _draw_chunk(
         rng, grid, 1, lambda trig: [trig(s) for s in scales])[0]))
     assert all(np.array_equal(a, b) for a, [b] in zip(arrays, chunk))
     assert block <= each + one_array
