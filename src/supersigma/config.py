@@ -120,6 +120,10 @@ class SuiteConfig:
         for i, p in enumerate(self.periods):
             if not (math.isfinite(p) and p > 0.0):
                 raise ValueError(f"periods[{i}] must be finite and positive, got {p!r}")
+        if self.flow_steps < 0:
+            raise ValueError(f"flow_steps must be at least 0, got {self.flow_steps!r}")
+        if not (math.isfinite(self.flow_dt) and self.flow_dt > 0.0):
+            raise ValueError(f"flow_dt must be finite and positive, got {self.flow_dt!r}")
 
     def tolerance(self, family: str) -> float:
         merged = dict(DEFAULT_TOLERANCES)

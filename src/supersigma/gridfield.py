@@ -155,7 +155,7 @@ class GrassmannField(GradedElement):
     ``GrassmannNumber``.
     """
 
-    __slots__ = ("grid", "n_gen")
+    __slots__ = ("grid", "n_gen", "_gradient")
 
     _scalars = (int, float, np.ndarray)
 
@@ -163,6 +163,7 @@ class GrassmannField(GradedElement):
         limit = _mask_limit(n_gen)
         self.grid = grid
         self.n_gen = n_gen
+        self._gradient = None
         clean: dict[int, np.ndarray] = {}
         if terms:
             stacked = None
@@ -245,6 +246,23 @@ class GrassmannField(GradedElement):
             stack = np.stack(chunk, out=buf[:len(chunk)])
             out[i:i + len(chunk)] = _fourier_derivative(stack, self.grid, axis).real
         return self._new(dict(zip(self.terms, out)))
+
+    def gradient(self) -> tuple["GrassmannField", ...]:
+        """(d_0 f, ..., d_{m-1} f), each entry ``derivative(k)`` bit for bit.
+
+        Computed on first use and kept on the field (fields are immutable), so
+        every later reader of the same field transforms nothing.  Use it for a
+        field that is read more than once (matter fields, superfield slots,
+        frame derivatives); differentiate a one-off result with
+        ``derivative(axis)``, which keeps nothing alive.
+        """
+        grad = self._gradient
+        if grad is None:
+            grad = tuple(self.derivative(k) for k in range(self.grid.ndim))
+            # A zero field is its own derivative: keeping it would be a cycle.
+            if self.terms:
+                self._gradient = grad
+        return grad
 
     def integral(self) -> GrassmannNumber:
         """Periodic trapezoid rule (= mean times torus volume), per monomial.

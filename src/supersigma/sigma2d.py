@@ -131,8 +131,7 @@ class ComponentFields:
         out = []
         for t, p in enumerate(self.phi):
             grad = []
-            for k in range(2):
-                d = p.derivative(k)
+            for k, d in enumerate(p.gradient()):
                 w = float(self.winding[t, k])
                 grad.append(d + w if w else d)
             out.append(tuple(grad))
@@ -381,7 +380,8 @@ def action_superfield_flat(Phis: Sequence[SuperFunction],
     top = 0b11
     density = GrassmannField.zero(grid, n_gen)
     for Phi in Phis:
-        # The even gradient of Phi is freed before the product.
+        # The even gradient of Phi is the one its coefficient fields keep, so
+        # the component action of the same fields transforms nothing again.
         D1, D2 = _super_derivatives(Phi)
         density = density + D1.product_coefficient(D2, top) - D2.product_coefficient(D1, top)
     return (density * coeffs.superfield_normalization).integral()
@@ -676,6 +676,11 @@ def _dirichlet_energy(grid: Grid, phi: list[np.ndarray], winding: np.ndarray) ->
 # The flow has converged once the Laplacian is below this everywhere.
 FLOW_GRAD_TOL = 1e-10
 
+# Most steps one block of the flow forms at once, and most complex samples it
+# may hold: a block keeps every step's spectrum and power, so it stays small.
+_FLOW_BLOCK_STEPS = 32
+_FLOW_BLOCK_SAMPLES = 1 << 16
+
 
 def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
                   steps: int, dt: float,
@@ -688,9 +693,20 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
     Nyquist-zeroed wavenumbers of ``spectral_derivative``, and the Dirichlet
     energy follows by Parseval, since the winding part is orthogonal to every
     periodic mode.  The first and last entries of ``energies`` are evaluated
-    in real space.  Raises FlowDivergenceError if the energy increases for 10
-    consecutive steps.
+    in real space.  Raises ValueError for a negative ``steps`` or a ``dt``
+    that is not finite and positive, and FlowDivergenceError if the energy
+    increases for 10 consecutive steps.
+
+    Steps are formed in blocks by ``np.multiply.accumulate``, which gives
+    every step the bits of ``hat * growth``.  The exact maximum of the
+    Laplacian (one batched ``irfft2``) is formed only for steps whose mean
+    square Laplacian, by Parseval, is below ``FLOW_GRAD_TOL**2``: the maximum
+    is at least the root mean square, so no other step can have converged.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps!r}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     grid = geom.grid
     if winding is None:
         winding = np.zeros((len(phi0), 2))
@@ -710,38 +726,58 @@ def harmonic_flow(geom: SurfaceGeometry, phi0: list[np.ndarray],
     minus_ksq = -ksq
     growth = 1.0 - 2.0 * dt * ksq
     energy_weight = pairs * ksq / float(n0 * n1) ** 2
+    # The mean square of a component's Laplacian is its sum against power.
+    laplacian_weight = pairs * ksq * ksq / float(n0 * n1) ** 2
+    # The relative slack is far above the rounding of either side.
+    near_bound = FLOW_GRAD_TOL ** 2 * (1.0 + 1e-6)
     winding_energy = float(np.sum(winding * winding))
 
-    def gradient_max(hat: np.ndarray) -> float:
-        return float(np.max(np.abs(np.fft.irfft2(minus_ksq * hat, s=shape))))
-
-    def energy(hat: np.ndarray) -> float:
-        power = hat.real ** 2 + hat.imag ** 2
-        return (winding_energy + float(np.sum(energy_weight * power))) * volume
-
     hat = np.fft.rfft2(np.stack(phi))
-    energies = [energy(hat)]
+    block = max(1, min(_FLOW_BLOCK_STEPS, _FLOW_BLOCK_SAMPLES // hat.size))
+    energies = [(winding_energy + float(np.sum(energy_weight * (hat.real ** 2 + hat.imag ** 2))))
+                * volume]
     increases = 0
     converged = False
     step = 0
-    for step in range(1, steps + 1):
-        if gradient_max(hat) < FLOW_GRAD_TOL:
-            converged = True
-            step -= 1
+    while True:
+        n = min(block, steps - step)
+        # The last row is checked here only when the budget ends with it;
+        # otherwise it opens the next block.
+        last = step + n == steps
+        checked = n + 1 if last else n
+        rows = np.empty((n + 1,) + hat.shape, dtype=complex)
+        rows[0] = hat
+        rows[1:] = growth
+        # The steps of a block past a divergence may overflow; they are never
+        # reported.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(rows, axis=0, out=rows)
+            power = rows.real ** 2 + rows.imag ** 2
+            mean_square = np.max(np.sum(laplacian_weight * power[:checked], axis=(-2, -1)),
+                                 axis=-1)
+            near = np.flatnonzero(mean_square < near_bound)
+            stop = n
+            if near.size:
+                lap = np.fft.irfft2(minus_ksq * rows[near], s=shape)
+                small = np.max(np.abs(lap), axis=(-3, -2, -1)) < FLOW_GRAD_TOL
+                if small.any():
+                    stop, converged = int(near[np.argmax(small)]), True
+            sums = np.sum(energy_weight * power[1:stop + 1], axis=(-3, -2, -1))
+        for i, total in enumerate(sums.tolist(), start=step + 1):
+            e = (winding_energy + total) * volume
+            if e > energies[-1]:
+                increases += 1
+                if increases >= 10:
+                    raise FlowDivergenceError(f"energy increased for {increases} consecutive "
+                                              f"steps, up to step {i}; reduce dt")
+            else:
+                increases = 0
+            energies.append(e)
+        # A copy, so the block is freed before the next one is formed.
+        hat = rows[stop].copy()
+        step += stop
+        if converged or last:
             break
-        hat = hat * growth
-        e = energy(hat)
-        if e > energies[-1]:
-            increases += 1
-            if increases >= 10:
-                raise FlowDivergenceError(
-                    f"energy increased for {increases} consecutive steps; reduce dt")
-        else:
-            increases = 0
-        energies.append(e)
-    else:
-        # Step budget exhausted; check the final gradient.
-        converged = gradient_max(hat) < FLOW_GRAD_TOL
     energies[0] = _dirichlet_energy(grid, phi, winding)
     if step:
         phi = list(np.fft.irfft2(hat, s=shape))

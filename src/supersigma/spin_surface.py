@@ -241,11 +241,11 @@ class SurfaceGeometry:
         return tuple(row[0] * grad[0] + row[1] * grad[1] for row in self.frame)
 
     def frame_derivatives(self, g: GrassmannField) -> tuple[GrassmannField, GrassmannField]:
-        """(f_1 g, f_2 g), differentiating g once along each axis."""
-        return self.along_frame((g.derivative(0), g.derivative(1)))
+        """(f_1 g, f_2 g) from g's kept gradient (``GrassmannField.gradient``)."""
+        return self.along_frame(g.gradient())
 
     def frame_derivatives_spinor(self, s: SpinorField) -> tuple[SpinorField, SpinorField]:
-        """(f_1 s, f_2 s) componentwise, differentiating each component once per axis."""
+        """(f_1 s, f_2 s) componentwise, from each component's kept gradient."""
         (c1, c2), (d1, d2) = (self.frame_derivatives(c) for c in s.comps)
         return SpinorField([c1, d1]), SpinorField([c2, d2])
 

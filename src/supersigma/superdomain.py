@@ -130,11 +130,12 @@ class SuperFunction(GradedElement):
     # -- derivatives -----------------------------------------------------------
 
     def partial_even(self, a: int) -> "SuperFunction":
-        """Spectral derivative along even axis ``a`` (1-based)."""
+        """Spectral derivative along even axis ``a`` (1-based), read off each
+        coefficient's kept gradient (``GrassmannField.gradient``)."""
         if not 1 <= a <= self.m:
             raise ValueError(f"even axis {a} out of range 1..{self.m}")
         return SuperFunction(self.grid, self.n_odd, self.n_gen,
-                             {g: f.derivative(a - 1) for g, f in self.terms.items()})
+                             {g: f.gradient()[a - 1] for g, f in self.terms.items()})
 
     def partial_odd(self, alpha: int) -> "SuperFunction":
         """Left derivative with respect to eta^alpha (1-based)."""

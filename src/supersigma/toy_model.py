@@ -74,8 +74,8 @@ def superfield_from_fields(f: ToyFields) -> SuperFunction:
 
 def toy_action_component(f: ToyFields) -> GrassmannNumber:
     """A = 1/2 Int phi'^2 + psi psi' dx over the circle."""
-    dphi = f.phi.derivative(0)
-    density = dphi * dphi + f.psi * f.psi.derivative(0)
+    (dphi,), (dpsi,) = f.phi.gradient(), f.psi.gradient()
+    density = dphi * dphi + f.psi * dpsi
     return density.integral() * 0.5
 
 
@@ -95,7 +95,7 @@ def toy_action_superfield(Phi: SuperFunction) -> GrassmannNumber:
 def toy_susy(f: ToyFields, q: GrassmannNumber) -> ToyFields:
     """Supersymmetry variation (delta phi, delta psi) = (q psi, -q phi')."""
     require_odd(q, "supersymmetry parameter q")
-    return ToyFields(q * f.psi, -(q * f.phi.derivative(0)))
+    return ToyFields(q * f.psi, -(q * f.phi.gradient()[0]))
 
 
 def toy_susy_geometric(f: ToyFields, q: GrassmannNumber) -> ToyFields:

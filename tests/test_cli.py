@@ -293,6 +293,22 @@ def test_diverging_flow_is_json_error(capsys):
     assert_json_error(out, "FlowDivergenceError", "reduce dt")
 
 
+@pytest.mark.parametrize("steps, dt, fragment", [
+    ("100", "nan", "dt must be finite and positive, got nan"),
+    ("100", "inf", "dt must be finite and positive, got inf"),
+    ("100", "-inf", "dt must be finite and positive, got -inf"),
+    ("100", "0", "dt must be finite and positive, got 0.0"),
+    ("100", "-0.001", "dt must be finite and positive, got -0.001"),
+    ("-3", "0.001", "steps must be at least 0, got -3"),
+], ids=["dt-nan", "dt-inf", "dt-minus-inf", "dt-zero", "dt-negative", "steps-negative"])
+def test_flow_parameter_out_of_range_is_json_error(capsys, steps, dt, fragment):
+    # Without the check, a NaN or infinite dt ran every step and printed
+    # "final_energy": NaN, which is not JSON; dt = 0 ran steps that did nothing.
+    code, out = run_cli(capsys, "flow", f"--steps={steps}", f"--dt={dt}")
+    assert code == 1
+    assert_json_error(out, "ValueError", fragment)
+
+
 def test_missing_fixture_is_json_error(capsys, tmp_path):
     code, out = run_cli(capsys, "decompose", "--fixture", str(tmp_path / "none.json"))
     assert code == 1
@@ -424,9 +440,16 @@ def test_config_value_of_wrong_type_is_json_error(capsys, tmp_path, config, frag
     ({"fixture_counts": {"decompose": 0}}, "fixture count 'decompose' must be at least 1, got 0"),
     ({"fixture_counts": {"decompose": -3}},
      "fixture count 'decompose' must be at least 1, got -3"),
+    # A NaN step would put a NaN residual into the flow rows.
+    ({"flow_dt": float("nan")}, "flow_dt must be finite and positive, got nan"),
+    ({"flow_dt": float("inf")}, "flow_dt must be finite and positive, got inf"),
+    ({"flow_dt": 0.0}, "flow_dt must be finite and positive, got 0.0"),
+    ({"flow_dt": -1e-3}, "flow_dt must be finite and positive, got -0.001"),
+    ({"flow_steps": -3}, "flow_steps must be at least 0, got -3"),
 ], ids=["toy_points-zero", "toy_points-negative", "grid_shape-zero", "grid_shape-negative",
         "reduction_grid_shape-zero", "periods-zero", "periods-negative", "periods-nan",
-        "periods-inf", "fixture-count-zero", "fixture-count-negative"])
+        "periods-inf", "fixture-count-zero", "fixture-count-negative", "flow_dt-nan",
+        "flow_dt-inf", "flow_dt-zero", "flow_dt-negative", "flow_steps-negative"])
 def test_config_value_out_of_range_is_json_error(capsys, tmp_path, config, fragment):
     path = write_config(tmp_path, json.dumps(config))
     code, out = run_cli(capsys, "verify", "all", "--config", path)

@@ -595,3 +595,25 @@ def test_field_rejects_what_a_number_rejects(grid, n_gen, mask, message):
 def test_field_accepts_the_top_monomial_of_63_generators(grid):
     f = GrassmannField(grid, 63, {(1 << 63) - 1: np.ones(grid.shape)})
     assert f.integral().terms == {(1 << 63) - 1: grid.volume}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-fixture", "stacked"])
+@pytest.mark.parametrize("shape", [(64,), (33,), (16, 16), (15, 12), (9, 13)])
+def test_gradient_is_each_derivative_bit_for_bit_and_kept(rng, derivative_log, shape, stacked):
+    grid = Grid(shape, (2.0 * np.pi,) * len(shape))
+    fs, _, f_stack, _ = _stacked_pair(rng, grid, 3)
+    f = f_stack if stacked else fs[0]
+    grad = f.gradient()
+    assert len(grad) == grid.ndim == len(derivative_log)
+    for k, d in enumerate(grad):
+        _assert_same_bits(d, f.derivative(k))
+    # Every later call returns the kept tuple and transforms nothing.
+    derivative_log.clear()
+    assert f.gradient() is grad
+    assert derivative_log == []
+
+
+def test_gradient_of_a_zero_field_is_zero(grid2d):
+    f = GrassmannField.zero(grid2d, N_GEN)
+    assert all(d.is_zero() for d in f.gradient())
+

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -131,7 +132,9 @@ def test_superfield_action_has_the_bits_of_the_full_integrand(rng, grid_, stacki
 def test_superfield_action_of_a_large_grid_forms_one_top_coefficient(rng):
     # numpy reports its array allocations to tracemalloc.  Forming every
     # eta-coefficient of D1 Phi D2 Phi and D2 Phi D1 Phi takes about 40
-    # sample planes of the grid here; the top coefficient alone about 23.
+    # sample planes of the grid here; the top coefficient alone about 18 once
+    # Phi's slots keep their gradients, and about 29 on the first call, which
+    # forms them.
     grid = Grid((128, 128), (2.0 * np.pi, 2.0 * np.pi))
     Phis = superfield_from_components(matter(rng, grid, with_F=True))
     want = action_superfield_flat(Phis)
@@ -572,9 +575,74 @@ def _reference_flow(grid, phi0, steps, dt, winding):
     return phi, energies, step, converged
 
 
+def _per_step_flow(geom, phi0, steps, dt, winding):
+    """The flat Fourier flow one step at a time, with the exact Laplacian
+    maximum formed before every step: the bits ``harmonic_flow`` must give."""
+    grid = geom.grid
+    winding = np.asarray(winding, dtype=float)
+    phi = [np.asarray(p, dtype=float).copy() for p in phi0]
+    n0, n1 = grid.shape
+    k0 = s2.derivative_wavenumbers(grid, 0)
+    k1 = s2.derivative_wavenumbers(grid, 1)[: n1 // 2 + 1]
+    ksq = k0[:, None] ** 2 + k1 ** 2
+    pairs = np.full(k1.shape, 2.0)
+    pairs[0] = 1.0
+    if n1 % 2 == 0:
+        pairs[-1] = 1.0
+    growth = 1.0 - 2.0 * dt * ksq
+    energy_weight = pairs * ksq / float(n0 * n1) ** 2
+    winding_energy = float(np.sum(winding * winding))
+
+    def gradient_max(hat):
+        return float(np.max(np.abs(np.fft.irfft2(-ksq * hat, s=grid.shape))))
+
+    def energy(hat):
+        power = hat.real ** 2 + hat.imag ** 2
+        return (winding_energy + float(np.sum(energy_weight * power))) * grid.volume
+
+    hat = np.fft.rfft2(np.stack(phi))
+    energies = [energy(hat)]
+    increases = 0
+    converged = False
+    step = 0
+    for step in range(1, steps + 1):
+        if gradient_max(hat) < s2.FLOW_GRAD_TOL:
+            converged = True
+            step -= 1
+            break
+        hat = hat * growth
+        e = energy(hat)
+        if e > energies[-1]:
+            increases += 1
+            if increases >= 10:
+                raise FlowDivergenceError(f"energy increased for {increases} consecutive "
+                                          f"steps, up to step {step}; reduce dt")
+        else:
+            increases = 0
+        energies.append(e)
+    else:
+        converged = gradient_max(hat) < s2.FLOW_GRAD_TOL
+    energies[0] = s2._dirichlet_energy(grid, phi, winding)
+    if step:
+        phi = list(np.fft.irfft2(hat, s=grid.shape))
+        energies[-1] = s2._dirichlet_energy(grid, phi, winding)
+    return s2.FlowResult(phi=phi, winding=winding, energies=energies,
+                         steps_taken=step, converged=converged)
+
+
+def _assert_same_flow(got, want):
+    assert got.steps_taken == want.steps_taken
+    assert got.converged is want.converged
+    assert len(got.energies) == len(want.energies)
+    assert all(a == b for a, b in zip(got.energies, want.energies))
+    assert len(got.phi) == len(want.phi)
+    assert all(np.array_equal(a, b) for a, b in zip(got.phi, want.phi))
+
+
 def _flow_case(name):
-    if name == "suite-seed-7":
-        return flow_initial_data(SuiteConfig(seed=7), suite_rng(SuiteConfig(seed=7), "flow"))
+    if name.startswith("suite-seed-"):
+        config = SuiteConfig(seed=int(name.removeprefix("suite-seed-")))
+        return flow_initial_data(config, suite_rng(config, "flow"))
     grid = Grid((15, 13) if name == "odd-grid" else (16, 12), (2.0 * np.pi, np.pi))
     X, Y = grid.coordinates()
     # Small white noise puts content in every mode, the Nyquist modes included.
@@ -587,11 +655,15 @@ def _flow_case(name):
 @pytest.mark.parametrize("case, steps, dt", [
     ("suite-seed-7", 5000, 1e-3), ("odd-grid", 5000, 4e-3), ("even-grid", 5000, 4e-3),
     ("suite-seed-7", 50, 1e-3), ("odd-grid", 40, 4e-3),
-], ids=["suite-seed-7", "odd-grid", "even-grid", "budget-out", "odd-grid-budget-out"])
+    ("suite-seed-0", 5000, 1e-3), ("suite-seed-42", 5000, 1e-3),
+], ids=["suite-seed-7", "odd-grid", "even-grid", "budget-out", "odd-grid-budget-out",
+        "suite-seed-0", "suite-seed-42"])
 def test_fourier_flow_matches_real_space_flow(case, steps, dt):
     geom, phi0, winding = _flow_case(case)
     phi, energies, taken, converged = _reference_flow(geom.grid, phi0, steps, dt, winding)
     result = harmonic_flow(geom, phi0, steps=steps, dt=dt, winding=winding)
+    # The blocked steps have the bits of the per-step Fourier loop.
+    _assert_same_flow(result, _per_step_flow(geom, phi0, steps, dt, winding))
     assert result.steps_taken == taken
     assert result.converged is converged
     assert converged is (steps == 5000)
@@ -606,14 +678,21 @@ def test_fourier_flow_matches_real_space_flow(case, steps, dt):
     assert max(float(np.max(np.abs(p - q))) for p, q in zip(result.phi, phi)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fourier_flow_divergence_matches_real_space_flow(grid):
     geom = SurfaceGeometry.flat(grid, N_GEN)
     X, Y = grid.coordinates()
     phi0 = [0.3 * np.cos(7 * X + 5 * Y), np.zeros(grid.shape)]
     with pytest.raises(FlowDivergenceError):
         _reference_flow(grid, phi0, 2000, 0.05, np.eye(2))
-    with pytest.raises(FlowDivergenceError):
+    with pytest.raises(FlowDivergenceError) as want:
+        _per_step_flow(geom, phi0, 2000, 0.05, np.eye(2))
+    # The blocked flow stops at the same step, and the steps its block forms
+    # past that one raise no warning.
+    with pytest.raises(FlowDivergenceError) as got:
         harmonic_flow(geom, phi0, steps=2000, dt=0.05, winding=np.eye(2))
+    assert str(got.value) == str(want.value)
+    assert "up to step 10;" in str(got.value)
 
 
 def test_flat_flow_steps_without_real_space_kernels(monkeypatch, grid):
@@ -631,6 +710,63 @@ def test_flat_flow_steps_without_real_space_kernels(monkeypatch, grid):
     # Only the first and the last reported energies are evaluated in real
     # space, with one derivative per coordinate and axis.
     assert calls == {"spectral_derivative": 8, "_dirichlet_energy": 2}
+
+
+def test_blocked_flow_budgets_at_and_around_block_boundaries():
+    geom, phi0, winding = _flow_case("suite-seed-42")
+    dt = 1e-3
+    block = s2._FLOW_BLOCK_STEPS
+    taken = _per_step_flow(geom, phi0, 5000, dt, winding).steps_taken
+    assert taken % block not in (0, 1, block - 1)
+    # Mid-block, one block, on a later block boundary, one step before and
+    # one after a boundary, the converging step itself and one short of it.
+    budgets = [block // 2, block, 2 * block, 3 * block - 1, 3 * block + 1, taken, taken - 1, 0]
+    for steps in budgets:
+        want = _per_step_flow(geom, phi0, steps, dt, winding)
+        assert want.converged is (steps == taken)
+        _assert_same_flow(harmonic_flow(geom, phi0, steps=steps, dt=dt, winding=winding), want)
+
+
+def test_blocked_flow_of_a_converged_map_takes_no_step(grid):
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    X, _ = grid.coordinates()
+    # A Laplacian of 1e-12 at most: converged before any step.
+    phi0 = [1e-12 * np.cos(X), np.zeros(grid.shape)]
+    for steps in (0, 1, 5000):
+        got = harmonic_flow(geom, phi0, steps=steps, dt=1e-3, winding=np.eye(2))
+        assert got.converged and got.steps_taken == 0 and len(got.energies) == 1
+        _assert_same_flow(got, _per_step_flow(geom, phi0, steps, 1e-3, np.eye(2)))
+
+
+def test_suite_flow_forms_the_exact_laplacian_maximum_only_near_convergence(monkeypatch):
+    geom, phi0, winding = _flow_case("suite-seed-42")
+    calls = []
+    irfft2 = np.fft.irfft2
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return irfft2(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "irfft2", counted)
+    result = harmonic_flow(geom, phi0, steps=5000, dt=1e-3, winding=winding)
+    assert result.converged and result.steps_taken > 1000
+    # A check before every step would call it 1,392 times here.
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("steps, dt, fragment", [
+    (100, float("nan"), "dt must be finite and positive, got nan"),
+    (100, float("inf"), "dt must be finite and positive, got inf"),
+    (100, 0.0, "dt must be finite and positive, got 0.0"),
+    (100, -1e-3, "dt must be finite and positive, got -0.001"),
+    (-3, 1e-3, "steps must be at least 0, got -3"),
+], ids=["dt-nan", "dt-inf", "dt-zero", "dt-negative", "steps-negative"])
+def test_flow_rejects_bad_parameters_before_any_transform(monkeypatch, grid, steps, dt, fragment):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transformed before checking its parameters")
+    monkeypatch.setattr(np.fft, "rfft2", no_transform)
+    geom = SurfaceGeometry.flat(grid, N_GEN)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        harmonic_flow(geom, [np.zeros(grid.shape)] * 2, steps=steps, dt=dt)
 
 
 def test_gravitino_variation_is_odd(rng, grid):

@@ -769,6 +769,73 @@ def test_currents_suite_differentiates_each_phi_once(derivative_log):
     assert len(derivative_log) == 32
 
 
+def test_toy_suite_differentiates_each_field_once(derivative_log):
+    # Four chunks of phi', psi', phi'' and the varied phi' and psi', and the
+    # closed-form fixture's phi' and psi': 56 calls on these 22 fields when
+    # every row differentiated phi and psi again.
+    suites.run_suite(SuiteConfig(), "toy")
+    pairs = [(id(field), axis) for field, axis in derivative_log]
+    assert len(set(pairs)) == len(pairs) == 22
+
+
+def test_reduction_suite_differentiates_each_field_once(derivative_log):
+    # The superfield action and the component action read the gradients that
+    # phi and psi keep: 702 calls when each differentiated them again.
+    suites.run_suite(SuiteConfig(), "reduction")
+    pairs = [(id(field), axis) for field, axis in derivative_log]
+    assert len(set(pairs)) == len(pairs) == 402
+
+
+@pytest.fixture
+def gradient_log(monkeypatch):
+    """Every field ``GrassmannField.gradient`` is called on, kept alive."""
+    log = []
+    original = GrassmannField.gradient
+
+    def recording(self):
+        log.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GrassmannField, "gradient", recording)
+    return log
+
+
+def _fields_in(value):
+    if isinstance(value, GrassmannField):
+        yield value
+    elif isinstance(value, SpinorField):
+        yield from value.comps
+    elif isinstance(value, GravitinoField):
+        for s in value.chi:
+            yield from s.comps
+    else:
+        for item in value:
+            yield from _fields_in(item)
+
+
+def test_decompose_suite_keeps_no_gradient(gradient_log):
+    # The reassembly and divergence differentiate one-off results with
+    # derivative(axis), which keeps nothing alive on them.
+    suites.run_suite(SuiteConfig(), "decompose")
+    assert gradient_log == []
+
+
+def test_currents_suite_keeps_no_gradient_on_a_current(gradient_log, monkeypatch):
+    # The divergence of T and d_zbar differentiate the currents once each:
+    # only the matter fields the currents are built from keep a gradient.
+    results = []
+    for name in ("energy_momentum", "super_current", "t_zz", "current_spin32"):
+        def recording(*args, _original=getattr(suites, name), **kwargs):
+            out = _original(*args, **kwargs)
+            results.append(out)
+            return out
+        monkeypatch.setattr(suites, name, recording)
+    suites.run_suite(SuiteConfig(), "currents")
+    currents = {id(f) for f in _fields_in(results)}
+    assert gradient_log and len(results) == 8
+    assert not any(id(f) in currents for f in gradient_log)
+
+
 def test_susy2d_local_q_row_needs_13_points_per_axis():
     # The local-q integrand reaches mode 4 x 3 = 12: at 12 points per axis
     # that mode aliases onto the mean and only the local-q row fails; at 13,
