@@ -190,8 +190,29 @@ def _cmd_decompose(args) -> int:
 _INPUT_ERRORS = (CalibrationError, FlowDivergenceError, ValueError, OSError)
 
 
+def _attach_numeric_values(argv: list[str]) -> list[str]:
+    """``argv`` with every value that reads as a number and starts with "-"
+    joined to the option before it (``--dt -1e-3`` becomes ``--dt=-1e-3``):
+    argparse takes such a token for an option unless it is a plain decimal,
+    so ``-1e-3`` and ``-inf`` would otherwise leave ``--dt`` without a value."""
+    out: list[str] = []
+    for token in argv:
+        previous = out[-1] if out else ""
+        if token.startswith("-") and previous.startswith("--") and "=" not in previous:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{previous}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_numeric_values(argv))
     handlers = {
         "verify": _cmd_verify,
         "calibrate": _cmd_calibrate,

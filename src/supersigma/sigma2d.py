@@ -19,13 +19,14 @@ Superspace conventions (fixed here, verified by the reduction identity):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannNumber, fresh_generators, max_or_nan, require_even, require_odd
+from .grassmann import GrassmannNumber, fresh_generators, require_even, require_odd
 from .gridfield import GrassmannField, Grid, derivative_wavenumbers, spectral_derivative
 from .spin_surface import (
     GAMMA,
@@ -67,7 +68,7 @@ class UnsupportedRegimeError(ValueError):
 
 
 class CalibrationError(RuntimeError):
-    """No sign assignment in the declared search space meets the tolerance."""
+    """The battery does not determine the action's coefficients, or they miss the tolerance."""
 
 
 @dataclass
@@ -158,9 +159,9 @@ class ActionCoefficients:
     the gravitino-matter coupling and the gravitino-squared coupling.  s1,
     s2 are the signs of the two matter supersymmetry variations, and
     superfield_normalization is the overall factor in front of the
-    superfield action.  The defaults are the calibrated point
-    (``calibrate_conventions``; c5 = -1/2), at which the action is
-    supersymmetric.
+    superfield action.  The defaults are the point at which the action is
+    supersymmetric: at c1 = 1, ``calibrate_conventions`` solves c2, c4, c5 =
+    1, 2, -1/2 and the signs from invariance; c3 is not solved (F = 0).
     """
 
     c1: float = 1.0
@@ -501,77 +502,73 @@ def susy_invariance_residual(geom: SurfaceGeometry, chi: GravitinoField,
     return a1.max_abs_diff(a1.free_of(bits))
 
 
-_SIGNS = (1.0, -1.0)
+def _first_variation(terms: Sequence, bits: int) -> np.ndarray:
+    """A column per term of ``_action_terms``, a row per (fixture of the stack,
+    monomial carrying a generator of ``bits``): the first variation's part."""
+    masks = sorted({m for t in terms if t is not None for m in t.terms if m & bits})
+    cells = np.array(np.broadcast_arrays(np.zeros(1), *[
+        0.0 if t is None else t.terms.get(m, 0.0) for t in terms for m in masks])[1:])
+    return cells.reshape(len(terms), len(masks), cells.shape[-1]).T.reshape(-1, len(terms))
 
 
-def _combine(c: Sequence[float], terms: Sequence) -> GrassmannNumber:
-    """sum_i c_i I_i over the terms that are present."""
-    total = None
-    for ci, integral in zip(c, terms):
-        if integral is not None:
-            total = integral * ci if total is None else total + integral * ci
-    return total
-
-
-def _calibration_scores(battery: Sequence[tuple], base: ActionCoefficients) -> list[tuple]:
-    """Worst invariance residual over the battery for all 16 sign candidates.
-
-    Rows are (score, s1, s2, sign c4, sign c5, candidate) in the order
-    s1, s2, sign c4, sign c5 with +1 first.  For fixed (s1, s2) the action
-    is linear in c1..c5, so each entry needs the per-term integrals of the
-    varied configuration once per (s1, s2), and every candidate is scored
-    as a linear combination.  The original configuration is not evaluated:
-    its integrals are the q-free part of any (s1, s2)'s, as in
-    ``susy_invariance_residual``.  An entry may stack fixtures: its score
-    is the largest of theirs, NaN if any is NaN.
-    """
-    cands = {(s1, s2, sig4, sig5): replace(base, s1=s1, s2=s2, c4=sig4 * abs(base.c4),
-                                           c5=sig5 * abs(base.c5))
-             for s1 in _SIGNS for s2 in _SIGNS for sig4 in _SIGNS for sig5 in _SIGNS}
-    worst = dict.fromkeys(cands, 0.0)
+def _variation_matrices(battery: Sequence[tuple], base: ActionCoefficients) -> dict:
+    """M(s1, s2), whose M c is the action's first variation at c = (c1, ..., c5), per
+    sign pair, +1 first: each entry's varied geometry is formed once, its terms per pair."""
+    blocks: dict = {(s1, s2): [] for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)}
     for geom, chi, fields, q in battery:
         bits = _q_generators(geom, chi, fields, q)
         varied_geom, varied_chi = _susy_varied_geometry(geom, chi, q)
-        varied = {}
-        for s1 in _SIGNS:
-            for s2 in _SIGNS:
-                delta = susy_fields(fields, chi, q, geom, coeffs=replace(base, s1=s1, s2=s2))
-                varied[s1, s2] = _action_terms(varied_geom, varied_chi, fields + delta, coeffs=base)
-        terms0 = [None if t is None else t.free_of(bits) for t in varied[1.0, 1.0]]
-        for key, cand in cands.items():
-            c = _coefficient_vector(cand)
-            score = _combine(c, varied[key[:2]]).max_abs_diff(_combine(c, terms0))
-            worst[key] = max_or_nan((worst[key], np.max(score)))
-    return [(worst[key], *key, cand) for key, cand in cands.items()]
+        for (s1, s2), block in blocks.items():
+            delta = susy_fields(fields, chi, q, geom, coeffs=replace(base, s1=s1, s2=s2))
+            terms = _action_terms(varied_geom, varied_chi, fields + delta, coeffs=base)
+            block.append(_first_variation(terms, bits))
+    return {pair: np.concatenate(block) for pair, block in blocks.items()}
 
 
 def calibrate_conventions(battery: Sequence[tuple], tolerance: float = 1e-6,
-                          base: ActionCoefficients = ActionCoefficients()) -> ActionCoefficients:
-    """Sign search over (s1, s2, sign c4, sign c5) for supersymmetry invariance.
+                          base: ActionCoefficients = ActionCoefficients(),
+                          ) -> tuple[ActionCoefficients, np.ndarray]:
+    """The action's coefficients, solved from supersymmetry invariance.
 
-    ``battery`` is a sequence of fixtures (geom, chi, fields, q), each of
-    which may stack several on the fixture axis; the magnitudes of the coefficients stay those of ``base``.  Each of the 16
-    candidates is scored by its worst invariance residual over the battery,
-    computed from per-term action integrals (see ``_calibration_scores``);
-    the scores agree with ``susy_invariance_residual`` to rounding.  Raises
-    CalibrationError when the battery is degenerate (cannot distinguish any
-    assignment) or when no assignment meets the tolerance, and ValueError
-    when an entry's q shares a generator with its geom, chi or fields.
+    ``battery`` holds fixtures (geom, chi, fields, q), each may be a stack.
+    Per sign pair (s1, s2) the first variation is M c (``_variation_matrices``);
+    one SVD gives the null space of M's columns of c1, c2, c4 and c5 (c3's is
+    zero while F = 0), or its last singular vector if there is none.  Its
+    point with c1 = ``base.c1`` nearest ``base`` is the pair's derived vector:
+    a coefficient the battery leaves free keeps its value in ``base``, as c3
+    does.  Of ``base`` with each pair's s1, s2 and derived signs of c4 and c5,
+    the one with the smallest max |M c| is returned with its derived (c1, ...,
+    c5); a pair whose M holds a NaN loses.  Raises CalibrationError when the
+    battery is empty or constrains nothing, or when no max |M c| below
+    ``tolerance`` is left; ValueError when an entry's q shares a generator
+    with its geom, chi or fields.
     """
     if not battery:
         raise CalibrationError("underdetermined: empty calibration battery")
-    results = _calibration_scores(battery, base)
-    best = min(r[0] for r in results)
-    if all(abs(r[0] - best) < 1e-14 for r in results):
-        raise CalibrationError("underdetermined: battery does not distinguish sign assignments")
-    passing = [r for r in results if r[0] < tolerance]
-    if not passing:
+    solved = [0, 1, 3, 4]
+    b = np.array(_coefficient_vector(base))[solved]
+    offers = []
+    for (s1, s2), M in _variation_matrices(battery, base).items():
+        if not np.isfinite(M).all():
+            continue
+        _, sv, vt = np.linalg.svd(M[:, solved])
+        # An exact zero singular value (no Fourier modes resonate) reads up to
+        # 1e-13 of the largest at 128^2, above matrix_rank's max(shape) * eps.
+        rank = np.count_nonzero(sv > np.sqrt(np.finfo(float).eps) * sv.max(initial=0.0))
+        if not rank:
+            raise CalibrationError("underdetermined: the battery constrains no coefficient")
+        null = vt[min(rank, len(solved) - 1):].T
+        # base's projection onto the null space, moved along it to c1 = base.c1.
+        n, y = null[0], null.T @ b
+        derived = np.insert(null @ (y + n * ((b[0] - n @ y) / (n @ n))), 2, base.c3)
+        cal = replace(base, s1=s1, s2=s2, c4=math.copysign(abs(base.c4), derived[3]),
+                      c5=math.copysign(abs(base.c5), derived[4]))
+        offers.append((np.max(np.abs(M @ _coefficient_vector(cal))), cal, derived))
+    residual, cal, derived = min(offers, key=lambda o: o[0], default=(np.nan, None, None))
+    if not residual < tolerance:
         raise CalibrationError(
-            f"no sign assignment reaches residual < {tolerance:g}; best = {best:.3e}")
-    # Among passing assignments prefer +1 signs (ties between exact zeros
-    # happen when the battery admits a compensating flip of q).
-    passing.sort(key=lambda r: (-r[1], -r[2], -r[3], -r[4]))
-    return passing[0][5]
+            f"no sign assignment reaches residual < {tolerance:g}; best = {residual:.3e}")
+    return cal, derived
 
 
 # ---------------------------------------------------------------------------

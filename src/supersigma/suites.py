@@ -1,7 +1,7 @@
 """Verification suites: seeded fixture batteries for every library layer.
 
 Each suite returns a list of CheckReport records; ``run_suite`` dispatches
-by name and ``calibrate`` wraps the sign calibration, returning an updated
+by name and ``calibrate`` wraps the coefficient solve, returning an updated
 configuration.  All randomness flows through one generator seeded from the
 configured seed and a fixed per-suite index, so reports are deterministic
 for a given (seed, config) pair whether suites run alone or under "all".
@@ -317,7 +317,7 @@ def _frozen_row(data: bytes) -> memoryview:
 
 
 def build_calibration_battery(config: SuiteConfig, rng: np.random.Generator) -> list:
-    """The sign calibration's fixtures (geom, chi, fields, q), q constant: one
+    """The calibration's fixtures (geom, chi, fields, q), q constant: one
     stack per chunk of the fixtures with chi, then the fixture without chi as
     a stack of one, drawn in that order."""
     grid = Grid(config.grid_shape, config.periods)
@@ -610,10 +610,12 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
     cal_tol = config.tolerance("calibration")
     battery = build_calibration_battery(config, rng)
 
-    cal = calibrate_conventions(battery, tolerance=cal_tol)
+    # The rows judge the solve, so an infinite tolerance keeps it from raising.
+    cal, derived = calibrate_conventions(battery, tolerance=math.inf)
     cal_residual = [r for entry in battery for r in _invariance_floats(entry, cal)]
     cal_match = [abs(getattr(cal, k) - getattr(config.conventions, k))
                  for k in ("s1", "s2", "c4", "c5")]
+    derived_gap = [abs(derived[i - 1] - getattr(config.conventions, f"c{i}")) for i in (2, 4, 5)]
 
     count = config.fixtures("susy2d")
     kinds = [_sigma_draw(rng, with_chi) for with_chi in (False, True)]
@@ -647,6 +649,7 @@ def _suite_susy2d(config: SuiteConfig, rng) -> list[CheckReport]:
         _check("susy2d-invariance-chi-zero", resid[0], tol),
         _check("susy2d-invariance-chi-nonzero", resid[1], tol),
         _check("susy2d-invariance-local-q", local, tol),
+        _check("susy2d-coefficients-derived", derived_gap, tol),
     ]
 
 
@@ -866,10 +869,10 @@ def run_suite(config: SuiteConfig, suite: str) -> list[CheckReport]:
 
 
 def calibrate(config: SuiteConfig) -> tuple[SuiteConfig, ActionCoefficients]:
-    """Run the sign calibration and return (updated config, coefficients)."""
+    """Solve the conventions and return (updated config, coefficients)."""
     _require_generators(config, "susy2d")
     rng = suite_rng(config, "susy2d")
     battery = build_calibration_battery(config, rng)
-    cal = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))
+    cal = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))[0]
     updated = SuiteConfig.from_dict({**config.to_dict(), "conventions": cal.to_dict()})
     return updated, cal

@@ -81,7 +81,8 @@ def test_criterion_06_2d_susy_invariance():
              (checks["susy2d-calibration-matches-config"].residual, 0.0),
              (checks["susy2d-invariance-chi-zero"].residual, 1e-8),
              (checks["susy2d-invariance-chi-nonzero"].residual, 1e-8),
-             (checks["susy2d-invariance-local-q"].residual, 1e-8)])
+             (checks["susy2d-invariance-local-q"].residual, 1e-8),
+             (checks["susy2d-coefficients-derived"].residual, 1e-8)])
 
 
 def test_criterion_07_classical_limit():

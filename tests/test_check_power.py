@@ -103,6 +103,27 @@ def _gravitino_variation_plus_fq(monkeypatch):
                                 "dchi_a = fq[a - 1]"))
 
 
+def _dpsi_without_psi_chi(monkeypatch):
+    # delta psi forgets its gravitino term <psi, chi_a> gamma^a q.
+    monkeypatch.setattr(sigma2d, "susy_fields",
+                        _edited(sigma2d.susy_fields, " + pairing(fields.psi[t], chi[a])", ""))
+
+
+def _term4_gamma_ba(monkeypatch):
+    # The gravitino-matter coupling rotates chi_a by gamma^b gamma^a.
+    monkeypatch.setattr(sigma2d, "_action_summands",
+                        _edited(sigma2d._action_summands, "GAMMA_PRODUCTS[a, b]",
+                                "GAMMA_PRODUCTS[b, a]"))
+
+
+def _term4_negated(monkeypatch):
+    # The gravitino-matter coupling enters with the opposite sign, so the
+    # invariant action has c4 = -2.
+    monkeypatch.setattr(sigma2d, "_action_summands",
+                        _edited(sigma2d._action_summands, "pairing(rotated, fields.psi[t]))",
+                                "pairing(rotated, fields.psi[t]) * -1.0)"))
+
+
 def _berezin_reads_body(monkeypatch):
     # The odd integral reads the eta-free coefficient instead of the top one.
     _replace_everywhere(monkeypatch, (berezin, suites), "berezin_integrate",
@@ -140,6 +161,16 @@ DEFECTS = {
     # Every other susy2d row has a constant q, whose f_a q vanishes.
     "gravitino-variation-plus-fq": (_gravitino_variation_plus_fq, ["susy2d"],
                                     {"susy2d-invariance-local-q"}),
+    # The chi-zero row passes: the lost term vanishes with chi.
+    "susy-dpsi-without-psi-chi": (_dpsi_without_psi_chi, ["susy2d"],
+                                  {"susy2d-calibration-residual",
+                                   "susy2d-coefficients-derived",
+                                   "susy2d-invariance-chi-nonzero"}),
+    "action-term4-gamma-ba": (_term4_gamma_ba, ["susy2d"],
+                              {"susy2d-calibration-residual", "susy2d-coefficients-derived"}),
+    "action-term4-negated": (_term4_negated, ["susy2d"],
+                             {"susy2d-calibration-matches-config",
+                              "susy2d-coefficients-derived"}),
 }
 
 

@@ -218,14 +218,23 @@ def test_generator_count_without_room_for_the_fields_is_json_error(capsys, tmp_p
     assert_json_error(out, "ValueError", f"got n_gen={n_gen}")
 
 
-@pytest.mark.parametrize("command", [["verify", "susy2d"], ["calibrate"]])
-def test_calibration_error_is_json_error(capsys, tmp_path, command):
+def test_calibration_error_is_json_error(capsys, tmp_path):
     path = write_config(tmp_path, '{"tolerances": {"calibration": 0.0}}')
     before = open(path).read()
-    code, out = run_cli(capsys, *command, "--config", path)
+    code, out = run_cli(capsys, "calibrate", "--config", path)
     assert code == 1
     assert_json_error(out, "CalibrationError", "no sign assignment")
     assert open(path).read() == before
+
+
+def test_calibration_tolerance_is_gated_by_the_susy2d_rows(capsys, tmp_path):
+    # The suite reports the solved coefficients instead of raising: at a zero
+    # calibration tolerance the residual row fails and every other row passes.
+    path = write_config(tmp_path, '{"tolerances": {"calibration": 0.0}}')
+    code, out = run_cli(capsys, "verify", "susy2d", "--config", path)
+    assert code == 1
+    failed = [c.name for c in parse_report(out).checks if not c.passed]
+    assert failed == ["susy2d-calibration-residual"]
 
 
 def test_unknown_config_key_is_json_error(capsys, tmp_path):
@@ -307,6 +316,25 @@ def test_flow_parameter_out_of_range_is_json_error(capsys, steps, dt, fragment):
     code, out = run_cli(capsys, "flow", f"--steps={steps}", f"--dt={dt}")
     assert code == 1
     assert_json_error(out, "ValueError", fragment)
+
+
+@pytest.mark.parametrize("dt, fragment", [
+    ("-1e-3", "got -0.001"), ("-inf", "got -inf"), ("-nan", "got nan"), ("-0.001", "got -0.001"),
+])
+def test_flow_value_after_a_space_reaches_the_range_check(capsys, dt, fragment):
+    # argparse takes "-1e-3" or "-inf" for an option; after a space as after
+    # "=", the value must reach the JSON range error, not argparse's exit 2.
+    for argv in (["--dt", dt, "--steps", "100"], ["--steps", "100", f"--dt={dt}"]):
+        code, out = run_cli(capsys, "flow", *argv)
+        assert code == 1
+        assert_json_error(out, "ValueError", f"dt must be finite and positive, {fragment}")
+
+
+def test_option_without_a_value_is_still_a_usage_error(capsys):
+    # Only a token that reads as a number is joined to the option before it.
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--steps", "1", "--dt", "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_missing_fixture_is_json_error(capsys, tmp_path):

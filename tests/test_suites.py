@@ -33,7 +33,7 @@ from supersigma.gridfield import GrassmannField, Grid
 from supersigma.grassmann import GrassmannNumber, generator, unit
 from supersigma.sigma2d import (
     ComponentFields,
-    _calibration_scores,
+    _variation_matrices,
     action_component,
     action_superfield_flat,
     calibrate_conventions,
@@ -147,7 +147,7 @@ def _susy2d_oracle(config, rng):
     n_gen = config.n_gen
     grid = Grid(config.grid_shape, config.periods)
     battery = _battery_oracle(config, rng)
-    cal = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))
+    cal, derived = calibrate_conventions(battery, tolerance=config.tolerance("calibration"))
     cal_residual = [susy_invariance_residual(geom, chi, fields, q, coeffs=cal)
                     for geom, chi, fields, q in battery]
     cal_match = [abs(getattr(cal, k) - getattr(config.conventions, k))
@@ -166,7 +166,10 @@ def _susy2d_oracle(config, rng):
             geom, chi, fields, q = sigma_fixture(rng, grid, with_chi, n_gen, local_q=True)
             local.append(susy_invariance_residual(geom, chi, fields, q,
                                                   coeffs=config.conventions))
-    return [cal_residual, cal_match, chi0_resid, chi_resid, local]
+    derived_gap = [abs(derived[1] - config.conventions.c2),
+                   abs(derived[3] - config.conventions.c4),
+                   abs(derived[4] - config.conventions.c5)]
+    return [cal_residual, cal_match, chi0_resid, chi_resid, local, derived_gap]
 
 
 def _phi_only(grid, n_gen, phi):
@@ -317,15 +320,15 @@ def test_stacked_suite_matches_per_fixture_oracle(config_name, suite):
 
 # The residuals each row collects: one per fixture, or one per component for
 # a row of a single fixture (the calibration match has one per sign, the
-# divergence and holomorphy rows one per component).
+# derived coefficients one per solved coefficient, the divergence and holomorphy rows one per component).
 ROW_LENGTHS = {
     "default": {"grassmann": [1000] * 3, "berezin": [100], "toy": [100, 1, 100, 100, 100],
-                "reduction": [50, 1, 5], "susy2d": [4, 4, 8, 8, 16],
+                "reduction": [50, 1, 5], "susy2d": [4, 4, 8, 8, 16, 3],
                 "currents": [10, 1, 2, 2, 1, 1, 2, 1], "flow": [1, 1, 1],
                 "decompose": [50] * 5 + [1, 1]},
     # 77 Berezin, 37 reduction and 11 susy2d fixtures.
     "odd-grid": {"grassmann": [1000] * 3, "berezin": [77], "toy": [100, 1, 100, 100, 100],
-                 "reduction": [37, 1, 5], "susy2d": [4, 4, 11, 11, 22],
+                 "reduction": [37, 1, 5], "susy2d": [4, 4, 11, 11, 22, 3],
                  "currents": [10, 1, 2, 2, 1, 1, 2, 1], "flow": [1, 1, 1],
                  "decompose": [50] * 5 + [1, 1]},
 }
@@ -492,9 +495,10 @@ def test_nan_in_one_fixture_makes_the_suite_residual_nan(monkeypatch, suite, tar
 @pytest.mark.parametrize("config_name", ["default", "odd-grid"])
 def test_stacked_calibration_battery_matches_the_per_fixture_battery(config_name):
     # One entry per chunk of the fixtures with chi, then the one without chi
-    # as a stack of one; every candidate's score, the chosen conventions and
-    # each fixture's invariance residual have the bits of the per-fixture
-    # battery, which draws the same fixtures in the same order.
+    # as a stack of one; every sign pair's first-variation matrix, the solved
+    # conventions, the derived coefficients and each fixture's invariance
+    # residual have the bits of the per-fixture battery, which draws the same
+    # fixtures in the same order.
     config = CONFIGS[config_name]()
     rng, oracle_rng = suites.suite_rng(config, "susy2d"), suites.suite_rng(config, "susy2d")
     battery = build_calibration_battery(config, rng)
@@ -502,9 +506,14 @@ def test_stacked_calibration_battery_matches_the_per_fixture_battery(config_name
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert [e[2].phi[0].terms[0].shape[0] for e in battery] == [3, 1]
     base = config.conventions
-    assert _calibration_scores(battery, base) == _calibration_scores(each, base)
-    cal = calibrate_conventions(battery)
-    assert cal == calibrate_conventions(each)
+    stacked_matrices, each_matrices = _variation_matrices(battery, base), _variation_matrices(each, base)
+    assert list(stacked_matrices) == list(each_matrices)
+    for pair, matrix in stacked_matrices.items():
+        assert np.array_equal(matrix, each_matrices[pair]), pair
+    cal, derived = calibrate_conventions(battery)
+    each_cal, each_derived = calibrate_conventions(each)
+    assert cal == each_cal
+    assert np.array_equal(derived, each_derived)
     stacked = np.concatenate([susy_invariance_residual(*e, coeffs=cal) for e in battery])
     assert np.array_equal(stacked, [susy_invariance_residual(*e, coeffs=cal) for e in each])
 
@@ -844,4 +853,4 @@ def test_susy2d_local_q_row_needs_13_points_per_axis():
     assert [name for name, c in rows.items() if not c.passed] == ["susy2d-invariance-local-q"]
     for config in (SuiteConfig(grid_shape=(13, 13)), SuiteConfig.load(ODD_GRID)):
         checks = suites.run_suite(config, "susy2d")
-        assert len(checks) == 5 and all(c.passed for c in checks)
+        assert len(checks) == 6 and all(c.passed for c in checks)
