@@ -143,8 +143,7 @@ def _cmd_decompose(args) -> int:
     config = _load_config(args)
     with open(args.fixture) as fh:
         fixture = json.load(fh)
-    shape = _fixture_entry(fixture, "shape")
-    grid = Grid(tuple(shape), tuple(fixture.get("periods", config.periods)))
+    grid = Grid(_fixture_entry(fixture, "shape"), fixture.get("periods", config.periods))
     n_gen = config.n_gen
     geom = SurfaceGeometry.flat(grid, n_gen)
     chi0 = GravitinoField.zero(grid, n_gen)

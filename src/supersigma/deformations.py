@@ -29,9 +29,9 @@ A and A+ depend only on the grid (shape and periods) and the line (metric
 or gravitino); both are cached under the key (grid, line), keeping the two
 most recently used keys (the metric and the gravitino line of one grid).
 
-The residual spaces are two-dimensional on each line: the constant
-trace-free symmetric tensors and the constant gamma-trace-free gravitino
-sections.
+The true deformations span each band mode's null space of the square A: two
+real dimensions on each line, the constant trace-free symmetric tensors and
+the constant gamma-trace-free gravitino sections.
 """
 
 from __future__ import annotations
@@ -211,20 +211,28 @@ def _gravitino_columns(kap1, kap2) -> np.ndarray:
     return A
 
 
+def _conjugate_pairs(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(partner, own) over the flattened modes of an n1 x n2 band.
+
+    A band keeps the fftfreq order 0, 1, ..., -1 on each axis and holds -m
+    with every m, so the mode -m of position i sits at position (-i) mod len:
+    ``partner`` holds that position.  ``own`` marks the zero mode and one
+    member of each conjugate pair, the one first in the band.
+    """
+    partner = ((-np.arange(n1) % n1)[:, None] * n2 + (-np.arange(n2) % n2)).ravel()
+    return partner, np.arange(n1 * n2) <= partner
+
+
 def _paired_pinv(A: np.ndarray) -> np.ndarray:
     """Pseudo-inverses of the band design matrices ``A``, shape (n1_band,
     n2_band, rows, cols), with one ``pinv`` call for all of them.
 
-    A band keeps the fftfreq order 0, 1, ..., -1 on each axis and holds -m
-    with every m, so the mode -m of position i sits at position (-i) mod len.
     A(-m) is conj A(m) on both lines (the columns are real constants and
-    i kappa), so only the zero mode and one member of each conjugate pair of
-    modes, the one first in the band, are inverted; each partner is filled
-    with the conjugate, which is pinv A(-m) exactly.
+    i kappa), so only the modes ``own`` by ``_conjugate_pairs`` are inverted;
+    each partner is filled with the conjugate, which is pinv A(-m) exactly.
     """
     n1, n2 = A.shape[:2]
-    partner = ((-np.arange(n1) % n1)[:, None] * n2 + (-np.arange(n2) % n2)).ravel()
-    own = np.arange(n1 * n2) <= partner
+    partner, own = _conjugate_pairs(n1, n2)
     A = A.reshape(n1 * n2, *A.shape[-2:])
     A_pinv = np.empty((n1 * n2, A.shape[-1], A.shape[-2]), dtype=A.dtype)
     A_pinv[own] = np.linalg.pinv(A[own], rcond=SVD_CUTOFF)
@@ -232,26 +240,32 @@ def _paired_pinv(A: np.ndarray) -> np.ndarray:
     return A_pinv.reshape(n1, n2, *A_pinv.shape[1:])
 
 
-@lru_cache(maxsize=2)
-def _band_matrices(grid: Grid, line: str) -> tuple:
-    """(band, A, A+) of the band modes of ``grid`` (``_band_cutoff``), read-only.
-
-    ``band`` indexes the band modes of a transform's last two axes; A is the
+def _band_design(grid: Grid, line: str) -> tuple:
+    """(band, A) on ``line``, "metric" or "gravitino": ``band`` indexes the
+    band modes (``_band_cutoff``) of a transform's last two axes, and A is the
     design matrices stacked over them, shape (n1_band, n2_band, n_components,
-    n_params), and A+ their pseudo-inverses (``_paired_pinv``).  ``line`` is
-    "metric" or "gravitino".  The two most recently used keys are kept: the
-    metric and the gravitino line of one grid.
-    """
+    n_params)."""
     k1, k2, m1, m2 = _mode_wavenumbers(grid)
     cutoff = _band_cutoff(grid)
     i1 = np.flatnonzero(np.abs(m1) <= cutoff)
     i2 = np.flatnonzero(np.abs(m2) <= cutoff)
-    kap1, kap2 = k1[i1][:, None], k2[i2]
-    A = (_metric_columns if line == "metric" else _gravitino_columns)(kap1, kap2)
+    A = (_metric_columns if line == "metric" else _gravitino_columns)(k1[i1][:, None], k2[i2])
+    return (..., i1[:, None], i2), A
+
+
+@lru_cache(maxsize=2)
+def _band_matrices(grid: Grid, line: str) -> tuple:
+    """(band, A, A+): ``_band_design`` and the pseudo-inverses of its design
+    matrices (``_paired_pinv``), read-only.
+
+    The two most recently used keys are kept: the metric and the gravitino
+    line of one grid.
+    """
+    band, A = _band_design(grid, line)
     A_pinv = _paired_pinv(A)
-    for a in (i1, i2, A, A_pinv):
+    for a in (*band[1:], A, A_pinv):
         a.flags.writeable = False
-    return (..., i1[:, None], i2), A, A_pinv
+    return band, A, A_pinv
 
 
 def _inverse_fft2(buf: np.ndarray) -> None:
@@ -324,23 +338,19 @@ def decompose_metric(geom: SurfaceGeometry, chi: GravitinoField,
     are null directions of the fit and are reported, not errors.
     """
     _require_flat_background(geom, chi)
-    grid, n_gen = dg.grid, dg.n_gen
     params, r = _band_solve([dg.tensor[0][0], dg.tensor[0][1], dg.tensor[1][1]], "metric")
     lam, X = params[0], params[1:3]
     D = MetricDeformation([[r[0], r[1]], [r[1], r[2]]])
 
     reassembled = _reassemble_metric(geom, lam, X, D)
-    res = DecompositionResult(
-        weyl=lam, vector=X,
-        susy_parameter=SpinorField.zero(grid, n_gen),
-        residual_metric=D,
+    return DecompositionResult(
+        weyl=lam, vector=X, residual_metric=D,
         reassembly_residual=reassembled.max_abs_diff(dg),
         trace_residual=D.trace().max_abs(),
         divergence_residual=max_or_nan(f.max_abs() for f in D.divergence()),
         null_directions=["constant vector fields (Killing)",
                          "susy metric image vanishes at chi = 0"],
     )
-    return res
 
 
 def _reassemble_metric(geom: SurfaceGeometry, lam: GrassmannField,
@@ -368,7 +378,6 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField,
     _require_flat_background(geom, chi)
     for a in (1, 2):
         require_odd(dchi[a], "gravitino deformation")
-    grid, n_gen = dchi[1].grid, dchi[1].n_gen
     params, r = _band_solve(
         [dchi[1].comps[0], dchi[1].comps[1], dchi[2].comps[0], dchi[2].comps[1]], "gravitino")
     t = SpinorField(params[0:2])
@@ -378,9 +387,7 @@ def decompose_gravitino(geom: SurfaceGeometry, chi: GravitinoField,
 
     reassembled = _reassemble_gravitino(t, q, DD)
     return DecompositionResult(
-        super_weyl=t, susy_parameter=q,
-        vector=[GrassmannField.zero(grid, n_gen) for _ in range(2)],
-        residual_gravitino=DD,
+        super_weyl=t, susy_parameter=q, residual_gravitino=DD,
         reassembly_residual=reassembled.max_abs_diff(dchi),
         gamma_trace_residual=DD.gamma_trace().max_abs(),
         null_directions=["L_X chi vanishes at chi = 0",
@@ -399,46 +406,25 @@ def _reassemble_gravitino(t: SpinorField, q: SpinorField, DD: GravitinoField) ->
 
 
 def true_deformation_dimensions(geom: SurfaceGeometry) -> tuple[int, int]:
-    """Real dimensions of the residual ("true") deformation spaces.
+    """Real dimensions (even, odd) of the residual ("true") deformation spaces.
 
-    Even part: symmetric 2-tensors on the band of ``geom``'s grid
-    (|m| <= min(shape) // 4) with zero trace and zero divergence.  Odd part:
-    gravitino-shaped sections on that band with zero gamma-trace and zero
-    divergence.  Computed per Fourier mode as complex nullities of the
-    constraint matrices (singular values below 1e-10 relative count as
-    zero); each nonzero mode contributes twice its complex nullity as a real
-    dimension, the zero mode once.
-    On the flat torus both come out 2: the constant trace-free symmetric
-    tensors and the constant gamma-trace-free sections.
+    Per band mode, the nullity of the split's own square design matrix A
+    (``_band_design``; singular values below 1e-10 relative count as zero),
+    which is the dimension of that mode's residual space.  One mode of each
+    conjugate pair (``_conjugate_pairs``) is counted, twice, and the zero
+    mode once.  Neither A+ nor the ``_band_matrices`` cache is touched.
+    On the flat torus both come out 2.
     """
     if not geom.is_identity_frame():
         raise UnsupportedRegimeError("dimension count implemented for the flat identity frame")
-    grid = geom.grid
-    cutoff = _band_cutoff(grid)
-    n1, n2 = np.meshgrid(np.arange(cutoff + 1), np.arange(-cutoff, cutoff + 1), indexing="ij")
-    keep = (n1 > 0) | (n2 >= 0)
-    n1, n2 = n1[keep], n2[keep]
-    kap1 = 2.0 * np.pi * n1 / grid.periods[0]
-    kap2 = 2.0 * np.pi * n2 / grid.periods[1]
-    mult = np.where((n1 == 0) & (n2 == 0), 1, 2)
-    eye = np.eye(2)
 
-    def dimension(A: np.ndarray) -> int:
-        s = np.linalg.svd(A, compute_uv=False)
+    def dimension(line: str) -> int:
+        A = _band_design(geom.grid, line)[1]
+        partner, own = _conjugate_pairs(*A.shape[:2])
+        s = np.linalg.svd(A.reshape(-1, *A.shape[-2:])[own], compute_uv=False)
         smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
-        rank = np.sum(s > SVD_CUTOFF * smax[:, None], axis=-1)
-        return int(np.sum(mult * (A.shape[-1] - rank)))
+        nullity = A.shape[-1] - np.sum(s > SVD_CUTOFF * smax[:, None], axis=-1)
+        weight = np.where(partner[own] == np.flatnonzero(own), 1, 2)
+        return int(np.sum(weight * nullity))
 
-    # Even line: unknowns (g11, g12, g22); trace + divergence rows.
-    Ae = np.zeros(kap1.shape + (3, 3), dtype=complex)
-    Ae[:, 0, 0] = Ae[:, 0, 2] = 1.0
-    Ae[:, 1, 0] = Ae[:, 2, 1] = 1j * kap1
-    Ae[:, 1, 1] = Ae[:, 2, 2] = 1j * kap2
-    # Odd line: unknowns (chi_1^1, chi_1^2, chi_2^1, chi_2^2);
-    # gamma-trace + divergence rows.
-    Ao = np.zeros(kap1.shape + (4, 4), dtype=complex)
-    Ao[:, 0:2, 0:2] = GAMMA[1]
-    Ao[:, 0:2, 2:4] = GAMMA[2]
-    Ao[:, 2:4, 0:2] = (1j * kap1)[:, None, None] * eye
-    Ao[:, 2:4, 2:4] = (1j * kap2)[:, None, None] * eye
-    return dimension(Ae), dimension(Ao)
+    return dimension("metric"), dimension("gravitino")

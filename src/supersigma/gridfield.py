@@ -16,6 +16,7 @@ phase matrix.  Only ``value_at`` refuses a stacked field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -30,17 +31,28 @@ __all__ = ["Grid", "GrassmannField", "derivative_wavenumbers", "spectral_derivat
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on a torus [0,P_1) x ... x [0,P_m)."""
+    """Uniform periodic grid on a torus [0,P_1) x ... x [0,P_m); anything but
+    integer sizes of at least 1 and finite positive periods is a ValueError."""
 
     shape: tuple[int, ...]
     periods: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("shape", "periods"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         if len(self.shape) != len(self.periods):
             raise ValueError("shape and periods must have equal length")
+        for i, n in enumerate(self.shape):
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+                raise ValueError(f"shape[{i}] must be an integer, got {n!r}")
+            if n < 1:
+                raise ValueError(f"shape[{i}] must be at least 1, got {n!r}")
+        for i, p in enumerate(self.periods):
+            if isinstance(p, bool) or not (isinstance(p, numbers.Real) and math.isfinite(p)
+                                           and p > 0.0):
+                raise ValueError(f"periods[{i}] must be finite and positive, got {p!r}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        if any(n < 1 for n in self.shape):
-            raise ValueError(f"grid sizes must be at least 1, got {self.shape}")
         object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
 
     @property

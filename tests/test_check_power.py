@@ -44,15 +44,34 @@ def _no_overlap_test(monkeypatch):
                         _edited(mul, "if ma & mb:", "if False:"))
 
 
+def _private_band_cache(monkeypatch):
+    # The clean run cached the right design matrices under the same keys, and
+    # the wrong ones must not outlive the test: a defect in them runs on a
+    # cache of its own, which the monkeypatch drops with it.
+    monkeypatch.setattr(deformations, "_band_matrices",
+                        lru_cache(maxsize=2)(deformations._band_matrices.__wrapped__))
+
+
 def _pair_fill_without_conjugate(monkeypatch):
     # Each conjugate partner mode gets pinv A(m) where pinv A(-m) belongs.
     monkeypatch.setattr(deformations, "_paired_pinv",
                         _edited(deformations._paired_pinv, ".conj()", ""))
-    # The clean run cached the right pseudo-inverses under the same keys, and
-    # the wrong ones must not outlive the test: the defect runs on a cache of
-    # its own, which the monkeypatch drops with it.
-    monkeypatch.setattr(deformations, "_band_matrices",
-                        lru_cache(maxsize=2)(deformations._band_matrices.__wrapped__))
+    _private_band_cache(monkeypatch)
+
+
+def _metric_conformal_column_without_g22(monkeypatch):
+    # The conformal direction lambda g forgets its g22 entry.
+    monkeypatch.setattr(deformations, "_metric_columns",
+                        _edited(deformations._metric_columns, "A[..., 0, 0] = A[..., 2, 0] = 1.0",
+                                "A[..., 0, 0] = 1.0"))
+    _private_band_cache(monkeypatch)
+
+
+def _gravitino_susy_column_kap1_twice(monkeypatch):
+    # The susy direction of chi_2 takes d_1 q where d_2 q belongs.
+    monkeypatch.setattr(deformations, "_gravitino_columns",
+                        _edited(deformations._gravitino_columns, "(1j * kap2)", "(1j * kap1)"))
+    _private_band_cache(monkeypatch)
 
 
 def _energy_without_winding(monkeypatch):
@@ -147,6 +166,17 @@ DEFECTS = {
                                     {"decompose-metric-trace-free",
                                      "decompose-metric-divergence-free",
                                      "decompose-gravitino-gamma-trace-free"}),
+    # The dimension rows count the nullity of the same design matrices the
+    # split solves with, so a wrong column shows there too.
+    "metric-conformal-column-without-g22": (_metric_conformal_column_without_g22, ["decompose"],
+                                            {"decompose-metric-reassembly",
+                                             "decompose-metric-trace-free",
+                                             "decompose-true-dimensions",
+                                             "decompose-dimensions-refinement-stable"}),
+    "gravitino-susy-column-kap1-twice": (_gravitino_susy_column_kap1_twice, ["decompose"],
+                                         {"decompose-gravitino-reassembly",
+                                          "decompose-true-dimensions",
+                                          "decompose-dimensions-refinement-stable"}),
     "flow-energy-without-winding": (_energy_without_winding, ["flow"], {"flow-final-energy"}),
     "top-coefficient-without-eta2-eta1": (_top_without_eta2_eta1_pair, ["reduction"],
                                           {"reduction-superfield-component"}),

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,32 @@ def test_decompose_fixture_entry_not_numeric_is_json_error(capsys, tmp_path, val
     code, out = run_cli(capsys, "decompose", "--fixture", str(path))
     assert code == 1
     assert_json_error(out, "ValueError", "entry ['tensor']['12'] is not a numeric array")
+
+
+@pytest.mark.parametrize("entries, fragment", [
+    ({"shape": 16}, "shape must be a list, got 16"),
+    ({"shape": None}, "shape must be a list, got None"),
+    ({"shape": [16.7, 16]}, "shape[0] must be an integer, got 16.7"),
+    ({"shape": [16, True]}, "shape[1] must be an integer, got True"),
+    ({"periods": None}, "periods must be a list, got None"),
+    ({"periods": 5}, "periods must be a list, got 5"),
+    ({"periods": [-6, 6]}, "periods[0] must be finite and positive, got -6"),
+    ({"periods": [float("inf"), 1]}, "periods[0] must be finite and positive, got inf"),
+    ({"periods": [0.0, 1]}, "periods[0] must be finite and positive, got 0.0"),
+    ({"periods": [float("nan"), 1]}, "periods[0] must be finite and positive, got nan"),
+], ids=["shape-int", "shape-null", "shape-float", "shape-bool", "periods-null", "periods-int",
+        "periods-negative", "periods-inf", "periods-zero", "periods-nan"])
+def test_decompose_fixture_grid_out_of_range_is_json_error(capsys, tmp_path, entries, fragment):
+    # These used to end in a traceback, pass on a truncated shape or a
+    # period that is no length, or fail the SVD with warnings on stderr.
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({**_metric_fixture(16), **entries}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["decompose", "--fixture", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err, caught) == (1, "", [])
+    assert_json_error(out, "ValueError", fragment)
 
 
 @pytest.mark.parametrize("config, fragment", [

@@ -379,10 +379,40 @@ def test_gravitino_matches_per_mode_reference(rng, grid_, cache):
     assert r.residual_gravitino.max_abs_diff(DD) == 0.0
 
 
-@pytest.mark.parametrize("grid_", ORACLE_GRIDS, ids=shape_id)
+# Bands of the zero mode alone (1x1, 1x9), and fine grids with unequal periods.
+DIMENSION_GRIDS = ORACLE_GRIDS + [Grid((1, 1), (2.0, 3.0)), Grid((1, 9), (3.0, 5.5))] + [
+    Grid((n, n), (2.0 * np.pi, 3.7)) for n in (40, 48, 64, 96, 128)]
+
+
+@pytest.mark.parametrize("grid_", DIMENSION_GRIDS, ids=shape_id)
 def test_true_dimensions_match_reference(grid_):
+    # The count reads the split's design matrices; the reference counts the
+    # trace/divergence and gamma-trace/divergence constraints instead.
     geom_ = SurfaceGeometry.flat(grid_, N_GEN)
     assert true_deformation_dimensions(geom_) == reference_dimensions(geom_, band_cutoff(grid_))
+
+
+def test_true_dimensions_leave_the_cache_alone_and_make_no_pinv_call(monkeypatch, geom, grid):
+    # One singular-value batch per line, read off the design matrices alone.
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    counting("pinv")
+    counting("svd")
+    deformations._band_matrices.cache_clear()
+    deformations._band_matrices(grid, "metric")
+    before = deformations._band_matrices.cache_info()
+    calls.clear()
+    assert true_deformation_dimensions(geom) == (2, 2)
+    assert calls == ["svd", "svd"]
+    assert deformations._band_matrices.cache_info() == before
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,32 @@ def test_grid_rejects_sizes_below_one(shape):
         Grid(shape, (1.0,) * len(shape))
 
 
+@pytest.mark.parametrize("shape, periods, message", [
+    ((16.7, 16), (1.0, 1.0), "shape[0] must be an integer, got 16.7"),
+    ((16, True), (1.0, 1.0), "shape[1] must be an integer, got True"),
+    (("16",), (1.0,), "shape[0] must be an integer, got '16'"),
+    (16, (1.0,), "shape must be a list, got 16"),
+    ((16,), None, "periods must be a list, got None"),
+    ((16, 16), (0.0, 1.0), "periods[0] must be finite and positive, got 0.0"),
+    ((16, 16), (1.0, -6.0), "periods[1] must be finite and positive, got -6.0"),
+    ((16, 16), (float("nan"), 1.0), "periods[0] must be finite and positive, got nan"),
+    ((16, 16), (1.0, float("inf")), "periods[1] must be finite and positive, got inf"),
+    ((16,), (True,), "periods[0] must be finite and positive, got True"),
+    ((16,), ("6",), "periods[0] must be finite and positive, got '6'"),
+], ids=["size-float", "size-bool", "size-str", "shape-int", "periods-none", "period-zero",
+        "period-negative", "period-nan", "period-inf", "period-bool", "period-str"])
+def test_grid_rejects_sizes_and_periods_of_wrong_type_or_range(shape, periods, message):
+    with pytest.raises(ValueError) as exc:
+        Grid(shape, periods)
+    assert str(exc.value) == message
+
+
+def test_grid_accepts_numpy_scalars_and_stores_python_numbers():
+    grid = Grid([np.int64(8), 4], [np.float64(2.5), 3])
+    assert grid == Grid((8, 4), (2.5, 3.0))
+    assert [type(v) for v in grid.shape + grid.periods] == [int, int, float, float]
+
+
 def _samples(shape, fill=0.0, **at):
     """An array of ``fill`` with the given samples set: first=..., last=..."""
     a = np.full(shape, fill)
